@@ -13,28 +13,21 @@ from pathlib import Path
 
 import numpy as np
 
-from pmsmlab.config import apply_sweep_value, parse_config
-from pmsmlab.observability import hfi_det_y1
-from pmsmlab.simulation import run_scenario
+from pmsmlab.cli import carrier_peak_det, run_sweep
+from pmsmlab.config import parse_config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "hfi_voltage_sweep.json"
 
 
 def main() -> None:
     cfg = parse_config(CONFIG.read_text())
-    base = cfg.scenario
     print(f"sweeping {cfg.sweep.parameter} over {list(cfg.sweep.values)}")
     print(f"{'V_hf':>6} {'det at peak':>13} {'max|err| win':>13} {'mean|err| win':>14} {'final|err|':>11}")
-    for value in cfg.sweep.values:
-        scn = apply_sweep_value(base, cfg.sweep.parameter, value)
-        log = run_scenario(scn)
+    for value, scn, log in run_sweep(cfg):
         window = (log.t >= scn.injection.t_start) & (log.t < scn.injection.t_end)
         err = np.abs(log.theta_err)
-        det_peak = hfi_det_y1(
-            0.0, scn.theta_hat_err0, 0.0, value, scn.injection.frequency, scn.params
-        )
         print(
-            f"{value:>6g} {det_peak:>13.4g} {err[window].max():>13.4f}"
+            f"{value:>6g} {carrier_peak_det(scn):>13.4g} {err[window].max():>13.4f}"
             f" {err[window].mean():>14.4f} {err[-1]:>11.4f}"
         )
 

@@ -17,9 +17,10 @@ import sys
 from dataclasses import replace
 
 from pmsmlab.config import ConfigError, RunConfig, apply_sweep_value, parse_config, render_config
+from pmsmlab.control import InjectionKind
 from pmsmlab.observability import DegenerateObservabilityVector, hfi_det_y1, sample_report
 from pmsmlab.report import summarize, write_csv
-from pmsmlab.simulation import run_scenario, standstill_study_scenario
+from pmsmlab.simulation import Scenario, run_scenario, standstill_study_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -69,10 +70,10 @@ def _load_config(args) -> RunConfig:
     except OSError as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     cfg = parse_config(text)
-    scn = cfg.scenario
     if args.seed is not None:
-        scn = replace(scn, seed=args.seed)
-    cfg = replace(cfg, scenario=scn)
+        if args.seed < 0:
+            raise ConfigError(["scenario.seed: must be >= 0"])
+        cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
     if args.csv is not None:
@@ -121,18 +122,40 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return _finish_run(cfg, run_scenario(cfg.scenario, with_ekf=False))
 
 
+def carrier_peak_det(scn: Scenario) -> float:
+    """Order-1 determinant at the carrier peak (cos term = 1), at the speed
+    where the injection window opens.
+
+    NaN unless the scenario injects a d-axis voltage carrier on a round
+    machine, the case hfi_det_y1 is defined for.
+    """
+    if scn.injection.kind is not InjectionKind.VOLTAGE_ON_DHAT or scn.params.L2 != 0.0:
+        return math.nan
+    return hfi_det_y1(
+        scn.profile.omega(scn.injection.t_start), scn.theta_hat_err0,
+        0.0, scn.injection.amplitude, scn.injection.frequency, scn.params,
+    )
+
+
+def run_sweep(cfg: RunConfig):
+    """Run the scenario once per sweep value; yields (value, scenario, log).
+
+    An invalid point raises ConfigError when the sweep reaches it.
+    """
+    for value in cfg.sweep.values:
+        try:
+            scn = apply_sweep_value(cfg.scenario, cfg.sweep.parameter, value)
+        except ValueError as exc:
+            raise ConfigError([f"sweep: invalid point {cfg.sweep.parameter}={value!r}: {exc}"]) from exc
+        yield value, scn, run_scenario(scn)
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep is None:
         print("sweep: config has no sweep block", file=sys.stderr)
         return EXIT_VALIDATION
     rows = []
-    for value in cfg.sweep.values:
-        try:
-            scn = apply_sweep_value(cfg.scenario, cfg.sweep.parameter, value)
-        except ValueError as exc:
-            print(f"sweep: invalid point {cfg.sweep.parameter}={value!r}: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        log = run_scenario(scn)
+    for value, scn, log in run_sweep(cfg):
         if log.aborted:
             print(
                 f"numerical abort at t={log.abort_time:.6g} s "
@@ -142,14 +165,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
             return EXIT_NUMERICAL
         summary = summarize(log)
         stats = {ph.name: ph for ph in summary.phases}
-        if scn.injection.kind.value == "voltage_on_dhat" and scn.params.L2 == 0.0:
-            # carrier peak, cos term = 1, at the speed where the window opens
-            hfi_peak = hfi_det_y1(
-                scn.profile.omega(scn.injection.t_start), scn.theta_hat_err0,
-                0.0, scn.injection.amplitude, scn.injection.frequency, scn.params,
-            )
-        else:
-            hfi_peak = math.nan
         get = lambda name, attr: getattr(stats[name], attr) if name in stats else math.nan
         rows.append((
             value,
@@ -159,7 +174,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             get("injection", "mean_abs_theta_err"),
             get("motion", "mean_abs_omega_err"),
             float((log.rank < 4).mean()),
-            hfi_peak,
+            carrier_peak_det(scn),
         ))
     path = _out_path(cfg, "sweep.csv")
     with open(path, "w", newline="") as fh:
@@ -184,21 +199,18 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    if args.print_config:
-        print(render_config(cfg), end="")
-        return EXIT_OK
-
-    try:
+        if args.print_config:
+            print(render_config(cfg), end="")
+            return EXIT_OK
         if args.verb == "simulate":
             return cmd_simulate(cfg)
         if args.verb == "analyze":
             return cmd_analyze(cfg)
         return cmd_sweep(cfg)
+    except ConfigError as exc:
+        for line in exc.errors:
+            print(f"config error: {line}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (FloatingPointError, DegenerateObservabilityVector) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

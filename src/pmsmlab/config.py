@@ -332,10 +332,14 @@ def parse_config(text: str) -> RunConfig:
         errors.append("scenario.t_end: must be > 0")
     if T_s <= 0.0:
         errors.append("scenario.T_s: must be > 0")
+    elif t_end > 0.0 and t_end / T_s <= 0.5:  # round(t_end / T_s) < 1, without overflow
+        errors.append("scenario.t_end: must span at least one sample (round(t_end / T_s) >= 1)")
     if ode_substeps < 1:
         errors.append("scenario.ode_substeps: must be >= 1")
     if noise_std < 0.0:
         errors.append("scenario.noise_std: must be >= 0")
+    if seed < 0:
+        errors.append("scenario.seed: must be >= 0")
 
     if errors:
         raise ConfigError(errors)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _electrical_rate_ab, torque_alphabeta, MachineState
-from pmsmlab.observability import _obs_matrix_y1_blocks
+from pmsmlab.machine import MachineParams, state_rate
+from pmsmlab.observability import obs_matrix_y1_ipmsm
 
 C_OUT = np.hstack([np.eye(2), np.zeros((2, 2))])
 
@@ -72,22 +72,13 @@ def make_ekf(
     return ekf
 
 
-def _model_rate(params: MachineParams, x: np.ndarray, u) -> np.ndarray:
-    """Filter model: free mechanics, zero load torque."""
-    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], x[3], u[0], u[1])
-    T_m = torque_alphabeta(MachineState(x[0], x[1], x[2], x[3]), params)
-    return np.array([di_a, di_b, params.p / params.J * T_m, x[2]])
-
-
 def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
     """Analytic Jacobian A = df/dx at (x_hat, u) and constant output map C."""
     x = np.asarray(x_hat, dtype=float)
-    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], x[3], u[0], u[1])
-    a = _obs_matrix_y1_blocks(params, x[0], x[1], x[2], x[3], di_a, di_b)
     # rows 0-1 of the observability matrix are the output gradient; replace
-    # them with the current-rate gradients and append the mechanical rows.
-    A = np.zeros((4, 4))
-    A[0:2, :] = a[2:4, :]
+    # them with the current-rate gradients and set the mechanical rows.
+    A = obs_matrix_y1_ipmsm(x, u, params)
+    A[0:2, :] = A[2:4, :]
     c = math.cos(x[3])
     s = math.sin(x[3])
     c2 = c * c - s * s
@@ -102,14 +93,14 @@ def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, 
         -psi_r * (ib * s + ia * c)
         - L2 * (2.0 * (ia * ia - ib * ib) * c2 + 4.0 * ia * ib * s2)
     )
-    A[3, 2] = 1.0
+    A[3, :] = (0.0, 0.0, 1.0, 0.0)
     return A, C_OUT.copy()
 
 
 def predict(ekf: EkfState, params: MachineParams, u) -> EkfState:
     """Euler state propagation and Lyapunov-form covariance propagation."""
     A, _ = linearize(params, ekf.x_hat, u)
-    f = _model_rate(params, ekf.x_hat, u)
+    f = state_rate(params, ekf.x_hat, u)  # the filter model assumes zero load torque
     if not np.all(np.isfinite(f)):
         raise FloatingPointError(f"non-finite filter dynamics at x_hat={ekf.x_hat}")
     with np.errstate(over="ignore", invalid="ignore"):

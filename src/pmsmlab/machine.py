@@ -235,21 +235,12 @@ def inductance_matrix_inv(theta: float, params: MachineParams) -> np.ndarray:
     return np.array([[L0 - L2 * c2, -L2 * s2], [-L2 * s2, L0 + L2 * c2]]) / det
 
 
-def _electrical_rate_ab(
-    params: MachineParams,
-    i_a: float,
-    i_b: float,
-    omega: float,
-    theta: float,
-    v_a: float,
-    v_b: float,
-) -> tuple[float, float]:
-    """Scalar core of dI/dt in the stator frame.
+def _electrical_rate_ab(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b):
+    """dI/dt in the stator frame, with c, s = cos(theta), sin(theta).
 
-    Kept free of array allocation: this sits inside the RK4 stage loop.
+    Plain arithmetic: the RK4 stage loop calls it on floats without array
+    allocation, and whole-trajectory columns call it on arrays of samples.
     """
-    c = math.cos(theta)
-    s = math.sin(theta)
     c2 = c * c - s * s
     s2 = 2.0 * s * c
     L0, L2, R, psi_r = params.L0, params.L2, params.R, params.psi_r
@@ -266,16 +257,32 @@ def _electrical_rate_ab(
     return di_a, di_b
 
 
-def torque_alphabeta(state: MachineState, params: MachineParams) -> float:
-    """Electromagnetic torque from stator-frame currents and position."""
-    c = math.cos(state.theta)
-    s = math.sin(state.theta)
+def _torque(params: MachineParams, i_a, i_b, c, s):
+    """Electromagnetic torque from stator-frame currents; c, s as above."""
     c2 = c * c - s * s
     s2 = 2.0 * s * c
-    ia, ib = state.i_alpha, state.i_beta
-    pm = params.psi_r * (ib * c - ia * s)
-    rel = params.L2 * ((ia * ia - ib * ib) * s2 - 2.0 * ia * ib * c2)
+    pm = params.psi_r * (i_b * c - i_a * s)
+    rel = params.L2 * ((i_a * i_a - i_b * i_b) * s2 - 2.0 * i_a * i_b * c2)
     return 1.5 * params.p * (pm - rel)
+
+
+def torque_alphabeta(state: MachineState, params: MachineParams) -> float:
+    """Electromagnetic torque from stator-frame currents and position."""
+    return _torque(
+        params, state.i_alpha, state.i_beta, math.cos(state.theta), math.sin(state.theta)
+    )
+
+
+def state_rate(params: MachineParams, x, u, T_l: float = 0.0) -> np.ndarray:
+    """Derivative of x = (i_alpha, i_beta, omega, theta) under u = (v_alpha, v_beta).
+
+    The mechanical equation is domega/dt = (p/J)*(T_m - T_l) with no friction
+    term.  Takes plain sequences, so hot callers skip building a MachineState.
+    """
+    c, s = math.cos(x[3]), math.sin(x[3])
+    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], c, s, u[0], u[1])
+    domega = params.p / params.J * (_torque(params, x[0], x[1], c, s) - T_l)
+    return np.array([di_a, di_b, domega, x[2]])
 
 
 def torque_dq(i_d: float, i_q: float, params: MachineParams) -> float:
@@ -293,12 +300,9 @@ def dynamics_alphabeta(
     """
     if v.frame is not Frame.ALPHA_BETA:
         raise FrameError(f"expected alpha-beta voltage, got {v.frame.value}")
-    di_a, di_b = _electrical_rate_ab(
-        params, state.i_alpha, state.i_beta, state.omega, state.theta, v.x, v.y
-    )
-    T_m = torque_alphabeta(state, params)
-    domega = params.p / params.J * (T_m - state.T_l)
-    return np.array([di_a, di_b]), domega, state.omega
+    x = (state.i_alpha, state.i_beta, state.omega, state.theta)
+    f = state_rate(params, x, (v.x, v.y), state.T_l)
+    return f[:2], f[2], state.omega
 
 
 def dynamics_dq(

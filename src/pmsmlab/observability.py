@@ -21,13 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from pmsmlab.machine import (
-    MachineParams,
-    _electrical_rate_ab,
-    inductance_matrix,
-    inductance_matrix_derivs,
-    inductance_matrix_inv,
-)
+from pmsmlab.machine import MachineParams, _electrical_rate_ab, state_rate
 
 STATE_DIM = 4
 OUT_DIM = 2
@@ -56,16 +50,20 @@ class DegenerateObservabilityVector(ValueError):
     """The observability vector is zero; its phase is undefined."""
 
 
-def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+def numeric_rank(matrix: np.ndarray) -> tuple:
     """Rank by singular-value counting.
 
     Threshold is RANK_RTOL * sigma_max, with an absolute floor when the matrix
     is identically zero.  Returns (rank, singular values in descending order).
+    A stack of matrices (leading axes, the matrix in the last two) is ranked
+    matrix by matrix: rank is then an integer array of the leading shape and
+    the singular values run along the last axis.  A single matrix gives an int.
     """
     sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    tol = RANK_RTOL * smax if smax > 0.0 else RANK_ABS_FLOOR
-    return int(np.sum(sv > tol)), sv
+    smax = sv[..., :1]
+    tol = np.where(smax > 0.0, RANK_RTOL * smax, RANK_ABS_FLOOR)
+    rank = np.sum(sv > tol, axis=-1)
+    return (int(rank) if rank.ndim == 0 else rank), sv
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +72,12 @@ def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _emech_rate(params, x, u, T_l, locked_rotor):
-    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], x[3], u[0], u[1])
+    f = state_rate(params, x, u, T_l)
     if locked_rotor:
         # Reduced model for the held-rotor study: speed and position are
         # frozen identically, not just instantaneously zero.
-        return np.array([di_a, di_b, 0.0, 0.0])
-    c = math.cos(x[3])
-    s = math.sin(x[3])
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    pm = params.psi_r * (x[1] * c - x[0] * s)
-    rel = params.L2 * ((x[0] * x[0] - x[1] * x[1]) * s2 - 2.0 * x[0] * x[1] * c2)
-    T_m = 1.5 * params.p * (pm - rel)
-    dom = params.p / params.J * (T_m - T_l)
-    return np.array([di_a, di_b, dom, x[2]])
+        f[2:] = 0.0
+    return f
 
 
 def _backemf_rate(params, x, u, omega_dot):
@@ -231,35 +221,57 @@ def lie_gradient_stack(
 # ---------------------------------------------------------------------------
 
 
-def _obs_matrix_y1_blocks(
-    params: MachineParams,
-    i_a: float,
-    i_b: float,
-    omega: float,
-    theta: float,
-    di_a: float,
-    di_b: float,
-) -> np.ndarray:
-    ind = inductance_matrix(theta, params)
-    ind_inv = inductance_matrix_inv(theta, params)
-    d1, d2 = inductance_matrix_derivs(theta, params)
-    cur = np.array([i_a, i_b])
-    di = np.array([di_a, di_b])
-    c, s = math.cos(theta), math.sin(theta)
-    c_vec = np.array([c, s])
-    c_vec_d = np.array([-s, c])
+def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> np.ndarray:
+    """Analytic order-1 observability matrix, with c, s = cos(theta), sin(theta).
 
-    n_eq = params.R * np.eye(2) + omega * d1
-    block_i = -ind_inv @ n_eq
-    block_omega = -ind_inv @ (d1 @ cur + params.psi_r * c_vec_d)
-    ind_inv_d = -ind_inv @ d1 @ ind_inv
-    block_theta = ind_inv_d @ (ind @ di) - ind_inv @ (d2 @ cur - params.psi_r * c_vec) * omega
+    Plain arithmetic that broadcasts: float arguments give one 4x4 matrix,
+    arrays of N samples an (N, 4, 4) stack.  di is the stator current rate.
+    """
+    L0, L2, R, psi_r = params.L0, params.L2, params.R, params.psi_r
+    c2 = c * c - s * s
+    s2 = 2.0 * s * c
+    det = L0 * L0 - L2 * L2
 
-    out = np.zeros((4, 4))
-    out[:2, :2] = np.eye(2)
-    out[2:, :2] = block_i
-    out[2:, 2] = block_omega
-    out[2:, 3] = block_theta
+    inv_aa = (L0 - L2 * c2) / det
+    inv_ab = -L2 * s2 / det
+    inv_bb = (L0 + L2 * c2) / det
+    d1_aa = -2.0 * L2 * s2
+    d1_ab = 2.0 * L2 * c2
+    d2_aa = -4.0 * L2 * c2
+    d2_ab = -4.0 * L2 * s2
+
+    out = np.zeros(np.shape(c) + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = 1.0
+
+    # -Linv (R I + omega L')
+    n_aa = R + omega * d1_aa
+    n_ab = omega * d1_ab
+    n_bb = R - omega * d1_aa
+    out[..., 2, 0] = -(inv_aa * n_aa + inv_ab * n_ab)
+    out[..., 2, 1] = -(inv_aa * n_ab + inv_ab * n_bb)
+    out[..., 3, 0] = -(inv_ab * n_aa + inv_bb * n_ab)
+    out[..., 3, 1] = -(inv_ab * n_ab + inv_bb * n_bb)
+
+    # -Linv (L' i + psi_r C')
+    g_a = d1_aa * i_a + d1_ab * i_b + psi_r * (-s)
+    g_b = d1_ab * i_a - d1_aa * i_b + psi_r * c
+    out[..., 2, 2] = -(inv_aa * g_a + inv_ab * g_b)
+    out[..., 3, 2] = -(inv_ab * g_a + inv_bb * g_b)
+
+    # (Linv)' L di - Linv (L'' i - psi_r C) omega, with (Linv)' = -Linv L' Linv
+    Ldi_a = (L0 + L2 * c2) * di_a + L2 * s2 * di_b
+    Ldi_b = L2 * s2 * di_a + (L0 - L2 * c2) * di_b
+    t_a = inv_aa * Ldi_a + inv_ab * Ldi_b
+    t_b = inv_ab * Ldi_a + inv_bb * Ldi_b
+    lp_a = d1_aa * t_a + d1_ab * t_b
+    lp_b = d1_ab * t_a - d1_aa * t_b
+    m_a = d2_aa * i_a + d2_ab * i_b - psi_r * c
+    m_b = d2_ab * i_a - d2_aa * i_b - psi_r * s
+    h_a = lp_a + m_a * omega
+    h_b = lp_b + m_b * omega
+    out[..., 2, 3] = -(inv_aa * h_a + inv_ab * h_b)
+    out[..., 3, 3] = -(inv_ab * h_a + inv_bb * h_b)
     return out
 
 
@@ -269,10 +281,9 @@ def obs_matrix_y1_ipmsm(x, u, params: MachineParams) -> np.ndarray:
 
     x = (i_alpha, i_beta, omega, theta), u = (v_alpha, v_beta).
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], x[3], u[0], u[1])
-    return _obs_matrix_y1_blocks(params, x[0], x[1], x[2], x[3], di_a, di_b)
+    c, s = math.cos(x[3]), math.sin(x[3])
+    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], c, s, u[0], u[1])
+    return _obs_matrix_y1(params, x[0], x[1], x[2], c, s, di_a, di_b)
 
 
 def det_y1_ipmsm(i_dq, di_dq_dt, omega: float, params: MachineParams) -> float:
@@ -282,8 +293,8 @@ def det_y1_ipmsm(i_dq, di_dq_dt, omega: float, params: MachineParams) -> float:
     derivative of the rotating-frame vector, frame-rotation term included).
     The value is frame-invariant and equals det(obs_matrix_y1_ipmsm).
     """
-    i_d, i_q = float(i_dq[0]), float(i_dq[1])
-    di_d, di_q = float(di_dq_dt[0]), float(di_dq_dt[1])
+    i_d, i_q = i_dq[0], i_dq[1]
+    di_d, di_q = di_dq_dt[0], di_dq_dt[1]
     ld = params.L_delta
     psi_d = ld * i_d + params.psi_r
     denom = params.Ld * params.Lq
@@ -532,49 +543,23 @@ def sample_report(
     omega_dot: float,
     theta: float,
 ) -> ObservabilityReport:
-    """Evaluate all logged observability quantities at one true-state sample."""
-    i_d, i_q = float(i_dq[0]), float(i_dq[1])
-    di_d, di_q = float(di_dq_dt[0]), float(di_dq_dt[1])
+    """Evaluate all logged observability quantities at one true-state sample.
 
-    det1 = det_y1_ipmsm((i_d, i_q), (di_d, di_q), omega, params)
-    if params.L2 == 0.0:
-        det2 = spmsm_det_y2(omega, omega_dot, i_d, params)
-        det3 = (
-            spmsm_det_y3_at_sing(i_d, di_q, params)
-            if omega == 0.0 and omega_dot == 0.0
-            else math.nan
-        )
-    else:
-        det2 = math.nan
-        det3 = math.nan
-
-    c, s = math.cos(theta), math.sin(theta)
-    i_a = c * i_d - s * i_q
-    i_b = s * i_d + c * i_q
-    di_a_r = di_d - omega * i_q
-    di_b_r = di_q + omega * i_d
-    di_a = c * di_a_r - s * di_b_r
-    di_b = s * di_a_r + c * di_b_r
-    matrix = _obs_matrix_y1_blocks(params, i_a, i_b, omega, theta, di_a, di_b)
-    rank, sv = numeric_rank(matrix)
-
-    vec = observability_vector((i_d, i_q), params)
-    if vec.degenerate:
-        margin = math.nan
-    else:
-        margin = observability_margin((i_d, i_q), (di_d, di_q), omega, params)
-
+    This is trajectory_reports on a one-sample trajectory.
+    """
+    args = (t, i_dq[0], i_dq[1], di_dq_dt[0], di_dq_dt[1], omega, omega_dot, theta)
+    cols = trajectory_reports(params, *(np.array([v], dtype=float) for v in args))
     return ObservabilityReport(
         time=t,
-        det_y1=det1,
-        det_y2=det2,
-        det_y3=det3,
-        singular_values=tuple(sv),
-        numeric_rank=rank,
-        psi_o_d=vec.psi_d,
-        psi_o_q=vec.psi_q,
-        theta_o=vec.theta_o,
-        margin=margin,
+        det_y1=float(cols["det_y1"][0]),
+        det_y2=float(cols["det_y2"][0]),
+        det_y3=float(cols["det_y3"][0]),
+        singular_values=tuple(cols["singular_values"][0]),
+        numeric_rank=int(cols["rank"][0]),
+        psi_o_d=float(cols["psi_o_d"][0]),
+        psi_o_q=float(cols["psi_o_q"][0]),
+        theta_o=float(cols["theta_o"][0]),
+        margin=float(cols["margin"][0]),
     )
 
 
@@ -589,34 +574,21 @@ def trajectory_reports(
     omega_dot: np.ndarray,
     theta: np.ndarray,
 ) -> dict:
-    """Vectorized observability columns over a whole trajectory.
+    """Observability quantities over a whole trajectory of N samples.
 
-    Same quantities as sample_report, computed with array arithmetic and one
-    batched SVD; returns a dict of column arrays keyed like the CSV schema.
+    Returns a dict of length-N column arrays keyed like the CSV schema
+    (det_y1, det_y2, det_y3, rank, psi_o_d, psi_o_q, theta_o, margin), plus
+    "singular_values", the (N, 4) singular values of each order-1 matrix in
+    descending order.  The order-1 matrices are ranked in one batched SVD.
     """
-    n = t.shape[0]
-    ld = params.L_delta
-    psi_d = ld * i_d + params.psi_r
-    psi_q = ld * i_q
-    denom = params.Ld * params.Lq
-    det1 = ((psi_d * psi_d + psi_q * psi_q) * omega + ld * (ld * di_d * i_q - psi_d * di_q)) / denom
-
+    det1 = det_y1_ipmsm((i_d, i_q), (di_d, di_q), omega, params)
     if params.L2 == 0.0:
-        L0, R, psi_r = params.L0, params.R, params.psi_r
-        k3 = 3.0 * params.p**2 / params.J
-        det2 = (
-            psi_r**2
-            / L0**2
-            * ((2.0 * omega**2 + R**2 / L0**2 + k3 * psi_r * i_d) * omega - (R / L0) * omega_dot)
-        )
-        det3 = np.full(n, np.nan)
+        det2 = spmsm_det_y2(omega, omega_dot, i_d, params)
         sing = (omega == 0.0) & (omega_dot == 0.0)
-        if np.any(sing):
-            brk = R**2 / L0**2 - 0.5 * k3 * (L0 * i_d[sing] + psi_r) * (psi_r / L0)
-            det3[sing] = psi_r**2 / L0**2 * brk * (0.5 * k3 * psi_r * di_q[sing])
+        det3 = np.where(sing, spmsm_det_y3_at_sing(i_d, di_q, params), np.nan)
     else:
-        det2 = np.full(n, np.nan)
-        det3 = np.full(n, np.nan)
+        det2 = np.full(np.shape(t), np.nan)
+        det3 = np.full(np.shape(t), np.nan)
 
     # rotor-frame rates back to stator frame for the analytic order-1 matrix
     c, s = np.cos(theta), np.sin(theta)
@@ -626,13 +598,11 @@ def trajectory_reports(
     di_b_r = di_q + omega * i_d
     di_a = c * di_a_r - s * di_b_r
     di_b = s * di_a_r + c * di_b_r
+    rank, sv = numeric_rank(_obs_matrix_y1(params, i_a, i_b, omega, c, s, di_a, di_b))
 
-    mats = _obs_matrix_y1_batch(params, i_a, i_b, omega, theta, di_a, di_b)
-    sv = np.linalg.svd(mats, compute_uv=False)
-    smax = sv[:, 0]
-    tol = np.where(smax > 0.0, RANK_RTOL * smax, RANK_ABS_FLOOR)
-    rank = np.sum(sv > tol[:, None], axis=1)
-
+    ld = params.L_delta
+    psi_d = ld * i_d + params.psi_r
+    psi_q = ld * i_q
     norm_sq = psi_d * psi_d + psi_q * psi_q
     with np.errstate(invalid="ignore", divide="ignore"):
         theta_o = np.where(norm_sq > 0.0, np.arctan2(psi_q, psi_d), np.nan)
@@ -643,62 +613,10 @@ def trajectory_reports(
         "det_y1": det1,
         "det_y2": det2,
         "det_y3": det3,
-        "rank": rank.astype(int),
+        "rank": rank,
         "psi_o_d": psi_d,
         "psi_o_q": psi_q,
         "theta_o": theta_o,
         "margin": margin,
+        "singular_values": sv,
     }
-
-
-def _obs_matrix_y1_batch(params, i_a, i_b, omega, theta, di_a, di_b):
-    """(N,4,4) batch of the analytic order-1 matrix; mirrors the scalar path."""
-    n = theta.shape[0]
-    L0, L2, R, psi_r = params.L0, params.L2, params.R, params.psi_r
-    c2 = np.cos(2.0 * theta)
-    s2 = np.sin(2.0 * theta)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    det = L0 * L0 - L2 * L2
-
-    inv_aa = (L0 - L2 * c2) / det
-    inv_ab = -L2 * s2 / det
-    inv_bb = (L0 + L2 * c2) / det
-    d1_aa = -2.0 * L2 * s2
-    d1_ab = 2.0 * L2 * c2
-    d2_aa = -4.0 * L2 * c2
-    d2_ab = -4.0 * L2 * s2
-
-    out = np.zeros((n, 4, 4))
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = 1.0
-
-    # -Linv (R I + omega L')
-    n_aa = R + omega * d1_aa
-    n_ab = omega * d1_ab
-    n_bb = R - omega * d1_aa
-    out[:, 2, 0] = -(inv_aa * n_aa + inv_ab * n_ab)
-    out[:, 2, 1] = -(inv_aa * n_ab + inv_ab * n_bb)
-    out[:, 3, 0] = -(inv_ab * n_aa + inv_bb * n_ab)
-    out[:, 3, 1] = -(inv_ab * n_ab + inv_bb * n_bb)
-
-    # -Linv (L' i + psi_r C')
-    g_a = d1_aa * i_a + d1_ab * i_b + psi_r * (-s)
-    g_b = d1_ab * i_a - d1_aa * i_b + psi_r * c
-    out[:, 2, 2] = -(inv_aa * g_a + inv_ab * g_b)
-    out[:, 3, 2] = -(inv_ab * g_a + inv_bb * g_b)
-
-    # (Linv)' L di - Linv (L'' i - psi_r C) omega, with (Linv)' = -Linv L' Linv
-    Ldi_a = (L0 + L2 * c2) * di_a + L2 * s2 * di_b
-    Ldi_b = L2 * s2 * di_a + (L0 - L2 * c2) * di_b
-    t_a = inv_aa * Ldi_a + inv_ab * Ldi_b
-    t_b = inv_ab * Ldi_a + inv_bb * Ldi_b
-    lp_a = d1_aa * t_a + d1_ab * t_b
-    lp_b = d1_ab * t_a - d1_aa * t_b
-    m_a = d2_aa * i_a + d2_ab * i_b - psi_r * c
-    m_b = d2_ab * i_a - d2_aa * i_b - psi_r * s
-    h_a = lp_a + m_a * omega
-    h_b = lp_b + m_b * omega
-    out[:, 2, 3] = -(inv_aa * h_a + inv_ab * h_b)
-    out[:, 3, 3] = -(inv_ab * h_a + inv_bb * h_b)
-    return out

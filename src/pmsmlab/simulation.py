@@ -148,10 +148,14 @@ class Scenario:
             raise ValueError("t_end must be > 0")
         if self.T_s <= 0.0:
             raise ValueError("T_s must be > 0")
+        if self.t_end / self.T_s <= 0.5:  # n_samples < 1, without overflow
+            raise ValueError("t_end must span at least one sample (round(t_end / T_s) >= 1)")
         if self.ode_substeps < 1:
             raise ValueError("ode_substeps must be >= 1")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if len(self.q_diag) != 4 or len(self.r_diag) != 2 or len(self.p0_diag) != 4:
             raise ValueError("covariance diagonals must have lengths 4, 2, 4")
 
@@ -219,11 +223,15 @@ def integrate_electrical(
     thm = th_base + profile.angle(tm)
     the = th_base + profile.angle(te)
 
+    c0, s0 = math.cos(state.theta), math.sin(state.theta)
+    cm, sm = math.cos(thm), math.sin(thm)
+    ce, se = math.cos(the), math.sin(the)
+
     ia, ib = state.i_alpha, state.i_beta
-    k1a, k1b = _electrical_rate_ab(params, ia, ib, w0, state.theta, va, vb)
-    k2a, k2b = _electrical_rate_ab(params, ia + 0.5 * dt * k1a, ib + 0.5 * dt * k1b, wm, thm, va, vb)
-    k3a, k3b = _electrical_rate_ab(params, ia + 0.5 * dt * k2a, ib + 0.5 * dt * k2b, wm, thm, va, vb)
-    k4a, k4b = _electrical_rate_ab(params, ia + dt * k3a, ib + dt * k3b, we, the, va, vb)
+    k1a, k1b = _electrical_rate_ab(params, ia, ib, w0, c0, s0, va, vb)
+    k2a, k2b = _electrical_rate_ab(params, ia + 0.5 * dt * k1a, ib + 0.5 * dt * k1b, wm, cm, sm, va, vb)
+    k3a, k3b = _electrical_rate_ab(params, ia + 0.5 * dt * k2a, ib + 0.5 * dt * k2b, wm, cm, sm, va, vb)
+    k4a, k4b = _electrical_rate_ab(params, ia + dt * k3a, ib + dt * k3b, we, ce, se, va, vb)
     ia_new = ia + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
     ib_new = ib + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
     if not (math.isfinite(ia_new) and math.isfinite(ib_new)):
@@ -367,51 +375,24 @@ def _observability_columns(scn: Scenario, cols: dict) -> dict:
     """
     t = cols["t"]
     n = t.shape[0]
-    if n == 0:
-        empty = np.empty(0)
-        return {k: empty.copy() for k in
-                ("det_y1", "det_y2", "det_y3", "psi_o_d", "psi_o_q", "theta_o", "margin")} | {
-                "rank": np.empty(0, dtype=int)}
-
     if scn.obs_on_estimates:
         theta = cols["theta_hat"]
         omega = cols["omega_hat"]
         omega_dot = np.gradient(omega, scn.T_s) if n > 1 else np.zeros(n)
-        i_ab = np.stack([cols["i_alpha"], cols["i_beta"]], axis=0)
     else:
         theta = cols["theta_true"]
         omega = cols["omega_true"]
         omega_dot = scn.profile.omega_dot_many(t)
-        i_ab = np.stack([cols["i_alpha"], cols["i_beta"]], axis=0)
 
+    i_a, i_b = cols["i_alpha"], cols["i_beta"]
     c, s = np.cos(theta), np.sin(theta)
-    i_d = c * i_ab[0] + s * i_ab[1]
-    i_q = -s * i_ab[0] + c * i_ab[1]
-    di_ab = _current_rate_batch(
-        scn.params, i_ab[0], i_ab[1], omega, theta, cols["v_alpha"], cols["v_beta"]
-    )
+    i_d = c * i_a + s * i_b
+    i_q = -s * i_a + c * i_b
+    di_a, di_b = _electrical_rate_ab(scn.params, i_a, i_b, omega, c, s, cols["v_alpha"], cols["v_beta"])
     # stator rates to rotor-frame rates, rotation term included
-    di_d = c * di_ab[0] + s * di_ab[1] + omega * i_q
-    di_q = -s * di_ab[0] + c * di_ab[1] - omega * i_d
+    di_d = c * di_a + s * di_b + omega * i_q
+    di_q = -s * di_a + c * di_b - omega * i_d
     return trajectory_reports(scn.params, t, i_d, i_q, di_d, di_q, omega, omega_dot, theta)
-
-
-def _current_rate_batch(params, i_a, i_b, omega, theta, v_a, v_b):
-    """Stator-frame current rates for arrays of states and voltages."""
-    L0, L2, R, psi_r = params.L0, params.L2, params.R, params.psi_r
-    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    l11 = L0 + L2 * c2
-    l12 = L2 * s2
-    l22 = L0 - L2 * c2
-    det = L0 * L0 - L2 * L2
-    # N^eq I = R I + omega L' I
-    d1_11 = -2.0 * L2 * s2
-    d1_12 = 2.0 * L2 * c2
-    rhs_a = v_a - R * i_a - omega * (d1_11 * i_a + d1_12 * i_b) + psi_r * np.sin(theta) * omega
-    rhs_b = v_b - R * i_b - omega * (d1_12 * i_a - d1_11 * i_b) - psi_r * np.cos(theta) * omega
-    di_a = (l22 * rhs_a - l12 * rhs_b) / det
-    di_b = (-l12 * rhs_a + l11 * rhs_b) / det
-    return np.stack([di_a, di_b], axis=0)
 
 
 def table_params(kind: MachineKind = MachineKind.IPMSM, J: float = 0.02) -> MachineParams:

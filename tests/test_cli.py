@@ -166,6 +166,13 @@ def test_sweep_hfi_column_nan_for_current_injection(tmp_path, capsys):
     assert math.isnan(float(last.split(",")[-1]))
 
 
+def test_sweep_invalid_point_is_config_error(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, sweep={"parameter": "noise_std", "values": [-1.0]})
+    assert main(["sweep", "-c", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: sweep: invalid point noise_std=-1.0: ")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_requires_sweep_block(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     assert main(["sweep", "-c", cfg]) == 1
@@ -209,6 +216,29 @@ def test_invalid_json_reports_each_error(tmp_path, capsys):
     err_lines = [l for l in capsys.readouterr().err.splitlines() if l]
     assert len(err_lines) == 2
     assert all(l.startswith("config error: ") for l in err_lines)
+
+
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, how):
+    if how == "config":
+        argv = ["simulate", "-c", tiny_config(tmp_path, scenario={"seed": -1})]
+    else:
+        argv = ["simulate", "-c", tiny_config(tmp_path), "--seed", "-5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "config error: scenario.seed: must be >= 0\n"
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "sweep"])
+def test_run_shorter_than_one_sample_is_config_error(tmp_path, capsys, verb):
+    cfg = tiny_config(
+        tmp_path, scenario={"t_end": 4e-5},
+        sweep={"parameter": "injection.amplitude", "values": [0.0]},
+    )
+    assert main([verb, "-c", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario.t_end: must span at least one sample")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_no_verb_prints_usage(capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -210,6 +211,26 @@ def test_profile_validation_messages():
         "scenario.profile: breakpoint times must be strictly increasing"
         in errors_of(json.dumps(bad))
     )
+
+
+def test_negative_seed_rejected():
+    base = {"machine": {"R": 0.01, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": 2}}
+    # rejected even without noise, where the seed would never be drawn from
+    bad = dict(base, scenario={"seed": -1, "noise_std": 0.0})
+    assert "scenario.seed: must be >= 0" in errors_of(json.dumps(bad))
+    with pytest.raises(ValueError, match="seed"):
+        replace(standstill_study_scenario(), seed=-1)
+
+
+def test_run_shorter_than_one_sample_rejected():
+    base = {"machine": {"R": 0.01, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": 2}}
+    bad = dict(base, scenario={"t_end": 4e-5, "T_s": 1e-4})
+    errs = errors_of(json.dumps(bad))
+    assert "scenario.t_end: must span at least one sample (round(t_end / T_s) >= 1)" in errs
+    one = parse_config(json.dumps(dict(base, scenario={"t_end": 1e-4, "T_s": 1e-4})))
+    assert one.scenario.n_samples == 1
+    with pytest.raises(ValueError, match="at least one sample"):
+        replace(standstill_study_scenario(), t_end=4e-5)
 
 
 def test_estimator_and_control_checks():

@@ -76,6 +76,21 @@ def test_numeric_rank_basic():
     assert rank == 2
 
 
+def test_numeric_rank_batch_matches_single_matrices():
+    rng = np.random.default_rng(31)
+    stack = rng.uniform(-1.0, 1.0, (16, 4, 4))
+    stack[3] = 0.0
+    stack[8] = rng.uniform(-1.0, 1.0, (4, 3)) @ rng.uniform(-1.0, 1.0, (3, 4))
+    stack[11] *= 1e-20  # relative threshold: scale alone does not lower the rank
+    ranks, sv = numeric_rank(stack)
+    assert ranks.shape == (16,) and sv.shape == (16, 4)
+    assert ranks[3] == 0 and ranks[8] == 3 and ranks[11] == 4
+    for k in range(16):
+        rank_k, sv_k = numeric_rank(stack[k])
+        assert type(rank_k) is int and ranks[k] == rank_k
+        np.testing.assert_allclose(sv[k], sv_k, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference stack construction
 # ---------------------------------------------------------------------------
@@ -440,6 +455,9 @@ def test_trajectory_reports_match_scalar_path(machine, ip_params, sp_params):
             else:
                 assert cols[name][k] == pytest.approx(val, rel=1e-12, abs=1e-12)
         assert cols["rank"][k] == rep.numeric_rank
+        np.testing.assert_allclose(
+            cols["singular_values"][k], rep.singular_values, rtol=1e-12, atol=1e-12
+        )
         assert cols["psi_o_d"][k] == pytest.approx(rep.psi_o_d, rel=1e-14)
         assert cols["psi_o_q"][k] == pytest.approx(rep.psi_o_q, rel=1e-14)
         assert cols["theta_o"][k] == pytest.approx(rep.theta_o, rel=1e-12)

@@ -299,6 +299,17 @@ def test_run_aborts_cleanly_on_divergence():
     assert len(log.det_y1) == len(log)
 
 
+def test_abort_in_first_sample_gives_empty_columns():
+    # 1e200 A set-points overflow the filter dynamics in the first EKF cycle
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = run_scenario(_tiny(setpoints=(0.0, 1e200)))
+    assert log.aborted and log.abort_time == 0.0
+    assert len(log) == 0
+    for f in dataclasses.fields(log):
+        if isinstance(getattr(log, f.name), np.ndarray):
+            assert getattr(log, f.name).shape == (0,), f.name
+
+
 def test_run_observability_on_estimates_smoke():
     scn = _tiny(obs_on_estimates=True)
     est = run_scenario(scn)
