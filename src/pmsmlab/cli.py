@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from pmsmlab.config import ConfigError, RunConfig, apply_sweep_value, parse_config, render_config
 from pmsmlab.control import InjectionKind
-from pmsmlab.observability import DegenerateObservabilityVector, hfi_det_y1, sample_report
+from pmsmlab.observability import hfi_det_y1, sample_report
 from pmsmlab.report import summarize, write_csv
 from pmsmlab.simulation import Scenario, run_scenario, standstill_study_scenario
 
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FloatingPointError, DegenerateObservabilityVector) as exc:
+    except FloatingPointError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

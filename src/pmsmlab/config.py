@@ -179,9 +179,12 @@ def _parse_machine(block: _Block, errors: list) -> MachineParams | None:
         errors.append("machine.p: must be >= 1")
     if J <= 0.0:
         errors.append("machine.J: must be > 0")
-    if errors:
-        return None
-    return MachineParams(R=R, L0=L0, L2=L2, psi_r=psi_r, p=p, J=J)
+    if not errors:
+        try:
+            return MachineParams(R=R, L0=L0, L2=L2, psi_r=psi_r, p=p, J=J)
+        except ValueError as exc:  # rules stated only in MachineParams
+            errors.append(f"machine: {exc}")
+    return None
 
 
 def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> InjectionSchedule:
@@ -344,25 +347,28 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    scenario = Scenario(
-        params=params,
-        profile=profile,
-        setpoints=setpoints,
-        injection=injection,
-        t_end=t_end,
-        T_s=T_s,
-        ode_substeps=ode_substeps,
-        theta0=theta0,
-        theta_hat_err0=theta_hat_err0,
-        q_diag=q_diag,
-        r_diag=r_diag,
-        p0_diag=p0_diag,
-        control_bandwidth=bandwidth,
-        voltage_limit=voltage_limit,
-        noise_std=noise_std,
-        seed=seed,
-        obs_on_estimates=obs_on_estimates,
-    )
+    try:
+        scenario = Scenario(
+            params=params,
+            profile=profile,
+            setpoints=setpoints,
+            injection=injection,
+            t_end=t_end,
+            T_s=T_s,
+            ode_substeps=ode_substeps,
+            theta0=theta0,
+            theta_hat_err0=theta_hat_err0,
+            q_diag=q_diag,
+            r_diag=r_diag,
+            p0_diag=p0_diag,
+            control_bandwidth=bandwidth,
+            voltage_limit=voltage_limit,
+            noise_std=noise_std,
+            seed=seed,
+            obs_on_estimates=obs_on_estimates,
+        )
+    except ValueError as exc:  # rules stated only in Scenario
+        raise ConfigError([f"scenario: {exc}"]) from exc
     return RunConfig(
         scenario=scenario,
         out_dir=out_dir,

@@ -99,16 +99,17 @@ def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, 
 
 def predict(ekf: EkfState, params: MachineParams, u) -> EkfState:
     """Euler state propagation and Lyapunov-form covariance propagation."""
-    A, _ = linearize(params, ekf.x_hat, u)
-    f = state_rate(params, ekf.x_hat, u)  # the filter model assumes zero load torque
-    if not np.all(np.isfinite(f)):
-        raise FloatingPointError(f"non-finite filter dynamics at x_hat={ekf.x_hat}")
     with np.errstate(over="ignore", invalid="ignore"):
+        A, _ = linearize(params, ekf.x_hat, u)
+        f = state_rate(params, ekf.x_hat, u)  # the filter model assumes zero load torque
+        if not np.all(np.isfinite(f)):
+            raise FloatingPointError(f"non-finite filter dynamics at x_hat={ekf.x_hat}")
         x_new = ekf.x_hat + ekf.T_s * f
         P_new = ekf.P + ekf.T_s * (A @ ekf.P + ekf.P @ A.T) + ekf.Q
+        P_new = 0.5 * (P_new + P_new.T)
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(P_new))):
         raise FloatingPointError("non-finite covariance propagation")
-    return replace(ekf, x_hat=x_new, P=0.5 * (P_new + P_new.T))
+    return replace(ekf, x_hat=x_new, P=P_new)
 
 
 def gain_and_innovate(ekf: EkfState, y_meas) -> EkfState:
@@ -119,9 +120,10 @@ def gain_and_innovate(ekf: EkfState, y_meas) -> EkfState:
         K = np.linalg.solve(S.T, ekf.P[:, :2].T).T  # P C' S^-1
         x_new = ekf.x_hat + K @ (y - ekf.x_hat[:2])
         P_new = ekf.P - K @ ekf.P[:2, :]
+        P_new = 0.5 * (P_new + P_new.T)
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(P_new))):
         raise FloatingPointError("non-finite measurement update")
-    return replace(ekf, x_hat=x_new, P=0.5 * (P_new + P_new.T))
+    return replace(ekf, x_hat=x_new, P=P_new)
 
 
 def ekf_step(ekf: EkfState, params: MachineParams, u, y_meas) -> EkfState:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +74,6 @@ class FrameVec:
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 def alphabeta(x: float, y: float) -> FrameVec:
     return FrameVec(float(x), float(y), Frame.ALPHA_BETA)
@@ -118,10 +116,14 @@ class MachineParams:
         if abs(self.L2) >= self.L0:
             # |L2| < L0 keeps the inductance matrix positive definite at all theta.
             raise ValueError(f"|L2| must be < L0, got L2={self.L2}, L0={self.L0}")
+        if not sys.float_info.min <= self.L0 * self.L0 - self.L2 * self.L2 <= sys.float_info.max:
+            raise ValueError(f"Ld*Lq = L0^2 - L2^2 must be a normal float, got L0={self.L0}, L2={self.L2}")
         if self.psi_r < 0.0:
             raise ValueError(f"psi_r must be >= 0, got {self.psi_r}")
         if int(self.p) != self.p or self.p < 1:
             raise ValueError(f"p must be an integer >= 1, got {self.p}")
+        if self.p > sys.float_info.max:
+            raise ValueError("p must not exceed the float range")
         if self.J <= 0.0:
             raise ValueError(f"J must be > 0, got {self.J}")
 
@@ -175,12 +177,6 @@ class MachineState:
     @property
     def currents(self) -> FrameVec:
         return FrameVec(self.i_alpha, self.i_beta, Frame.ALPHA_BETA)
-
-
-def rotation(theta: float) -> np.ndarray:
-    """Plane rotation P(theta) = [[cos, -sin], [sin, cos]]."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 def park(vec: FrameVec, theta: float) -> FrameVec:

@@ -312,6 +312,19 @@ class ObsVector(NamedTuple):
     degenerate: bool
 
 
+def _vector_columns(params: MachineParams, i_d, i_q, di_d, di_q, omega) -> dict:
+    """Observability vector, phase and margin columns; NaN phase and margin where the vector is zero."""
+    ld = params.L_delta
+    psi_d = ld * i_d + params.psi_r
+    psi_q = ld * i_q
+    norm_sq = psi_d * psi_d + psi_q * psi_q
+    with np.errstate(invalid="ignore", divide="ignore"):
+        theta_o = np.where(norm_sq > 0.0, np.arctan2(psi_q, psi_d), np.nan)
+        rate = ld * (psi_d * di_q - psi_q * di_d) / norm_sq
+        margin = np.where(norm_sq > 0.0, omega - rate, np.nan)
+    return {"psi_o_d": psi_d, "psi_o_q": psi_q, "theta_o": theta_o, "margin": margin}
+
+
 def observability_vector(i_dq, params: MachineParams) -> ObsVector:
     """Rotor-frame vector whose rotation rate governs the rank condition.
 
@@ -319,11 +332,9 @@ def observability_vector(i_dq, params: MachineParams) -> ObsVector:
     is exactly zero its phase is undefined; the result is flagged degenerate
     and theta_o is NaN.
     """
-    psi_d = params.L_delta * float(i_dq[0]) + params.psi_r
-    psi_q = params.L_delta * float(i_dq[1])
-    if psi_d == 0.0 and psi_q == 0.0:
-        return ObsVector(0.0, 0.0, math.nan, True)
-    return ObsVector(psi_d, psi_q, math.atan2(psi_q, psi_d), False)
+    cols = _vector_columns(params, *np.asarray(i_dq, dtype=float), 0.0, 0.0, 0.0)
+    psi_d, psi_q = float(cols["psi_o_d"]), float(cols["psi_o_q"])
+    return ObsVector(psi_d, psi_q, float(cols["theta_o"]), psi_d == 0.0 and psi_q == 0.0)
 
 
 def observability_margin(i_dq, di_dq_dt, omega: float, params: MachineParams) -> float:
@@ -333,17 +344,12 @@ def observability_margin(i_dq, di_dq_dt, omega: float, params: MachineParams) ->
     not from differencing phase samples.  Zero margin is exactly the rank
     deficiency of the order-1 stack: margin * |Psi|^2 / (Ld*Lq) = det_y1.
     """
-    vec = observability_vector(i_dq, params)
-    if vec.degenerate:
+    cols = _vector_columns(params, *np.asarray(i_dq, dtype=float), *np.asarray(di_dq_dt, dtype=float), omega)
+    if cols["psi_o_d"] == 0.0 and cols["psi_o_q"] == 0.0:
         raise DegenerateObservabilityVector(
             f"observability vector is zero at i_dq={tuple(i_dq)}"
         )
-    ld = params.L_delta
-    norm_sq = vec.psi_d * vec.psi_d + vec.psi_q * vec.psi_q
-    theta_o_rate = (
-        ld * (vec.psi_d * float(di_dq_dt[1]) - vec.psi_q * float(di_dq_dt[0])) / norm_sq
-    )
-    return omega - theta_o_rate
+    return float(cols["margin"])
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +554,8 @@ def sample_report(
     This is trajectory_reports on a one-sample trajectory.
     """
     args = (t, i_dq[0], i_dq[1], di_dq_dt[0], di_dq_dt[1], omega, omega_dot, theta)
-    cols = trajectory_reports(params, *(np.array([v], dtype=float) for v in args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = trajectory_reports(params, *(np.array([v], dtype=float) for v in args))
     return ObservabilityReport(
         time=t,
         det_y1=float(cols["det_y1"][0]),
@@ -579,7 +586,8 @@ def trajectory_reports(
     Returns a dict of length-N column arrays keyed like the CSV schema
     (det_y1, det_y2, det_y3, rank, psi_o_d, psi_o_q, theta_o, margin), plus
     "singular_values", the (N, 4) singular values of each order-1 matrix in
-    descending order.  The order-1 matrices are ranked in one batched SVD.
+    descending order.  The order-1 matrices are ranked in one batched SVD;
+    a non-finite matrix raises FloatingPointError naming its sample time.
     """
     det1 = det_y1_ipmsm((i_d, i_q), (di_d, di_q), omega, params)
     if params.L2 == 0.0:
@@ -598,25 +606,16 @@ def trajectory_reports(
     di_b_r = di_q + omega * i_d
     di_a = c * di_a_r - s * di_b_r
     di_b = s * di_a_r + c * di_b_r
-    rank, sv = numeric_rank(_obs_matrix_y1(params, i_a, i_b, omega, c, s, di_a, di_b))
-
-    ld = params.L_delta
-    psi_d = ld * i_d + params.psi_r
-    psi_q = ld * i_q
-    norm_sq = psi_d * psi_d + psi_q * psi_q
-    with np.errstate(invalid="ignore", divide="ignore"):
-        theta_o = np.where(norm_sq > 0.0, np.arctan2(psi_q, psi_d), np.nan)
-        rate = ld * (psi_d * di_q - psi_q * di_d) / norm_sq
-        margin = np.where(norm_sq > 0.0, omega - rate, np.nan)
-
+    m1 = _obs_matrix_y1(params, i_a, i_b, omega, c, s, di_a, di_b)
+    bad = ~np.isfinite(m1).all(axis=(-2, -1))
+    if bad.any():
+        raise FloatingPointError(f"non-finite order-1 observability matrix at t={t[bad][0]:.6g}")
+    rank, sv = numeric_rank(m1)
     return {
         "det_y1": det1,
         "det_y2": det2,
         "det_y3": det3,
         "rank": rank,
-        "psi_o_d": psi_d,
-        "psi_o_q": psi_q,
-        "theta_o": theta_o,
-        "margin": margin,
+        **_vector_columns(params, i_d, i_q, di_d, di_q, omega),
         "singular_values": sv,
     }

@@ -9,7 +9,6 @@ one EKF cycle on the measured currents, and trajectory logging.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ from pmsmlab.control import (
     current_reference,
     default_gains,
 )
-from pmsmlab.ekf import EkfState, ekf_step, make_ekf
+from pmsmlab.ekf import ekf_step, make_ekf
 from pmsmlab.machine import (
     FrameVec,
     MachineParams,
@@ -39,6 +38,9 @@ from pmsmlab.machine import (
 from pmsmlab.observability import trajectory_reports
 
 
+_PROFILE_BLOCK = 16  # samples per profile evaluation in run_scenario
+
+
 @dataclass(frozen=True)
 class SpeedProfile:
     """Piecewise-linear electrical speed over time.
@@ -50,7 +52,7 @@ class SpeedProfile:
 
     times: tuple[float, ...]
     speeds: tuple[float, ...]
-    _cum_angle: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _grid: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.speeds) or not self.times:
@@ -59,61 +61,50 @@ class SpeedProfile:
             raise ValueError("breakpoint times must be strictly increasing")
         if not all(math.isfinite(v) for v in self.times + self.speeds):
             raise ValueError("breakpoints must be finite")
-        cum = [0.0]
-        for k in range(len(self.times) - 1):
-            dt = self.times[k + 1] - self.times[k]
-            cum.append(cum[-1] + 0.5 * (self.speeds[k] + self.speeds[k + 1]) * dt)
-        object.__setattr__(self, "_cum_angle", tuple(cum))
+        T, W = (np.array(v, dtype=float) for v in (self.times, self.speeds))
+        # per-segment span, rise and slope, padded so that one breakpoint has a segment 0
+        span, rise = np.diff(T, append=T[-1]), np.diff(W, append=W[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # as in float arithmetic
+            A = np.concatenate([[0.0], np.cumsum(0.5 * (W[:-1] + W[1:]) * span[:-1])])
+            slope = rise / span
+        object.__setattr__(self, "_grid", (T, W, A, span, rise, slope))
 
     @classmethod
     def from_breakpoints(cls, points) -> "SpeedProfile":
         pts = [(float(t), float(w)) for t, w in points]
         return cls(times=tuple(t for t, _ in pts), speeds=tuple(w for _, w in pts))
 
-    def _segment(self, t: float) -> int:
-        # index k with times[k] <= t < times[k+1]; clamped to valid segments
-        k = bisect.bisect_right(self.times, t) - 1
-        return min(max(k, 0), len(self.times) - 2) if len(self.times) > 1 else 0
+    def evaluate(self, t):
+        """(omega, omega_dot, angle) at t, elementwise; a scalar t gives floats."""
+        T, W, A, span, rise, slope = self._grid
+        t_arr = np.asarray(t, dtype=float)
+        k = np.searchsorted(T[1:-1], t_arr, side="right")  # T[k] <= t < T[k+1], clamped to a segment
+        below, above = t_arr <= T[0], t_arr >= T[-1]
+        with np.errstate(all="ignore"):  # as in float arithmetic: overflow gives inf
+            dt = t_arr - T[k]
+            omega = np.where(below, W[0], np.where(above, W[-1], W[k] + dt / span[k] * rise[k]))
+            angle = np.where(
+                below, W[0] * (t_arr - T[0]),
+                np.where(above, A[-1] + W[-1] * (t_arr - T[-1]), A[k] + W[k] * dt + 0.5 * slope[k] * dt * dt),
+            )
+        omega_dot = np.where((t_arr < T[0]) | above, 0.0, slope[k])
+        if t_arr.ndim == 0:
+            return float(omega), float(omega_dot), float(angle)
+        return omega, omega_dot, angle
 
-    def omega(self, t: float) -> float:
-        if t <= self.times[0]:
-            return self.speeds[0]
-        if t >= self.times[-1]:
-            return self.speeds[-1]
-        k = self._segment(t)
-        frac = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-        return self.speeds[k] + frac * (self.speeds[k + 1] - self.speeds[k])
+    def omega(self, t):
+        return self.evaluate(t)[0]
 
-    def omega_dot(self, t: float) -> float:
+    def omega_dot(self, t):
         """Right-continuous slope; zero outside the breakpoint range."""
-        if t < self.times[0] or t >= self.times[-1] or len(self.times) == 1:
-            return 0.0
-        k = self._segment(t)
-        return (self.speeds[k + 1] - self.speeds[k]) / (self.times[k + 1] - self.times[k])
+        return self.evaluate(t)[1]
 
-    def angle(self, t: float) -> float:
+    def angle(self, t):
         """Exact integral of omega from the first breakpoint time to t."""
-        if t <= self.times[0]:
-            return self.speeds[0] * (t - self.times[0])
-        if t >= self.times[-1]:
-            return self._cum_angle[-1] + self.speeds[-1] * (t - self.times[-1])
-        k = self._segment(t)
-        dt = t - self.times[k]
-        slope = (self.speeds[k + 1] - self.speeds[k]) / (self.times[k + 1] - self.times[k])
-        return self._cum_angle[k] + self.speeds[k] * dt + 0.5 * slope * dt * dt
+        return self.evaluate(t)[2]
 
-    def omega_many(self, t: np.ndarray) -> np.ndarray:
-        return np.interp(t, self.times, self.speeds)
-
-    def omega_dot_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        if len(self.times) > 1:
-            seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
-            slopes = np.diff(self.speeds) / np.diff(self.times)
-            out = slopes[seg]
-            out[(t < self.times[0]) | (t >= self.times[-1])] = 0.0
-        return out
+    omega_many = omega
+    omega_dot_many = omega_dot
 
 
 class MachineKind(enum.Enum):
@@ -150,6 +141,8 @@ class Scenario:
             raise ValueError("T_s must be > 0")
         if self.t_end / self.T_s <= 0.5:  # n_samples < 1, without overflow
             raise ValueError("t_end must span at least one sample (round(t_end / T_s) >= 1)")
+        if self.t_end / self.T_s == math.inf:
+            raise ValueError("t_end / T_s must be finite (the sample count overflows)")
         if self.ode_substeps < 1:
             raise ValueError("ode_substeps must be >= 1")
         if self.noise_std < 0.0:
@@ -198,6 +191,31 @@ class TrajectoryLog:
         return self.t.shape[0]
 
 
+def _rk4_step(params: MachineParams, ia, ib, theta, va, vb, t, dt, w, a):
+    """One classical RK4 step of the currents over [t, t+dt], on plain floats.
+
+    w and a hold the profile speed and angle at t, t+dt/2 and t+dt; the angle
+    is anchored at theta, the voltage held.  Returns (i_alpha, i_beta, theta).
+    """
+    th_base = theta - a[0]
+    thm = th_base + a[1]
+    the = th_base + a[2]
+
+    c0, s0 = math.cos(theta), math.sin(theta)
+    cm, sm = math.cos(thm), math.sin(thm)
+    ce, se = math.cos(the), math.sin(the)
+    w0, wm, we = w
+    k1a, k1b = _electrical_rate_ab(params, ia, ib, w0, c0, s0, va, vb)
+    k2a, k2b = _electrical_rate_ab(params, ia + 0.5 * dt * k1a, ib + 0.5 * dt * k1b, wm, cm, sm, va, vb)
+    k3a, k3b = _electrical_rate_ab(params, ia + 0.5 * dt * k2a, ib + 0.5 * dt * k2b, wm, cm, sm, va, vb)
+    k4a, k4b = _electrical_rate_ab(params, ia + dt * k3a, ib + dt * k3b, we, ce, se, va, vb)
+    ia_new = ia + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    ib_new = ib + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    if not (math.isfinite(ia_new) and math.isfinite(ib_new)):
+        raise FloatingPointError(f"non-finite currents at t={t + dt:.6g}")
+    return ia_new, ib_new, the
+
+
 def integrate_electrical(
     state: MachineState,
     v_ab: FrameVec,
@@ -213,30 +231,9 @@ def integrate_electrical(
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    va, vb = v_ab.x, v_ab.y
-    th_base = state.theta - profile.angle(t)
-    tm = t + 0.5 * dt
-    te = t + dt
-    w0 = profile.omega(t)
-    wm = profile.omega(tm)
-    we = profile.omega(te)
-    thm = th_base + profile.angle(tm)
-    the = th_base + profile.angle(te)
-
-    c0, s0 = math.cos(state.theta), math.sin(state.theta)
-    cm, sm = math.cos(thm), math.sin(thm)
-    ce, se = math.cos(the), math.sin(the)
-
-    ia, ib = state.i_alpha, state.i_beta
-    k1a, k1b = _electrical_rate_ab(params, ia, ib, w0, c0, s0, va, vb)
-    k2a, k2b = _electrical_rate_ab(params, ia + 0.5 * dt * k1a, ib + 0.5 * dt * k1b, wm, cm, sm, va, vb)
-    k3a, k3b = _electrical_rate_ab(params, ia + 0.5 * dt * k2a, ib + 0.5 * dt * k2b, wm, cm, sm, va, vb)
-    k4a, k4b = _electrical_rate_ab(params, ia + dt * k3a, ib + dt * k3b, we, ce, se, va, vb)
-    ia_new = ia + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    ib_new = ib + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    if not (math.isfinite(ia_new) and math.isfinite(ib_new)):
-        raise FloatingPointError(f"non-finite currents at t={t + dt:.6g}")
-    return MachineState(ia_new, ib_new, we, the, state.T_l)
+    w, _, a = (x.tolist() for x in profile.evaluate((t, t + 0.5 * dt, t + dt)))
+    ia, ib, theta = _rk4_step(params, state.i_alpha, state.i_beta, state.theta, v_ab.x, v_ab.y, t, dt, w, a)
+    return MachineState(ia, ib, w[2], theta, state.T_l)
 
 
 def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
@@ -264,7 +261,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     i_d0, i_q0 = scn.setpoints
     w0 = scn.profile.omega(0.0)
     i_ab0 = inverse_park(dq(i_d0, i_q0), scn.theta0)
-    state = MachineState(i_ab0.x, i_ab0.y, w0, scn.theta0)
+    ia, ib, omega, theta = i_ab0.x, i_ab0.y, w0, scn.theta0
     v_d0 = params.R * i_d0 - w0 * params.Lq * i_q0
     v_q0 = params.R * i_q0 + w0 * (params.Ld * i_d0 + params.psi_r)
     pi_d, pi_q = default_gains(params, scn.control_bandwidth, scn.voltage_limit)
@@ -281,8 +278,8 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
         P0=np.diag(scn.p0_diag),
     )
 
-    cols = {
-        name: np.empty(n)
+    cols = {  # NaN stays in the estimate columns when the estimator is skipped
+        name: np.full(n, math.nan)
         for name in (
             "t", "i_alpha", "i_beta", "i_d", "i_q", "id_ref", "iq_ref",
             "v_alpha", "v_beta", "omega_true", "theta_true",
@@ -293,26 +290,34 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     abort_time = None
     abort_reason = ""
     rows = 0
+    substep_starts = np.arange(scn.ode_substeps) * dt
 
     for k in range(n):
+        b = k % _PROFILE_BLOCK
+        if b == 0:
+            # profile speed and angle at every RK4 stage time of the block
+            t0 = np.arange(k, min(k + _PROFILE_BLOCK, n))[:, None] * scn.T_s + substep_starts
+            stage_t = np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=-1)
+            w_blk, _, a_blk = (x.tolist() for x in scn.profile.evaluate(stage_t))
         t_k = k * scn.T_s
-        y = np.array([state.i_alpha, state.i_beta])
+        y = np.array([ia, ib])
         if scn.noise_std > 0.0:
             y = y + scn.noise_std * rng.standard_normal(2)
 
         refs = current_reference(t_k, scn.injection, scn.setpoints)
-        i_dq_meas = park(alphabeta(y[0], y[1]), state.theta)
+        i_dq_meas = park(alphabeta(y[0], y[1]), theta)
         theta_hat_prior = ekf.x_hat[3]
         v_ab, ctrl = controller_step(
-            ctrl, i_dq_meas, refs, state.theta, scn.T_s,
+            ctrl, i_dq_meas, refs, theta, scn.T_s,
             t=t_k, schedule=scn.injection, theta_hat=theta_hat_prior,
         )
 
         try:
-            new_state = state
+            ia_new, ib_new, theta_new = ia, ib, theta
             for j in range(scn.ode_substeps):
-                new_state = integrate_electrical(
-                    new_state, v_ab, scn.profile, t_k + j * dt, dt, params
+                ia_new, ib_new, theta_new = _rk4_step(
+                    params, ia_new, ib_new, theta_new, v_ab.x, v_ab.y,
+                    t_k + j * dt, dt, w_blk[b][j], a_blk[b][j],
                 )
             if with_ekf:
                 ekf = ekf_step(ekf, params, (v_ab.x, v_ab.y), y)
@@ -322,44 +327,35 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
             abort_reason = str(exc)
             break
 
-        i_dq_true = park(alphabeta(state.i_alpha, state.i_beta), state.theta)
+        i_dq_true = park(alphabeta(ia, ib), theta)
         c = cols
         c["t"][k] = t_k
-        c["i_alpha"][k] = state.i_alpha
-        c["i_beta"][k] = state.i_beta
+        c["i_alpha"][k] = ia
+        c["i_beta"][k] = ib
         c["i_d"][k] = i_dq_true.x
         c["i_q"][k] = i_dq_true.y
         c["id_ref"][k] = refs[0]
         c["iq_ref"][k] = refs[1]
         c["v_alpha"][k] = v_ab.x
         c["v_beta"][k] = v_ab.y
-        c["omega_true"][k] = state.omega
-        c["theta_true"][k] = state.theta_wrapped
+        c["omega_true"][k] = omega
+        c["theta_true"][k] = wrap_angle(theta)
         if with_ekf:
             c["omega_hat"][k] = ekf.x_hat[2]
             c["theta_hat"][k] = wrap_angle(ekf.x_hat[3])
-            c["theta_err"][k] = wrap_angle(ekf.x_hat[3] - state.theta)
-        else:
-            c["omega_hat"][k] = math.nan
-            c["theta_hat"][k] = math.nan
-            c["theta_err"][k] = math.nan
+            c["theta_err"][k] = wrap_angle(ekf.x_hat[3] - theta)
         rows += 1
-        state = new_state
+        ia, ib, omega, theta = ia_new, ib_new, w_blk[b][-1][2], theta_new
 
     for name in cols:
         cols[name] = cols[name][:rows]
 
-    obs = _observability_columns(scn, cols)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite matrix raises before the SVD
+        obs = _observability_columns(scn, cols)
+    del obs["singular_values"]  # not a trajectory column
     return TrajectoryLog(
         **cols,
-        det_y1=obs["det_y1"],
-        det_y2=obs["det_y2"],
-        det_y3=obs["det_y3"],
-        rank=obs["rank"],
-        psi_o_d=obs["psi_o_d"],
-        psi_o_q=obs["psi_o_q"],
-        theta_o=obs["theta_o"],
-        margin=obs["margin"],
+        **obs,
         aborted=aborted,
         abort_time=abort_time,
         abort_reason=abort_reason,

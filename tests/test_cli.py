@@ -250,3 +250,45 @@ def test_unknown_flag_exits_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--frobnicate"])
     assert exc.value.code == 1
+
+
+def _run_cli(argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    import os
+    import subprocess
+    import sys
+
+    import pmsmlab
+
+    src = os.path.dirname(os.path.dirname(pmsmlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pmsmlab.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "verb, block, override, code, message",
+    [
+        ("simulate", "scenario", {"t_end": 1e300, "T_s": 1e-300}, 1, "config error: scenario: t_end / T_s"),
+        ("simulate", "machine", {"L0": None, "L2": None, "Ld": 1e-300, "Lq": 1e-300}, 1,
+         "config error: machine: Ld*Lq"),
+        ("analyze", "machine", {"p": 10**320}, 1, "config error: machine: p must not exceed"),
+        ("simulate", "scenario", {"profile": [[0.0, 1e200]], "t_end": 0.001}, 2, "numerical abort: non-finite"),
+        ("analyze", "scenario", {"profile": [[0.0, 1e200]], "t_end": 0.001}, 2, "numerical abort: non-finite"),
+        ("simulate", "estimator", {"q_diag": [1e308] * 4}, 2, "non-finite covariance propagation"),
+    ],
+)
+def test_extreme_inputs_fail_without_traceback(tmp_path, verb, block, override, code, message):
+    doc = {
+        "machine": dict(SPMSM_MACHINE),
+        "scenario": {"t_end": 0.02, "injection": {"kind": "none"}},
+        "output": {"dir": str(tmp_path)},
+    }
+    doc.setdefault(block, {}).update(override)
+    doc[block] = {k: v for k, v in doc[block].items() if v is not None}
+    rc, err = _run_cli([verb, "-c", write_config(tmp_path, doc)])
+    assert rc == code, err
+    assert message in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err

@@ -462,3 +462,26 @@ def test_trajectory_reports_match_scalar_path(machine, ip_params, sp_params):
         assert cols["psi_o_q"][k] == pytest.approx(rep.psi_o_q, rel=1e-14)
         assert cols["theta_o"][k] == pytest.approx(rep.theta_o, rel=1e-12)
         assert cols["margin"][k] == pytest.approx(rep.margin, rel=1e-12, abs=1e-12)
+
+
+def test_vector_and_margin_are_the_trajectory_columns_at_one_sample(ip_params):
+    for i_dq, di, om in _random_dq_points(31, 50):
+        cols = trajectory_reports(
+            ip_params, *(np.array([v]) for v in (0.0, *i_dq, *di, om, 0.0, 0.0))
+        )
+        vec = observability_vector(i_dq, ip_params)
+        margin = observability_margin(i_dq, di, om, ip_params)
+        assert (vec.psi_d, vec.psi_q, vec.theta_o) == (
+            cols["psi_o_d"][0], cols["psi_o_q"][0], cols["theta_o"][0]
+        )
+        assert margin == cols["margin"][0]
+        assert type(margin) is float and type(vec.theta_o) is float and not vec.degenerate
+
+
+def test_non_finite_order1_matrix_raises_before_the_svd(ip_params):
+    t = np.array([0.0, 1e-4, 2e-4])
+    ones = np.ones(3)
+    omega = np.array([1.0, 1e300, 1.0])
+    with pytest.raises(FloatingPointError, match="t=0.0001"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            trajectory_reports(ip_params, t, ones, 1e10 * ones, ones, ones, omega, 0.0 * ones, ones)

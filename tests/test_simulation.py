@@ -341,3 +341,70 @@ def test_log_row_matches_sample_report(ipmsm_log):
         assert ipmsm_log.psi_o_d[k] == pytest.approx(rep.psi_o_d, rel=1e-12)
         assert ipmsm_log.psi_o_q[k] == pytest.approx(rep.psi_o_q, rel=1e-12)
         assert ipmsm_log.margin[k] == pytest.approx(rep.margin, rel=1e-9, abs=1e-9)
+
+
+def _reference_profile(points, t):
+    """(omega, omega_dot, angle) at one time, by the per-segment formulas in plain floats."""
+    import bisect
+
+    T, W = [p[0] for p in points], [p[1] for p in points]
+    cum = [0.0]
+    for k in range(len(T) - 1):
+        cum.append(cum[-1] + 0.5 * (W[k] + W[k + 1]) * (T[k + 1] - T[k]))
+    k = min(max(bisect.bisect_right(T, t) - 1, 0), max(len(T) - 2, 0))
+    if t <= T[0]:
+        omega, angle = W[0], W[0] * (t - T[0])
+    elif t >= T[-1]:
+        omega, angle = W[-1], cum[-1] + W[-1] * (t - T[-1])
+    else:
+        dt = t - T[k]
+        slope = (W[k + 1] - W[k]) / (T[k + 1] - T[k])
+        omega = W[k] + dt / (T[k + 1] - T[k]) * (W[k + 1] - W[k])
+        angle = cum[k] + W[k] * dt + 0.5 * slope * dt * dt
+    if t < T[0] or t >= T[-1]:
+        return omega, 0.0, angle
+    return omega, (W[k + 1] - W[k]) / (T[k + 1] - T[k]), angle
+
+
+def test_profile_arrays_match_scalar_calls_exactly():
+    for points in (STUDY_POINTS, [(0.5, -7.0)], [(-1.0, 3.0), (0.25, -2.0), (2.0, 4.0)]):
+        prof = SpeedProfile.from_breakpoints(points)
+        bps = np.array([t for t, _ in points])
+        t = np.concatenate(
+            [bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf), [-5.0, 9.0], np.linspace(-1.5, 2.5, 75)]
+        )
+        t = np.stack([t, t[::-1]])  # 2-D
+        ref = np.array([[_reference_profile(points, float(ti)) for ti in row] for row in t])
+        for j, method in enumerate((prof.omega, prof.omega_dot, prof.angle)):
+            scalars = np.array([[method(float(ti)) for ti in row] for row in t])
+            assert np.array_equal(method(t), scalars)
+            assert np.array_equal(scalars, ref[..., j])
+        assert np.array_equal(prof.omega_many(t), prof.omega(t))
+        assert np.array_equal(prof.omega_dot_many(t), prof.omega_dot(t))
+
+
+def test_profile_scalar_calls_return_float():
+    for prof in (_study_profile(), SpeedProfile(times=(0, 1), speeds=(0, 5))):
+        for t in (-1, 0.0, 0.5, 1, 2.0):
+            assert type(prof.omega(t)) is float
+            assert type(prof.omega_dot(t)) is float
+            assert type(prof.angle(t)) is float
+            assert prof.evaluate(t) == (prof.omega(t), prof.omega_dot(t), prof.angle(t))
+
+
+def test_run_replays_through_the_single_step_integrator():
+    # one integrator: the logged voltages, stepped through integrate_electrical
+    # substep by substep, reproduce the logged currents bit for bit
+    from pmsmlab.machine import alphabeta
+
+    prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.004, 0.0), (0.015, 40.0)])
+    scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3)
+    log = run_scenario(scn, with_ekf=False)
+    dt = scn.T_s / scn.ode_substeps
+    st = MachineState(log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
+    for k in range(len(log) - 1):
+        v = alphabeta(log.v_alpha[k], log.v_beta[k])
+        for j in range(scn.ode_substeps):
+            st = integrate_electrical(st, v, prof, k * scn.T_s + j * dt, dt, scn.params)
+        assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
+        assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
