@@ -71,9 +71,10 @@ def _load_config(args) -> RunConfig:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     cfg = parse_config(text)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(["scenario.seed: must be >= 0"])
-        cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
+        try:
+            cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
+        except ValueError as exc:  # "seed: must be >= 0"
+            raise ConfigError([f"scenario.{exc}"]) from exc
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
     if args.csv is not None:
@@ -119,6 +120,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 f"{rep.numeric_rank:<6d}{rep.det_y1:<14.6g}{rep.det_y2:<14.6g}{rep.margin:.6g}"
             )
         return EXIT_OK
+    if cfg.scenario.obs_on_estimates:
+        raise ConfigError(["scenario.obs_on_estimates: must be false for analyze, which runs no estimator"])
     return _finish_run(cfg, run_scenario(cfg.scenario, with_ekf=False))
 
 

@@ -3,22 +3,50 @@
 The file is a JSON object with blocks "machine" (required), "scenario",
 "estimator", "control", "output", "sweep", and "analyze".  Every omitted
 field takes the documented default (the reference standstill study), so a
-minimal file needs only the machine constants.  Validation never stops at
-the first problem: parse_config raises ConfigError carrying the complete
-list of violations.
+minimal file needs only the machine constants.
+
+The parser checks the JSON: types, shapes, unknown keys and the choice
+between Ld/Lq and L0/L2.  The value rules belong to the dataclasses:
+MachineParams, SpeedProfile and Scenario each state theirs once in
+violations(), which the parser calls on the values it read, without
+building the objects, and labels with the JSON path.  Only the injection
+schedule's window and amplitude checks are stated here.  Validation never
+stops at the first problem: parse_config raises ConfigError carrying the
+complete list of violations.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import groupby
 
 from pmsmlab.control import InjectionKind, InjectionSchedule
 from pmsmlab.machine import MachineParams
 from pmsmlab.simulation import Scenario, SpeedProfile, standstill_study_scenario
 
 SWEEPABLE = ("injection.amplitude", "injection.frequency", "noise_std", "theta_hat_err0")
+
+# Scenario field -> JSON path, in file order: drives parsing, rendering and error labels
+SCENARIO_PATHS = {
+    "profile": "scenario.profile",
+    "setpoints": "scenario.setpoints",
+    "injection": "scenario.injection",
+    "t_end": "scenario.t_end",
+    "T_s": "scenario.T_s",
+    "ode_substeps": "scenario.ode_substeps",
+    "theta0": "scenario.theta0",
+    "theta_hat_err0": "scenario.theta_hat_err0",
+    "noise_std": "scenario.noise_std",
+    "seed": "scenario.seed",
+    "obs_on_estimates": "scenario.obs_on_estimates",
+    "q_diag": "estimator.q_diag",
+    "r_diag": "estimator.r_diag",
+    "p0_diag": "estimator.p0_diag",
+    "control_bandwidth": "control.bandwidth",
+    "voltage_limit": "control.voltage_limit",
+}
 
 
 class ConfigError(ValueError):
@@ -59,7 +87,13 @@ class RunConfig:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # abs(v) <= max also rejects NaN, and an int past the float range without converting it
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _labels(block: str, found, path) -> list[str]:
+    """One error line per (field or None, message) pair: 'path(field): message' or 'block: message'."""
+    return [f"{block if key is None else path(key)}: {msg}" for key, msg in found]
 
 
 class _Block:
@@ -73,62 +107,56 @@ class _Block:
         if not isinstance(data, dict):
             errors.append(f"{name}: must be an object")
 
-    def num(self, key, default=None):
+    def _get(self, key, default, what, accept, convert):
+        """convert(value) at key; the default when the key is missing or its value is not `what`."""
         self.seen.add(key)
         if key not in self.data:
             return default
         v = self.data[key]
-        if not _is_num(v):
-            self.errors.append(f"{self.name}.{key}: must be a finite number")
+        if not accept(v):
+            self.errors.append(f"{self.name}.{key}: must be {what}")
             return default
-        return float(v)
+        return convert(v)
+
+    def num(self, key, default=None):
+        return self._get(key, default, "a finite number", _is_num, float)
 
     def integer(self, key, default=None):
-        self.seen.add(key)
-        if key not in self.data:
-            return default
-        v = self.data[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.errors.append(f"{self.name}.{key}: must be an integer")
-            return default
-        return v
+        return self._get(key, default, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int)
 
     def boolean(self, key, default=None):
-        self.seen.add(key)
-        if key not in self.data:
-            return default
-        v = self.data[key]
-        if not isinstance(v, bool):
-            self.errors.append(f"{self.name}.{key}: must be true or false")
-            return default
-        return v
+        return self._get(key, default, "true or false", lambda v: isinstance(v, bool), bool)
 
     def string(self, key, default=None):
-        self.seen.add(key)
-        if key not in self.data:
-            return default
-        v = self.data[key]
-        if not isinstance(v, str):
-            self.errors.append(f"{self.name}.{key}: must be a string")
-            return default
-        return v
+        return self._get(key, default, "a string", lambda v: isinstance(v, str), str)
 
     def num_list(self, key, length=None, default=None):
-        self.seen.add(key)
-        if key not in self.data:
-            return default
-        v = self.data[key]
-        if not isinstance(v, list) or not all(_is_num(x) for x in v):
-            self.errors.append(f"{self.name}.{key}: must be a list of finite numbers")
-            return default
-        if length is not None and len(v) != length:
+        v = self._get(
+            key, default, "a list of finite numbers",
+            lambda v: isinstance(v, list) and all(_is_num(x) for x in v), lambda v: tuple(float(x) for x in v),
+        )
+        if v is not default and length is not None and len(v) != length:
             self.errors.append(f"{self.name}.{key}: must have exactly {length} entries")
             return default
-        return tuple(float(x) for x in v)
+        return v
 
     def raw(self, key):
         self.seen.add(key)
         return self.data.get(key)
+
+    def read(self, key, default):
+        """The value at key, read with the getter for the default's type."""
+        if isinstance(default, bool):
+            return self.boolean(key, default)
+        if isinstance(default, int):
+            return self.integer(key, default)
+        if isinstance(default, float):
+            return self.num(key, default)
+        if isinstance(default, tuple):
+            return self.num_list(key, default=default)
+        if isinstance(default, InjectionSchedule):
+            return _parse_injection(self.raw(key), default, self.errors)
+        return self.raw(key)  # the profile, parsed once its block is read
 
     def check_unknown(self):
         extra = set(self.data) - self.seen
@@ -137,16 +165,13 @@ class _Block:
 
 
 def _parse_machine(block: _Block, errors: list) -> MachineParams | None:
-    R = block.num("R")
-    psi_r = block.num("psi_r")
-    p = block.integer("p")
-    J = block.num("J", 0.02)
+    values = dict(R=block.num("R"), psi_r=block.num("psi_r"), p=block.integer("p"), J=block.num("J", 0.02))
     Ld, Lq = block.num("Ld"), block.num("Lq")
     L0, L2 = block.num("L0"), block.num("L2")
     block.check_unknown()
 
-    for key, val in (("R", R), ("psi_r", psi_r), ("p", p)):
-        if val is None:
+    for key in ("R", "psi_r", "p"):
+        if values[key] is None:
             errors.append(f"machine.{key}: required")
     dq_given = Ld is not None or Lq is not None
     ab_given = L0 is not None or L2 is not None
@@ -166,25 +191,9 @@ def _parse_machine(block: _Block, errors: list) -> MachineParams | None:
         errors.append("machine: inductances required (Ld/Lq or L0/L2)")
         return None
 
-    # mirror the MachineParams invariants so every violation is reported
-    if R is not None and R <= 0.0:
-        errors.append("machine.R: must be > 0")
-    if L0 <= 0.0:
-        errors.append("machine.L0: must be > 0 (equivalently Ld + Lq > 0)")
-    if L0 > 0.0 and abs(L2) >= L0:
-        errors.append("machine: |L2| must be < L0 (both Ld and Lq positive)")
-    if psi_r is not None and psi_r < 0.0:
-        errors.append("machine.psi_r: must be >= 0")
-    if p is not None and p < 1:
-        errors.append("machine.p: must be >= 1")
-    if J <= 0.0:
-        errors.append("machine.J: must be > 0")
-    if not errors:
-        try:
-            return MachineParams(R=R, L0=L0, L2=L2, psi_r=psi_r, p=p, J=J)
-        except ValueError as exc:  # rules stated only in MachineParams
-            errors.append(f"machine: {exc}")
-    return None
+    values.update(L0=L0, L2=L2)
+    errors.extend(_labels("machine", MachineParams.violations(**values), "machine.{}".format))
+    return None if errors else MachineParams(**values)
 
 
 def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> InjectionSchedule:
@@ -217,6 +226,22 @@ def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> Injectio
     )
 
 
+def _parse_profile(raw, default: SpeedProfile, errors: list) -> SpeedProfile:
+    if raw is None:
+        return default
+    if not (
+        isinstance(raw, list)
+        and raw
+        and all(isinstance(q, list) and len(q) == 2 and all(_is_num(x) for x in q) for q in raw)
+    ):
+        errors.append("scenario.profile: must be a non-empty list of [time, omega] pairs")
+        return default
+    times, speeds = tuple(float(q[0]) for q in raw), tuple(float(q[1]) for q in raw)
+    found = _labels("scenario.profile", SpeedProfile.violations(times, speeds), lambda key: "scenario.profile")
+    errors.extend(found)
+    return default if found else SpeedProfile(times, speeds)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; raises ConfigError with every problem."""
     try:
@@ -225,6 +250,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             [f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"]
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or too deep nesting
+        raise ConfigError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(root, dict):
         raise ConfigError(["top level must be a JSON object"])
 
@@ -242,53 +269,14 @@ def parse_config(text: str) -> RunConfig:
     errors.extend(machine_errors)
 
     base = standstill_study_scenario()
-    sb = _Block("scenario", root.get("scenario", {}), errors)
-    profile_raw = sb.raw("profile")
-    setpoints = sb.num_list("setpoints", 2, base.setpoints)
-    injection = _parse_injection(sb.raw("injection"), base.injection, errors)
-    t_end = sb.num("t_end", base.t_end)
-    T_s = sb.num("T_s", base.T_s)
-    ode_substeps = sb.integer("ode_substeps", base.ode_substeps)
-    theta0 = sb.num("theta0", base.theta0)
-    theta_hat_err0 = sb.num("theta_hat_err0", base.theta_hat_err0)
-    noise_std = sb.num("noise_std", base.noise_std)
-    seed = sb.integer("seed", base.seed)
-    obs_on_estimates = sb.boolean("obs_on_estimates", base.obs_on_estimates)
-    sb.check_unknown()
-
-    profile = base.profile
-    if profile_raw is not None:
-        ok = (
-            isinstance(profile_raw, list)
-            and profile_raw
-            and all(isinstance(q, list) and len(q) == 2 and all(_is_num(x) for x in q) for q in profile_raw)
-        )
-        if not ok:
-            errors.append("scenario.profile: must be a non-empty list of [time, omega] pairs")
-        elif any(b[0] <= a[0] for a, b in zip(profile_raw, profile_raw[1:])):
-            errors.append("scenario.profile: breakpoint times must be strictly increasing")
-        else:
-            profile = SpeedProfile.from_breakpoints(profile_raw)
-
-    eb = _Block("estimator", root.get("estimator", {}), errors)
-    q_diag = eb.num_list("q_diag", 4, base.q_diag)
-    r_diag = eb.num_list("r_diag", 2, base.r_diag)
-    p0_diag = eb.num_list("p0_diag", 4, base.p0_diag)
-    eb.check_unknown()
-    for name, diag in (("q_diag", q_diag), ("p0_diag", p0_diag)):
-        if any(v < 0.0 for v in diag):
-            errors.append(f"estimator.{name}: entries must be >= 0")
-    if any(v <= 0.0 for v in r_diag):
-        errors.append("estimator.r_diag: entries must be > 0")
-
-    cb = _Block("control", root.get("control", {}), errors)
-    bandwidth = cb.num("bandwidth", base.control_bandwidth)
-    voltage_limit = cb.num("voltage_limit", base.voltage_limit)
-    cb.check_unknown()
-    if bandwidth <= 0.0:
-        errors.append("control.bandwidth: must be > 0")
-    if voltage_limit <= 0.0:
-        errors.append("control.voltage_limit: must be > 0")
+    scenario_values = {"params": params}
+    for name, paths in groupby(SCENARIO_PATHS.items(), lambda item: item[1].split(".")[0]):
+        block = _Block(name, root.get(name, {}), errors)
+        for field, path in paths:
+            scenario_values[field] = block.read(path.split(".")[1], getattr(base, field))
+        block.check_unknown()
+        if name == "scenario":  # the breakpoint checks follow the block's key checks
+            scenario_values["profile"] = _parse_profile(scenario_values["profile"], base.profile, errors)
 
     ob = _Block("output", root.get("output", {}), errors)
     out_dir = ob.string("dir", ".")
@@ -320,57 +308,16 @@ def parse_config(text: str) -> RunConfig:
             pts = []
             for idx, entry in enumerate(states_raw):
                 pb = _Block(f"analyze.states[{idx}]", entry, errors)
-                pt = AnalyzePoint(
-                    i_d=pb.num("i_d", 0.0), i_q=pb.num("i_q", 0.0),
-                    di_d=pb.num("di_d", 0.0), di_q=pb.num("di_q", 0.0),
-                    omega=pb.num("omega", 0.0), omega_dot=pb.num("omega_dot", 0.0),
-                    theta=pb.num("theta", 0.0),
-                )
+                pt = AnalyzePoint(**{f.name: pb.num(f.name, f.default) for f in fields(AnalyzePoint)})
                 pb.check_unknown()
                 pts.append(pt)
             analyze_states = tuple(pts)
 
-    # scenario-level invariants, all reported
-    if t_end <= 0.0:
-        errors.append("scenario.t_end: must be > 0")
-    if T_s <= 0.0:
-        errors.append("scenario.T_s: must be > 0")
-    elif t_end > 0.0 and t_end / T_s <= 0.5:  # round(t_end / T_s) < 1, without overflow
-        errors.append("scenario.t_end: must span at least one sample (round(t_end / T_s) >= 1)")
-    if ode_substeps < 1:
-        errors.append("scenario.ode_substeps: must be >= 1")
-    if noise_std < 0.0:
-        errors.append("scenario.noise_std: must be >= 0")
-    if seed < 0:
-        errors.append("scenario.seed: must be >= 0")
-
+    errors.extend(_labels("scenario", Scenario.violations(**scenario_values), SCENARIO_PATHS.get))
     if errors:
         raise ConfigError(errors)
-
-    try:
-        scenario = Scenario(
-            params=params,
-            profile=profile,
-            setpoints=setpoints,
-            injection=injection,
-            t_end=t_end,
-            T_s=T_s,
-            ode_substeps=ode_substeps,
-            theta0=theta0,
-            theta_hat_err0=theta_hat_err0,
-            q_diag=q_diag,
-            r_diag=r_diag,
-            p0_diag=p0_diag,
-            control_bandwidth=bandwidth,
-            voltage_limit=voltage_limit,
-            noise_std=noise_std,
-            seed=seed,
-            obs_on_estimates=obs_on_estimates,
-        )
-    except ValueError as exc:  # rules stated only in Scenario
-        raise ConfigError([f"scenario: {exc}"]) from exc
     return RunConfig(
-        scenario=scenario,
+        scenario=Scenario(**scenario_values),
         out_dir=out_dir,
         csv_name=csv_name,
         write_summary=write_summary,
@@ -379,57 +326,35 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+def _json_value(value):
+    """A Scenario field value as the config file writes it."""
+    if isinstance(value, SpeedProfile):
+        return [[t, w] for t, w in zip(value.times, value.speeds)]
+    if isinstance(value, InjectionSchedule):
+        return {
+            "kind": value.kind.value,
+            "amplitude": value.amplitude,
+            "frequency": value.frequency,
+            "window": [value.t_start, value.t_end],
+        }
+    return list(value) if isinstance(value, tuple) else value
+
+
 def render_config(cfg: RunConfig) -> str:
     """Serialize the fully-resolved configuration, defaults included.
 
     The output parses back to an equal RunConfig, so every effective default
     is inspectable and a rendered file is a valid input.
     """
-    scn = cfg.scenario
-    p = scn.params
-    doc = {
-        "machine": {"R": p.R, "L0": p.L0, "L2": p.L2, "psi_r": p.psi_r, "p": p.p, "J": p.J},
-        "scenario": {
-            "profile": [[t, w] for t, w in zip(scn.profile.times, scn.profile.speeds)],
-            "setpoints": list(scn.setpoints),
-            "injection": {
-                "kind": scn.injection.kind.value,
-                "amplitude": scn.injection.amplitude,
-                "frequency": scn.injection.frequency,
-                "window": [scn.injection.t_start, scn.injection.t_end],
-            },
-            "t_end": scn.t_end,
-            "T_s": scn.T_s,
-            "ode_substeps": scn.ode_substeps,
-            "theta0": scn.theta0,
-            "theta_hat_err0": scn.theta_hat_err0,
-            "noise_std": scn.noise_std,
-            "seed": scn.seed,
-            "obs_on_estimates": scn.obs_on_estimates,
-        },
-        "estimator": {
-            "q_diag": list(scn.q_diag),
-            "r_diag": list(scn.r_diag),
-            "p0_diag": list(scn.p0_diag),
-        },
-        "control": {
-            "bandwidth": scn.control_bandwidth,
-            "voltage_limit": scn.voltage_limit,
-        },
-        "output": {"dir": cfg.out_dir, "csv": cfg.csv_name, "summary": cfg.write_summary},
-    }
+    doc = {"machine": asdict(cfg.scenario.params)}
+    for field, path in SCENARIO_PATHS.items():
+        name, key = path.split(".")
+        doc.setdefault(name, {})[key] = _json_value(getattr(cfg.scenario, field))
+    doc["output"] = {"dir": cfg.out_dir, "csv": cfg.csv_name, "summary": cfg.write_summary}
     if cfg.sweep is not None:
         doc["sweep"] = {"parameter": cfg.sweep.parameter, "values": list(cfg.sweep.values)}
     if cfg.analyze_states:
-        doc["analyze"] = {
-            "states": [
-                {
-                    "i_d": s.i_d, "i_q": s.i_q, "di_d": s.di_d, "di_q": s.di_q,
-                    "omega": s.omega, "omega_dot": s.omega_dot, "theta": s.theta,
-                }
-                for s in cfg.analyze_states
-            ]
-        }
+        doc["analyze"] = {"states": [asdict(s) for s in cfg.analyze_states]}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -83,6 +83,12 @@ def dq(x: float, y: float) -> FrameVec:
     return FrameVec(float(x), float(y), Frame.DQ)
 
 
+def raise_violations(found) -> None:
+    """Raise one ValueError naming every (field or None, message) violation."""
+    if found:
+        raise ValueError("; ".join(msg if key is None else f"{key}: {msg}" for key, msg in found))
+
+
 @dataclass(frozen=True)
 class MachineParams:
     """Electrical and mechanical constants of one machine.
@@ -105,27 +111,40 @@ class MachineParams:
     J: float
 
     def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(v) for v in (self.R, self.L0, self.L2, self.psi_r, self.J)
-        ):
-            raise ValueError("machine parameters must be finite")
-        if self.R <= 0.0:
-            raise ValueError(f"R must be > 0, got {self.R}")
-        if self.L0 <= 0.0:
-            raise ValueError(f"L0 must be > 0, got {self.L0}")
-        if abs(self.L2) >= self.L0:
+        # not vars(self): reading __dict__ slows every later attribute read of the instance
+        raise_violations(self.violations(self.R, self.L0, self.L2, self.psi_r, self.p, self.J))
+
+    @staticmethod
+    def violations(R, L0, L2, psi_r, p, J) -> list:
+        """(field or None, message) for every broken invariant; a None value skips its rules.
+
+        The range rules at the end apply once the others hold; only the first broken one is reported.
+        """
+        found = []
+        if R is not None and R <= 0.0:
+            found.append(("R", "must be > 0"))
+        if L0 <= 0.0:
+            found.append(("L0", "must be > 0 (equivalently Ld + Lq > 0)"))
+        elif abs(L2) >= L0:
             # |L2| < L0 keeps the inductance matrix positive definite at all theta.
-            raise ValueError(f"|L2| must be < L0, got L2={self.L2}, L0={self.L0}")
-        if not sys.float_info.min <= self.L0 * self.L0 - self.L2 * self.L2 <= sys.float_info.max:
-            raise ValueError(f"Ld*Lq = L0^2 - L2^2 must be a normal float, got L0={self.L0}, L2={self.L2}")
-        if self.psi_r < 0.0:
-            raise ValueError(f"psi_r must be >= 0, got {self.psi_r}")
-        if int(self.p) != self.p or self.p < 1:
-            raise ValueError(f"p must be an integer >= 1, got {self.p}")
-        if self.p > sys.float_info.max:
-            raise ValueError("p must not exceed the float range")
-        if self.J <= 0.0:
-            raise ValueError(f"J must be > 0, got {self.J}")
+            found.append((None, "|L2| must be < L0 (both Ld and Lq positive)"))
+        if psi_r is not None and psi_r < 0.0:
+            found.append(("psi_r", "must be >= 0"))
+        if p is not None and int(p) != p:
+            found.append(("p", "must be an integer"))
+        elif p is not None and p < 1:
+            found.append(("p", "must be >= 1"))
+        if J <= 0.0:
+            found.append(("J", "must be > 0"))
+        if found or None in (R, psi_r, p):
+            return found
+        if not all(math.isfinite(v) for v in (R, L0, L2, psi_r, J)):
+            return [(None, "machine parameters must be finite")]
+        if not sys.float_info.min <= L0 * L0 - L2 * L2 <= sys.float_info.max:
+            return [(None, f"Ld*Lq = L0^2 - L2^2 must be a normal float, got L0={L0}, L2={L2}")]
+        if p > sys.float_info.max:
+            return [(None, "p must not exceed the float range")]
+        return []
 
     @classmethod
     def from_dq(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,12 +33,14 @@ from pmsmlab.machine import (
     dq,
     inverse_park,
     park,
+    raise_violations,
     wrap_angle,
 )
 from pmsmlab.observability import trajectory_reports
 
 
 _PROFILE_BLOCK = 16  # samples per profile evaluation in run_scenario
+MAX_SAMPLES = 10**7  # longest run, in samples: its log columns alone take about 2 GB
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,7 @@ class SpeedProfile:
     _grid: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.speeds) or not self.times:
-            raise ValueError("need matching, non-empty times and speeds")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("breakpoint times must be strictly increasing")
-        if not all(math.isfinite(v) for v in self.times + self.speeds):
-            raise ValueError("breakpoints must be finite")
+        raise_violations(self.violations(self.times, self.speeds))
         T, W = (np.array(v, dtype=float) for v in (self.times, self.speeds))
         # per-segment span, rise and slope, padded so that one breakpoint has a segment 0
         span, rise = np.diff(T, append=T[-1]), np.diff(W, append=W[-1])
@@ -68,6 +65,18 @@ class SpeedProfile:
             A = np.concatenate([[0.0], np.cumsum(0.5 * (W[:-1] + W[1:]) * span[:-1])])
             slope = rise / span
         object.__setattr__(self, "_grid", (T, W, A, span, rise, slope))
+
+    @staticmethod
+    def violations(times, speeds) -> list:
+        """(None, message) for every broken invariant of the breakpoint list."""
+        if len(times) != len(speeds) or not times:
+            return [(None, "need matching, non-empty times and speeds")]
+        found = []
+        if any(b <= a for a, b in zip(times, times[1:])):
+            found.append((None, "breakpoint times must be strictly increasing"))
+        if not all(math.isfinite(v) for v in times + speeds):
+            found.append((None, "breakpoints must be finite"))
+        return found
 
     @classmethod
     def from_breakpoints(cls, points) -> "SpeedProfile":
@@ -135,22 +144,47 @@ class Scenario:
     obs_on_estimates: bool = False
 
     def __post_init__(self) -> None:
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be > 0")
-        if self.T_s <= 0.0:
-            raise ValueError("T_s must be > 0")
-        if self.t_end / self.T_s <= 0.5:  # n_samples < 1, without overflow
-            raise ValueError("t_end must span at least one sample (round(t_end / T_s) >= 1)")
-        if self.t_end / self.T_s == math.inf:
-            raise ValueError("t_end / T_s must be finite (the sample count overflows)")
-        if self.ode_substeps < 1:
-            raise ValueError("ode_substeps must be >= 1")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if len(self.q_diag) != 4 or len(self.r_diag) != 2 or len(self.p0_diag) != 4:
-            raise ValueError("covariance diagonals must have lengths 4, 2, 4")
+        # not vars(self): reading __dict__ slows every later attribute read of the instance
+        raise_violations(self.violations(**{f.name: getattr(self, f.name) for f in fields(self)}))
+
+    @staticmethod
+    def violations(setpoints, t_end, T_s, ode_substeps, q_diag, r_diag, p0_diag,
+                   control_bandwidth, voltage_limit, noise_std, seed, **_) -> list:
+        """(field or None, message) for every broken invariant; other fields are ignored."""
+        found = []
+        for key, value, n in (("setpoints", setpoints, 2), ("q_diag", q_diag, 4),
+                              ("r_diag", r_diag, 2), ("p0_diag", p0_diag, 4)):
+            if len(value) != n:
+                found.append((key, f"must have exactly {n} entries"))
+        if len(q_diag) == 4 and any(v < 0.0 for v in q_diag):
+            found.append(("q_diag", "entries must be >= 0"))
+        if len(p0_diag) == 4 and any(v < 0.0 for v in p0_diag):
+            found.append(("p0_diag", "entries must be >= 0"))
+        if len(r_diag) == 2 and any(v <= 0.0 for v in r_diag):
+            found.append(("r_diag", "entries must be > 0"))
+        if control_bandwidth <= 0.0:
+            found.append(("control_bandwidth", "must be > 0"))
+        if voltage_limit <= 0.0:
+            found.append(("voltage_limit", "must be > 0"))
+        if t_end <= 0.0:
+            found.append(("t_end", "must be > 0"))
+        if T_s <= 0.0:
+            found.append(("T_s", "must be > 0"))
+        elif t_end > 0.0:
+            n = t_end / T_s  # inf on overflow
+            if n <= 0.5:
+                found.append(("t_end", "must span at least one sample (round(t_end / T_s) >= 1)"))
+            elif n >= MAX_SAMPLES + 0.5:
+                found.append((None, f"t_end / T_s must not exceed {MAX_SAMPLES} samples"))
+            elif abs(n - round(n)) > 1e-9 * n:  # tolerates 0.6 / 1e-4 = 5999.999999999999
+                found.append(("t_end", f"must be a whole number of samples (t_end / T_s = {n:.9g})"))
+        if ode_substeps < 1:
+            found.append(("ode_substeps", "must be >= 1"))
+        if noise_std < 0.0:
+            found.append(("noise_std", "must be >= 0"))
+        if seed < 0:
+            found.append(("seed", "must be >= 0"))
+        return found
 
     @property
     def n_samples(self) -> int:

@@ -292,3 +292,23 @@ def test_extreme_inputs_fail_without_traceback(tmp_path, verb, block, override, 
     assert rc == code, err
     assert message in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_analyze_trajectory_with_obs_on_estimates_is_config_error(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, scenario={"obs_on_estimates": True})
+    assert main(["analyze", "-c", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "config error: scenario.obs_on_estimates: must be false for analyze, which runs no estimator\n"
+    )
+    assert not list(tmp_path.glob("*.csv"))
+    # fixed operating points do not use the estimates
+    states = tiny_config(tmp_path, scenario={"obs_on_estimates": True}, analyze={"states": [{"omega": 30.0}]})
+    assert main(["analyze", "-c", states]) == 0
+
+
+def test_huge_json_integer_is_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"machine": {"R": 0.01, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": ' + "9" * 5000 + "}}")
+    assert main(["simulate", "-c", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: invalid JSON: ")

@@ -6,16 +6,20 @@ import pathlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsmlab.config import (
+    SCENARIO_PATHS,
     SWEEPABLE,
     ConfigError,
+    RunConfig,
     apply_sweep_value,
     parse_config,
     render_config,
 )
 from pmsmlab.control import InjectionKind
 from pmsmlab.simulation import MachineKind, standstill_study_scenario
+from pmsmlab.simulation import MAX_SAMPLES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -301,3 +305,112 @@ def test_apply_sweep_value():
     }
     with pytest.raises(ValueError, match="not a sweepable parameter"):
         apply_sweep_value(scn, "params.R", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one statement per rule: the dataclasses' violations, labelled by JSON path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("setpoints", (1.0,), "must have exactly 2 entries"),
+        ("q_diag", (-1.0, 1.0, 1.0, 1.0), "entries must be >= 0"),
+        ("r_diag", (1.0, 0.0), "entries must be > 0"),
+        ("p0_diag", (1.0, 1.0), "must have exactly 4 entries"),
+        ("control_bandwidth", -1.0, "must be > 0"),
+        ("voltage_limit", 0.0, "must be > 0"),
+        ("t_end", 0.010005, "must be a whole number of samples (t_end / T_s = 100.05)"),
+        ("ode_substeps", 0, "must be >= 1"),
+        ("noise_std", -0.5, "must be >= 0"),
+        ("seed", -3, "must be >= 0"),
+    ],
+)
+def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
+    with pytest.raises(ValueError) as exc:
+        replace(standstill_study_scenario(), **{field: value})
+    assert str(exc.value) == f"{field}: {message}"
+    block, key = SCENARIO_PATHS[field].split(".")
+    doc = json.loads(MINIMAL_SPMSM)
+    doc[block] = {key: list(value) if isinstance(value, tuple) else value}
+    assert errors_of(json.dumps(doc)) == [f"{SCENARIO_PATHS[field]}: {message}"]
+
+
+def test_scenario_rules_reported_with_machine_errors():
+    errs = errors_of(json.dumps({
+        "machine": {"R": -1.0, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": 2},
+        "estimator": {"r_diag": [1.0, 0.0]},
+        "control": {"voltage_limit": 0.0},
+    }))
+    assert errs == [
+        "machine.R: must be > 0",
+        "estimator.r_diag: entries must be > 0",
+        "control.voltage_limit: must be > 0",
+    ]
+
+
+def test_sample_count_is_capped():
+    base = json.loads(MINIMAL_SPMSM)
+    cap = f"scenario: t_end / T_s must not exceed {MAX_SAMPLES} samples"
+    for t_end, T_s in ((1e300, 1.0), (1e300, 1e-300), (MAX_SAMPLES * 1e-4 + 1e-4, 1e-4)):
+        assert errors_of(json.dumps(dict(base, scenario={"t_end": t_end, "T_s": T_s}))) == [cap]
+    longest = parse_config(json.dumps(dict(base, scenario={"t_end": MAX_SAMPLES * 1e-4, "T_s": 1e-4})))
+    assert longest.scenario.n_samples == MAX_SAMPLES
+
+
+def test_t_end_must_be_a_whole_number_of_samples():
+    base = json.loads(MINIMAL_SPMSM)
+    errs = errors_of(json.dumps(dict(base, scenario={"t_end": 0.01, "T_s": 0.003})))
+    assert errs == ["scenario.t_end: must be a whole number of samples (t_end / T_s = 3.33333333)"]
+    # within the relative tolerance: 0.6 / 1e-4 = 5999.999999999999
+    assert parse_config(json.dumps(dict(base, scenario={"t_end": 0.6}))).scenario.n_samples == 6000
+    # a run shorter than one sample gets that rule only
+    errs = errors_of(json.dumps(dict(base, scenario={"t_end": 4e-5})))
+    assert errs == ["scenario.t_end: must span at least one sample (round(t_end / T_s) >= 1)"]
+
+
+def test_out_of_range_json_numbers_are_config_errors():
+    errs = errors_of('{"machine": {"R": 0.01, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": ' + "9" * 5000 + "}}")
+    assert len(errs) == 1 and errs[0].startswith("invalid JSON: ")
+    errs = errors_of("[" * 100_000 + "]" * 100_000)
+    assert len(errs) == 1 and errs[0].startswith("invalid JSON: ")
+    doc = json.loads(MINIMAL_SPMSM)
+    doc["machine"]["J"] = 10**400  # an int past the float range
+    assert errors_of(json.dumps(doc)) == ["machine.J: must be a finite number"]
+
+
+def _leaf_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+
+
+SHIPPED = {
+    name: json.loads((CONFIG_DIR / name).read_text())
+    for name in ("standstill_ipmsm.json", "standstill_spmsm.json", "hfi_voltage_sweep.json")
+}
+FIELD_PATHS = sorted({(name, path) for name, doc in SHIPPED.items() for path in _leaf_paths(doc)})
+EDGE_NUMBERS = st.sampled_from([0, -1, 0.5, 10**400, -(10**400), 10**320, 1e308, -1e308, 5e-324, 1e-300])
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | EDGE_NUMBERS | st.floats() | st.text(max_size=8)
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=5) | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(FIELD_PATHS), JSON_VALUES)
+def test_any_one_field_replaced_parses_or_is_a_config_error(field_path, value):
+    name, path = field_path
+    doc = json.loads(json.dumps(SHIPPED[name]))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        assert isinstance(parse_config(json.dumps(doc)), RunConfig)
+    except ConfigError as exc:
+        assert exc.errors

@@ -408,3 +408,12 @@ def test_run_replays_through_the_single_step_integrator():
             st = integrate_electrical(st, v, prof, k * scn.T_s + j * dt, dt, scn.params)
         assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
         assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("r_diag", (1.0, 0.0)), ("control_bandwidth", -1.0), ("voltage_limit", 0.0), ("q_diag", (1.0, -1.0, 1.0, 1.0))],
+)
+def test_code_built_scenario_rejects_estimator_and_control_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        dataclasses.replace(standstill_study_scenario(), **{field: value})
