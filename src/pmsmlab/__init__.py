@@ -38,7 +38,7 @@ from pmsmlab.observability import (
     spmsm_rank_at_standstill,
     trajectory_reports,
 )
-from pmsmlab.ekf import EkfState, default_covariances, ekf_step, gain_and_innovate, linearize, make_ekf, predict
+from pmsmlab.ekf import EkfState, ekf_step, gain_and_innovate, linearize, make_ekf, predict
 from pmsmlab.control import (
     ControllerState,
     InjectionKind,

@@ -155,8 +155,7 @@ def run_sweep(cfg: RunConfig):
 
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep is None:
-        print("sweep: config has no sweep block", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(["sweep: config has no sweep block"])
     rows = []
     for value, scn, log in run_sweep(cfg):
         if log.aborted:

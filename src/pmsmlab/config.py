@@ -7,12 +7,11 @@ minimal file needs only the machine constants.
 
 The parser checks the JSON: types, shapes, unknown keys and the choice
 between Ld/Lq and L0/L2.  The value rules belong to the dataclasses:
-MachineParams, SpeedProfile and Scenario each state theirs once in
-violations(), which the parser calls on the values it read, without
-building the objects, and labels with the JSON path.  Only the injection
-schedule's window and amplitude checks are stated here.  Validation never
-stops at the first problem: parse_config raises ConfigError carrying the
-complete list of violations.
+MachineParams, SpeedProfile, InjectionSchedule and Scenario each state
+theirs once in violations(), which the parser calls on the values it read,
+without building the objects, and labels with the JSON path.  Validation
+never stops at the first problem: parse_config raises ConfigError carrying
+the complete list of violations.
 """
 
 from __future__ import annotations
@@ -164,14 +163,14 @@ class _Block:
             self.errors.append(f"{self.name}.{k}: unknown key")
 
 
-def _parse_machine(block: _Block, errors: list) -> MachineParams | None:
-    values = dict(R=block.num("R"), psi_r=block.num("psi_r"), p=block.integer("p"), J=block.num("J", 0.02))
+def _parse_machine(block: _Block, errors: list, J: float) -> MachineParams | None:
+    values = dict(R=block.num("R"), psi_r=block.num("psi_r"), p=block.integer("p"), J=block.num("J", J))
     Ld, Lq = block.num("Ld"), block.num("Lq")
     L0, L2 = block.num("L0"), block.num("L2")
     block.check_unknown()
 
     for key in ("R", "psi_r", "p"):
-        if values[key] is None:
+        if key not in block.data:  # a value of the wrong type has its own line
             errors.append(f"machine.{key}: required")
     dq_given = Ld is not None or Lq is not None
     ab_given = L0 is not None or L2 is not None
@@ -213,17 +212,9 @@ def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> Injectio
             f"(use {', '.join(k.value for k in InjectionKind)})"
         )
         return defaults
-    if kind is not InjectionKind.NONE:
-        if window[0] >= window[1]:
-            errors.append("scenario.injection.window: needs t_start < t_end")
-        if amplitude < 0.0:
-            errors.append("scenario.injection.amplitude: must be >= 0")
-    if errors:
-        return defaults
-    return InjectionSchedule(
-        kind=kind, amplitude=amplitude, frequency=frequency,
-        t_start=window[0], t_end=window[1],
-    )
+    found = _labels(b.name, InjectionSchedule.violations(kind, amplitude, *window), "scenario.injection.{}".format)
+    errors.extend(found)
+    return defaults if found else InjectionSchedule(kind, amplitude, frequency, *window)
 
 
 def _parse_profile(raw, default: SpeedProfile, errors: list) -> SpeedProfile:
@@ -262,13 +253,13 @@ def parse_config(text: str) -> RunConfig:
     if "machine" not in root:
         errors.append("machine: block required")
 
+    base = standstill_study_scenario()
     machine_errors: list[str] = []
     params = None
     if "machine" in root:
-        params = _parse_machine(_Block("machine", root["machine"], machine_errors), machine_errors)
+        params = _parse_machine(_Block("machine", root["machine"], machine_errors), machine_errors, base.params.J)
     errors.extend(machine_errors)
 
-    base = standstill_study_scenario()
     scenario_values = {"params": params}
     for name, paths in groupby(SCENARIO_PATHS.items(), lambda item: item[1].split(".")[0]):
         block = _Block(name, root.get(name, {}), errors)

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from pmsmlab.machine import FrameVec, MachineParams, dq, inverse_park
+from pmsmlab.machine import FrameVec, MachineParams, dq, inverse_park, raise_violations
 
 
 class InjectionKind(enum.Enum):
@@ -32,11 +32,18 @@ class InjectionSchedule:
     t_end: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind is not InjectionKind.NONE:
-            if not self.t_start < self.t_end:
-                raise ValueError("active schedule needs t_start < t_end")
-            if self.amplitude < 0.0:
-                raise ValueError("amplitude must be non-negative")
+        raise_violations(self.violations(self.kind, self.amplitude, self.t_start, self.t_end))
+
+    @staticmethod
+    def violations(kind, amplitude, t_start, t_end) -> list:
+        """(field, message) for every broken invariant; an inactive schedule has none."""
+        found = []
+        if kind is not InjectionKind.NONE:
+            if not t_start < t_end:
+                found.append(("window", "needs t_start < t_end"))
+            if amplitude < 0.0:
+                found.append(("amplitude", "must be >= 0"))
+        return found
 
     def active(self, t: float) -> bool:
         return self.kind is not InjectionKind.NONE and self.t_start <= t < self.t_end
@@ -82,8 +89,7 @@ def pi_step(pi: PiState, error: float, T_s: float) -> tuple[float, PiState]:
     return out, replace(pi, integrator=integ)
 
 
-def default_gains(params: MachineParams, bandwidth: float = 2.0 * math.pi * 500.0,
-                  limit: float = 50.0) -> tuple[PiState, PiState]:
+def default_gains(params: MachineParams, bandwidth: float, limit: float) -> tuple[PiState, PiState]:
     """Per-axis PI gains from the loop-shaping rule kp = L w_c, ki = R w_c."""
     return (
         PiState(kp=params.Ld * bandwidth, ki=params.R * bandwidth, limit=limit),

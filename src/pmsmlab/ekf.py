@@ -21,11 +21,6 @@ from pmsmlab.observability import obs_matrix_y1_ipmsm
 C_OUT = np.hstack([np.eye(2), np.zeros((2, 2))])
 
 
-def default_covariances() -> tuple[np.ndarray, np.ndarray]:
-    """Default process and measurement covariances for the current-output EKF."""
-    return np.diag([1.0, 1.0, 1e3, 0.1]), np.eye(2)
-
-
 @dataclass(frozen=True)
 class EkfState:
     """Estimated state, covariance, and tuning. Arrays are never mutated."""
@@ -48,20 +43,13 @@ class EkfState:
             raise ValueError(f"T_s must be > 0, got {self.T_s}")
 
 
-def make_ekf(
-    x0,
-    T_s: float,
-    Q: np.ndarray = None,
-    R_meas: np.ndarray = None,
-    P0: np.ndarray = None,
-) -> EkfState:
+def make_ekf(x0, T_s: float, Q, R_meas, P0) -> EkfState:
     """Build and fully validate an initial filter state."""
-    q, r = default_covariances()
     ekf = EkfState(
         x_hat=np.asarray(x0, dtype=float).copy(),
-        P=np.eye(4) if P0 is None else np.asarray(P0, dtype=float).copy(),
-        Q=q if Q is None else np.asarray(Q, dtype=float).copy(),
-        R_meas=r if R_meas is None else np.asarray(R_meas, dtype=float).copy(),
+        P=np.asarray(P0, dtype=float).copy(),
+        Q=np.asarray(Q, dtype=float).copy(),
+        R_meas=np.asarray(R_meas, dtype=float).copy(),
         T_s=float(T_s),
     )
     for name, m in (("P", ekf.P), ("Q", ekf.Q), ("R_meas", ekf.R_meas)):

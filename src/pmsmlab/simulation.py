@@ -41,6 +41,7 @@ from pmsmlab.observability import trajectory_reports
 
 _PROFILE_BLOCK = 16  # samples per profile evaluation in run_scenario
 MAX_SAMPLES = 10**7  # longest run, in samples: its log columns alone take about 2 GB
+MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,6 @@ class SpeedProfile:
         """Exact integral of omega from the first breakpoint time to t."""
         return self.evaluate(t)[2]
 
-    omega_many = omega
-    omega_dot_many = omega_dot
-
 
 class MachineKind(enum.Enum):
     IPMSM = "ipmsm"
@@ -168,6 +166,7 @@ class Scenario:
             found.append(("voltage_limit", "must be > 0"))
         if t_end <= 0.0:
             found.append(("t_end", "must be > 0"))
+        samples = 0  # the run length, once its rules hold
         if T_s <= 0.0:
             found.append(("T_s", "must be > 0"))
         elif t_end > 0.0:
@@ -178,8 +177,12 @@ class Scenario:
                 found.append((None, f"t_end / T_s must not exceed {MAX_SAMPLES} samples"))
             elif abs(n - round(n)) > 1e-9 * n:  # tolerates 0.6 / 1e-4 = 5999.999999999999
                 found.append(("t_end", f"must be a whole number of samples (t_end / T_s = {n:.9g})"))
+            else:
+                samples = round(n)
         if ode_substeps < 1:
             found.append(("ode_substeps", "must be >= 1"))
+        elif samples * ode_substeps > MAX_RK4_STEPS:  # in integers, so no substep count overflows
+            found.append((None, f"t_end / T_s * ode_substeps must not exceed {MAX_RK4_STEPS} RK4 steps"))
         if noise_std < 0.0:
             found.append(("noise_std", "must be >= 0"))
         if seed < 0:
@@ -412,7 +415,7 @@ def _observability_columns(scn: Scenario, cols: dict) -> dict:
     else:
         theta = cols["theta_true"]
         omega = cols["omega_true"]
-        omega_dot = scn.profile.omega_dot_many(t)
+        omega_dot = scn.profile.omega_dot(t)
 
     i_a, i_b = cols["i_alpha"], cols["i_beta"]
     c, s = np.cos(theta), np.sin(theta)
@@ -458,9 +461,4 @@ def standstill_study_scenario(kind: MachineKind = MachineKind.IPMSM) -> Scenario
             t_start=0.2,
             t_end=0.5,
         ),
-        t_end=1.0,
-        T_s=1e-4,
-        ode_substeps=10,
-        theta0=0.0,
-        theta_hat_err0=-math.pi / 4.0,
     )

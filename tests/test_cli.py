@@ -176,7 +176,19 @@ def test_sweep_invalid_point_is_config_error(tmp_path, capsys):
 def test_sweep_requires_sweep_block(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     assert main(["sweep", "-c", cfg]) == 1
-    assert "no sweep block" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: sweep: config has no sweep block\n"
+
+
+def test_sweep_point_quotes_the_injection_rule(tmp_path, capsys):
+    cfg = tiny_config(
+        tmp_path,
+        scenario={"injection": {"kind": "current_on_q", "amplitude": 0.5, "window": [0.005, 0.015]}},
+        sweep={"parameter": "injection.amplitude", "values": [-1.0]},
+    )
+    assert main(["sweep", "-c", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "config error: sweep: invalid point injection.amplitude=-1.0: amplitude: must be >= 0\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +290,8 @@ def _run_cli(argv):
         ("simulate", "scenario", {"profile": [[0.0, 1e200]], "t_end": 0.001}, 2, "numerical abort: non-finite"),
         ("analyze", "scenario", {"profile": [[0.0, 1e200]], "t_end": 0.001}, 2, "numerical abort: non-finite"),
         ("simulate", "estimator", {"q_diag": [1e308] * 4}, 2, "non-finite covariance propagation"),
+        ("simulate", "scenario", {"ode_substeps": 10**400}, 1,
+         "config error: scenario: t_end / T_s * ode_substeps must not exceed"),
     ],
 )
 def test_extreme_inputs_fail_without_traceback(tmp_path, verb, block, override, code, message):

@@ -19,7 +19,7 @@ from pmsmlab.config import (
 )
 from pmsmlab.control import InjectionKind
 from pmsmlab.simulation import MachineKind, standstill_study_scenario
-from pmsmlab.simulation import MAX_SAMPLES
+from pmsmlab.simulation import MAX_RK4_STEPS, MAX_SAMPLES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -267,8 +267,11 @@ def test_type_errors():
         "scenario": {"seed": 1.5, "obs_on_estimates": "yes"},
     }
     errs = errors_of(json.dumps(bad))
-    assert "machine.R: must be a finite number" in errs
-    assert "machine.p: must be an integer" in errs
+    # a present key of the wrong type is not also reported as missing
+    assert [e for e in errs if e.startswith(("machine.R:", "machine.p:"))] == [
+        "machine.R: must be a finite number",
+        "machine.p: must be an integer",
+    ]
     assert "scenario.seed: must be an integer" in errs
     assert "scenario.obs_on_estimates: must be true or false" in errs
 
@@ -337,6 +340,22 @@ def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
     assert errors_of(json.dumps(doc)) == [f"{SCENARIO_PATHS[field]}: {message}"]
 
 
+@pytest.mark.parametrize(
+    "field, change, value, message",
+    [
+        ("window", {"t_start": 0.5, "t_end": 0.5}, [0.5, 0.5], "needs t_start < t_end"),
+        ("amplitude", {"amplitude": -1.0}, -1.0, "must be >= 0"),
+    ],
+)
+def test_injection_rule_stated_once_for_code_and_config(field, change, value, message):
+    with pytest.raises(ValueError) as exc:
+        replace(standstill_study_scenario().injection, **change)
+    assert str(exc.value) == f"{field}: {message}"
+    doc = json.loads(MINIMAL_SPMSM)
+    doc["scenario"] = {"injection": {"kind": "current_on_q", field: value}}
+    assert errors_of(json.dumps(doc)) == [f"scenario.injection.{field}: {message}"]
+
+
 def test_scenario_rules_reported_with_machine_errors():
     errs = errors_of(json.dumps({
         "machine": {"R": -1.0, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": 2},
@@ -357,6 +376,19 @@ def test_sample_count_is_capped():
         assert errors_of(json.dumps(dict(base, scenario={"t_end": t_end, "T_s": T_s}))) == [cap]
     longest = parse_config(json.dumps(dict(base, scenario={"t_end": MAX_SAMPLES * 1e-4, "T_s": 1e-4})))
     assert longest.scenario.n_samples == MAX_SAMPLES
+
+
+def test_rk4_step_count_is_capped():
+    base = json.loads(MINIMAL_SPMSM)
+    cap = f"scenario: t_end / T_s * ode_substeps must not exceed {MAX_RK4_STEPS} RK4 steps"
+    for substeps in (10**400, 10**9):  # at the shipped 1 s run of 10^4 samples
+        assert errors_of(json.dumps(dict(base, scenario={"ode_substeps": substeps}))) == [cap]
+    longest = {"t_end": MAX_SAMPLES * 1e-4, "T_s": 1e-4, "ode_substeps": 10}
+    scn = parse_config(json.dumps(dict(base, scenario=longest))).scenario
+    assert scn.n_samples * scn.ode_substeps == MAX_RK4_STEPS
+    assert errors_of(json.dumps(dict(base, scenario=dict(longest, ode_substeps=11)))) == [cap]
+    with pytest.raises(ValueError, match="RK4 steps"):
+        replace(standstill_study_scenario(), ode_substeps=10**400)
 
 
 def test_t_end_must_be_a_whole_number_of_samples():

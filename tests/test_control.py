@@ -23,6 +23,7 @@ from pmsmlab.machine import (
     dynamics_alphabeta,
     park,
 )
+from pmsmlab.simulation import Scenario
 
 T_S = 1e-4
 
@@ -40,7 +41,7 @@ def test_schedule_validation():
     InjectionSchedule()  # inactive default needs no window
     with pytest.raises(ValueError, match="t_start < t_end"):
         InjectionSchedule(InjectionKind.CURRENT_ON_Q, 0.5, 100.0, 0.5, 0.5)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="amplitude: must be >= 0"):
         InjectionSchedule(InjectionKind.CURRENT_ON_Q, -0.5, 100.0, 0.0, 1.0)
 
 
@@ -118,8 +119,8 @@ def test_default_gains_rule():
 # ---------------------------------------------------------------------------
 
 
-def _controller(params, bandwidth=2.0 * math.pi * 500.0):
-    pi_d, pi_q = default_gains(params, bandwidth=bandwidth)
+def _controller(params, bandwidth=Scenario.control_bandwidth):
+    pi_d, pi_q = default_gains(params, bandwidth=bandwidth, limit=Scenario.voltage_limit)
     return ControllerState(pi_d=pi_d, pi_q=pi_q)
 
 

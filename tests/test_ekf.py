@@ -8,7 +8,6 @@ import pytest
 from pmsmlab.ekf import (
     C_OUT,
     EkfState,
-    default_covariances,
     ekf_step,
     gain_and_innovate,
     linearize,
@@ -16,8 +15,11 @@ from pmsmlab.ekf import (
     predict,
 )
 from pmsmlab.machine import MachineState, alphabeta, dynamics_alphabeta
+from pmsmlab.simulation import Scenario
 
 T_S = 1e-4
+# the reference tuning, whose one home is Scenario
+Q, R, P0 = (np.diag(d) for d in (Scenario.q_diag, Scenario.r_diag, Scenario.p0_diag))
 
 
 def _rate(params, x, u):
@@ -32,36 +34,29 @@ def _rate(params, x, u):
 # ---------------------------------------------------------------------------
 
 
-def test_default_covariances():
-    q, r = default_covariances()
-    assert np.array_equal(q, np.diag([1.0, 1.0, 1e3, 0.1]))
-    assert np.array_equal(r, np.eye(2))
-
-
 def test_state_shape_validation():
-    q, r = default_covariances()
     with pytest.raises(ValueError):
-        EkfState(np.zeros(3), np.eye(4), q, r, T_S)
+        EkfState(np.zeros(3), np.eye(4), Q, R, T_S)
     with pytest.raises(ValueError):
-        EkfState(np.zeros(4), np.eye(3), q, r, T_S)
+        EkfState(np.zeros(4), np.eye(3), Q, R, T_S)
     with pytest.raises(ValueError):
-        EkfState(np.zeros(4), np.eye(4), np.eye(3), r, T_S)
+        EkfState(np.zeros(4), np.eye(4), np.eye(3), R, T_S)
     with pytest.raises(ValueError):
-        EkfState(np.zeros(4), np.eye(4), q, np.eye(3), T_S)
+        EkfState(np.zeros(4), np.eye(4), Q, np.eye(3), T_S)
     with pytest.raises(ValueError):
-        EkfState(np.zeros(4), np.eye(4), q, r, 0.0)
+        EkfState(np.zeros(4), np.eye(4), Q, R, 0.0)
 
 
 def test_make_ekf_validates_and_copies():
     p0 = np.eye(4)
     p0[0, 1] = 0.5
     with pytest.raises(ValueError, match="symmetric"):
-        make_ekf(np.zeros(4), T_S, P0=p0)
+        make_ekf(np.zeros(4), T_S, Q, R, p0)
     with pytest.raises(np.linalg.LinAlgError):
-        make_ekf(np.zeros(4), T_S, R_meas=np.diag([1.0, -1.0]))
+        make_ekf(np.zeros(4), T_S, Q, np.diag([1.0, -1.0]), P0)
     x0 = np.zeros(4)
     src = np.eye(4)
-    ekf = make_ekf(x0, T_S, P0=src)
+    ekf = make_ekf(x0, T_S, Q, R, src)
     src[0, 0] = 99.0
     x0[0] = 99.0
     assert ekf.P[0, 0] == 1.0 and ekf.x_hat[0] == 0.0
@@ -119,7 +114,7 @@ def test_linearize_standstill_position_blindness(sp_params):
 def test_predict_euler_forms(ip_params):
     x0 = np.array([2.0, -1.0, 30.0, 0.5])
     u = (4.0, -2.0)
-    ekf = make_ekf(x0, T_S)
+    ekf = make_ekf(x0, T_S, Q, R, P0)
     out = predict(ekf, ip_params, u)
     A, _ = linearize(ip_params, x0, u)
     p_ref = np.eye(4) + T_S * (A + A.T) + ekf.Q
@@ -130,7 +125,7 @@ def test_predict_euler_forms(ip_params):
 
 def test_predict_fixed_point(ip_params):
     # zero state, zero input, zero covariance and noise: nothing moves
-    ekf = make_ekf(np.array([0.0, 0.0, 0.0, 0.4]), T_S, Q=np.zeros((4, 4)), P0=np.zeros((4, 4)))
+    ekf = make_ekf(np.array([0.0, 0.0, 0.0, 0.4]), T_S, np.zeros((4, 4)), R, np.zeros((4, 4)))
     out = predict(ekf, ip_params, (0.0, 0.0))
     assert np.array_equal(out.x_hat, ekf.x_hat)
     assert np.array_equal(out.P, np.zeros((4, 4)))
@@ -138,7 +133,7 @@ def test_predict_fixed_point(ip_params):
 
 def test_predict_rejects_non_finite_dynamics(ip_params):
     # currents large enough that the torque products overflow
-    ekf = make_ekf(np.array([1e300, 0.0, 0.0, 0.0]), T_S)
+    ekf = make_ekf(np.array([1e300, 0.0, 0.0, 0.0]), T_S, Q, R, P0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite"):
             predict(ekf, ip_params, (0.0, 0.0))
@@ -150,7 +145,7 @@ def test_predict_rejects_non_finite_dynamics(ip_params):
 
 
 def test_innovate_consistent_measurement_keeps_state():
-    ekf = make_ekf(np.array([1.0, -2.0, 10.0, 0.3]), T_S)
+    ekf = make_ekf(np.array([1.0, -2.0, 10.0, 0.3]), T_S, Q, R, P0)
     out = gain_and_innovate(ekf, (1.0, -2.0))
     assert np.array_equal(out.x_hat, ekf.x_hat)
     # covariance still shrinks on the measured channels
@@ -158,7 +153,7 @@ def test_innovate_consistent_measurement_keeps_state():
 
 
 def test_innovate_zero_covariance_ignores_measurement():
-    ekf = make_ekf(np.array([1.0, -2.0, 10.0, 0.3]), T_S, P0=np.zeros((4, 4)))
+    ekf = make_ekf(np.array([1.0, -2.0, 10.0, 0.3]), T_S, Q, R, np.zeros((4, 4)))
     out = gain_and_innovate(ekf, (50.0, 50.0))
     assert np.array_equal(out.x_hat, ekf.x_hat)
     assert np.array_equal(out.P, np.zeros((4, 4)))
@@ -169,7 +164,7 @@ def test_innovate_never_increases_trace():
     for _ in range(100):
         m = rng.standard_normal((4, 4))
         p0 = m @ m.T + 1e-6 * np.eye(4)
-        ekf = make_ekf(rng.standard_normal(4), T_S, P0=p0)
+        ekf = make_ekf(rng.standard_normal(4), T_S, Q, R, p0)
         out = gain_and_innovate(ekf, rng.standard_normal(2))
         assert np.trace(out.P) <= np.trace(ekf.P) + 1e-12
         assert np.array_equal(out.P, out.P.T)
@@ -184,7 +179,7 @@ def test_perfect_model_tracking(ip_params):
     # truth propagated by the same Euler model, zero Q and zero P0: the filter
     # reproduces the trajectory without correction
     x_true = np.array([1.0, 0.5, 20.0, 0.1])
-    ekf = make_ekf(x_true, T_S, Q=np.zeros((4, 4)), P0=np.zeros((4, 4)))
+    ekf = make_ekf(x_true, T_S, np.zeros((4, 4)), R, np.zeros((4, 4)))
     worst = 0.0
     for k in range(1000):
         t = k * T_S
@@ -199,7 +194,7 @@ def test_long_run_covariance_hygiene(ip_params):
     # noisy measurements and a wandering input for 1e5 steps: the covariance
     # must stay exactly symmetric with non-negative diagonal throughout
     rng = np.random.default_rng(123)
-    ekf = make_ekf(np.array([0.0, 0.0, 0.0, 0.0]), T_S)
+    ekf = make_ekf(np.array([0.0, 0.0, 0.0, 0.0]), T_S, Q, R, P0)
     for _ in range(100_000):
         u = rng.uniform(-2.0, 2.0, 2)
         y = ekf.x_hat[:2] + 0.1 * rng.standard_normal(2)
@@ -211,7 +206,7 @@ def test_long_run_covariance_hygiene(ip_params):
 
 def test_steps_are_deterministic(ip_params):
     def run():
-        ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S)
+        ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
         rng = np.random.default_rng(99)
         for _ in range(100):
             u = rng.uniform(-3.0, 3.0, 2)

@@ -81,7 +81,7 @@ def test_profile_angle_exact_values():
 def test_profile_angle_matches_trapezoid_sum():
     prof = _study_profile()
     t = np.linspace(0.0, 1.0, 10001)
-    w = prof.omega_many(t)
+    w = prof.omega(t)
     dt = t[1] - t[0]
     # breakpoints land on grid nodes, so the trapezoid sum is exact too
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dt)])
@@ -92,8 +92,8 @@ def test_profile_angle_matches_trapezoid_sum():
 def test_profile_vector_forms_match_scalars():
     prof = _study_profile()
     t = np.linspace(-0.1, 1.1, 241)
-    assert np.allclose(prof.omega_many(t), [prof.omega(ti) for ti in t], atol=1e-12)
-    assert np.array_equal(prof.omega_dot_many(t), [prof.omega_dot(ti) for ti in t])
+    assert np.allclose(prof.omega(t), [prof.omega(ti) for ti in t], atol=1e-12)
+    assert np.array_equal(prof.omega_dot(t), [prof.omega_dot(ti) for ti in t])
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +379,6 @@ def test_profile_arrays_match_scalar_calls_exactly():
             scalars = np.array([[method(float(ti)) for ti in row] for row in t])
             assert np.array_equal(method(t), scalars)
             assert np.array_equal(scalars, ref[..., j])
-        assert np.array_equal(prof.omega_many(t), prof.omega(t))
-        assert np.array_equal(prof.omega_dot_many(t), prof.omega_dot(t))
 
 
 def test_profile_scalar_calls_return_float():
