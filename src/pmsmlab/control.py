@@ -4,6 +4,10 @@ A pair of PI loops regulates the dq currents; the commanded voltage is
 rotated back to the stationary frame with the true rotor angle.  Injection
 is either a sinusoidal perturbation added to the q-axis current reference
 or a voltage carrier applied on the estimated d-axis.
+
+The float kernels _pi_law and _command_ab hold the PI law and the command
+rotation with its carrier; controller_step wraps them in the validated
+PiState/ControllerState/FrameVec objects, and run_scenario's loop calls them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from pmsmlab.machine import FrameVec, MachineParams, dq, inverse_park, raise_violations
+from pmsmlab.machine import FrameVec, MachineParams, _rotate, alphabeta, raise_violations
 
 
 class InjectionKind(enum.Enum):
@@ -80,12 +84,18 @@ class PiState:
             raise ValueError("limit must be positive")
 
 
+def _pi_law(kp, ki, integrator, limit, error, T_s):
+    """One sample of the PI law on floats; returns (saturated output, integrator)."""
+    out = kp * error + integrator
+    out = min(max(out, -limit), limit)
+    integ = integrator + ki * error * T_s
+    integ = min(max(integ, -limit), limit)  # anti-windup
+    return out, integ
+
+
 def pi_step(pi: PiState, error: float, T_s: float) -> tuple[float, PiState]:
     """One sample of the PI law; returns (saturated output, advanced state)."""
-    out = pi.kp * error + pi.integrator
-    out = min(max(out, -pi.limit), pi.limit)
-    integ = pi.integrator + pi.ki * error * T_s
-    integ = min(max(integ, -pi.limit), pi.limit)  # anti-windup
+    out, integ = _pi_law(pi.kp, pi.ki, pi.integrator, pi.limit, error, T_s)
     return out, replace(pi, integrator=integ)
 
 
@@ -121,14 +131,16 @@ def controller_step(
     """
     v_d, pi_d = pi_step(ctrl.pi_d, refs[0] - i_dq_meas.x, T_s)
     v_q, pi_q = pi_step(ctrl.pi_q, refs[1] - i_dq_meas.y, T_s)
-    v_ab = inverse_park(dq(v_d, v_q), theta)
+    v_ab = _command_ab(v_d, v_q, math.cos(theta), math.sin(theta), t, schedule, theta_hat)
+    return alphabeta(*v_ab), ControllerState(pi_d=pi_d, pi_q=pi_q)
+
+
+def _command_ab(v_d, v_q, c, s, t, schedule, theta_hat):
+    """dq command to stator frame on c, s = cos, sin theta, plus any active d-hat voltage carrier."""
+    v_a, v_b = _rotate(v_d, v_q, c, s)
     if schedule is not None and schedule.kind is InjectionKind.VOLTAGE_ON_DHAT and schedule.active(t):
         if theta_hat is None:
             raise ValueError("voltage injection on the estimated axis needs theta_hat")
         carrier = schedule.carrier(t)
-        v_ab = FrameVec(
-            v_ab.x + carrier * math.cos(theta_hat),
-            v_ab.y + carrier * math.sin(theta_hat),
-            v_ab.frame,
-        )
-    return v_ab, ControllerState(pi_d=pi_d, pi_q=pi_q)
+        v_a, v_b = v_a + carrier * math.cos(theta_hat), v_b + carrier * math.sin(theta_hat)
+    return v_a, v_b

@@ -5,13 +5,15 @@ pair, so C = [I2 | 0] is constant.  Covariance prediction uses the
 continuous-Lyapunov Euler form P + T_s (A P + P A') + Q rather than the
 discrete A P A' form; the filter model assumes zero load torque.
 
-All step functions are pure: they take an EkfState and return a new one.
+All step functions are pure: they take an EkfState and return a new one that
+shares its Q, R_meas and T_s.  The model and its Jacobian are evaluated on
+x_hat as Python floats: the same IEEE results as numpy scalars, but cheaper.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +64,14 @@ def make_ekf(x0, T_s: float, Q, R_meas, P0) -> EkfState:
 
 def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
     """Analytic Jacobian A = df/dx at (x_hat, u) and constant output map C."""
-    x = np.asarray(x_hat, dtype=float)
     # rows 0-1 of the observability matrix are the output gradient; replace
     # them with the current-rate gradients and set the mechanical rows.
-    A = obs_matrix_y1_ipmsm(x, u, params)
+    A = obs_matrix_y1_ipmsm(x_hat, u, params)
     A[0:2, :] = A[2:4, :]
-    c = math.cos(x[3])
-    s = math.sin(x[3])
+    c, s = math.cos(x_hat[3]), math.sin(x_hat[3])
     c2 = c * c - s * s
     s2 = 2.0 * s * c
-    ia, ib = x[0], x[1]
+    ia, ib = x_hat[0], x_hat[1]
     L2, psi_r = params.L2, params.psi_r
     k = 1.5 * params.p * params.p / params.J
     A[2, 0] = k * (-psi_r * s - L2 * (2.0 * ia * s2 - 2.0 * ib * c2))
@@ -87,17 +87,20 @@ def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, 
 
 def predict(ekf: EkfState, params: MachineParams, u) -> EkfState:
     """Euler state propagation and Lyapunov-form covariance propagation."""
+    x = ekf.x_hat.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        A, _ = linearize(params, ekf.x_hat, u)
-        f = state_rate(params, ekf.x_hat, u)  # the filter model assumes zero load torque
-        if not np.all(np.isfinite(f)):
+        A, _ = linearize(params, x, u)
+        f = state_rate(params, x, u)  # the filter model assumes zero load torque
+        if not np.isfinite(f).all():
             raise FloatingPointError(f"non-finite filter dynamics at x_hat={ekf.x_hat}")
         x_new = ekf.x_hat + ekf.T_s * f
-        P_new = ekf.P + ekf.T_s * (A @ ekf.P + ekf.P @ A.T) + ekf.Q
+        # A P + P A' as A P + (A P)': equal bit for bit, because P is kept exactly symmetric
+        AP = A @ ekf.P
+        P_new = ekf.P + ekf.T_s * (AP + AP.T) + ekf.Q
         P_new = 0.5 * (P_new + P_new.T)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(P_new))):
+    if not (np.isfinite(x_new).all() and np.isfinite(P_new).all()):
         raise FloatingPointError("non-finite covariance propagation")
-    return replace(ekf, x_hat=x_new, P=P_new)
+    return EkfState(x_new, P_new, ekf.Q, ekf.R_meas, ekf.T_s)
 
 
 def gain_and_innovate(ekf: EkfState, y_meas) -> EkfState:
@@ -109,9 +112,9 @@ def gain_and_innovate(ekf: EkfState, y_meas) -> EkfState:
         x_new = ekf.x_hat + K @ (y - ekf.x_hat[:2])
         P_new = ekf.P - K @ ekf.P[:2, :]
         P_new = 0.5 * (P_new + P_new.T)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(P_new))):
+    if not (np.isfinite(x_new).all() and np.isfinite(P_new).all()):
         raise FloatingPointError("non-finite measurement update")
-    return replace(ekf, x_hat=x_new, P=P_new)
+    return EkfState(x_new, P_new, ekf.Q, ekf.R_meas, ekf.T_s)
 
 
 def ekf_step(ekf: EkfState, params: MachineParams, u, y_meas) -> EkfState:

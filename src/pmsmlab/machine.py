@@ -198,20 +198,23 @@ class MachineState:
         return FrameVec(self.i_alpha, self.i_beta, Frame.ALPHA_BETA)
 
 
+def _rotate(x, y, c, s):
+    """(x, y) rotated by the angle with cosine c, sine s; park is (c, -s), inverse_park (c, s)."""
+    return c * x - s * y, s * x + c * y
+
+
 def park(vec: FrameVec, theta: float) -> FrameVec:
     """Map an alpha-beta vector into the rotor frame (rotation by -theta)."""
     if vec.frame is not Frame.ALPHA_BETA:
         raise FrameError(f"park expects an alpha-beta vector, got {vec.frame.value}")
-    c, s = math.cos(theta), math.sin(theta)
-    return FrameVec(c * vec.x + s * vec.y, -s * vec.x + c * vec.y, Frame.DQ)
+    return FrameVec(*_rotate(vec.x, vec.y, math.cos(theta), -math.sin(theta)), Frame.DQ)
 
 
 def inverse_park(vec: FrameVec, theta: float) -> FrameVec:
     """Map a dq vector back to the stator frame (rotation by +theta)."""
     if vec.frame is not Frame.DQ:
         raise FrameError(f"inverse_park expects a dq vector, got {vec.frame.value}")
-    c, s = math.cos(theta), math.sin(theta)
-    return FrameVec(c * vec.x - s * vec.y, s * vec.x + c * vec.y, Frame.ALPHA_BETA)
+    return FrameVec(*_rotate(vec.x, vec.y, math.cos(theta), math.sin(theta)), Frame.ALPHA_BETA)
 
 
 def inductance_matrix(theta: float, params: MachineParams) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _electrical_rate_ab, state_rate
+from pmsmlab.machine import MachineParams, _electrical_rate_ab, _rotate, state_rate
 
 STATE_DIM = 4
 OUT_DIM = 2
@@ -600,12 +600,8 @@ def trajectory_reports(
 
     # rotor-frame rates back to stator frame for the analytic order-1 matrix
     c, s = np.cos(theta), np.sin(theta)
-    i_a = c * i_d - s * i_q
-    i_b = s * i_d + c * i_q
-    di_a_r = di_d - omega * i_q
-    di_b_r = di_q + omega * i_d
-    di_a = c * di_a_r - s * di_b_r
-    di_b = s * di_a_r + c * di_b_r
+    i_a, i_b = _rotate(i_d, i_q, c, s)
+    di_a, di_b = _rotate(di_d - omega * i_q, di_q + omega * i_d, c, s)
     m1 = _obs_matrix_y1(params, i_a, i_b, omega, c, s, di_a, di_b)
     bad = ~np.isfinite(m1).all(axis=(-2, -1))
     if bad.any():

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from pmsmlab.control import (
-    ControllerState,
     InjectionKind,
     InjectionSchedule,
-    controller_step,
+    _command_ab,
+    _pi_law,
     current_reference,
     default_gains,
 )
@@ -29,17 +29,16 @@ from pmsmlab.machine import (
     MachineParams,
     MachineState,
     _electrical_rate_ab,
-    alphabeta,
+    _rotate,
     dq,
     inverse_park,
-    park,
     raise_violations,
     wrap_angle,
 )
 from pmsmlab.observability import trajectory_reports
 
 
-_PROFILE_BLOCK = 16  # samples per profile evaluation in run_scenario
+_STAGE_CHUNK = 1024  # RK4 steps per profile evaluation in run_scenario: bounds its memory
 MAX_SAMPLES = 10**7  # longest run, in samples: its log columns alone take about 2 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
@@ -273,6 +272,16 @@ def integrate_electrical(
     return MachineState(ia, ib, w[2], theta, state.T_l)
 
 
+def _stage_profile(profile: SpeedProfile, n: int, substeps: int, T_s: float, dt: float):
+    """Profile (speeds, angles) at the 3 stage times of each RK4 step of a run, _STAGE_CHUNK steps at a time."""
+    total = n * substeps
+    for m0 in range(0, total, _STAGE_CHUNK):
+        m = np.arange(m0, min(m0 + _STAGE_CHUNK, total))
+        t0 = m // substeps * T_s + m % substeps * dt  # k*T_s + j*dt, as the loop counts time
+        w, _, a = profile.evaluate(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=-1))
+        yield from zip(w.tolist(), a.tolist())
+
+
 def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     """Execute the closed-loop scenario and return the full log.
 
@@ -287,7 +296,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     """
     params = scn.params
     n = scn.n_samples
-    dt = scn.T_s / scn.ode_substeps
+    T_s, dt = scn.T_s, scn.T_s / scn.ode_substeps
     rng = np.random.default_rng(scn.seed)
 
     # the run begins with the current loops already settled at the base
@@ -301,19 +310,12 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     ia, ib, omega, theta = i_ab0.x, i_ab0.y, w0, scn.theta0
     v_d0 = params.R * i_d0 - w0 * params.Lq * i_q0
     v_q0 = params.R * i_q0 + w0 * (params.Ld * i_d0 + params.psi_r)
-    pi_d, pi_q = default_gains(params, scn.control_bandwidth, scn.voltage_limit)
-    clamp = lambda v: min(max(v, -scn.voltage_limit), scn.voltage_limit)
-    ctrl = ControllerState(
-        pi_d=replace(pi_d, integrator=clamp(v_d0)),
-        pi_q=replace(pi_q, integrator=clamp(v_q0)),
-    )
-    ekf = make_ekf(
-        [i_ab0.x, i_ab0.y, 0.0, scn.theta0 + scn.theta_hat_err0],
-        scn.T_s,
-        Q=np.diag(scn.q_diag),
-        R_meas=np.diag(scn.r_diag),
-        P0=np.diag(scn.p0_diag),
-    )
+    limit = scn.voltage_limit
+    pi_d, pi_q = default_gains(params, scn.control_bandwidth, limit)
+    integ_d, integ_q = (min(max(v, -limit), limit) for v in (v_d0, v_q0))
+    theta_hat = scn.theta0 + scn.theta_hat_err0  # the filter's prior angle, unwrapped
+    ekf = make_ekf([i_ab0.x, i_ab0.y, 0.0, theta_hat], T_s,
+                   Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag))
 
     cols = {  # NaN stays in the estimate columns when the estimator is skipped
         name: np.full(n, math.nan)
@@ -323,66 +325,51 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
             "omega_hat", "theta_hat", "theta_err",
         )
     }
-    aborted = False
-    abort_time = None
-    abort_reason = ""
+    aborted, abort_time, abort_reason = False, None, ""
     rows = 0
-    substep_starts = np.arange(scn.ode_substeps) * dt
+    stages = _stage_profile(scn.profile, n, scn.ode_substeps, T_s, dt)
 
     for k in range(n):
-        b = k % _PROFILE_BLOCK
-        if b == 0:
-            # profile speed and angle at every RK4 stage time of the block
-            t0 = np.arange(k, min(k + _PROFILE_BLOCK, n))[:, None] * scn.T_s + substep_starts
-            stage_t = np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=-1)
-            w_blk, _, a_blk = (x.tolist() for x in scn.profile.evaluate(stage_t))
-        t_k = k * scn.T_s
-        y = np.array([ia, ib])
+        t_k = k * T_s
+        ya, yb = ia, ib
         if scn.noise_std > 0.0:
-            y = y + scn.noise_std * rng.standard_normal(2)
+            ya, yb = (np.array([ia, ib]) + scn.noise_std * rng.standard_normal(2)).tolist()
 
+        # PI control in the rotor frame of the true angle, on plain floats
+        c, s = math.cos(theta), math.sin(theta)
         refs = current_reference(t_k, scn.injection, scn.setpoints)
-        i_dq_meas = park(alphabeta(y[0], y[1]), theta)
-        theta_hat_prior = ekf.x_hat[3]
-        v_ab, ctrl = controller_step(
-            ctrl, i_dq_meas, refs, theta, scn.T_s,
-            t=t_k, schedule=scn.injection, theta_hat=theta_hat_prior,
-        )
+        i_d_meas, i_q_meas = _rotate(ya, yb, c, -s)
+        v_d, integ_d = _pi_law(pi_d.kp, pi_d.ki, integ_d, limit, refs[0] - i_d_meas, T_s)
+        v_q, integ_q = _pi_law(pi_q.kp, pi_q.ki, integ_q, limit, refs[1] - i_q_meas, T_s)
+        va, vb = _command_ab(v_d, v_q, c, s, t_k, scn.injection, theta_hat)
 
         try:
             ia_new, ib_new, theta_new = ia, ib, theta
             for j in range(scn.ode_substeps):
+                w, a = next(stages)
                 ia_new, ib_new, theta_new = _rk4_step(
-                    params, ia_new, ib_new, theta_new, v_ab.x, v_ab.y,
-                    t_k + j * dt, dt, w_blk[b][j], a_blk[b][j],
+                    params, ia_new, ib_new, theta_new, va, vb, t_k + j * dt, dt, w, a
                 )
             if with_ekf:
-                ekf = ekf_step(ekf, params, (v_ab.x, v_ab.y), y)
+                ekf = ekf_step(ekf, params, (va, vb), (ya, yb))
         except FloatingPointError as exc:
-            aborted = True
-            abort_time = t_k
-            abort_reason = str(exc)
+            aborted, abort_time, abort_reason = True, t_k, str(exc)
             break
 
-        i_dq_true = park(alphabeta(ia, ib), theta)
-        c = cols
-        c["t"][k] = t_k
-        c["i_alpha"][k] = ia
-        c["i_beta"][k] = ib
-        c["i_d"][k] = i_dq_true.x
-        c["i_q"][k] = i_dq_true.y
-        c["id_ref"][k] = refs[0]
-        c["iq_ref"][k] = refs[1]
-        c["v_alpha"][k] = v_ab.x
-        c["v_beta"][k] = v_ab.y
-        c["omega_true"][k] = omega
-        c["theta_true"][k] = wrap_angle(theta)
+        cols["t"][k] = t_k
+        cols["i_alpha"][k], cols["i_beta"][k] = ia, ib
+        cols["i_d"][k], cols["i_q"][k] = _rotate(ia, ib, c, -s)
+        cols["id_ref"][k], cols["iq_ref"][k] = refs
+        cols["v_alpha"][k], cols["v_beta"][k] = va, vb
+        cols["omega_true"][k] = omega
+        cols["theta_true"][k] = wrap_angle(theta)
         if with_ekf:
-            c["omega_hat"][k] = ekf.x_hat[2]
-            c["theta_hat"][k] = wrap_angle(ekf.x_hat[3])
-            c["theta_err"][k] = wrap_angle(ekf.x_hat[3] - theta)
+            _, _, omega_hat, theta_hat = ekf.x_hat.tolist()
+            cols["omega_hat"][k] = omega_hat
+            cols["theta_hat"][k] = wrap_angle(theta_hat)
+            cols["theta_err"][k] = wrap_angle(theta_hat - theta)
         rows += 1
-        ia, ib, omega, theta = ia_new, ib_new, w_blk[b][-1][2], theta_new
+        ia, ib, omega, theta = ia_new, ib_new, w[2], theta_new
 
     for name in cols:
         cols[name] = cols[name][:rows]
@@ -419,12 +406,11 @@ def _observability_columns(scn: Scenario, cols: dict) -> dict:
 
     i_a, i_b = cols["i_alpha"], cols["i_beta"]
     c, s = np.cos(theta), np.sin(theta)
-    i_d = c * i_a + s * i_b
-    i_q = -s * i_a + c * i_b
+    i_d, i_q = _rotate(i_a, i_b, c, -s)
     di_a, di_b = _electrical_rate_ab(scn.params, i_a, i_b, omega, c, s, cols["v_alpha"], cols["v_beta"])
     # stator rates to rotor-frame rates, rotation term included
-    di_d = c * di_a + s * di_b + omega * i_q
-    di_q = -s * di_a + c * di_b - omega * i_d
+    di_d, di_q = _rotate(di_a, di_b, c, -s)
+    di_d, di_q = di_d + omega * i_q, di_q - omega * i_d
     return trajectory_reports(scn.params, t, i_d, i_q, di_d, di_q, omega, omega_dot, theta)
 
 

@@ -217,3 +217,43 @@ def test_steps_are_deterministic(ip_params):
     a, b = run(), run()
     assert np.array_equal(a.x_hat, b.x_hat)
     assert np.array_equal(a.P, b.P)
+
+
+# ---------------------------------------------------------------------------
+# step composition and the covariance form
+# ---------------------------------------------------------------------------
+
+
+def test_ekf_step_is_predict_then_update_bit_for_bit(ip_params):
+    rng = np.random.default_rng(2024)
+    ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
+    for _ in range(1000):
+        u = rng.uniform(-3.0, 3.0, 2)
+        y = ekf.x_hat[:2] + 0.1 * rng.standard_normal(2)
+        ref = gain_and_innovate(predict(ekf, ip_params, u), y)
+        ekf = ekf_step(ekf, ip_params, u, y)
+        assert np.array_equal(ekf.x_hat, ref.x_hat)
+        assert np.array_equal(ekf.P, ref.P)
+
+
+def test_predict_covariance_is_the_lyapunov_form_bit_for_bit(ip_params):
+    # predict forms A P once and uses (A P)' for P A'; on an exactly
+    # symmetric P that must give the written formula bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        x = rng.uniform(-5.0, 5.0, 4) * (1.0, 1.0, 50.0, 1.0)
+        u = rng.uniform(-3.0, 3.0, 2)
+        B = rng.standard_normal((4, 4))
+        P = 0.5 * (B @ B.T + (B @ B.T).T)
+        assert np.array_equal(P, P.T)
+        A, _ = linearize(ip_params, x, u)
+        M = P + T_S * (A @ P + P @ A.T) + Q
+        out = predict(EkfState(x, P, Q, R, T_S), ip_params, u)
+        assert np.array_equal(out.P, 0.5 * (M + M.T))
+
+
+def test_steps_keep_the_callers_tuning_objects(ip_params):
+    ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
+    for out in (predict(ekf, ip_params, (1.0, -1.0)), gain_and_innovate(ekf, (0.4, -0.6))):
+        assert type(out) is EkfState
+        assert out.Q is ekf.Q and out.R_meas is ekf.R_meas and out.T_s is ekf.T_s

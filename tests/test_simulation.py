@@ -2,11 +2,21 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pmsmlab.machine import MachineState, dq, inverse_park, park
+from pmsmlab.control import (
+    ControllerState,
+    InjectionKind,
+    InjectionSchedule,
+    controller_step,
+    current_reference,
+    default_gains,
+)
+from pmsmlab.ekf import ekf_step, make_ekf
+from pmsmlab.machine import MachineState, alphabeta, dq, inverse_park, park
 from pmsmlab.observability import sample_report
 from pmsmlab.simulation import (
     MachineKind,
@@ -406,6 +416,58 @@ def test_run_replays_through_the_single_step_integrator():
             st = integrate_electrical(st, v, prof, k * scn.T_s + j * dt, dt, scn.params)
         assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
         assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
+
+
+@pytest.mark.parametrize("case", ["current_on_q", "voltage_on_dhat", "saturated"])
+def test_run_replays_through_the_public_controller(case):
+    # one controller: the logged measured currents, stepped through
+    # controller_step, reproduce the logged voltages bit for bit
+    prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.004, 0.0), (0.015, 40.0)])
+    window = dict(frequency=1000.0 * math.pi, t_start=0.002, t_end=0.008)
+    over = {"injection": InjectionSchedule(InjectionKind.CURRENT_ON_Q, amplitude=0.5, **window)}
+    if case == "voltage_on_dhat":
+        over["injection"] = InjectionSchedule(InjectionKind.VOLTAGE_ON_DHAT, amplitude=2.0, **window)
+    elif case == "saturated":
+        over["voltage_limit"] = 0.2  # below the back-EMF of the ramp
+    scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3, t_end=0.015, **over)
+    log = run_scenario(scn)
+    assert not log.aborted
+    assert np.all(np.abs(log.theta_true) < math.pi)  # so the logged (wrapped) angle is exact
+
+    # the settled start of run_scenario
+    p, (i_d0, i_q0), w0, lim = scn.params, scn.setpoints, prof.omega(0.0), scn.voltage_limit
+    pi_d, pi_q = default_gains(p, scn.control_bandwidth, lim)
+    v0 = (p.R * i_d0 - w0 * p.Lq * i_q0, p.R * i_q0 + w0 * (p.Ld * i_d0 + p.psi_r))
+    ctrl = ControllerState(*(dataclasses.replace(pi, integrator=min(max(v, -lim), lim))
+                             for pi, v in zip((pi_d, pi_q), v0)))
+    i_ab0 = inverse_park(dq(i_d0, i_q0), scn.theta0)
+    ekf = make_ekf([i_ab0.x, i_ab0.y, 0.0, scn.theta0 + scn.theta_hat_err0], scn.T_s,
+                   Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag))
+    saturated = False
+    for k in range(len(log)):
+        y = alphabeta(log.i_alpha[k], log.i_beta[k])
+        theta, t = log.theta_true[k], log.t[k]
+        refs = current_reference(t, scn.injection, scn.setpoints)
+        # the filter's prior angle is unwrapped; the log holds it wrapped
+        v, ctrl = controller_step(ctrl, park(y, theta), refs, theta, scn.T_s,
+                                  t=t, schedule=scn.injection, theta_hat=ekf.x_hat[3])
+        assert (v.x, v.y) == (log.v_alpha[k], log.v_beta[k])
+        saturated |= abs(ctrl.pi_q.integrator) == lim
+        ekf = ekf_step(ekf, p, (v.x, v.y), (y.x, y.y))
+    assert saturated == (case == "saturated")
+
+
+def test_many_substeps_run_in_bounded_memory():
+    # the stage times are evaluated a bounded number of RK4 steps at a time,
+    # so peak memory does not grow with ode_substeps
+    scn = _tiny(t_end=1e-4, ode_substeps=10**4)
+    tracemalloc.start()
+    try:
+        run_scenario(scn, with_ekf=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize(
