@@ -107,8 +107,11 @@ def gain_and_innovate(ekf: EkfState, y_meas) -> EkfState:
     """Kalman gain, measurement update, covariance downdate, symmetrization."""
     y = np.asarray(y_meas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = ekf.P[:2, :2] + ekf.R_meas
-        K = np.linalg.solve(S.T, ekf.P[:, :2].T).T  # P C' S^-1
+        (s00, s01), (s10, s11) = (ekf.P[:2, :2] + ekf.R_meas).tolist()
+        det = s00 * s11 - s01 * s10
+        if det <= 0.0 or s00 <= 0.0:
+            raise FloatingPointError("innovation covariance not positive definite")
+        K = ekf.P[:, :2] @ (np.array([[s11, -s01], [-s10, s00]]) / det)  # P C' S^-1, closed form
         x_new = ekf.x_hat + K @ (y - ekf.x_hat[:2])
         P_new = ekf.P - K @ ekf.P[:2, :]
         P_new = 0.5 * (P_new + P_new.T)

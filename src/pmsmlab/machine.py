@@ -256,8 +256,9 @@ def inductance_matrix_inv(theta: float, params: MachineParams) -> np.ndarray:
 def _electrical_rate_ab(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b):
     """dI/dt in the stator frame, with c, s = cos(theta), sin(theta).
 
-    Plain arithmetic: the RK4 stage loop calls it on floats without array
-    allocation, and whole-trajectory columns call it on arrays of samples.
+    Plain arithmetic, so it broadcasts: the plant's step-map builder calls it
+    on basis columns against blocks of RK4 steps, whole-trajectory columns
+    call it on arrays of samples, and the filter model on floats.
     """
     c2 = c * c - s * s
     s2 = 2.0 * s * c

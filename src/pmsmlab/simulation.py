@@ -5,6 +5,10 @@ The mechanical trajectory is imposed by a piecewise-linear speed profile
 are integrated.  A fixed control clock runs measurement, dq-current PI
 control with the true rotor angle, plant integration with RK4 substeps,
 one EKF cycle on the measured currents, and trajectory logging.
+
+With the motion imposed, one RK4 substep maps the currents affinely.  The
+maps depend only on the scenario, so they are built in blocks of steps by
+one broadcasting RK4 (`_step_maps`), and each substep applies its map.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from pmsmlab.machine import (
 from pmsmlab.observability import trajectory_reports
 
 
-_STAGE_CHUNK = 1024  # RK4 steps per profile evaluation in run_scenario: bounds its memory
+_MAP_BLOCK = 512  # RK4 steps per block of step maps in run_scenario: bounds its memory
 MAX_SAMPLES = 10**7  # longest run, in samples: its log columns alone take about 2 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
@@ -227,29 +231,51 @@ class TrajectoryLog:
         return self.t.shape[0]
 
 
-def _rk4_step(params: MachineParams, ia, ib, theta, va, vb, t, dt, w, a):
-    """One classical RK4 step of the currents over [t, t+dt], on plain floats.
+def _step_maps(params: MachineParams, profile: SpeedProfile, t0, dt: float, theta: float) -> list:
+    """Affine RK4 step maps of the currents, for the steps [t, t+dt] at the start times t0.
 
-    w and a hold the profile speed and angle at t, t+dt/2 and t+dt; the angle
-    is anchored at theta, the voltage held.  Returns (i_alpha, i_beta, theta).
+    The motion is imposed and the voltage held, so one classical RK4 step
+    moves the currents by D e + X i + c, with e = v - R i.  One RK4 over the
+    basis columns (e_alpha, e_beta, i_alpha, i_beta, 1) builds every map of
+    the block; an i column holds v = R i, so its e is exactly 0.  The
+    back-EMF response lands in every column, so the constant column is c and
+    is taken off the other four.  The angle starts at theta and runs on as
+    (theta - a0) + a2, with a the profile angles at t, t+dt/2 and t+dt.
+
+    Returns one row per step: D_aa, D_ab, X_aa, X_ab, c_a, D_ba, D_bb, X_ba,
+    X_bb, c_b, then the speed and the angle at the step's end.
     """
-    th_base = theta - a[0]
-    thm = th_base + a[1]
-    the = th_base + a[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite maps abort in _apply_map
+        w, _, a = profile.evaluate(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=-1))
+        # one sequential sum: each angle is the float chain (theta - a0) + a2, step after step, across blocks too
+        th = np.empty(2 * len(t0) + 1)
+        th[0], th[1::2], th[2::2] = theta, -a[:, 0], a[:, 2]
+        th = np.add.accumulate(th)  # step angles at the even entries, theta - a0 at the odd ones
+        c, s = np.cos(th[::2]), np.sin(th[::2])
+        cm, sm = np.cos(th[1::2] + a[:, 1]), np.sin(th[1::2] + a[:, 1])
 
-    c0, s0 = math.cos(theta), math.sin(theta)
-    cm, sm = math.cos(thm), math.sin(thm)
-    ce, se = math.cos(the), math.sin(the)
-    w0, wm, we = w
-    k1a, k1b = _electrical_rate_ab(params, ia, ib, w0, c0, s0, va, vb)
-    k2a, k2b = _electrical_rate_ab(params, ia + 0.5 * dt * k1a, ib + 0.5 * dt * k1b, wm, cm, sm, va, vb)
-    k3a, k3b = _electrical_rate_ab(params, ia + 0.5 * dt * k2a, ib + 0.5 * dt * k2b, wm, cm, sm, va, vb)
-    k4a, k4b = _electrical_rate_ab(params, ia + dt * k3a, ib + dt * k3b, we, ce, se, va, vb)
-    ia_new = ia + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    ib_new = ib + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    if not (math.isfinite(ia_new) and math.isfinite(ib_new)):
+        e_a, e_b, ia, ib, _ = np.eye(5)[:, :, None]  # the basis columns, as (5, 1) arrays
+        va, vb = e_a + params.R * ia, e_b + params.R * ib
+        k1a, k1b = _electrical_rate_ab(params, ia, ib, w[:, 0], c[:-1], s[:-1], va, vb)
+        k2a, k2b = _electrical_rate_ab(params, ia + 0.5 * dt * k1a, ib + 0.5 * dt * k1b, w[:, 1], cm, sm, va, vb)
+        k3a, k3b = _electrical_rate_ab(params, ia + 0.5 * dt * k2a, ib + 0.5 * dt * k2b, w[:, 1], cm, sm, va, vb)
+        k4a, k4b = _electrical_rate_ab(params, ia + dt * k3a, ib + dt * k3b, w[:, 2], c[1:], s[1:], va, vb)
+        da = dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        db = dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        da[:4] -= da[4]
+        db[:4] -= db[4]
+    return np.vstack([da, db, w[:, 2], th[2::2]]).T.tolist()
+
+
+def _apply_map(row, R: float, ia: float, ib: float, va: float, vb: float, t: float, dt: float):
+    """Currents after the RK4 step [t, t+dt] whose _step_maps row is row."""
+    daa, dab, xaa, xab, ca, dba, dbb, xba, xbb, cb, _, _ = row
+    ea, eb = va - R * ia, vb - R * ib
+    ia, ib = (ia + (daa * ea + dab * eb + xaa * ia + xab * ib + ca),
+              ib + (dba * ea + dbb * eb + xba * ia + xbb * ib + cb))
+    if not (math.isfinite(ia) and math.isfinite(ib)):
         raise FloatingPointError(f"non-finite currents at t={t + dt:.6g}")
-    return ia_new, ib_new, the
+    return ia, ib
 
 
 def integrate_electrical(
@@ -267,19 +293,21 @@ def integrate_electrical(
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    w, _, a = (x.tolist() for x in profile.evaluate((t, t + 0.5 * dt, t + dt)))
-    ia, ib, theta = _rk4_step(params, state.i_alpha, state.i_beta, state.theta, v_ab.x, v_ab.y, t, dt, w, a)
-    return MachineState(ia, ib, w[2], theta, state.T_l)
+    (row,) = _step_maps(params, profile, np.array([t]), dt, state.theta)
+    ia, ib = _apply_map(row, params.R, state.i_alpha, state.i_beta, v_ab.x, v_ab.y, t, dt)
+    return MachineState(ia, ib, row[10], row[11], state.T_l)
 
 
-def _stage_profile(profile: SpeedProfile, n: int, substeps: int, T_s: float, dt: float):
-    """Profile (speeds, angles) at the 3 stage times of each RK4 step of a run, _STAGE_CHUNK steps at a time."""
+def _run_maps(params: MachineParams, profile: SpeedProfile, n: int, substeps: int, T_s: float, dt: float,
+              theta: float):
+    """_step_maps rows for every RK4 step of a run, _MAP_BLOCK steps at a time."""
     total = n * substeps
-    for m0 in range(0, total, _STAGE_CHUNK):
-        m = np.arange(m0, min(m0 + _STAGE_CHUNK, total))
-        t0 = m // substeps * T_s + m % substeps * dt  # k*T_s + j*dt, as the loop counts time
-        w, _, a = profile.evaluate(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=-1))
-        yield from zip(w.tolist(), a.tolist())
+    for m0 in range(0, total, _MAP_BLOCK):
+        m = np.arange(m0, min(m0 + _MAP_BLOCK, total))
+        # k*T_s + j*dt, as the loop counts time
+        rows = _step_maps(params, profile, m // substeps * T_s + m % substeps * dt, dt, theta)
+        theta = rows[-1][11]
+        yield from rows
 
 
 def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
@@ -294,7 +322,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     estimate columns come back NaN.  The true trajectory is identical either
     way since the estimator never feeds back into the control loop.
     """
-    params = scn.params
+    params, R = scn.params, scn.params.R
     n = scn.n_samples
     T_s, dt = scn.T_s, scn.T_s / scn.ode_substeps
     rng = np.random.default_rng(scn.seed)
@@ -327,7 +355,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     }
     aborted, abort_time, abort_reason = False, None, ""
     rows = 0
-    stages = _stage_profile(scn.profile, n, scn.ode_substeps, T_s, dt)
+    maps = _run_maps(params, scn.profile, n, scn.ode_substeps, T_s, dt, theta)
 
     for k in range(n):
         t_k = k * T_s
@@ -344,12 +372,10 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
         va, vb = _command_ab(v_d, v_q, c, s, t_k, scn.injection, theta_hat)
 
         try:
-            ia_new, ib_new, theta_new = ia, ib, theta
+            ia_new, ib_new = ia, ib
             for j in range(scn.ode_substeps):
-                w, a = next(stages)
-                ia_new, ib_new, theta_new = _rk4_step(
-                    params, ia_new, ib_new, theta_new, va, vb, t_k + j * dt, dt, w, a
-                )
+                row = next(maps)
+                ia_new, ib_new = _apply_map(row, R, ia_new, ib_new, va, vb, t_k + j * dt, dt)
             if with_ekf:
                 ekf = ekf_step(ekf, params, (va, vb), (ya, yb))
         except FloatingPointError as exc:
@@ -369,7 +395,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
             cols["theta_hat"][k] = wrap_angle(theta_hat)
             cols["theta_err"][k] = wrap_angle(theta_hat - theta)
         rows += 1
-        ia, ib, omega, theta = ia_new, ib_new, w[2], theta_new
+        ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
 
     for name in cols:
         cols[name] = cols[name][:rows]

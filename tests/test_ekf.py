@@ -257,3 +257,32 @@ def test_steps_keep_the_callers_tuning_objects(ip_params):
     for out in (predict(ekf, ip_params, (1.0, -1.0)), gain_and_innovate(ekf, (0.4, -0.6))):
         assert type(out) is EkfState
         assert out.Q is ekf.Q and out.R_meas is ekf.R_meas and out.T_s is ekf.T_s
+
+
+# ---------------------------------------------------------------------------
+# the gain
+# ---------------------------------------------------------------------------
+
+
+def test_gain_matches_a_linear_solve():
+    # the closed-form inverse of the 2x2 S gives the solver's gain to rounding
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        B = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3.0, 2.0)
+        P = 0.5 * (B @ B.T + (B @ B.T).T)
+        Bm = rng.standard_normal((2, 2))
+        R_meas = 0.5 * (Bm @ Bm.T + (Bm @ Bm.T).T) + 0.1 * np.eye(2)
+        ref = np.linalg.solve((P[:2, :2] + R_meas).T, P[:, :2].T).T
+        # from a zero estimate, the measurement e_j moves x_hat by K[:, j] exactly
+        K = np.stack([gain_and_innovate(EkfState(np.zeros(4), P, Q, R_meas, T_S), y).x_hat
+                      for y in ((1.0, 0.0), (0.0, 1.0))], axis=1)
+        assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("block", [[[-3.0, 0.0], [0.0, 1.0]], [[0.0, 2.0], [2.0, 0.0]]])
+def test_non_positive_definite_innovation_covariance_is_a_named_abort(block):
+    # S = P[:2, :2] + I: a negative leading entry, then a negative determinant
+    P = np.eye(4)
+    P[:2, :2] = block
+    with pytest.raises(FloatingPointError, match="^innovation covariance not positive definite$"):
+        gain_and_innovate(EkfState(np.zeros(4), P, Q, R, T_S), (0.1, -0.2))

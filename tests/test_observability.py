@@ -187,6 +187,49 @@ def test_det_y1_equals_matrix_determinant(ip_params):
         assert np.linalg.det(mat) == pytest.approx(cf, rel=1e-10)
 
 
+def _exact_order1_matrix():
+    """Order-1 observability matrix of the salient model, derived in sympy.
+
+    The model is written from the flux law, v = R i + d/dt (L(theta) i +
+    psi_r (cos theta, sin theta)) with d theta/dt = omega, and not from the
+    program's kernel.  Returns the matrix and its determinant as mpmath
+    functions of (i_a, i_b, omega, theta, v_a, v_b, R, L0, L2, psi_r).
+    """
+    import sympy
+
+    ia, ib, w, th, va, vb, R, L0, L2, psi = sympy.symbols("i_a i_b omega theta v_a v_b R L_0 L_2 psi_r", real=True)
+    L = sympy.Matrix([[L0 + L2 * sympy.cos(2 * th), L2 * sympy.sin(2 * th)],
+                      [L2 * sympy.sin(2 * th), L0 - L2 * sympy.cos(2 * th)]])
+    i = sympy.Matrix([ia, ib])
+    rotor = sympy.Matrix([sympy.cos(th), sympy.sin(th)])
+    di = L.inv() * (sympy.Matrix([va, vb]) - R * i - w * (L.diff(th) * i + psi * rotor.diff(th)))
+    x = sympy.Matrix([ia, ib, w, th])
+    O = sympy.Matrix.vstack(i.jacobian(x), di.jacobian(x))  # gradients of y and of dy/dt
+    args = (ia, ib, w, th, va, vb, R, L0, L2, psi)
+    return sympy.lambdify(args, O, "mpmath"), sympy.lambdify(args, O.det(), "mpmath")
+
+
+def test_order1_closed_forms_match_the_exact_symbolic_matrix(ip_params):
+    # the exact route for the order-1 closed forms; the FD oracle checks stay as the independent numerical route
+    import mpmath
+
+    matrix, det = _exact_order1_matrix()
+    worst_det = worst_row = 0.0
+    with mpmath.workdps(40):
+        for x, u in ipmsm_free_states(42, 100):  # criterion 1's states and machine
+            args = [mpmath.mpf(float(v)) for v in (*x, *u, ip_params.R, ip_params.L0, ip_params.L2, ip_params.psi_r)]
+            exact = det(*args)
+            state = MachineState(*x)
+            i_dq = park(state.currents, x[3])
+            cf = det_y1_ipmsm((i_dq.x, i_dq.y), dq_current_rate(state, alphabeta(*u), ip_params), x[2], ip_params)
+            worst_det = max(worst_det, float(abs(cf - exact) / abs(exact)))
+            O = np.array(matrix(*args).tolist(), dtype=float)
+            row_err = np.abs(obs_matrix_y1_ipmsm(x, u, ip_params) - O) / np.max(np.abs(O), axis=1, keepdims=True)
+            worst_row = max(worst_row, float(np.max(row_err)))
+    assert worst_det < 1e-12
+    assert worst_row < 1e-12
+
+
 def test_spmsm_standstill_matrix_has_zero_position_column(sp_params):
     for theta in (0.0, 0.7, -2.1):
         mat = obs_matrix_y1_ipmsm([3.0, -1.0, 0.0, theta], [0.5, -0.2], sp_params)

@@ -16,7 +16,7 @@ from pmsmlab.control import (
     default_gains,
 )
 from pmsmlab.ekf import ekf_step, make_ekf
-from pmsmlab.machine import MachineState, alphabeta, dq, inverse_park, park
+from pmsmlab.machine import MachineState, alphabeta, dq, dynamics_alphabeta, inverse_park, park
 from pmsmlab.observability import sample_report
 from pmsmlab.simulation import (
     MachineKind,
@@ -416,6 +416,101 @@ def test_run_replays_through_the_single_step_integrator():
             st = integrate_electrical(st, v, prof, k * scn.T_s + j * dt, dt, scn.params)
         assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
         assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
+
+
+@pytest.mark.parametrize("substeps, t_end", [(3, 0.06), (137, 0.002)])
+def test_run_replays_across_map_blocks(substeps, t_end):
+    # the run builds its step maps _MAP_BLOCK RK4 steps at a time, so block
+    # edges fall mid-sample; the replay through integrate_electrical, which
+    # builds one map per call, must still match bit for bit
+    from pmsmlab.simulation import _MAP_BLOCK
+
+    prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.25 * t_end, 0.0), (t_end, 40.0)])
+    scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3, t_end=t_end, ode_substeps=substeps)
+    assert scn.n_samples * substeps > 3 * _MAP_BLOCK and _MAP_BLOCK % substeps != 0
+    log = run_scenario(scn, with_ekf=False)
+    assert len(log) == scn.n_samples
+    dt = scn.T_s / substeps
+    st = MachineState(log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
+    for k in range(len(log) - 1):
+        v = alphabeta(log.v_alpha[k], log.v_beta[k])
+        for j in range(substeps):
+            st = integrate_electrical(st, v, prof, k * scn.T_s + j * dt, dt, scn.params)
+        assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
+        assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
+
+
+def _stagewise_rk4(params, prof, i_a, i_b, theta, v, t, dt):
+    """Classical RK4 of the currents over [t, t+dt], stage by stage on floats, through the public model.
+
+    The angle is anchored at theta and follows the profile: (theta - a0) + a.
+    Returns (i_alpha, i_beta, omega, theta) at t+dt.
+    """
+    (w0, _, a0), (wm, _, am), (we, _, ae) = (prof.evaluate(x) for x in (t, t + 0.5 * dt, t + dt))
+    thm, the = (theta - a0) + am, (theta - a0) + ae
+
+    def rate(x, y, w, th):
+        di, _, _ = dynamics_alphabeta(MachineState(x, y, w, th), v, params)
+        return di[0], di[1]
+
+    k1 = rate(i_a, i_b, w0, theta)
+    k2 = rate(i_a + 0.5 * dt * k1[0], i_b + 0.5 * dt * k1[1], wm, thm)
+    k3 = rate(i_a + 0.5 * dt * k2[0], i_b + 0.5 * dt * k2[1], wm, thm)
+    k4 = rate(i_a + dt * k3[0], i_b + dt * k3[1], we, the)
+    return (
+        i_a + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        i_b + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        we,
+        the,
+    )
+
+
+@pytest.mark.parametrize("kind", list(MachineKind))
+def test_step_map_matches_a_stagewise_rk4(kind):
+    # the affine step map is the RK4 step: the currents agree to rounding
+    # relative to the step's own increment, the speed and angle exactly
+    params = table_params(kind)
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        # a ramp, so both omega and omega_dot are nonzero inside the step
+        prof = SpeedProfile.from_breakpoints([(0.0, rng.uniform(-300.0, -10.0)), (0.05, rng.uniform(10.0, 300.0))])
+        t, dt = rng.uniform(0.0, 0.049), 10.0 ** rng.uniform(-6.0, -4.0)
+        i_a, i_b = rng.uniform(-20.0, 20.0, 2)
+        theta = rng.uniform(-math.pi, math.pi)
+        v = alphabeta(*rng.uniform(-40.0, 40.0, 2))
+        ref = _stagewise_rk4(params, prof, i_a, i_b, theta, v, t, dt)
+        out = integrate_electrical(MachineState(i_a, i_b, 0.0, theta), v, prof, t, dt, params)
+        err = math.hypot(out.i_alpha - ref[0], out.i_beta - ref[1])
+        assert err <= 1e-12 * math.hypot(ref[0] - i_a, ref[1] - i_b)
+        assert (out.omega, out.theta) == ref[2:]
+
+
+def test_block_trig_equals_single_element_trig():
+    # the replay tests need np.cos/np.sin of an angle not to depend on the
+    # array around it: run_scenario takes them over blocks, integrate_electrical
+    # over one step
+    from pmsmlab.simulation import _MAP_BLOCK
+
+    x = np.random.default_rng(4).uniform(-300.0, 300.0, _MAP_BLOCK + 1)
+    for fn in (np.cos, np.sin):
+        single = np.array([fn(x[i:i + 1])[0] for i in range(x.size)])
+        for n in (_MAP_BLOCK + 1, _MAP_BLOCK, 7):
+            assert np.array_equal(fn(x[:n]), single[:n]), (
+                f"np.{fn.__name__} over {n} elements differs from one element at a time on this host,"
+                " so a run and its replay through integrate_electrical cannot agree bit for bit"
+            )
+
+
+def test_non_positive_definite_innovation_ends_the_run_as_a_named_abort(monkeypatch):
+    import pmsmlab.simulation as simulation
+
+    def indefinite(x0, T_s, Q, R_meas, P0):
+        return make_ekf(x0, T_s, Q, R_meas, P0 - 5.0 * np.eye(4))
+
+    monkeypatch.setattr(simulation, "make_ekf", indefinite)
+    log = run_scenario(_tiny())
+    assert log.aborted and log.abort_time == 0.0 and len(log) == 0
+    assert log.abort_reason == "innovation covariance not positive definite"
 
 
 @pytest.mark.parametrize("case", ["current_on_q", "voltage_on_dhat", "saturated"])
