@@ -122,6 +122,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
         return EXIT_OK
     if cfg.scenario.obs_on_estimates:
         raise ConfigError(["scenario.obs_on_estimates: must be false for analyze, which runs no estimator"])
+    if cfg.scenario.injection.kind is InjectionKind.VOLTAGE_ON_DHAT:  # its carrier follows the estimated axis
+        raise ConfigError(["scenario.injection.kind: must not be voltage_on_dhat for analyze, "
+                           "which runs no estimator"])
     return _finish_run(cfg, run_scenario(cfg.scenario, with_ekf=False))
 
 

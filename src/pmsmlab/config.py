@@ -212,7 +212,8 @@ def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> Injectio
             f"(use {', '.join(k.value for k in InjectionKind)})"
         )
         return defaults
-    found = _labels(b.name, InjectionSchedule.violations(kind, amplitude, *window), "scenario.injection.{}".format)
+    found = _labels(b.name, InjectionSchedule.violations(kind, amplitude, frequency, *window),
+                    "scenario.injection.{}".format)
     errors.extend(found)
     return defaults if found else InjectionSchedule(kind, amplitude, frequency, *window)
 

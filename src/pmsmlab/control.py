@@ -36,10 +36,10 @@ class InjectionSchedule:
     t_end: float = 0.0
 
     def __post_init__(self) -> None:
-        raise_violations(self.violations(self.kind, self.amplitude, self.t_start, self.t_end))
+        raise_violations(self.violations(self.kind, self.amplitude, self.frequency, self.t_start, self.t_end))
 
     @staticmethod
-    def violations(kind, amplitude, t_start, t_end) -> list:
+    def violations(kind, amplitude, frequency, t_start, t_end) -> list:
         """(field, message) for every broken invariant; an inactive schedule has none."""
         found = []
         if kind is not InjectionKind.NONE:
@@ -47,6 +47,8 @@ class InjectionSchedule:
                 found.append(("window", "needs t_start < t_end"))
             if amplitude < 0.0:
                 found.append(("amplitude", "must be >= 0"))
+            if not math.isfinite(frequency * max(abs(t_start), abs(t_end))):
+                found.append(("frequency", "the carrier phase frequency * t must stay finite over the window"))
         return found
 
     def active(self, t: float) -> bool:

@@ -22,9 +22,10 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to the half-open interval (-pi, pi]."""
-    return theta - TWO_PI * math.ceil((theta - math.pi) / TWO_PI)
+def wrap_angle(theta):
+    """Wrap angles to (-pi, pi], elementwise, keeping those inside (-0.0 too); a float gives a float."""
+    wrapped = theta - TWO_PI * (np.ceil((theta - math.pi) / TWO_PI) + 0.0)  # + 0.0 makes ceil's -0.0 a 0.0
+    return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
 
 
 class Frame(enum.Enum):

@@ -3,8 +3,9 @@
 The mechanical trajectory is imposed by a piecewise-linear speed profile
 (the rotor is dragged by an external rig), so only the two stator currents
 are integrated.  A fixed control clock runs measurement, dq-current PI
-control with the true rotor angle, plant integration with RK4 substeps,
-one EKF cycle on the measured currents, and trajectory logging.
+control with the true rotor angle, plant integration with RK4 substeps and
+one EKF cycle; it records only what it decides or advances.  One vectorized
+pass then derives time, wrapped angles, dq currents and observability columns.
 
 With the motion imposed, one RK4 substep maps the currents affinely.  The
 maps depend only on the scenario, so they are built in blocks of steps by
@@ -43,7 +44,7 @@ from pmsmlab.observability import trajectory_reports
 
 
 _MAP_BLOCK = 512  # RK4 steps per block of step maps in run_scenario: bounds its memory
-MAX_SAMPLES = 10**7  # longest run, in samples: its log columns alone take about 2 GB
+MAX_SAMPLES = 10**7  # longest run, in samples: its 24 float columns (log and loop record) take about 2 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
 
@@ -320,7 +321,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
 
     with_ekf=False skips the estimator (trajectory analysis only); the
     estimate columns come back NaN.  The true trajectory is identical either
-    way since the estimator never feeds back into the control loop.
+    way, except that a voltage_on_dhat carrier follows the estimated axis.
     """
     params, R = scn.params, scn.params.R
     n = scn.n_samples
@@ -341,27 +342,21 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     limit = scn.voltage_limit
     pi_d, pi_q = default_gains(params, scn.control_bandwidth, limit)
     integ_d, integ_q = (min(max(v, -limit), limit) for v in (v_d0, v_q0))
-    theta_hat = scn.theta0 + scn.theta_hat_err0  # the filter's prior angle, unwrapped
-    ekf = make_ekf([i_ab0.x, i_ab0.y, 0.0, theta_hat], T_s,
+    omega_hat, theta_hat = 0.0, scn.theta0 + scn.theta_hat_err0  # the filter's prior, unwrapped
+    ekf = make_ekf([i_ab0.x, i_ab0.y, omega_hat, theta_hat], T_s,
                    Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag))
 
-    cols = {  # NaN stays in the estimate columns when the estimator is skipped
-        name: np.full(n, math.nan)
-        for name in (
-            "t", "i_alpha", "i_beta", "i_d", "i_q", "id_ref", "iq_ref",
-            "v_alpha", "v_beta", "omega_true", "theta_true",
-            "omega_hat", "theta_hat", "theta_err",
-        )
-    }
+    rec = np.empty((n, 10))  # one row per sample: what the loop decides or advances
     aborted, abort_time, abort_reason = False, None, ""
-    rows = 0
+    rows = n
     maps = _run_maps(params, scn.profile, n, scn.ode_substeps, T_s, dt, theta)
 
     for k in range(n):
         t_k = k * T_s
         ya, yb = ia, ib
         if scn.noise_std > 0.0:
-            ya, yb = (np.array([ia, ib]) + scn.noise_std * rng.standard_normal(2)).tolist()
+            na, nb = rng.standard_normal(2).tolist()
+            ya, yb = ia + scn.noise_std * na, ib + scn.noise_std * nb
 
         # PI control in the rotor frame of the true angle, on plain floats
         c, s = math.cos(theta), math.sin(theta)
@@ -379,60 +374,53 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
             if with_ekf:
                 ekf = ekf_step(ekf, params, (va, vb), (ya, yb))
         except FloatingPointError as exc:
-            aborted, abort_time, abort_reason = True, t_k, str(exc)
+            aborted, abort_time, abort_reason, rows = True, t_k, str(exc), k
             break
 
-        cols["t"][k] = t_k
-        cols["i_alpha"][k], cols["i_beta"][k] = ia, ib
-        cols["i_d"][k], cols["i_q"][k] = _rotate(ia, ib, c, -s)
-        cols["id_ref"][k], cols["iq_ref"][k] = refs
-        cols["v_alpha"][k], cols["v_beta"][k] = va, vb
-        cols["omega_true"][k] = omega
-        cols["theta_true"][k] = wrap_angle(theta)
         if with_ekf:
             _, _, omega_hat, theta_hat = ekf.x_hat.tolist()
-            cols["omega_hat"][k] = omega_hat
-            cols["theta_hat"][k] = wrap_angle(theta_hat)
-            cols["theta_err"][k] = wrap_angle(theta_hat - theta)
-        rows += 1
+        rec[k] = (ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat)
         ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
 
-    for name in cols:
-        cols[name] = cols[name][:rows]
-
+    rec = rec[:rows]
+    if not with_ekf:
+        rec[:, 8:] = math.nan  # no estimates
+    i_alpha, i_beta, id_ref, iq_ref, v_alpha, v_beta, omega_true, theta, omega_hat, theta_hat = rec.T
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite matrix raises before the SVD
-        obs = _observability_columns(scn, cols)
+        theta_true = wrap_angle(theta)
+        c, s = np.cos(theta_true), np.sin(theta_true)
+        i_d, i_q = _rotate(i_alpha, i_beta, c, -s)
+        cols = dict(t=np.arange(rows) * T_s, i_alpha=i_alpha, i_beta=i_beta, i_d=i_d, i_q=i_q, id_ref=id_ref,
+                    iq_ref=iq_ref, v_alpha=v_alpha, v_beta=v_beta, omega_true=omega_true, theta_true=theta_true,
+                    omega_hat=omega_hat, theta_hat=wrap_angle(theta_hat), theta_err=wrap_angle(theta_hat - theta))
+        obs = _observability_columns(scn, cols, c, s)
     del obs["singular_values"]  # not a trajectory column
-    return TrajectoryLog(
-        **cols,
-        **obs,
-        aborted=aborted,
-        abort_time=abort_time,
-        abort_reason=abort_reason,
-    )
+    return TrajectoryLog(**cols, **obs, aborted=aborted, abort_time=abort_time, abort_reason=abort_reason)
 
 
-def _observability_columns(scn: Scenario, cols: dict) -> dict:
+def _observability_columns(scn: Scenario, cols: dict, c, s) -> dict:
     """Vectorized observability evaluation over the logged trajectory.
 
+    c, s are cos, sin of theta_true; obs_on_estimates uses the frame of the estimates.
     Rotor-frame current rates are recomputed from the machine equations at
     the logged states and applied voltages, so the columns are exact values
     of the model, not finite differences of the log.
     """
     t = cols["t"]
     n = t.shape[0]
+    i_a, i_b = cols["i_alpha"], cols["i_beta"]
     if scn.obs_on_estimates:
         theta = cols["theta_hat"]
         omega = cols["omega_hat"]
         omega_dot = np.gradient(omega, scn.T_s) if n > 1 else np.zeros(n)
+        c, s = np.cos(theta), np.sin(theta)
+        i_d, i_q = _rotate(i_a, i_b, c, -s)
     else:
         theta = cols["theta_true"]
         omega = cols["omega_true"]
         omega_dot = scn.profile.omega_dot(t)
+        i_d, i_q = cols["i_d"], cols["i_q"]
 
-    i_a, i_b = cols["i_alpha"], cols["i_beta"]
-    c, s = np.cos(theta), np.sin(theta)
-    i_d, i_q = _rotate(i_a, i_b, c, -s)
     di_a, di_b = _electrical_rate_ab(scn.params, i_a, i_b, omega, c, s, cols["v_alpha"], cols["v_beta"])
     # stator rates to rotor-frame rates, rotation term included
     di_d, di_q = _rotate(di_a, di_b, c, -s)

@@ -292,6 +292,12 @@ def _run_cli(argv):
         ("simulate", "estimator", {"q_diag": [1e308] * 4}, 2, "non-finite covariance propagation"),
         ("simulate", "scenario", {"ode_substeps": 10**400}, 1,
          "config error: scenario: t_end / T_s * ode_substeps must not exceed"),
+        ("analyze", "scenario", {"injection": {"kind": "current_on_q", "amplitude": 0.5, "frequency": 1e308,
+                                               "window": [0.0, 3.0]}, "t_end": 3.0, "T_s": 0.001}, 1,
+         "config error: scenario.injection.frequency: the carrier phase"),
+        ("simulate", "scenario", {"injection": {"kind": "voltage_on_dhat", "amplitude": 0.5, "frequency": 1e308,
+                                                "window": [0.0, 3.0]}, "t_end": 3.0, "T_s": 0.001}, 1,
+         "config error: scenario.injection.frequency: the carrier phase"),
     ],
 )
 def test_extreme_inputs_fail_without_traceback(tmp_path, verb, block, override, code, message):
@@ -309,15 +315,19 @@ def test_extreme_inputs_fail_without_traceback(tmp_path, verb, block, override, 
 
 
 def test_analyze_trajectory_with_obs_on_estimates_is_config_error(tmp_path, capsys):
-    cfg = tiny_config(tmp_path, scenario={"obs_on_estimates": True})
-    assert main(["analyze", "-c", cfg]) == 1
-    assert capsys.readouterr().err == (
-        "config error: scenario.obs_on_estimates: must be false for analyze, which runs no estimator\n"
-    )
-    assert not list(tmp_path.glob("*.csv"))
-    # fixed operating points do not use the estimates
-    states = tiny_config(tmp_path, scenario={"obs_on_estimates": True}, analyze={"states": [{"omega": 30.0}]})
-    assert main(["analyze", "-c", states]) == 0
+    # a voltage carrier on the estimated axis needs the estimates as much as obs_on_estimates does
+    carrier = {"kind": "voltage_on_dhat", "amplitude": 2.0, "frequency": 3000.0, "window": [0.005, 0.015]}
+    for scenario, rule in (
+        ({"obs_on_estimates": True}, "obs_on_estimates: must be false"),
+        ({"injection": carrier}, "injection.kind: must not be voltage_on_dhat"),
+    ):
+        cfg = tiny_config(tmp_path, scenario=scenario)
+        assert main(["analyze", "-c", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: scenario.{rule} for analyze, which runs no estimator\n"
+        assert not list(tmp_path.glob("*.csv"))
+        # fixed operating points do not use the estimates
+        states = tiny_config(tmp_path, scenario=scenario, analyze={"states": [{"omega": 30.0}]})
+        assert main(["analyze", "-c", states]) == 0
 
 
 def test_huge_json_integer_is_config_error(tmp_path, capsys):

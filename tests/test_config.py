@@ -345,14 +345,16 @@ def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
     [
         ("window", {"t_start": 0.5, "t_end": 0.5}, [0.5, 0.5], "needs t_start < t_end"),
         ("amplitude", {"amplitude": -1.0}, -1.0, "must be >= 0"),
+        ("frequency", {"frequency": 1e308}, 1e308, "the carrier phase frequency * t must stay finite over the window"),
     ],
 )
 def test_injection_rule_stated_once_for_code_and_config(field, change, value, message):
+    # on a window [0.2, 3.0), where a frequency of 1e308 overflows the carrier phase
     with pytest.raises(ValueError) as exc:
-        replace(standstill_study_scenario().injection, **change)
+        replace(standstill_study_scenario().injection, **{"t_end": 3.0, **change})
     assert str(exc.value) == f"{field}: {message}"
     doc = json.loads(MINIMAL_SPMSM)
-    doc["scenario"] = {"injection": {"kind": "current_on_q", field: value}}
+    doc["scenario"] = {"injection": {"kind": "current_on_q", "window": [0.2, 3.0], field: value}}
     assert errors_of(json.dumps(doc)) == [f"scenario.injection.{field}: {message}"]
 
 

@@ -45,6 +45,12 @@ def test_wrap_angle_points():
     assert wrap_angle(-math.pi) == math.pi
     assert abs(wrap_angle(2.0 * math.pi)) < 1e-15
     assert abs(wrap_angle(3.0 * math.pi) - math.pi) < 1e-9
+    assert type(wrap_angle(1.0)) is float
+    # an array wraps elementwise, bit for bit as the scalar calls and the scalar formula
+    points = [math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi, 1e6, -0.0]
+    formula = [p - 2.0 * math.pi * math.ceil((p - math.pi) / (2.0 * math.pi)) for p in points]
+    assert wrap_angle(np.array(points)).tobytes() == np.array([wrap_angle(p) for p in points]).tobytes()
+    assert wrap_angle(np.array(points)).tobytes() == np.array(formula).tobytes()
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6))

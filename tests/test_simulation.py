@@ -255,13 +255,15 @@ def test_run_noise_depends_only_on_seed():
     assert not np.array_equal(a.omega_hat, c.omega_hat)
 
 
-def test_run_frame_consistency():
-    log = run_scenario(_tiny())
+def test_run_frame_consistency(ipmsm_log):
+    # a moving run: i_d, i_q are the stator currents in the frame of the logged angle, bit for bit
+    log = ipmsm_log
     c, s = np.cos(log.theta_true), np.sin(log.theta_true)
     i_d = c * log.i_alpha + s * log.i_beta
     i_q = -s * log.i_alpha + c * log.i_beta
-    assert np.max(np.abs(i_d - log.i_d)) < 1e-12
-    assert np.max(np.abs(i_q - log.i_q)) < 1e-12
+    assert np.any(log.omega_true != 0.0)
+    assert np.array_equal(i_d, log.i_d)
+    assert np.array_equal(i_q, log.i_q)
 
 
 def test_spmsm_standstill_rank_deficiency(spmsm_log):
