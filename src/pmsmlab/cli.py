@@ -20,7 +20,7 @@ from pmsmlab.config import ConfigError, RunConfig, apply_sweep_value, parse_conf
 from pmsmlab.control import InjectionKind
 from pmsmlab.observability import hfi_det_y1, sample_report
 from pmsmlab.report import summarize, write_csv
-from pmsmlab.simulation import Scenario, run_scenario, standstill_study_scenario
+from pmsmlab.simulation import Scenario, needs_estimator, run_scenario, standstill_study_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -120,11 +120,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 f"{rep.numeric_rank:<6d}{rep.det_y1:<14.6g}{rep.det_y2:<14.6g}{rep.margin:.6g}"
             )
         return EXIT_OK
-    if cfg.scenario.obs_on_estimates:
-        raise ConfigError(["scenario.obs_on_estimates: must be false for analyze, which runs no estimator"])
-    if cfg.scenario.injection.kind is InjectionKind.VOLTAGE_ON_DHAT:  # its carrier follows the estimated axis
-        raise ConfigError(["scenario.injection.kind: must not be voltage_on_dhat for analyze, "
-                           "which runs no estimator"])
+    if found := needs_estimator(cfg.scenario):
+        raise ConfigError([f"scenario.{key}: {msg}" for key, msg in found])
     return _finish_run(cfg, run_scenario(cfg.scenario, with_ekf=False))
 
 

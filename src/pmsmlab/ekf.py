@@ -6,8 +6,8 @@ continuous-Lyapunov Euler form P + T_s (A P + P A') + Q rather than the
 discrete A P A' form; the filter model assumes zero load torque.
 
 All step functions are pure: they take an EkfState and return a new one that
-shares its Q, R_meas and T_s.  The model and its Jacobian are evaluated on
-x_hat as Python floats: the same IEEE results as numpy scalars, but cheaper.
+shares its Q, R_meas and T_s.  Each predict evaluates the model and its Jacobian
+once, on x_hat as Python floats: the same IEEE results as numpy scalars, but cheaper.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, state_rate
-from pmsmlab.observability import obs_matrix_y1_ipmsm
+from pmsmlab.machine import MachineParams, _electrical_rate_ab, _torque
+from pmsmlab.observability import _obs_matrix_y1
 
 C_OUT = np.hstack([np.eye(2), np.zeros((2, 2))])
 
@@ -62,16 +62,18 @@ def make_ekf(x0, T_s: float, Q, R_meas, P0) -> EkfState:
     return ekf
 
 
-def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic Jacobian A = df/dx at (x_hat, u) and constant output map C."""
+def _model(params: MachineParams, x, u) -> tuple[np.ndarray, np.ndarray]:
+    """Model rate f (zero load torque) and its Jacobian A = df/dx at (x, u), from one cos/sin and current rate."""
+    ia, ib, omega, theta = x
+    c, s = math.cos(theta), math.sin(theta)
+    di_a, di_b = _electrical_rate_ab(params, ia, ib, omega, c, s, u[0], u[1])
+    f = np.array([di_a, di_b, params.p / params.J * _torque(params, ia, ib, c, s), omega])
     # rows 0-1 of the observability matrix are the output gradient; replace
     # them with the current-rate gradients and set the mechanical rows.
-    A = obs_matrix_y1_ipmsm(x_hat, u, params)
+    A = _obs_matrix_y1(params, ia, ib, omega, c, s, di_a, di_b)
     A[0:2, :] = A[2:4, :]
-    c, s = math.cos(x_hat[3]), math.sin(x_hat[3])
     c2 = c * c - s * s
     s2 = 2.0 * s * c
-    ia, ib = x_hat[0], x_hat[1]
     L2, psi_r = params.L2, params.psi_r
     k = 1.5 * params.p * params.p / params.J
     A[2, 0] = k * (-psi_r * s - L2 * (2.0 * ia * s2 - 2.0 * ib * c2))
@@ -82,15 +84,18 @@ def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, 
         - L2 * (2.0 * (ia * ia - ib * ib) * c2 + 4.0 * ia * ib * s2)
     )
     A[3, :] = (0.0, 0.0, 1.0, 0.0)
-    return A, C_OUT.copy()
+    return f, A
+
+
+def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic Jacobian A = df/dx at (x_hat, u) and constant output map C."""
+    return _model(params, x_hat, u)[1], C_OUT.copy()
 
 
 def predict(ekf: EkfState, params: MachineParams, u) -> EkfState:
     """Euler state propagation and Lyapunov-form covariance propagation."""
-    x = ekf.x_hat.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        A, _ = linearize(params, x, u)
-        f = state_rate(params, x, u)  # the filter model assumes zero load torque
+        f, A = _model(params, ekf.x_hat.tolist(), u)
         if not np.isfinite(f).all():
             raise FloatingPointError(f"non-finite filter dynamics at x_hat={ekf.x_hat}")
         x_new = ekf.x_hat + ekf.T_s * f

@@ -218,16 +218,27 @@ def inverse_park(vec: FrameVec, theta: float) -> FrameVec:
     return FrameVec(*_rotate(vec.x, vec.y, math.cos(theta), math.sin(theta)), Frame.ALPHA_BETA)
 
 
+def _inductance(params: MachineParams, c, s):
+    """Entries of L, L' = [[a, b], [b, -a]], L'' (same form) and adj(L), and det(L), at (cos, sin) = (c, s).
+
+    Broadcasts.  Returns (L_aa, L_ab, L_bb), (a', b'), (a'', b''), (adj_aa, adj_ab, adj_bb), det.
+    """
+    c2 = c * c - s * s
+    s2 = 2.0 * s * c
+    L0, L2 = params.L0, params.L2
+    L_aa, L_ab, L_bb = L0 + L2 * c2, L2 * s2, L0 - L2 * c2
+    return ((L_aa, L_ab, L_bb), (-2.0 * L2 * s2, 2.0 * L2 * c2), (-4.0 * L2 * c2, -4.0 * L2 * s2),
+            (L_bb, -L_ab, L_aa), L0 * L0 - L2 * L2)
+
+
 def inductance_matrix(theta: float, params: MachineParams) -> np.ndarray:
     """Stator inductance matrix at electrical position theta.
 
     Symmetric with constant eigenvalues {Ld, Lq}; reduces to L0*I for a
     non-salient machine.
     """
-    c2 = math.cos(2.0 * theta)
-    s2 = math.sin(2.0 * theta)
-    L0, L2 = params.L0, params.L2
-    return np.array([[L0 + L2 * c2, L2 * s2], [L2 * s2, L0 - L2 * c2]])
+    (aa, ab, bb), *_ = _inductance(params, math.cos(theta), math.sin(theta))
+    return np.array([[aa, ab], [ab, bb]])
 
 
 def inductance_matrix_derivs(
@@ -237,44 +248,42 @@ def inductance_matrix_derivs(
 
     The second derivative satisfies L'' = -4*(L - L0*I).
     """
-    c2 = math.cos(2.0 * theta)
-    s2 = math.sin(2.0 * theta)
-    L2 = params.L2
-    d1 = np.array([[-2.0 * L2 * s2, 2.0 * L2 * c2], [2.0 * L2 * c2, 2.0 * L2 * s2]])
-    d2 = np.array([[-4.0 * L2 * c2, -4.0 * L2 * s2], [-4.0 * L2 * s2, 4.0 * L2 * c2]])
-    return d1, d2
+    _, (d1_aa, d1_ab), (d2_aa, d2_ab), _, _ = _inductance(params, math.cos(theta), math.sin(theta))
+    return np.array([[d1_aa, d1_ab], [d1_ab, -d1_aa]]), np.array([[d2_aa, d2_ab], [d2_ab, -d2_aa]])
 
 
 def inductance_matrix_inv(theta: float, params: MachineParams) -> np.ndarray:
     """Inverse inductance matrix; det(L) = L0^2 - L2^2 is theta-independent."""
-    c2 = math.cos(2.0 * theta)
-    s2 = math.sin(2.0 * theta)
-    L0, L2 = params.L0, params.L2
-    det = L0 * L0 - L2 * L2
-    return np.array([[L0 - L2 * c2, -L2 * s2], [-L2 * s2, L0 + L2 * c2]]) / det
+    *_, (aa, ab, bb), det = _inductance(params, math.cos(theta), math.sin(theta))
+    return np.array([[aa, ab], [ab, bb]]) / det
 
 
 def _electrical_rate_ab(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b):
     """dI/dt in the stator frame, with c, s = cos(theta), sin(theta).
 
-    Plain arithmetic, so it broadcasts: the plant's step-map builder calls it
-    on basis columns against blocks of RK4 steps, whole-trajectory columns
-    call it on arrays of samples, and the filter model on floats.
+    Plain arithmetic, so it broadcasts: the plant's step-map builder calls it on basis
+    columns against blocks of RK4 steps, the rotor-frame rate on arrays of samples, and
+    the filter model and the order-1 matrix on floats.
     """
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    L0, L2, R, psi_r = params.L0, params.L2, params.R, params.psi_r
+    _, (dL_aa, dL_ab), _, (adj_aa, adj_ab, adj_bb), det = _inductance(params, c, s)
+    R, psi_r = params.R, params.psi_r
 
     # u = v - R*i - omega*L'*i - psi_r*C'(theta)*omega, with C' = (-sin, cos)
-    dL_aa = -2.0 * L2 * s2
-    dL_ab = 2.0 * L2 * c2
     u_a = v_a - R * i_a - omega * (dL_aa * i_a + dL_ab * i_b) - psi_r * (-s) * omega
     u_b = v_b - R * i_b - omega * (dL_ab * i_a - dL_aa * i_b) - psi_r * c * omega
 
-    inv_det = 1.0 / (L0 * L0 - L2 * L2)
-    di_a = ((L0 - L2 * c2) * u_a - L2 * s2 * u_b) * inv_det
-    di_b = (-L2 * s2 * u_a + (L0 + L2 * c2) * u_b) * inv_det
+    inv_det = 1.0 / det
+    di_a = (adj_aa * u_a + adj_ab * u_b) * inv_det
+    di_b = (adj_ab * u_a + adj_bb * u_b) * inv_det
     return di_a, di_b
+
+
+def _dq_current_rate(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b):
+    """i_d, i_q and d(I_dq)/dt = P(-theta) dI_ab/dt - omega*J2*I_dq from stator-frame values; broadcasts."""
+    di_a, di_b = _electrical_rate_ab(params, i_a, i_b, omega, c, s, v_a, v_b)
+    i_d, i_q = _rotate(i_a, i_b, c, -s)
+    di_d, di_q = _rotate(di_a, di_b, c, -s)
+    return i_d, i_q, di_d + omega * i_q, di_q - omega * i_d
 
 
 def _torque(params: MachineParams, i_a, i_b, c, s):
@@ -355,14 +364,9 @@ def dynamics_dq(
 def dq_current_rate(
     state: MachineState, v: FrameVec, params: MachineParams
 ) -> np.ndarray:
-    """Rotor-frame current derivative along a stator-frame trajectory.
-
-    d(I_dq)/dt = P(-theta) dI_ab/dt - omega*J2*I_dq; the second term is the
-    frame-rotation contribution from d/dt of the Park matrix.
-    """
-    di_ab, _, _ = dynamics_alphabeta(state, v, params)
-    i_dq = park(state.currents, state.theta)
-    di = park(FrameVec(di_ab[0], di_ab[1], Frame.ALPHA_BETA), state.theta)
-    return np.array(
-        [di.x + state.omega * i_dq.y, di.y - state.omega * i_dq.x]
-    )
+    """Rotor-frame current derivative along a stator-frame trajectory."""
+    if v.frame is not Frame.ALPHA_BETA:
+        raise FrameError(f"expected alpha-beta voltage, got {v.frame.value}")
+    c, s = math.cos(state.theta), math.sin(state.theta)
+    _, _, di_d, di_q = _dq_current_rate(params, state.i_alpha, state.i_beta, state.omega, c, s, v.x, v.y)
+    return np.array([di_d, di_q])

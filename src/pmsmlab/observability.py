@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _electrical_rate_ab, _rotate, state_rate
+from pmsmlab.machine import MachineParams, _electrical_rate_ab, _inductance, _rotate, state_rate
 
 STATE_DIM = 4
 OUT_DIM = 2
@@ -227,18 +227,9 @@ def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> 
     Plain arithmetic that broadcasts: float arguments give one 4x4 matrix,
     arrays of N samples an (N, 4, 4) stack.  di is the stator current rate.
     """
-    L0, L2, R, psi_r = params.L0, params.L2, params.R, params.psi_r
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    det = L0 * L0 - L2 * L2
-
-    inv_aa = (L0 - L2 * c2) / det
-    inv_ab = -L2 * s2 / det
-    inv_bb = (L0 + L2 * c2) / det
-    d1_aa = -2.0 * L2 * s2
-    d1_ab = 2.0 * L2 * c2
-    d2_aa = -4.0 * L2 * c2
-    d2_ab = -4.0 * L2 * s2
+    (L_aa, L_ab, L_bb), (d1_aa, d1_ab), (d2_aa, d2_ab), (adj_aa, adj_ab, adj_bb), det = _inductance(params, c, s)
+    inv_aa, inv_ab, inv_bb = adj_aa / det, adj_ab / det, adj_bb / det
+    R, psi_r = params.R, params.psi_r
 
     out = np.zeros(np.shape(c) + (4, 4))
     out[..., 0, 0] = 1.0
@@ -260,8 +251,8 @@ def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> 
     out[..., 3, 2] = -(inv_ab * g_a + inv_bb * g_b)
 
     # (Linv)' L di - Linv (L'' i - psi_r C) omega, with (Linv)' = -Linv L' Linv
-    Ldi_a = (L0 + L2 * c2) * di_a + L2 * s2 * di_b
-    Ldi_b = L2 * s2 * di_a + (L0 - L2 * c2) * di_b
+    Ldi_a = L_aa * di_a + L_ab * di_b
+    Ldi_b = L_ab * di_a + L_bb * di_b
     t_a = inv_aa * Ldi_a + inv_ab * Ldi_b
     t_b = inv_ab * Ldi_a + inv_bb * Ldi_b
     lp_a = d1_aa * t_a + d1_ab * t_b

@@ -33,6 +33,7 @@ from pmsmlab.machine import (
     FrameVec,
     MachineParams,
     MachineState,
+    _dq_current_rate,
     _electrical_rate_ab,
     _rotate,
     dq,
@@ -311,6 +312,14 @@ def _run_maps(params: MachineParams, profile: SpeedProfile, n: int, substeps: in
         yield from rows
 
 
+def needs_estimator(scn: Scenario) -> list:
+    """(field, message) for each setting that uses the estimates, so a run without the estimator rejects it."""
+    # obs_on_estimates takes the frame of the estimates; a voltage_on_dhat carrier follows the estimated axis
+    uses = (("obs_on_estimates", scn.obs_on_estimates, "must be false"),
+            ("injection.kind", scn.injection.kind is InjectionKind.VOLTAGE_ON_DHAT, "must not be voltage_on_dhat"))
+    return [(key, f"{msg} for analyze, which runs no estimator") for key, used, msg in uses if used]
+
+
 def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     """Execute the closed-loop scenario and return the full log.
 
@@ -319,10 +328,11 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     predict-correct cycle with the same voltage and measurement, then the
     observability columns evaluated on the true trajectory afterwards.
 
-    with_ekf=False skips the estimator (trajectory analysis only); the
-    estimate columns come back NaN.  The true trajectory is identical either
-    way, except that a voltage_on_dhat carrier follows the estimated axis.
+    with_ekf=False skips the estimator (trajectory analysis only); the estimate columns
+    come back NaN, the true trajectory is identical, and needs_estimator's settings raise.
     """
+    if not with_ekf:
+        raise_violations(needs_estimator(scn))
     params, R = scn.params, scn.params.R
     n = scn.n_samples
     T_s, dt = scn.T_s, scn.T_s / scn.ode_substeps
@@ -399,32 +409,23 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
 
 
 def _observability_columns(scn: Scenario, cols: dict, c, s) -> dict:
-    """Vectorized observability evaluation over the logged trajectory.
+    """Vectorized observability columns at the logged states and applied voltages.
 
-    c, s are cos, sin of theta_true; obs_on_estimates uses the frame of the estimates.
-    Rotor-frame current rates are recomputed from the machine equations at
-    the logged states and applied voltages, so the columns are exact values
-    of the model, not finite differences of the log.
+    c, s are cos, sin of theta_true; obs_on_estimates uses the frame of the estimates.  The
+    current rates are exact values of the model, not finite differences of the log.
     """
     t = cols["t"]
-    n = t.shape[0]
-    i_a, i_b = cols["i_alpha"], cols["i_beta"]
     if scn.obs_on_estimates:
         theta = cols["theta_hat"]
         omega = cols["omega_hat"]
-        omega_dot = np.gradient(omega, scn.T_s) if n > 1 else np.zeros(n)
+        omega_dot = np.gradient(omega, scn.T_s) if len(t) > 1 else np.zeros_like(t)
         c, s = np.cos(theta), np.sin(theta)
-        i_d, i_q = _rotate(i_a, i_b, c, -s)
     else:
         theta = cols["theta_true"]
         omega = cols["omega_true"]
         omega_dot = scn.profile.omega_dot(t)
-        i_d, i_q = cols["i_d"], cols["i_q"]
-
-    di_a, di_b = _electrical_rate_ab(scn.params, i_a, i_b, omega, c, s, cols["v_alpha"], cols["v_beta"])
-    # stator rates to rotor-frame rates, rotation term included
-    di_d, di_q = _rotate(di_a, di_b, c, -s)
-    di_d, di_q = di_d + omega * i_q, di_q - omega * i_d
+    i_d, i_q, di_d, di_q = _dq_current_rate(scn.params, cols["i_alpha"], cols["i_beta"], omega, c, s,
+                                            cols["v_alpha"], cols["v_beta"])
     return trajectory_reports(scn.params, t, i_d, i_q, di_d, di_q, omega, omega_dot, theta)
 
 

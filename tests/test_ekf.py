@@ -118,7 +118,7 @@ def test_predict_euler_forms(ip_params):
     out = predict(ekf, ip_params, u)
     A, _ = linearize(ip_params, x0, u)
     p_ref = np.eye(4) + T_S * (A + A.T) + ekf.Q
-    assert np.allclose(out.x_hat, x0 + T_S * _rate(ip_params, x0, u), rtol=1e-12)
+    assert np.array_equal(out.x_hat, x0 + T_S * _rate(ip_params, x0, u))
     assert np.allclose(out.P, 0.5 * (p_ref + p_ref.T), rtol=1e-12)
     assert np.array_equal(out.P, out.P.T)
 

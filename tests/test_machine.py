@@ -81,6 +81,15 @@ def test_park_requires_matching_frames():
         park(dq(1.0, 0.0), 0.3)
     with pytest.raises(FrameError):
         inverse_park(alphabeta(1.0, 0.0), 0.3)
+    # the model functions check the frame of what they are given
+    state, p = MachineState(1.0, 2.0, 30.0, 0.3), table_machine()
+    for model in (dynamics_alphabeta, dq_current_rate):
+        with pytest.raises(FrameError, match="expected alpha-beta voltage, got dq"):
+            model(state, dq(1.0, 0.0), p)
+    with pytest.raises(FrameError, match="expected dq current, got alpha_beta"):
+        dynamics_dq(alphabeta(1.0, 0.0), 30.0, dq(1.0, 0.0), 0.0, p)
+    with pytest.raises(FrameError, match="expected dq voltage, got alpha_beta"):
+        dynamics_dq(dq(1.0, 0.0), 30.0, alphabeta(1.0, 0.0), 0.0, p)
 
 
 def test_park_examples():

@@ -569,8 +569,13 @@ def test_many_substeps_run_in_bounded_memory():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("r_diag", (1.0, 0.0)), ("control_bandwidth", -1.0), ("voltage_limit", 0.0), ("q_diag", (1.0, -1.0, 1.0, 1.0))],
+    [("r_diag", (1.0, 0.0)), ("control_bandwidth", -1.0), ("voltage_limit", 0.0), ("q_diag", (1.0, -1.0, 1.0, 1.0)),
+     # settings that use the estimates: a run without the estimator rejects them before it starts
+     ("obs_on_estimates", True),
+     ("injection", InjectionSchedule(InjectionKind.VOLTAGE_ON_DHAT, amplitude=2.0, frequency=3000.0, t_start=0.1,
+                                     t_end=0.5))],
 )
 def test_code_built_scenario_rejects_estimator_and_control_values(field, value):
-    with pytest.raises(ValueError, match=f"^{field}: "):
-        dataclasses.replace(standstill_study_scenario(), **{field: value})
+    label = "injection.kind" if field == "injection" else field
+    with pytest.raises(ValueError, match=f"^{label}: [^;]*$"):
+        run_scenario(dataclasses.replace(standstill_study_scenario(), **{field: value}), with_ekf=False)
