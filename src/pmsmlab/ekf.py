@@ -5,22 +5,30 @@ pair, so C = [I2 | 0] is constant.  Covariance prediction uses the
 continuous-Lyapunov Euler form P + T_s (A P + P A') + Q rather than the
 discrete A P A' form; the filter model assumes zero load torque.
 
-All step functions are pure: they take an EkfState and return a new one that
-shares its Q, R_meas and T_s.  Each predict evaluates the model and its Jacobian
-once, on x_hat as Python floats: the same IEEE results as numpy scalars, but cheaper.
+One cycle is two kernels on Python floats, `_predict` and `_update`.  They
+hold x_hat as 4 floats and the symmetric P as its 10 upper-triangle entries,
+row by row (P00, P01, P02, P03, P11, P12, P13, P22, P23, P33), and take Q as
+its 10 such entries and R_meas as its 4.  Every sum runs in a fixed order
+without fused multiply-adds, so the filter's numbers do not depend on the
+BLAS library or the CPU it picks kernels for.  `run_scenario` calls the
+kernels on tuples.  The step functions below wrap the same kernels for an
+EkfState: they read the upper triangles of P and Q and return a new state
+that shares the old one's Q, R_meas and T_s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from pmsmlab.machine import MachineParams, _electrical_rate_ab, _torque
-from pmsmlab.observability import _obs_matrix_y1
+from pmsmlab.observability import _current_rate_jacobian
 
 C_OUT = np.hstack([np.eye(2), np.zeros((2, 2))])
+_UPPER = np.array([0, 1, 2, 3, 5, 6, 7, 10, 11, 15])  # flat places of a 4x4 matrix's 10 stored entries
+_FULL = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])  # the stored entry at each place
 
 
 @dataclass(frozen=True)
@@ -46,11 +54,11 @@ class EkfState:
 
 
 def make_ekf(x0, T_s: float, Q, R_meas, P0) -> EkfState:
-    """Build and fully validate an initial filter state."""
+    """Build and fully validate an initial filter state; P0 and Q are stored mirrored from their upper triangles."""
     ekf = EkfState(
         x_hat=np.asarray(x0, dtype=float).copy(),
-        P=np.asarray(P0, dtype=float).copy(),
-        Q=np.asarray(Q, dtype=float).copy(),
+        P=np.asarray(P0, dtype=float),
+        Q=np.asarray(Q, dtype=float),
         R_meas=np.asarray(R_meas, dtype=float).copy(),
         T_s=float(T_s),
     )
@@ -59,72 +67,141 @@ def make_ekf(x0, T_s: float, Q, R_meas, P0) -> EkfState:
             raise ValueError(f"{name} must be symmetric")
     # R_meas must be positive definite for the innovation inverse
     np.linalg.cholesky(ekf.R_meas)
-    return ekf
+    # the kernels read the upper triangles, so store P and Q as their mirrored upper
+    # triangles: new arrays, equal to a symmetric input bit for bit
+    return replace(ekf, P=ekf.P.take(_UPPER)[_FULL], Q=ekf.Q.take(_UPPER)[_FULL])
 
 
-def _model(params: MachineParams, x, u) -> tuple[np.ndarray, np.ndarray]:
-    """Model rate f (zero load torque) and its Jacobian A = df/dx at (x, u), from one cos/sin and current rate."""
-    ia, ib, omega, theta = x
+def _kernel_args(ekf: EkfState) -> tuple[list, list, list, list]:
+    """(q, r, x, P) of the kernels for ekf: Q's and P's upper triangles, R_meas's 4 entries, x_hat."""
+    return ekf.Q.take(_UPPER).tolist(), ekf.R_meas.ravel().tolist(), ekf.x_hat.tolist(), ekf.P.take(_UPPER).tolist()
+
+
+def _model(params: MachineParams, ia: float, ib: float, omega: float, theta: float, va: float, vb: float) -> tuple:
+    """Model rate f (zero load torque) and the entries of A = df/dx that vary, from one cos/sin and rate call.
+
+    Returns f0..f3, A's rows 0-1 (the current-rate gradient, 8 entries) and
+    A20, A21, A23 (the torque gradient); A22 = 0 and row 3 is (0, 0, 1, 0).
+    """
     c, s = math.cos(theta), math.sin(theta)
-    di_a, di_b = _electrical_rate_ab(params, ia, ib, omega, c, s, u[0], u[1])
-    f = np.array([di_a, di_b, params.p / params.J * _torque(params, ia, ib, c, s), omega])
-    # rows 0-1 of the observability matrix are the output gradient; replace
-    # them with the current-rate gradients and set the mechanical rows.
-    A = _obs_matrix_y1(params, ia, ib, omega, c, s, di_a, di_b)
-    A[0:2, :] = A[2:4, :]
+    di_a, di_b = _electrical_rate_ab(params, ia, ib, omega, c, s, va, vb)
     c2 = c * c - s * s
     s2 = 2.0 * s * c
     L2, psi_r = params.L2, params.psi_r
     k = 1.5 * params.p * params.p / params.J
-    A[2, 0] = k * (-psi_r * s - L2 * (2.0 * ia * s2 - 2.0 * ib * c2))
-    A[2, 1] = k * (psi_r * c - L2 * (-2.0 * ib * s2 - 2.0 * ia * c2))
-    A[2, 2] = 0.0
-    A[2, 3] = k * (
-        -psi_r * (ib * s + ia * c)
-        - L2 * (2.0 * (ia * ia - ib * ib) * c2 + 4.0 * ia * ib * s2)
+    return (
+        di_a, di_b, params.p / params.J * _torque(params, ia, ib, c, s), omega,
+        *_current_rate_jacobian(params, ia, ib, omega, c, s, di_a, di_b),
+        k * (-psi_r * s - L2 * (2.0 * ia * s2 - 2.0 * ib * c2)),
+        k * (psi_r * c - L2 * (-2.0 * ib * s2 - 2.0 * ia * c2)),
+        k * (-psi_r * (ib * s + ia * c) - L2 * (2.0 * (ia * ia - ib * ib) * c2 + 4.0 * ia * ib * s2)),
     )
-    A[3, :] = (0.0, 0.0, 1.0, 0.0)
-    return f, A
+
+
+def _predict(params: MachineParams, T_s: float, q, x, P, va: float, vb: float) -> tuple[tuple, tuple]:
+    """Euler state propagation and Lyapunov-form covariance propagation: (x, P) as tuples.
+
+    M = A P is summed over k = 0..3 in order, leaving out A's zero entries;
+    the new P is P + T_s (M + M') + Q, entry by entry.
+    """
+    x0, x1, x2, x3 = x
+    (f0, f1, f2, f3, a00, a01, a02, a03, a10, a11, a12, a13,
+     a20, a21, a23) = _model(params, x0, x1, x2, x3, va, vb)
+    if not all(map(math.isfinite, (f0, f1, f2, f3))):
+        raise FloatingPointError(f"non-finite filter dynamics at x_hat={np.array(x)}")
+    x = (x0 + T_s * f0, x1 + T_s * f1, x2 + T_s * f2, x3 + T_s * f3)
+
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = P
+    m00 = a00 * p00 + a01 * p01 + a02 * p02 + a03 * p03
+    m01 = a00 * p01 + a01 * p11 + a02 * p12 + a03 * p13
+    m02 = a00 * p02 + a01 * p12 + a02 * p22 + a03 * p23
+    m03 = a00 * p03 + a01 * p13 + a02 * p23 + a03 * p33
+    m10 = a10 * p00 + a11 * p01 + a12 * p02 + a13 * p03
+    m11 = a10 * p01 + a11 * p11 + a12 * p12 + a13 * p13
+    m12 = a10 * p02 + a11 * p12 + a12 * p22 + a13 * p23
+    m13 = a10 * p03 + a11 * p13 + a12 * p23 + a13 * p33
+    m20 = a20 * p00 + a21 * p01 + a23 * p03
+    m21 = a20 * p01 + a21 * p11 + a23 * p13
+    m22 = a20 * p02 + a21 * p12 + a23 * p23
+    m23 = a20 * p03 + a21 * p13 + a23 * p33
+    # row 3 of M is row 2 of P: m30, m31, m32, m33 = p02, p12, p22, p23
+    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = q
+    P = (
+        p00 + T_s * (m00 + m00) + q00, p01 + T_s * (m01 + m10) + q01,
+        p02 + T_s * (m02 + m20) + q02, p03 + T_s * (m03 + p02) + q03,
+        p11 + T_s * (m11 + m11) + q11, p12 + T_s * (m12 + m21) + q12, p13 + T_s * (m13 + p12) + q13,
+        p22 + T_s * (m22 + m22) + q22, p23 + T_s * (m23 + p22) + q23,
+        p33 + T_s * (p23 + p23) + q33,
+    )
+    if not all(map(math.isfinite, x + P)):
+        raise FloatingPointError("non-finite covariance propagation")
+    return x, P
+
+
+def _update(r, x, P, ya: float, yb: float) -> tuple[tuple, tuple]:
+    """Kalman gain, measurement update, covariance downdate, symmetrization: (x, P) as tuples.
+
+    K = P C' S^-1 with the closed-form inverse of the 2x2 S = P[:2, :2] + R_meas.
+    The downdate P - K P[:2, :] averages its (i, j) and (j, i) entries.
+    """
+    x0, x1, x2, x3 = x
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = P
+    r00, r01, r10, r11 = r
+    s00, s01, s10, s11 = p00 + r00, p01 + r01, p01 + r10, p11 + r11
+    det = s00 * s11 - s01 * s10
+    if det <= 0.0 or s00 <= 0.0:
+        raise FloatingPointError("innovation covariance not positive definite")
+    i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
+    k00, k01 = p00 * i00 + p01 * i10, p00 * i01 + p01 * i11
+    k10, k11 = p01 * i00 + p11 * i10, p01 * i01 + p11 * i11
+    k20, k21 = p02 * i00 + p12 * i10, p02 * i01 + p12 * i11
+    k30, k31 = p03 * i00 + p13 * i10, p03 * i01 + p13 * i11
+    e0, e1 = ya - x0, yb - x1
+    x = (x0 + (k00 * e0 + k01 * e1), x1 + (k10 * e0 + k11 * e1),
+         x2 + (k20 * e0 + k21 * e1), x3 + (k30 * e0 + k31 * e1))
+    P = (
+        p00 - (k00 * p00 + k01 * p01),
+        0.5 * ((p01 - (k00 * p01 + k01 * p11)) + (p01 - (k10 * p00 + k11 * p01))),
+        0.5 * ((p02 - (k00 * p02 + k01 * p12)) + (p02 - (k20 * p00 + k21 * p01))),
+        0.5 * ((p03 - (k00 * p03 + k01 * p13)) + (p03 - (k30 * p00 + k31 * p01))),
+        p11 - (k10 * p01 + k11 * p11),
+        0.5 * ((p12 - (k10 * p02 + k11 * p12)) + (p12 - (k20 * p01 + k21 * p11))),
+        0.5 * ((p13 - (k10 * p03 + k11 * p13)) + (p13 - (k30 * p01 + k31 * p11))),
+        p22 - (k20 * p02 + k21 * p12),
+        0.5 * ((p23 - (k20 * p03 + k21 * p13)) + (p23 - (k30 * p02 + k31 * p12))),
+        p33 - (k30 * p03 + k31 * p13),
+    )
+    if not all(map(math.isfinite, x + P)):
+        raise FloatingPointError("non-finite measurement update")
+    return x, P
+
+
+def _state(ekf: EkfState, x, P) -> EkfState:
+    """A new EkfState of the kernels' x and P that shares ekf's Q, R_meas and T_s."""
+    return EkfState(np.array(x), np.array(P)[_FULL], ekf.Q, ekf.R_meas, ekf.T_s)
 
 
 def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
     """Analytic Jacobian A = df/dx at (x_hat, u) and constant output map C."""
-    return _model(params, x_hat, u)[1], C_OUT.copy()
+    a = _model(params, *map(float, x_hat), float(u[0]), float(u[1]))[4:]
+    A = np.array([a[0:4], a[4:8], (a[8], a[9], 0.0, a[10]), (0.0, 0.0, 1.0, 0.0)])
+    return A, C_OUT.copy()
 
 
 def predict(ekf: EkfState, params: MachineParams, u) -> EkfState:
     """Euler state propagation and Lyapunov-form covariance propagation."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, A = _model(params, ekf.x_hat.tolist(), u)
-        if not np.isfinite(f).all():
-            raise FloatingPointError(f"non-finite filter dynamics at x_hat={ekf.x_hat}")
-        x_new = ekf.x_hat + ekf.T_s * f
-        # A P + P A' as A P + (A P)': equal bit for bit, because P is kept exactly symmetric
-        AP = A @ ekf.P
-        P_new = ekf.P + ekf.T_s * (AP + AP.T) + ekf.Q
-        P_new = 0.5 * (P_new + P_new.T)
-    if not (np.isfinite(x_new).all() and np.isfinite(P_new).all()):
-        raise FloatingPointError("non-finite covariance propagation")
-    return EkfState(x_new, P_new, ekf.Q, ekf.R_meas, ekf.T_s)
+    q, _, x, P = _kernel_args(ekf)
+    return _state(ekf, *_predict(params, ekf.T_s, q, x, P, float(u[0]), float(u[1])))
 
 
 def gain_and_innovate(ekf: EkfState, y_meas) -> EkfState:
     """Kalman gain, measurement update, covariance downdate, symmetrization."""
-    y = np.asarray(y_meas, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (s00, s01), (s10, s11) = (ekf.P[:2, :2] + ekf.R_meas).tolist()
-        det = s00 * s11 - s01 * s10
-        if det <= 0.0 or s00 <= 0.0:
-            raise FloatingPointError("innovation covariance not positive definite")
-        K = ekf.P[:, :2] @ (np.array([[s11, -s01], [-s10, s00]]) / det)  # P C' S^-1, closed form
-        x_new = ekf.x_hat + K @ (y - ekf.x_hat[:2])
-        P_new = ekf.P - K @ ekf.P[:2, :]
-        P_new = 0.5 * (P_new + P_new.T)
-    if not (np.isfinite(x_new).all() and np.isfinite(P_new).all()):
-        raise FloatingPointError("non-finite measurement update")
-    return EkfState(x_new, P_new, ekf.Q, ekf.R_meas, ekf.T_s)
+    _, r, x, P = _kernel_args(ekf)
+    return _state(ekf, *_update(r, x, P, float(y_meas[0]), float(y_meas[1])))
 
 
 def ekf_step(ekf: EkfState, params: MachineParams, u, y_meas) -> EkfState:
     """One full predict-correct cycle."""
-    return gain_and_innovate(predict(ekf, params, u), y_meas)
+    q, r, x, P = _kernel_args(ekf)
+    x, P = _predict(params, ekf.T_s, q, x, P, float(u[0]), float(u[1]))
+    return _state(ekf, *_update(r, x, P, float(y_meas[0]), float(y_meas[1])))

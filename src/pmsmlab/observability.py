@@ -221,34 +221,24 @@ def lie_gradient_stack(
 # ---------------------------------------------------------------------------
 
 
-def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> np.ndarray:
-    """Analytic order-1 observability matrix, with c, s = cos(theta), sin(theta).
+def _current_rate_jacobian(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> tuple:
+    """Gradient of the stator current rate in (i_a, i_b, omega, theta): rows 2-3 of the order-1 matrix.
 
-    Plain arithmetic that broadcasts: float arguments give one 4x4 matrix,
-    arrays of N samples an (N, 4, 4) stack.  di is the stator current rate.
+    Plain arithmetic that broadcasts; c, s = cos(theta), sin(theta) and di is
+    the stator current rate.  Returns the 8 entries row by row, as a tuple.
     """
     (L_aa, L_ab, L_bb), (d1_aa, d1_ab), (d2_aa, d2_ab), (adj_aa, adj_ab, adj_bb), det = _inductance(params, c, s)
     inv_aa, inv_ab, inv_bb = adj_aa / det, adj_ab / det, adj_bb / det
     R, psi_r = params.R, params.psi_r
 
-    out = np.zeros(np.shape(c) + (4, 4))
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-
     # -Linv (R I + omega L')
     n_aa = R + omega * d1_aa
     n_ab = omega * d1_ab
     n_bb = R - omega * d1_aa
-    out[..., 2, 0] = -(inv_aa * n_aa + inv_ab * n_ab)
-    out[..., 2, 1] = -(inv_aa * n_ab + inv_ab * n_bb)
-    out[..., 3, 0] = -(inv_ab * n_aa + inv_bb * n_ab)
-    out[..., 3, 1] = -(inv_ab * n_ab + inv_bb * n_bb)
 
     # -Linv (L' i + psi_r C')
     g_a = d1_aa * i_a + d1_ab * i_b + psi_r * (-s)
     g_b = d1_ab * i_a - d1_aa * i_b + psi_r * c
-    out[..., 2, 2] = -(inv_aa * g_a + inv_ab * g_b)
-    out[..., 3, 2] = -(inv_ab * g_a + inv_bb * g_b)
 
     # (Linv)' L di - Linv (L'' i - psi_r C) omega, with (Linv)' = -Linv L' Linv
     Ldi_a = L_aa * di_a + L_ab * di_b
@@ -261,8 +251,23 @@ def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> 
     m_b = d2_ab * i_a - d2_aa * i_b - psi_r * s
     h_a = lp_a + m_a * omega
     h_b = lp_b + m_b * omega
-    out[..., 2, 3] = -(inv_aa * h_a + inv_ab * h_b)
-    out[..., 3, 3] = -(inv_ab * h_a + inv_bb * h_b)
+    return (-(inv_aa * n_aa + inv_ab * n_ab), -(inv_aa * n_ab + inv_ab * n_bb),
+            -(inv_aa * g_a + inv_ab * g_b), -(inv_aa * h_a + inv_ab * h_b),
+            -(inv_ab * n_aa + inv_bb * n_ab), -(inv_ab * n_ab + inv_bb * n_bb),
+            -(inv_ab * g_a + inv_bb * g_b), -(inv_ab * h_a + inv_bb * h_b))
+
+
+def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> np.ndarray:
+    """Analytic order-1 observability matrix, with c, s = cos(theta), sin(theta).
+
+    Float arguments give one 4x4 matrix, arrays of N samples an (N, 4, 4)
+    stack.  di is the stator current rate.
+    """
+    out = np.zeros(np.shape(c) + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = 1.0
+    for k, entry in enumerate(_current_rate_jacobian(params, i_a, i_b, omega, c, s, di_a, di_b)):
+        out[..., 2 + k // 4, k % 4] = entry
     return out
 
 

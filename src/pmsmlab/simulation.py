@@ -28,7 +28,7 @@ from pmsmlab.control import (
     current_reference,
     default_gains,
 )
-from pmsmlab.ekf import ekf_step, make_ekf
+from pmsmlab.ekf import _kernel_args, _predict, _update, make_ekf
 from pmsmlab.machine import (
     FrameVec,
     MachineParams,
@@ -355,6 +355,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     omega_hat, theta_hat = 0.0, scn.theta0 + scn.theta_hat_err0  # the filter's prior, unwrapped
     ekf = make_ekf([i_ab0.x, i_ab0.y, omega_hat, theta_hat], T_s,
                    Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag))
+    q, r, x_hat, P = _kernel_args(ekf)  # the filter runs on floats: x_hat and P's 10 distinct entries
 
     rec = np.empty((n, 10))  # one row per sample: what the loop decides or advances
     aborted, abort_time, abort_reason = False, None, ""
@@ -382,13 +383,14 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
                 row = next(maps)
                 ia_new, ib_new = _apply_map(row, R, ia_new, ib_new, va, vb, t_k + j * dt, dt)
             if with_ekf:
-                ekf = ekf_step(ekf, params, (va, vb), (ya, yb))
+                x_hat, P = _predict(params, ekf.T_s, q, x_hat, P, va, vb)
+                x_hat, P = _update(r, x_hat, P, ya, yb)
         except FloatingPointError as exc:
             aborted, abort_time, abort_reason, rows = True, t_k, str(exc), k
             break
 
         if with_ekf:
-            _, _, omega_hat, theta_hat = ekf.x_hat.tolist()
+            _, _, omega_hat, theta_hat = x_hat
         rec[k] = (ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat)
         ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
 
@@ -399,33 +401,34 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite matrix raises before the SVD
         theta_true = wrap_angle(theta)
         c, s = np.cos(theta_true), np.sin(theta_true)
-        i_d, i_q = _rotate(i_alpha, i_beta, c, -s)
+        i_d, i_q, di_d, di_q = _dq_current_rate(params, i_alpha, i_beta, omega_true, c, s, v_alpha, v_beta)
         cols = dict(t=np.arange(rows) * T_s, i_alpha=i_alpha, i_beta=i_beta, i_d=i_d, i_q=i_q, id_ref=id_ref,
                     iq_ref=iq_ref, v_alpha=v_alpha, v_beta=v_beta, omega_true=omega_true, theta_true=theta_true,
                     omega_hat=omega_hat, theta_hat=wrap_angle(theta_hat), theta_err=wrap_angle(theta_hat - theta))
-        obs = _observability_columns(scn, cols, c, s)
+        obs = _observability_columns(scn, cols, di_d, di_q)
     del obs["singular_values"]  # not a trajectory column
     return TrajectoryLog(**cols, **obs, aborted=aborted, abort_time=abort_time, abort_reason=abort_reason)
 
 
-def _observability_columns(scn: Scenario, cols: dict, c, s) -> dict:
+def _observability_columns(scn: Scenario, cols: dict, di_d, di_q) -> dict:
     """Vectorized observability columns at the logged states and applied voltages.
 
-    c, s are cos, sin of theta_true; obs_on_estimates uses the frame of the estimates.  The
-    current rates are exact values of the model, not finite differences of the log.
+    di_d, di_q are the current rates in the true rotor frame, which cols' i_d, i_q are in;
+    obs_on_estimates uses the frame of the estimates.  The current rates are exact values
+    of the model, not finite differences of the log.
     """
     t = cols["t"]
     if scn.obs_on_estimates:
         theta = cols["theta_hat"]
         omega = cols["omega_hat"]
         omega_dot = np.gradient(omega, scn.T_s) if len(t) > 1 else np.zeros_like(t)
-        c, s = np.cos(theta), np.sin(theta)
+        i_d, i_q, di_d, di_q = _dq_current_rate(scn.params, cols["i_alpha"], cols["i_beta"], omega,
+                                                np.cos(theta), np.sin(theta), cols["v_alpha"], cols["v_beta"])
     else:
         theta = cols["theta_true"]
         omega = cols["omega_true"]
         omega_dot = scn.profile.omega_dot(t)
-    i_d, i_q, di_d, di_q = _dq_current_rate(scn.params, cols["i_alpha"], cols["i_beta"], omega, c, s,
-                                            cols["v_alpha"], cols["v_beta"])
+        i_d, i_q = cols["i_d"], cols["i_q"]
     return trajectory_reports(scn.params, t, i_d, i_q, di_d, di_q, omega, omega_dot, theta)
 
 

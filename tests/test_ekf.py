@@ -237,9 +237,11 @@ def test_ekf_step_is_predict_then_update_bit_for_bit(ip_params):
 
 
 def test_predict_covariance_is_the_lyapunov_form_bit_for_bit(ip_params):
-    # predict forms A P once and uses (A P)' for P A'; on an exactly
-    # symmetric P that must give the written formula bit for bit
+    # the reference is the written formula P + T_s ((A P) + (A P)') + Q in plain
+    # float arithmetic, k summed 0..3 in order; numpy's @ would go through BLAS
+    # kernels chosen at run time, some with fused multiply-adds
     rng = np.random.default_rng(5)
+    q = Q.tolist()
     for _ in range(1000):
         x = rng.uniform(-5.0, 5.0, 4) * (1.0, 1.0, 50.0, 1.0)
         u = rng.uniform(-3.0, 3.0, 2)
@@ -247,9 +249,11 @@ def test_predict_covariance_is_the_lyapunov_form_bit_for_bit(ip_params):
         P = 0.5 * (B @ B.T + (B @ B.T).T)
         assert np.array_equal(P, P.T)
         A, _ = linearize(ip_params, x, u)
-        M = P + T_S * (A @ P + P @ A.T) + Q
+        a, p = A.tolist(), P.tolist()
+        AP = [[sum(a[i][k] * p[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+        M = [[p[i][j] + T_S * (AP[i][j] + AP[j][i]) + q[i][j] for j in range(4)] for i in range(4)]
         out = predict(EkfState(x, P, Q, R, T_S), ip_params, u)
-        assert np.array_equal(out.P, 0.5 * (M + M.T))
+        assert np.array_equal(out.P, np.array(M))
 
 
 def test_steps_keep_the_callers_tuning_objects(ip_params):
@@ -277,6 +281,36 @@ def test_gain_matches_a_linear_solve():
         K = np.stack([gain_and_innovate(EkfState(np.zeros(4), P, Q, R_meas, T_S), y).x_hat
                       for y in ((1.0, 0.0), (0.0, 1.0))], axis=1)
         assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("machine", ["ip", "sp"])
+def test_kernels_match_a_numpy_statement_of_the_filter(machine, ip_params, sp_params):
+    # the float kernels against the matrix form of one cycle: matmul Lyapunov
+    # predict, a solved gain and the symmetrised downdate P - K C P
+    params = ip_params if machine == "ip" else sp_params
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(1000):
+        x = rng.uniform(-1.0, 1.0, 4) * (20.0, 20.0, 80.0, math.pi)
+        # inputs small enough that T_s |A| < 1, where the Euler predict keeps S positive definite
+        u, y = rng.uniform(-3.0, 3.0, 2), rng.uniform(-20.0, 20.0, 2)
+        B = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3.0, 0.0)
+        P = 0.5 * (B @ B.T + (B @ B.T).T) + 1e-6 * np.eye(4)
+        Bm = rng.standard_normal((2, 2))
+        R_meas = 0.5 * (Bm @ Bm.T + (Bm @ Bm.T).T) + 0.1 * np.eye(2)
+        A, C = linearize(params, x, u)
+        x_pred = x + T_S * _rate(params, x, u)
+        P_pred = P + T_S * (A @ P + P @ A.T) + Q
+        K = np.linalg.solve(C @ P_pred @ C.T + R_meas, C @ P_pred).T  # P C' S^-1, S symmetric
+        x_upd = x_pred + K @ (y - C @ x_pred)
+        P_upd = P_pred - K @ C @ P_pred
+        P_upd = 0.5 * (P_upd + P_upd.T)
+
+        pred = predict(EkfState(x, P, Q, R_meas, T_S), params, u)
+        upd = gain_and_innovate(pred, y)
+        for got, ref in ((pred.x_hat, x_pred), (pred.P, P_pred), (upd.x_hat, x_upd), (upd.P, P_upd)):
+            worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("block", [[[-3.0, 0.0], [0.0, 1.0]], [[0.0, 2.0], [2.0, 0.0]]])

@@ -2,11 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import pmsmlab
 from pmsmlab.control import (
     ControllerState,
     InjectionKind,
@@ -579,3 +583,39 @@ def test_code_built_scenario_rejects_estimator_and_control_values(field, value):
     label = "injection.kind" if field == "injection" else field
     with pytest.raises(ValueError, match=f"^{label}: [^;]*$"):
         run_scenario(dataclasses.replace(standstill_study_scenario(), **{field: value}), with_ekf=False)
+
+
+def _dynamic_arch_openblas() -> bool:
+    """True when numpy's BLAS is an OpenBLAS that picks its kernels for the CPU at run time."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")) and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_loop_columns_do_not_depend_on_the_blas_kernels(tmp_path):
+    # OPENBLAS_CORETYPE=Prescott forces OpenBLAS's oldest x86-64 kernels, which
+    # use no fused multiply-adds; the run must not notice
+    columns = ("i_alpha", "i_beta", "v_alpha", "v_beta", "omega_hat", "theta_hat")
+    script = (
+        "import dataclasses, sys\n"
+        "import numpy as np\n"
+        "from pmsmlab.simulation import run_scenario, standstill_study_scenario\n"
+        "log = run_scenario(dataclasses.replace(standstill_study_scenario(), t_end=0.3))\n"
+        f"np.save(sys.argv[1], np.stack([getattr(log, c) for c in {columns!r}]))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(pmsmlab.__file__)),
+                                           os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = []
+    for coretype in (None, "Prescott"):
+        out = tmp_path / f"{coretype}.npy"
+        subprocess.run([sys.executable, "-c", script, str(out)], check=True, timeout=300,
+                       env=env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype))
+        runs.append(np.load(out))
+    assert runs[0].shape == (len(columns), 3000)
+    for name, a, b in zip(columns, *runs):
+        assert np.array_equal(a, b), f"{name} depends on the BLAS kernels"
