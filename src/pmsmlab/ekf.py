@@ -23,12 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _electrical_rate_ab, _torque
+from pmsmlab.machine import MachineParams, _electrical_rate_ab, _inductance, _torque
 from pmsmlab.observability import _current_rate_jacobian
 
 C_OUT = np.hstack([np.eye(2), np.zeros((2, 2))])
 _UPPER = np.array([0, 1, 2, 3, 5, 6, 7, 10, 11, 15])  # flat places of a 4x4 matrix's 10 stored entries
 _FULL = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])  # the stored entry at each place
+_TOL = 1e-9  # absolute tolerance of make_ekf's symmetry and semidefiniteness checks
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,19 @@ def make_ekf(x0, T_s: float, Q, R_meas, P0) -> EkfState:
         T_s=float(T_s),
     )
     for name, m in (("P", ekf.P), ("Q", ekf.Q), ("R_meas", ekf.R_meas)):
-        if not np.allclose(m, m.T, atol=1e-9):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} must be finite")
+        if np.abs(m - m.T).max() > _TOL:
             raise ValueError(f"{name} must be symmetric")
     # R_meas must be positive definite for the innovation inverse
     np.linalg.cholesky(ekf.R_meas)
     # the kernels read the upper triangles, so store P and Q as their mirrored upper
     # triangles: new arrays, equal to a symmetric input bit for bit
-    return replace(ekf, P=ekf.P.take(_UPPER)[_FULL], Q=ekf.Q.take(_UPPER)[_FULL])
+    ekf = replace(ekf, P=ekf.P.take(_UPPER)[_FULL], Q=ekf.Q.take(_UPPER)[_FULL])
+    for name, m in (("P", ekf.P), ("Q", ekf.Q)):
+        if np.linalg.eigvalsh(m)[0] < -_TOL:
+            raise ValueError(f"{name} must be positive semidefinite")
+    return ekf
 
 
 def _kernel_args(ekf: EkfState) -> tuple[list, list, list, list]:
@@ -78,20 +85,21 @@ def _kernel_args(ekf: EkfState) -> tuple[list, list, list, list]:
 
 
 def _model(params: MachineParams, ia: float, ib: float, omega: float, theta: float, va: float, vb: float) -> tuple:
-    """Model rate f (zero load torque) and the entries of A = df/dx that vary, from one cos/sin and rate call.
+    """Model rate f (zero load torque) and the entries of A = df/dx that vary, from one cos/sin, L(theta) and rate call.
 
     Returns f0..f3, A's rows 0-1 (the current-rate gradient, 8 entries) and
     A20, A21, A23 (the torque gradient); A22 = 0 and row 3 is (0, 0, 1, 0).
     """
     c, s = math.cos(theta), math.sin(theta)
-    di_a, di_b = _electrical_rate_ab(params, ia, ib, omega, c, s, va, vb)
+    ind = _inductance(params, c, s)
+    di_a, di_b = _electrical_rate_ab(params, ia, ib, omega, c, s, va, vb, ind)
     c2 = c * c - s * s
     s2 = 2.0 * s * c
     L2, psi_r = params.L2, params.psi_r
     k = 1.5 * params.p * params.p / params.J
     return (
         di_a, di_b, params.p / params.J * _torque(params, ia, ib, c, s), omega,
-        *_current_rate_jacobian(params, ia, ib, omega, c, s, di_a, di_b),
+        *_current_rate_jacobian(params, ia, ib, omega, c, s, di_a, di_b, ind),
         k * (-psi_r * s - L2 * (2.0 * ia * s2 - 2.0 * ib * c2)),
         k * (psi_r * c - L2 * (-2.0 * ib * s2 - 2.0 * ia * c2)),
         k * (-psi_r * (ib * s + ia * c) - L2 * (2.0 * (ia * ia - ib * ib) * c2 + 4.0 * ia * ib * s2)),

@@ -258,14 +258,15 @@ def inductance_matrix_inv(theta: float, params: MachineParams) -> np.ndarray:
     return np.array([[aa, ab], [ab, bb]]) / det
 
 
-def _electrical_rate_ab(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b):
+def _electrical_rate_ab(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b, ind=None):
     """dI/dt in the stator frame, with c, s = cos(theta), sin(theta).
 
     Plain arithmetic, so it broadcasts: the plant's step-map builder calls it on basis
     columns against blocks of RK4 steps, the rotor-frame rate on arrays of samples, and
-    the filter model and the order-1 matrix on floats.
+    the filter model and the order-1 matrix on floats.  ind is _inductance(params, c, s)
+    when the caller already holds it.
     """
-    _, (dL_aa, dL_ab), _, (adj_aa, adj_ab, adj_bb), det = _inductance(params, c, s)
+    _, (dL_aa, dL_ab), _, (adj_aa, adj_ab, adj_bb), det = _inductance(params, c, s) if ind is None else ind
     R, psi_r = params.R, params.psi_r
 
     # u = v - R*i - omega*L'*i - psi_r*C'(theta)*omega, with C' = (-sin, cos)

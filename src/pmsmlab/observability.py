@@ -221,13 +221,15 @@ def lie_gradient_stack(
 # ---------------------------------------------------------------------------
 
 
-def _current_rate_jacobian(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> tuple:
+def _current_rate_jacobian(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b, ind=None) -> tuple:
     """Gradient of the stator current rate in (i_a, i_b, omega, theta): rows 2-3 of the order-1 matrix.
 
     Plain arithmetic that broadcasts; c, s = cos(theta), sin(theta) and di is
-    the stator current rate.  Returns the 8 entries row by row, as a tuple.
+    the stator current rate; ind is _inductance(params, c, s) when the caller
+    already holds it.  Returns the 8 entries row by row, as a tuple.
     """
-    (L_aa, L_ab, L_bb), (d1_aa, d1_ab), (d2_aa, d2_ab), (adj_aa, adj_ab, adj_bb), det = _inductance(params, c, s)
+    ind = _inductance(params, c, s) if ind is None else ind
+    (L_aa, L_ab, L_bb), (d1_aa, d1_ab), (d2_aa, d2_ab), (adj_aa, adj_ab, adj_bb), det = ind
     inv_aa, inv_ab, inv_bb = adj_aa / det, adj_ab / det, adj_bb / det
     R, psi_r = params.R, params.psi_r
 

@@ -7,9 +7,13 @@ control with the true rotor angle, plant integration with RK4 substeps and
 one EKF cycle; it records only what it decides or advances.  One vectorized
 pass then derives time, wrapped angles, dq currents and observability columns.
 
-With the motion imposed, one RK4 substep maps the currents affinely.  The
-maps depend only on the scenario, so they are built in blocks of steps by
-one broadcasting RK4 (`_step_maps`), and each substep applies its map.
+With the motion imposed and the voltage held over a sample, one RK4 substep
+maps the currents affinely, and so do a sample's `ode_substeps` substeps
+together.  The maps depend only on the plant (`Scenario.plant_key`), so
+`plant_maps` builds them before the run: one broadcasting RK4 (`_step_maps`)
+over blocks of steps, composed pairwise into one map per sample
+(`_sample_maps`).  The loop applies one map per sample, and a sweep, whose
+points share the plant, builds the table once.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from pmsmlab.machine import (
     MachineState,
     _dq_current_rate,
     _electrical_rate_ab,
+    _inductance,
     _rotate,
     dq,
     inverse_park,
@@ -44,8 +49,9 @@ from pmsmlab.machine import (
 from pmsmlab.observability import trajectory_reports
 
 
-_MAP_BLOCK = 512  # RK4 steps per block of step maps in run_scenario: bounds its memory
-MAX_SAMPLES = 10**7  # longest run, in samples: its 24 float columns (log and loop record) take about 2 GB
+_MAP_BLOCK = 512  # most RK4 steps of one sample built at a time, and map rows the loop reads at a time
+_BUILD_STEPS = 2048  # RK4 steps of whole samples that plant_maps builds per block, when a sample fits
+MAX_SAMPLES = 10**7  # longest run, in samples: 24 float columns (log and loop record) and 12 map floats, ~2.9 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
 
@@ -198,6 +204,11 @@ class Scenario:
     def n_samples(self) -> int:
         return int(round(self.t_end / self.T_s))
 
+    @property
+    def plant_key(self) -> tuple:
+        """What the plant's maps depend on: machine, profile, T_s, ode_substeps, theta0 and the sample count."""
+        return self.params, self.profile, self.T_s, self.ode_substeps, self.theta0, self.n_samples
+
 
 @dataclass
 class TrajectoryLog:
@@ -233,7 +244,7 @@ class TrajectoryLog:
         return self.t.shape[0]
 
 
-def _step_maps(params: MachineParams, profile: SpeedProfile, t0, dt: float, theta: float) -> list:
+def _step_maps(params: MachineParams, profile: SpeedProfile, t0, dt: float, theta: float) -> np.ndarray:
     """Affine RK4 step maps of the currents, for the steps [t, t+dt] at the start times t0.
 
     The motion is imposed and the voltage held, so one classical RK4 step
@@ -244,33 +255,72 @@ def _step_maps(params: MachineParams, profile: SpeedProfile, t0, dt: float, thet
     is taken off the other four.  The angle starts at theta and runs on as
     (theta - a0) + a2, with a the profile angles at t, t+dt/2 and t+dt.
 
-    Returns one row per step: D_aa, D_ab, X_aa, X_ab, c_a, D_ba, D_bb, X_ba,
+    Returns one column per step: D_aa, D_ab, X_aa, X_ab, c_a, D_ba, D_bb, X_ba,
     X_bb, c_b, then the speed and the angle at the step's end.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite maps abort in _apply_map
-        w, _, a = profile.evaluate(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=-1))
-        # one sequential sum: each angle is the float chain (theta - a0) + a2, step after step, across blocks too
-        th = np.empty(2 * len(t0) + 1)
-        th[0], th[1::2], th[2::2] = theta, -a[:, 0], a[:, 2]
-        th = np.add.accumulate(th)  # step angles at the even entries, theta - a0 at the odd ones
-        c, s = np.cos(th[::2]), np.sin(th[::2])
-        cm, sm = np.cos(th[1::2] + a[:, 1]), np.sin(th[1::2] + a[:, 1])
+    w, _, a = profile.evaluate(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=-1))
+    # one sequential sum: each angle is the float chain (theta - a0) + a2, step after step, across blocks too
+    th = np.empty(2 * len(t0) + 1)
+    th[0], th[1::2], th[2::2] = theta, -a[:, 0], a[:, 2]
+    th = np.add.accumulate(th)  # step angles at the even entries, theta - a0 at the odd ones
+    c, s = np.cos(th[::2]), np.sin(th[::2])
+    cm, sm = np.cos(th[1::2] + a[:, 1]), np.sin(th[1::2] + a[:, 1])
+    ind_m = _inductance(params, cm, sm)  # the k2 and k3 stages share the midpoint angle
 
-        e_a, e_b, ia, ib, _ = np.eye(5)[:, :, None]  # the basis columns, as (5, 1) arrays
-        va, vb = e_a + params.R * ia, e_b + params.R * ib
-        k1a, k1b = _electrical_rate_ab(params, ia, ib, w[:, 0], c[:-1], s[:-1], va, vb)
-        k2a, k2b = _electrical_rate_ab(params, ia + 0.5 * dt * k1a, ib + 0.5 * dt * k1b, w[:, 1], cm, sm, va, vb)
-        k3a, k3b = _electrical_rate_ab(params, ia + 0.5 * dt * k2a, ib + 0.5 * dt * k2b, w[:, 1], cm, sm, va, vb)
-        k4a, k4b = _electrical_rate_ab(params, ia + dt * k3a, ib + dt * k3b, w[:, 2], c[1:], s[1:], va, vb)
-        da = dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        db = dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        da[:4] -= da[4]
-        db[:4] -= db[4]
-    return np.vstack([da, db, w[:, 2], th[2::2]]).T.tolist()
+    e_a, e_b, ia, ib, _ = np.eye(5)[:, :, None]  # the basis columns, as (5, 1) arrays
+    va, vb = e_a + params.R * ia, e_b + params.R * ib
+    k1a, k1b = _electrical_rate_ab(params, ia, ib, w[:, 0], c[:-1], s[:-1], va, vb)
+    k2a, k2b = _electrical_rate_ab(params, ia + 0.5 * dt * k1a, ib + 0.5 * dt * k1b, w[:, 1], cm, sm, va, vb, ind_m)
+    k3a, k3b = _electrical_rate_ab(params, ia + 0.5 * dt * k2a, ib + 0.5 * dt * k2b, w[:, 1], cm, sm, va, vb, ind_m)
+    k4a, k4b = _electrical_rate_ab(params, ia + dt * k3a, ib + dt * k3b, w[:, 2], c[1:], s[1:], va, vb)
+    da = dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    db = dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    da[:4] -= da[4]
+    db[:4] -= db[4]
+    return np.vstack([da, db, w[:, 2], th[2::2]])
+
+
+def _compose(a, b, R: float):
+    """The map of a, then b, each stacked as (2, 5, ...): per current, its D, X and c entries.
+
+    In increment form a map moves i by D e + X i + c.  After a, b moves it by
+    its own increment plus G_b times a's, with G_b = X_b - R D_b, so the
+    composite is a + b + G_b a, entry by entry.
+    """
+    g = b[:, 2:4] - R * b[:, 0:2]
+    return a + b + (g[:, 0, None] * a[0] + g[:, 1, None] * a[1])
+
+
+def _sample_maps(params: MachineParams, profile: SpeedProfile, t, substeps: int, T_s: float,
+                 theta: float) -> np.ndarray:
+    """One composed map row per sample starting at the times t, in the _step_maps layout.
+
+    Each sample's substeps are composed by pairwise halving, in chunks of at
+    most _MAP_BLOCK steps counted from the sample's first step; the partial
+    composite carries across chunks.  So a sample's row depends only on its
+    own steps, wherever its block starts.  t holds one sample when substeps
+    exceeds _MAP_BLOCK.  Returns an (n, 12) array.
+    """
+    dt = T_s / substeps
+    chunk = min(substeps, _MAP_BLOCK)
+    done = None
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite maps abort in _apply_map
+        for j0 in range(0, substeps, chunk):
+            j = np.arange(j0, min(j0 + chunk, substeps))
+            # k*T_s + j*dt, as the loop counts time
+            steps = _step_maps(params, profile, (t[:, None] + j * dt).ravel(), dt, theta).reshape(12, len(t), len(j))
+            theta = steps[11, -1, -1]
+            m = steps[:10].reshape(2, 5, len(t), len(j))
+            while m.shape[-1] > 1:
+                n = m.shape[-1]
+                pairs = _compose(m[..., 0:n - 1:2], m[..., 1:n:2], params.R)
+                m = pairs if n % 2 == 0 else np.concatenate([pairs, m[..., n - 1:]], axis=-1)
+            done = m[..., 0] if done is None else _compose(done, m[..., 0], params.R)
+    return np.vstack([done.reshape(10, -1), steps[10:, :, -1]]).T
 
 
 def _apply_map(row, R: float, ia: float, ib: float, va: float, vb: float, t: float, dt: float):
-    """Currents after the RK4 step [t, t+dt] whose _step_maps row is row."""
+    """Currents after the step [t, t+dt] whose map row is row."""
     daa, dab, xaa, xab, ca, dba, dbb, xba, xbb, cb, _, _ = row
     ea, eb = va - R * ia, vb - R * ib
     ia, ib = (ia + (daa * ea + dab * eb + xaa * ia + xab * ib + ca),
@@ -287,29 +337,51 @@ def integrate_electrical(
     t: float,
     dt: float,
     params: MachineParams,
+    substeps: int = 1,
 ) -> MachineState:
-    """One classical RK4 step on the currents over [t, t+dt].
+    """Classical RK4 on the currents over [t, t+dt], in `substeps` equal steps.
 
     Speed and position inside the stages come from the profile (exact angle
     integral anchored at the state's current theta), voltage is held constant.
+    The steps are composed into one map as in a run, so at t = k*T_s, dt = T_s
+    and substeps = ode_substeps this is the run's sample k, bit for bit.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    (row,) = _step_maps(params, profile, np.array([t]), dt, state.theta)
+    if dt <= 0.0 or substeps < 1:
+        raise ValueError("dt must be > 0 and substeps >= 1")
+    (row,) = _sample_maps(params, profile, np.array([t]), substeps, dt, state.theta).tolist()
     ia, ib = _apply_map(row, params.R, state.i_alpha, state.i_beta, v_ab.x, v_ab.y, t, dt)
     return MachineState(ia, ib, row[10], row[11], state.T_l)
 
 
-def _run_maps(params: MachineParams, profile: SpeedProfile, n: int, substeps: int, T_s: float, dt: float,
-              theta: float):
-    """_step_maps rows for every RK4 step of a run, _MAP_BLOCK steps at a time."""
-    total = n * substeps
-    for m0 in range(0, total, _MAP_BLOCK):
-        m = np.arange(m0, min(m0 + _MAP_BLOCK, total))
-        # k*T_s + j*dt, as the loop counts time
-        rows = _step_maps(params, profile, m // substeps * T_s + m % substeps * dt, dt, theta)
-        theta = rows[-1][11]
-        yield from rows
+@dataclass(frozen=True, eq=False)
+class PlantMaps:
+    """One composed plant map per control sample, and the plant_key it was built for."""
+
+    key: tuple
+    table: np.ndarray  # (n_samples, 12): _sample_maps rows
+
+
+def plant_maps(scn: Scenario) -> PlantMaps:
+    """The map table of scn's plant, built _BUILD_STEPS RK4 steps (or one sample) at a time.
+
+    Runs that share scn.plant_key can share the table: run_scenario(..., maps=...).
+    """
+    n, substeps, T_s = scn.n_samples, scn.ode_substeps, scn.T_s
+    per = _BUILD_STEPS // substeps if substeps <= _MAP_BLOCK else 1  # samples per block, as _sample_maps needs
+    table = np.empty((n, 12))
+    theta = scn.theta0
+    for k0 in range(0, n, per):
+        k1 = min(k0 + per, n)
+        table[k0:k1] = _sample_maps(scn.params, scn.profile, np.arange(k0, k1) * T_s, substeps, T_s, theta)
+        theta = table[k1 - 1, 11]
+    table.flags.writeable = False  # runs share it
+    return PlantMaps(scn.plant_key, table)
+
+
+def _rows(table: np.ndarray):
+    """The table's rows as lists of floats, _MAP_BLOCK rows at a time."""
+    for k0 in range(0, len(table), _MAP_BLOCK):
+        yield from table[k0:k0 + _MAP_BLOCK].tolist()
 
 
 def needs_estimator(scn: Scenario) -> list:
@@ -320,22 +392,27 @@ def needs_estimator(scn: Scenario) -> list:
     return [(key, f"{msg} for analyze, which runs no estimator") for key, used, msg in uses if used]
 
 
-def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
+def run_scenario(scn: Scenario, with_ekf: bool = True, maps: PlantMaps | None = None) -> TrajectoryLog:
     """Execute the closed-loop scenario and return the full log.
 
     Per sample: measure currents (optional seeded noise), build references,
-    PI control with the true angle, RK4 plant substeps, one EKF
-    predict-correct cycle with the same voltage and measurement, then the
+    PI control with the true angle, the sample's composed RK4 plant map, one
+    EKF predict-correct cycle with the same voltage and measurement, then the
     observability columns evaluated on the true trajectory afterwards.
 
     with_ekf=False skips the estimator (trajectory analysis only); the estimate columns
     come back NaN, the true trajectory is identical, and needs_estimator's settings raise.
+    maps is plant_maps of a scenario with the same plant_key (built here if None);
+    one built for another plant raises ValueError.
     """
     if not with_ekf:
         raise_violations(needs_estimator(scn))
+    if maps is None:
+        maps = plant_maps(scn)
+    elif maps.key != scn.plant_key:
+        raise ValueError("maps were built for another plant (machine, profile, T_s, ode_substeps, theta0 or length)")
     params, R = scn.params, scn.params.R
-    n = scn.n_samples
-    T_s, dt = scn.T_s, scn.T_s / scn.ode_substeps
+    n, T_s = scn.n_samples, scn.T_s
     rng = np.random.default_rng(scn.seed)
 
     # the run begins with the current loops already settled at the base
@@ -360,9 +437,8 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     rec = np.empty((n, 10))  # one row per sample: what the loop decides or advances
     aborted, abort_time, abort_reason = False, None, ""
     rows = n
-    maps = _run_maps(params, scn.profile, n, scn.ode_substeps, T_s, dt, theta)
 
-    for k in range(n):
+    for k, row in enumerate(_rows(maps.table)):
         t_k = k * T_s
         ya, yb = ia, ib
         if scn.noise_std > 0.0:
@@ -378,10 +454,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
         va, vb = _command_ab(v_d, v_q, c, s, t_k, scn.injection, theta_hat)
 
         try:
-            ia_new, ib_new = ia, ib
-            for j in range(scn.ode_substeps):
-                row = next(maps)
-                ia_new, ib_new = _apply_map(row, R, ia_new, ib_new, va, vb, t_k + j * dt, dt)
+            ia_new, ib_new = _apply_map(row, R, ia, ib, va, vb, t_k, T_s)
             if with_ekf:
                 x_hat, P = _predict(params, ekf.T_s, q, x_hat, P, va, vb)
                 x_hat, P = _update(r, x_hat, P, ya, yb)
@@ -394,6 +467,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
         rec[k] = (ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat)
         ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
 
+    del maps  # frees a table built here before the derive pass, which sets the run's peak memory
     rec = rec[:rows]
     if not with_ekf:
         rec[:, 8:] = math.nan  # no estimates

@@ -148,6 +148,55 @@ def test_sweep_writes_grid_csv(tmp_path, capsys):
     assert "wrote 2 sweep rows" in capsys.readouterr().out
 
 
+SWEEP_POINTS = {
+    "injection.amplitude": [0.0, 2.0, 4.0],
+    "injection.frequency": [2000.0, 3000.0],
+    "noise_std": [0.0, 0.05],
+    "theta_hat_err0": [-0.5, 0.5],
+}
+
+
+def test_sweepable_parameters_keep_the_plant():
+    # the sweep shares one table of plant maps, so no sweepable parameter may change the plant
+    from pmsmlab.config import SWEEPABLE, apply_sweep_value
+    from pmsmlab.simulation import standstill_study_scenario
+
+    assert set(SWEEPABLE) == set(SWEEP_POINTS)
+    scn = standstill_study_scenario()
+    for parameter, values in SWEEP_POINTS.items():
+        for value in values:
+            assert apply_sweep_value(scn, parameter, value).plant_key == scn.plant_key
+
+
+@pytest.mark.parametrize("parameter", list(SWEEP_POINTS))
+def test_sweep_points_share_one_map_table_and_equal_standalone_runs(tmp_path, monkeypatch, parameter):
+    import pmsmlab.cli as cli
+    from pmsmlab.config import parse_config
+    from pmsmlab.simulation import run_scenario
+
+    builds = []
+    monkeypatch.setattr(cli, "plant_maps", lambda scn, build=cli.plant_maps: builds.append(scn) or build(scn))
+    cfg = parse_config(open(tiny_config(
+        tmp_path,
+        scenario={
+            "t_end": 0.03,
+            "profile": [[0.0, 0.0], [0.02, 0.0], [0.03, 30.0]],
+            "injection": {"kind": "voltage_on_dhat", "amplitude": 2.0, "frequency": 3000.0, "window": [0.005, 0.025]},
+        },
+        sweep={"parameter": parameter, "values": SWEEP_POINTS[parameter]},
+    )).read())
+    points = list(cli.run_sweep(cfg))
+    assert len(builds) == 1 and len(points) == len(SWEEP_POINTS[parameter])
+    for _, scn, log in points:
+        alone = run_scenario(scn)
+        assert not log.aborted
+        for name, value in vars(log).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, getattr(alone, name), equal_nan=True), name
+            else:
+                assert value == getattr(alone, name), name
+
+
 def test_sweep_hfi_column_nan_for_current_injection(tmp_path, capsys):
     cfg = tiny_config(
         tmp_path,

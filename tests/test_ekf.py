@@ -62,9 +62,52 @@ def test_make_ekf_validates_and_copies():
     assert ekf.P[0, 0] == 1.0 and ekf.x_hat[0] == 0.0
 
 
+def test_make_ekf_rejects_asymmetric_or_indefinite_covariances():
+    # asymmetric by 5e-3 and indefinite (P00 P11 - P01^2 < 0); np.allclose's hidden rtol=1e-5 let it through
+    p0 = np.diag([1e3, 1.0, 1.0, 1.0])
+    p0[0, 1], p0[1, 0] = 1e3, 1e3 + 5e-3
+    with pytest.raises(ValueError, match="P must be symmetric"):
+        make_ekf(np.zeros(4), T_S, Q, R, p0)
+    p0 = np.eye(4)
+    p0[0, 1], p0[1, 0] = 0.5, 0.5 + 2e-9  # the symmetry tolerance is an absolute 1e-9
+    with pytest.raises(ValueError, match="P must be symmetric"):
+        make_ekf(np.zeros(4), T_S, Q, R, p0)
+    p0[1, 0] = 0.5 + 5e-10
+    make_ekf(np.zeros(4), T_S, Q, R, p0)
+    p0 = np.diag([1e3, 1.0, 1.0, 1.0])
+    p0[0, 1] = p0[1, 0] = 1e3
+    with pytest.raises(ValueError, match="P must be positive semidefinite"):
+        make_ekf(np.zeros(4), T_S, Q, R, p0)
+    with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+        make_ekf(np.zeros(4), T_S, np.diag([1.0, 1.0, -1e-6, 1.0]), R, P0)
+    # semidefinite is enough, to the same 1e-9
+    make_ekf(np.zeros(4), T_S, np.diag([1.0, 1.0, -5e-10, 0.0]), R, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="P must be finite"):
+        make_ekf(np.zeros(4), T_S, Q, R, np.diag([math.inf, 1.0, 1.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # linearization
 # ---------------------------------------------------------------------------
+
+
+def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
+    # the filter's rate and Jacobian share L(theta); so do the plant's k2 and k3 RK4 stages
+    import pmsmlab.ekf
+    import pmsmlab.machine
+    import pmsmlab.observability
+    import pmsmlab.simulation
+    from pmsmlab.simulation import SpeedProfile, integrate_electrical
+
+    calls, inductance = [], pmsmlab.machine._inductance
+    for module in (pmsmlab.ekf, pmsmlab.machine, pmsmlab.observability, pmsmlab.simulation):
+        monkeypatch.setattr(module, "_inductance", lambda *a: calls.append(1) or inductance(*a))
+    ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
+    predict(ekf, ip_params, (1.0, -2.0))
+    assert len(calls) == 1
+    prof = SpeedProfile.from_breakpoints([(0.0, 5.0), (1.0, 20.0)])
+    integrate_electrical(MachineState(0.5, -0.5, 5.0, 0.2), alphabeta(1.0, -2.0), prof, 0.0, T_S, ip_params)
+    assert len(calls) == 1 + 3  # the k1, shared k2/k3 and k4 angles
 
 
 def test_linearize_output_matrix(ip_params):

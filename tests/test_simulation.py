@@ -408,40 +408,39 @@ def test_profile_scalar_calls_return_float():
 
 def test_run_replays_through_the_single_step_integrator():
     # one integrator: the logged voltages, stepped through integrate_electrical
-    # substep by substep, reproduce the logged currents bit for bit
-    from pmsmlab.machine import alphabeta
-
+    # one sample at a time with the run's substeps, reproduce the logged currents bit for bit
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.004, 0.0), (0.015, 40.0)])
     scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3)
     log = run_scenario(scn, with_ekf=False)
-    dt = scn.T_s / scn.ode_substeps
     st = MachineState(log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
     for k in range(len(log) - 1):
         v = alphabeta(log.v_alpha[k], log.v_beta[k])
-        for j in range(scn.ode_substeps):
-            st = integrate_electrical(st, v, prof, k * scn.T_s + j * dt, dt, scn.params)
+        st = integrate_electrical(st, v, prof, k * scn.T_s, scn.T_s, scn.params, substeps=scn.ode_substeps)
         assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
         assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
 
 
-@pytest.mark.parametrize("substeps, t_end", [(3, 0.06), (137, 0.002)])
-def test_run_replays_across_map_blocks(substeps, t_end):
-    # the run builds its step maps _MAP_BLOCK RK4 steps at a time, so block
-    # edges fall mid-sample; the replay through integrate_electrical, which
-    # builds one map per call, must still match bit for bit
+@pytest.mark.parametrize("substeps, t_end", [(3, 0.06), (137, 0.002), (600, 0.0006)])
+def test_run_replays_across_map_blocks(substeps, t_end, monkeypatch):
+    # the run builds its maps in blocks of whole samples, and a sample of more
+    # than _MAP_BLOCK substeps in chunks; the replay through
+    # integrate_electrical, which builds one sample per call, must still
+    # match bit for bit at every block and chunk edge, whatever the block size
+    import pmsmlab.simulation as simulation
     from pmsmlab.simulation import _MAP_BLOCK
 
+    if substeps <= _MAP_BLOCK:  # smaller blocks put more edges into a short run; a longer sample is its own block
+        monkeypatch.setattr(simulation, "_BUILD_STEPS", _MAP_BLOCK)
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.25 * t_end, 0.0), (t_end, 40.0)])
     scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3, t_end=t_end, ode_substeps=substeps)
-    assert scn.n_samples * substeps > 3 * _MAP_BLOCK and _MAP_BLOCK % substeps != 0
+    assert scn.n_samples > 3 * max(1, _MAP_BLOCK // substeps)  # at least three block edges
+    assert substeps < _MAP_BLOCK or substeps % _MAP_BLOCK != 0  # a short last chunk
     log = run_scenario(scn, with_ekf=False)
     assert len(log) == scn.n_samples
-    dt = scn.T_s / substeps
     st = MachineState(log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
     for k in range(len(log) - 1):
         v = alphabeta(log.v_alpha[k], log.v_beta[k])
-        for j in range(substeps):
-            st = integrate_electrical(st, v, prof, k * scn.T_s + j * dt, dt, scn.params)
+        st = integrate_electrical(st, v, prof, k * scn.T_s, scn.T_s, scn.params, substeps=substeps)
         assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
         assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
 
@@ -491,16 +490,63 @@ def test_step_map_matches_a_stagewise_rk4(kind):
         assert (out.omega, out.theta) == ref[2:]
 
 
+@pytest.mark.parametrize("substeps, cases", [(1, 60), (3, 60), (10, 40), (137, 10), (600, 4)])
+def test_sample_map_matches_stagewise_rk4_steps(substeps, cases):
+    # one composed map per sample is its substeps RK4 steps: the currents
+    # agree to rounding relative to the sample's own increment, the speed and
+    # angle exactly; 600 substeps span two chunks of _MAP_BLOCK steps
+    rng = np.random.default_rng(substeps)
+    for case in range(cases):
+        params = table_params(list(MachineKind)[case % 2])
+        prof = SpeedProfile.from_breakpoints([(0.0, rng.uniform(-300.0, -10.0)), (0.05, rng.uniform(10.0, 300.0))])
+        t, T = rng.uniform(0.0, 0.049), 10.0 ** rng.uniform(-5.0, -3.7)
+        i_a, i_b = rng.uniform(-20.0, 20.0, 2)
+        theta = rng.uniform(-math.pi, math.pi)
+        v = alphabeta(*rng.uniform(-40.0, 40.0, 2))
+        dt = T / substeps
+        ref = (i_a, i_b, 0.0, theta)
+        for j in range(substeps):
+            ref = _stagewise_rk4(params, prof, ref[0], ref[1], ref[3], v, t + j * dt, dt)
+        out = integrate_electrical(MachineState(i_a, i_b, 0.0, theta), v, prof, t, T, params, substeps=substeps)
+        err = math.hypot(out.i_alpha - ref[0], out.i_beta - ref[1])
+        assert err <= 1e-12 * math.hypot(ref[0] - i_a, ref[1] - i_b)
+        assert (out.omega, out.theta) == ref[2:]
+
+
+def test_run_rejects_maps_of_another_plant():
+    from pmsmlab.simulation import plant_maps
+
+    scn = _tiny(t_end=1e-3)
+    maps = plant_maps(scn)
+    assert maps.table.shape == (scn.n_samples, 12)
+    log = run_scenario(scn, maps=maps)
+    assert all(np.array_equal(getattr(log, f), getattr(run_scenario(scn), f), equal_nan=True)
+               for f in ("i_alpha", "i_beta", "theta_true", "omega_hat"))
+    other_plants = dict(
+        params=table_params(MachineKind.IPMSM),
+        profile=SpeedProfile.from_breakpoints([(0.0, 1.0)]),
+        T_s=5e-5,
+        ode_substeps=11,
+        theta0=0.1,
+        t_end=2e-3,
+    )
+    for field, value in other_plants.items():
+        other = dataclasses.replace(scn, **{field: value})
+        assert other.plant_key != scn.plant_key
+        with pytest.raises(ValueError, match="another plant"):
+            run_scenario(other, maps=maps)
+
+
 def test_block_trig_equals_single_element_trig():
     # the replay tests need np.cos/np.sin of an angle not to depend on the
     # array around it: run_scenario takes them over blocks, integrate_electrical
-    # over one step
-    from pmsmlab.simulation import _MAP_BLOCK
+    # over one sample
+    from pmsmlab.simulation import _BUILD_STEPS, _MAP_BLOCK
 
-    x = np.random.default_rng(4).uniform(-300.0, 300.0, _MAP_BLOCK + 1)
+    x = np.random.default_rng(4).uniform(-300.0, 300.0, _BUILD_STEPS + 1)
     for fn in (np.cos, np.sin):
         single = np.array([fn(x[i:i + 1])[0] for i in range(x.size)])
-        for n in (_MAP_BLOCK + 1, _MAP_BLOCK, 7):
+        for n in (_BUILD_STEPS + 1, _BUILD_STEPS, _MAP_BLOCK + 1, _MAP_BLOCK, 7):
             assert np.array_equal(fn(x[:n]), single[:n]), (
                 f"np.{fn.__name__} over {n} elements differs from one element at a time on this host,"
                 " so a run and its replay through integrate_electrical cannot agree bit for bit"
@@ -511,7 +557,8 @@ def test_non_positive_definite_innovation_ends_the_run_as_a_named_abort(monkeypa
     import pmsmlab.simulation as simulation
 
     def indefinite(x0, T_s, Q, R_meas, P0):
-        return make_ekf(x0, T_s, Q, R_meas, P0 - 5.0 * np.eye(4))
+        # make_ekf rejects an indefinite P0, so set it after the checks
+        return dataclasses.replace(make_ekf(x0, T_s, Q, R_meas, P0), P=P0 - 5.0 * np.eye(4))
 
     monkeypatch.setattr(simulation, "make_ekf", indefinite)
     log = run_scenario(_tiny())
@@ -559,8 +606,8 @@ def test_run_replays_through_the_public_controller(case):
 
 
 def test_many_substeps_run_in_bounded_memory():
-    # the stage times are evaluated a bounded number of RK4 steps at a time,
-    # so peak memory does not grow with ode_substeps
+    # a sample's steps are built and composed a bounded number of RK4 steps
+    # at a time, so peak memory does not grow with ode_substeps
     scn = _tiny(t_end=1e-4, ode_substeps=10**4)
     tracemalloc.start()
     try:
