@@ -16,10 +16,12 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from pmsmlab.config import ConfigError, RunConfig, apply_sweep_value, parse_config, render_config
 from pmsmlab.control import InjectionKind
 from pmsmlab.observability import hfi_det_y1, sample_report
-from pmsmlab.report import summarize, write_csv
+from pmsmlab.report import summarize, write_csv, write_rows
 from pmsmlab.simulation import Scenario, needs_estimator, plant_maps, run_scenario, standstill_study_scenario
 
 EXIT_OK = 0
@@ -144,17 +146,15 @@ def run_sweep(cfg: RunConfig):
     """Run the scenario once per sweep value; yields (value, scenario, log).
 
     No sweepable parameter changes the plant, so the points share one table
-    of plant maps, built at the first point.  An invalid point raises
-    ConfigError when the sweep reaches it.
+    of plant maps, built from cfg.scenario first; run_scenario checks each
+    point against it.  An invalid point raises ConfigError when reached.
     """
-    maps = None
+    maps = plant_maps(cfg.scenario)
     for value in cfg.sweep.values:
         try:
             scn = apply_sweep_value(cfg.scenario, cfg.sweep.parameter, value)
         except ValueError as exc:
             raise ConfigError([f"sweep: invalid point {cfg.sweep.parameter}={value!r}: {exc}"]) from exc
-        if maps is None or maps.key != scn.plant_key:
-            maps = plant_maps(scn)
         yield value, scn, run_scenario(scn, maps=maps)
 
 
@@ -184,11 +184,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             carrier_peak_det(scn),
         ))
     path = _out_path(cfg, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# sweep parameter: {cfg.sweep.parameter}\n")
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_rows(path, f"sweep parameter: {cfg.sweep.parameter}", SWEEP_COLUMNS, np.array(rows, dtype=float).T)
     print(f"wrote {len(rows)} sweep rows to {path}")
     return EXIT_OK
 

@@ -351,13 +351,10 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def apply_sweep_value(scn: Scenario, parameter: str, value: float) -> Scenario:
-    """Return a copy of the scenario with one sweepable parameter replaced."""
-    if parameter == "injection.amplitude":
-        return replace(scn, injection=replace(scn.injection, amplitude=value))
-    if parameter == "injection.frequency":
-        return replace(scn, injection=replace(scn.injection, frequency=value))
-    if parameter == "noise_std":
-        return replace(scn, noise_std=value)
-    if parameter == "theta_hat_err0":
-        return replace(scn, theta_hat_err0=value)
-    raise ValueError(f"not a sweepable parameter: {parameter}")
+    """Return a copy of the scenario with one SWEEPABLE field replaced; "a.b" names field b of field a."""
+    if parameter not in SWEEPABLE:
+        raise ValueError(f"not a sweepable parameter: {parameter}")
+    outer, _, name = parameter.rpartition(".")
+    if outer:
+        value = replace(getattr(scn, outer), **{name: value})
+    return replace(scn, **{outer or name: value})

@@ -1,9 +1,9 @@
-"""Extended Kalman filter on the 4-state electromechanical model.
+"""Extended Kalman filter on the 4-state electromechanical model: the filter algebra only.
 
 State x_hat = [i_alpha, i_beta, omega, theta].  The output map is the current
-pair, so C = [I2 | 0] is constant.  Covariance prediction uses the
-continuous-Lyapunov Euler form P + T_s (A P + P A') + Q rather than the
-discrete A P A' form; the filter model assumes zero load torque.
+pair, so C = [I2 | 0] is constant.  The model's rate and Jacobian, at zero
+load torque, come from machine._filter_model.  Covariance prediction uses the
+continuous-Lyapunov Euler form P + T_s (A P + P A') + Q, not A P A'.
 
 One cycle is two kernels on Python floats, `_predict` and `_update`.  They
 hold x_hat as 4 floats and the symmetric P as its 10 upper-triangle entries,
@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _electrical_rate_ab, _inductance, _torque
-from pmsmlab.observability import _current_rate_jacobian
+from pmsmlab.machine import MachineParams, _filter_model
 
 C_OUT = np.hstack([np.eye(2), np.zeros((2, 2))])
 _UPPER = np.array([0, 1, 2, 3, 5, 6, 7, 10, 11, 15])  # flat places of a 4x4 matrix's 10 stored entries
@@ -84,28 +83,6 @@ def _kernel_args(ekf: EkfState) -> tuple[list, list, list, list]:
     return ekf.Q.take(_UPPER).tolist(), ekf.R_meas.ravel().tolist(), ekf.x_hat.tolist(), ekf.P.take(_UPPER).tolist()
 
 
-def _model(params: MachineParams, ia: float, ib: float, omega: float, theta: float, va: float, vb: float) -> tuple:
-    """Model rate f (zero load torque) and the entries of A = df/dx that vary, from one cos/sin, L(theta) and rate call.
-
-    Returns f0..f3, A's rows 0-1 (the current-rate gradient, 8 entries) and
-    A20, A21, A23 (the torque gradient); A22 = 0 and row 3 is (0, 0, 1, 0).
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    ind = _inductance(params, c, s)
-    di_a, di_b = _electrical_rate_ab(params, ia, ib, omega, c, s, va, vb, ind)
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    L2, psi_r = params.L2, params.psi_r
-    k = 1.5 * params.p * params.p / params.J
-    return (
-        di_a, di_b, params.p / params.J * _torque(params, ia, ib, c, s), omega,
-        *_current_rate_jacobian(params, ia, ib, omega, c, s, di_a, di_b, ind),
-        k * (-psi_r * s - L2 * (2.0 * ia * s2 - 2.0 * ib * c2)),
-        k * (psi_r * c - L2 * (-2.0 * ib * s2 - 2.0 * ia * c2)),
-        k * (-psi_r * (ib * s + ia * c) - L2 * (2.0 * (ia * ia - ib * ib) * c2 + 4.0 * ia * ib * s2)),
-    )
-
-
 def _predict(params: MachineParams, T_s: float, q, x, P, va: float, vb: float) -> tuple[tuple, tuple]:
     """Euler state propagation and Lyapunov-form covariance propagation: (x, P) as tuples.
 
@@ -114,7 +91,7 @@ def _predict(params: MachineParams, T_s: float, q, x, P, va: float, vb: float) -
     """
     x0, x1, x2, x3 = x
     (f0, f1, f2, f3, a00, a01, a02, a03, a10, a11, a12, a13,
-     a20, a21, a23) = _model(params, x0, x1, x2, x3, va, vb)
+     a20, a21, a23) = _filter_model(params, x0, x1, x2, x3, va, vb)
     if not all(map(math.isfinite, (f0, f1, f2, f3))):
         raise FloatingPointError(f"non-finite filter dynamics at x_hat={np.array(x)}")
     x = (x0 + T_s * f0, x1 + T_s * f1, x2 + T_s * f2, x3 + T_s * f3)
@@ -191,7 +168,7 @@ def _state(ekf: EkfState, x, P) -> EkfState:
 
 def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
     """Analytic Jacobian A = df/dx at (x_hat, u) and constant output map C."""
-    a = _model(params, *map(float, x_hat), float(u[0]), float(u[1]))[4:]
+    a = _filter_model(params, *map(float, x_hat), float(u[0]), float(u[1]))[4:]
     A = np.array([a[0:4], a[4:8], (a[8], a[9], 0.0, a[10]), (0.0, 0.0, 1.0, 0.0)])
     return A, C_OUT.copy()
 

@@ -8,6 +8,9 @@ Conventions used throughout the package:
 * The machine is parameterized by the average inductance L0 and the signed
   differential inductance L2, with Ld = L0 + L2 and Lq = L0 - L2.  A machine
   is non-salient exactly when L2 == 0.
+
+The module owns the model and all its derivatives, each read from one
+_inductance evaluation (L, L', L'', adj(L)) per angle.
 """
 
 from __future__ import annotations
@@ -279,6 +282,44 @@ def _electrical_rate_ab(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b, 
     return di_a, di_b
 
 
+def _current_rate_jacobian(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b, ind=None) -> tuple:
+    """Gradient of the stator current rate in (i_a, i_b, omega, theta): rows 2-3 of the order-1 matrix.
+
+    Plain arithmetic that broadcasts; c, s = cos(theta), sin(theta) and di is
+    the stator current rate; ind is _inductance(params, c, s) when the caller
+    already holds it.  Returns the 8 entries row by row, as a tuple.
+    """
+    ind = _inductance(params, c, s) if ind is None else ind
+    (L_aa, L_ab, L_bb), (d1_aa, d1_ab), (d2_aa, d2_ab), (adj_aa, adj_ab, adj_bb), det = ind
+    inv_aa, inv_ab, inv_bb = adj_aa / det, adj_ab / det, adj_bb / det
+    R, psi_r = params.R, params.psi_r
+
+    # -Linv (R I + omega L')
+    n_aa = R + omega * d1_aa
+    n_ab = omega * d1_ab
+    n_bb = R - omega * d1_aa
+
+    # -Linv (L' i + psi_r C')
+    g_a = d1_aa * i_a + d1_ab * i_b + psi_r * (-s)
+    g_b = d1_ab * i_a - d1_aa * i_b + psi_r * c
+
+    # (Linv)' L di - Linv (L'' i - psi_r C) omega, with (Linv)' = -Linv L' Linv
+    Ldi_a = L_aa * di_a + L_ab * di_b
+    Ldi_b = L_ab * di_a + L_bb * di_b
+    t_a = inv_aa * Ldi_a + inv_ab * Ldi_b
+    t_b = inv_ab * Ldi_a + inv_bb * Ldi_b
+    lp_a = d1_aa * t_a + d1_ab * t_b
+    lp_b = d1_ab * t_a - d1_aa * t_b
+    m_a = d2_aa * i_a + d2_ab * i_b - psi_r * c
+    m_b = d2_ab * i_a - d2_aa * i_b - psi_r * s
+    h_a = lp_a + m_a * omega
+    h_b = lp_b + m_b * omega
+    return (-(inv_aa * n_aa + inv_ab * n_ab), -(inv_aa * n_ab + inv_ab * n_bb),
+            -(inv_aa * g_a + inv_ab * g_b), -(inv_aa * h_a + inv_ab * h_b),
+            -(inv_ab * n_aa + inv_bb * n_ab), -(inv_ab * n_ab + inv_bb * n_bb),
+            -(inv_ab * g_a + inv_bb * g_b), -(inv_ab * h_a + inv_bb * h_b))
+
+
 def _dq_current_rate(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b):
     """i_d, i_q and d(I_dq)/dt = P(-theta) dI_ab/dt - omega*J2*I_dq from stator-frame values; broadcasts."""
     di_a, di_b = _electrical_rate_ab(params, i_a, i_b, omega, c, s, v_a, v_b)
@@ -287,20 +328,45 @@ def _dq_current_rate(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b):
     return i_d, i_q, di_d + omega * i_q, di_q - omega * i_d
 
 
-def _torque(params: MachineParams, i_a, i_b, c, s):
-    """Electromagnetic torque from stator-frame currents; c, s as above."""
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    pm = params.psi_r * (i_b * c - i_a * s)
-    rel = params.L2 * ((i_a * i_a - i_b * i_b) * s2 - 2.0 * i_a * i_b * c2)
-    return 1.5 * params.p * (pm - rel)
+def _torque(params: MachineParams, i_a, i_b, c, s, ind):
+    """Torque in co-energy form, T = 1.5 p dW'/dtheta = 1.5 p (psi_r i'C' + i'L'i / 2); broadcasts.
+
+    W' = i'L(theta)i / 2 + psi_r i'(cos, sin); c, s = cos(theta), sin(theta) and ind = _inductance(params, c, s).
+    """
+    d1_aa, d1_ab = ind[1]
+    half_quad = 0.5 * d1_aa * (i_a * i_a - i_b * i_b) + d1_ab * i_a * i_b  # i'L'i / 2
+    return 1.5 * params.p * (params.psi_r * (i_b * c - i_a * s) + half_quad)
+
+
+def _torque_gradient(params: MachineParams, i_a, i_b, c, s, ind) -> tuple:
+    """Gradient of T / (1.5 p) in (i_a, i_b, theta): L'i + psi_r C', then i'L''i / 2 - psi_r i'C; as _torque."""
+    _, (d1_aa, d1_ab), (d2_aa, d2_ab), _, _ = ind
+    half_quad = 0.5 * d2_aa * (i_a * i_a - i_b * i_b) + d2_ab * i_a * i_b  # i'L''i / 2
+    return (d1_aa * i_a + d1_ab * i_b - params.psi_r * s, d1_ab * i_a - d1_aa * i_b + params.psi_r * c,
+            half_quad - params.psi_r * (i_a * c + i_b * s))
+
+
+def _filter_model(params: MachineParams, ia, ib, omega, theta, va, vb) -> tuple:
+    """The filter's rate f (zero load torque) and the entries of A = df/dx that vary, from one L(theta).
+
+    Returns f0..f3, A's rows 0-1 (8 entries) and A20, A21, A23; A22 = 0 and row 3 is (0, 0, 1, 0).
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    ind = _inductance(params, c, s)
+    di_a, di_b = _electrical_rate_ab(params, ia, ib, omega, c, s, va, vb, ind)
+    g_a, g_b, g_theta = _torque_gradient(params, ia, ib, c, s, ind)
+    k = 1.5 * params.p * params.p / params.J
+    return (
+        di_a, di_b, params.p / params.J * _torque(params, ia, ib, c, s, ind), omega,
+        *_current_rate_jacobian(params, ia, ib, omega, c, s, di_a, di_b, ind),
+        k * g_a, k * g_b, k * g_theta,
+    )
 
 
 def torque_alphabeta(state: MachineState, params: MachineParams) -> float:
     """Electromagnetic torque from stator-frame currents and position."""
-    return _torque(
-        params, state.i_alpha, state.i_beta, math.cos(state.theta), math.sin(state.theta)
-    )
+    c, s = math.cos(state.theta), math.sin(state.theta)
+    return _torque(params, state.i_alpha, state.i_beta, c, s, _inductance(params, c, s))
 
 
 def state_rate(params: MachineParams, x, u, T_l: float = 0.0) -> np.ndarray:
@@ -310,8 +376,9 @@ def state_rate(params: MachineParams, x, u, T_l: float = 0.0) -> np.ndarray:
     term.  Takes plain sequences, so hot callers skip building a MachineState.
     """
     c, s = math.cos(x[3]), math.sin(x[3])
-    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], c, s, u[0], u[1])
-    domega = params.p / params.J * (_torque(params, x[0], x[1], c, s) - T_l)
+    ind = _inductance(params, c, s)
+    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], c, s, u[0], u[1], ind)
+    domega = params.p / params.J * (_torque(params, x[0], x[1], c, s, ind) - T_l)
     return np.array([di_a, di_b, domega, x[2]])
 
 

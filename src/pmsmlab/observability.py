@@ -3,7 +3,8 @@
 State ordering for all 4-state stacks is x = [i_alpha, i_beta, omega, theta]
 for the electromechanical model, x = [i_alpha, i_beta, e_alpha, e_beta] for
 the back-EMF model, and x = [i_alpha, i_beta, psi_alpha, psi_beta] for the
-flux model.  The measured output is always the stator current pair.
+flux model.  The measured output is always the stator current pair.  The
+electromechanical model and its derivatives come from pmsmlab.machine.
 
 Two independent routes are kept side by side on purpose:
 
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _electrical_rate_ab, _inductance, _rotate, state_rate
+from pmsmlab.machine import MachineParams, _current_rate_jacobian, _electrical_rate_ab, _rotate, state_rate
 
 STATE_DIM = 4
 OUT_DIM = 2
@@ -219,44 +220,6 @@ def lie_gradient_stack(
 # ---------------------------------------------------------------------------
 # Closed-form matrices and determinants, salient machine
 # ---------------------------------------------------------------------------
-
-
-def _current_rate_jacobian(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b, ind=None) -> tuple:
-    """Gradient of the stator current rate in (i_a, i_b, omega, theta): rows 2-3 of the order-1 matrix.
-
-    Plain arithmetic that broadcasts; c, s = cos(theta), sin(theta) and di is
-    the stator current rate; ind is _inductance(params, c, s) when the caller
-    already holds it.  Returns the 8 entries row by row, as a tuple.
-    """
-    ind = _inductance(params, c, s) if ind is None else ind
-    (L_aa, L_ab, L_bb), (d1_aa, d1_ab), (d2_aa, d2_ab), (adj_aa, adj_ab, adj_bb), det = ind
-    inv_aa, inv_ab, inv_bb = adj_aa / det, adj_ab / det, adj_bb / det
-    R, psi_r = params.R, params.psi_r
-
-    # -Linv (R I + omega L')
-    n_aa = R + omega * d1_aa
-    n_ab = omega * d1_ab
-    n_bb = R - omega * d1_aa
-
-    # -Linv (L' i + psi_r C')
-    g_a = d1_aa * i_a + d1_ab * i_b + psi_r * (-s)
-    g_b = d1_ab * i_a - d1_aa * i_b + psi_r * c
-
-    # (Linv)' L di - Linv (L'' i - psi_r C) omega, with (Linv)' = -Linv L' Linv
-    Ldi_a = L_aa * di_a + L_ab * di_b
-    Ldi_b = L_ab * di_a + L_bb * di_b
-    t_a = inv_aa * Ldi_a + inv_ab * Ldi_b
-    t_b = inv_ab * Ldi_a + inv_bb * Ldi_b
-    lp_a = d1_aa * t_a + d1_ab * t_b
-    lp_b = d1_ab * t_a - d1_aa * t_b
-    m_a = d2_aa * i_a + d2_ab * i_b - psi_r * c
-    m_b = d2_ab * i_a - d2_aa * i_b - psi_r * s
-    h_a = lp_a + m_a * omega
-    h_b = lp_b + m_b * omega
-    return (-(inv_aa * n_aa + inv_ab * n_ab), -(inv_aa * n_ab + inv_ab * n_bb),
-            -(inv_aa * g_a + inv_ab * g_b), -(inv_aa * h_a + inv_ab * h_b),
-            -(inv_ab * n_aa + inv_bb * n_ab), -(inv_ab * n_ab + inv_bb * n_bb),
-            -(inv_ab * g_a + inv_bb * g_b), -(inv_ab * h_a + inv_bb * h_b))
 
 
 def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pmsmlab.simulation import TrajectoryLog
+from pmsmlab.simulation import TrajectoryLog, _rows
 
 SCHEMA_TAG = "pmsmlab.trajectory.v1"
 
@@ -25,18 +25,15 @@ CSV_COLUMNS = (
 )
 
 
-def write_csv(log: TrajectoryLog, path) -> None:
-    cols = [getattr(log, name) for name in CSV_COLUMNS]
-    rank_idx = CSV_COLUMNS.index("rank")
+def write_rows(path, comment: str, header, columns) -> None:
+    """Write "# comment", the header, then one line per row of the column arrays: repr of each tolist() value."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={SCHEMA_TAG}\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for k in range(len(log)):
-            fields = [
-                str(int(col[k])) if j == rank_idx else repr(float(col[k]))
-                for j, col in enumerate(cols)
-            ]
-            fh.write(",".join(fields) + "\n")
+        fh.write(f"# {comment}\n" + ",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*map(_rows, columns)))
+
+
+def write_csv(log: TrajectoryLog, path) -> None:
+    write_rows(path, f"schema={SCHEMA_TAG}", CSV_COLUMNS, [getattr(log, name) for name in CSV_COLUMNS])
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

@@ -49,7 +49,7 @@ from pmsmlab.machine import (
 from pmsmlab.observability import trajectory_reports
 
 
-_MAP_BLOCK = 512  # most RK4 steps of one sample built at a time, and map rows the loop reads at a time
+_MAP_BLOCK = 512  # most RK4 steps of one sample built at a time, and array rows _rows converts at a time
 _BUILD_STEPS = 2048  # RK4 steps of whole samples that plant_maps builds per block, when a sample fits
 MAX_SAMPLES = 10**7  # longest run, in samples: 24 float columns (log and loop record) and 12 map floats, ~2.9 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
@@ -379,7 +379,7 @@ def plant_maps(scn: Scenario) -> PlantMaps:
 
 
 def _rows(table: np.ndarray):
-    """The table's rows as lists of floats, _MAP_BLOCK rows at a time."""
+    """The array's rows as Python values (lists of floats for the map table), converted _MAP_BLOCK rows at a time."""
     for k0 in range(0, len(table), _MAP_BLOCK):
         yield from table[k0:k0 + _MAP_BLOCK].tolist()
 

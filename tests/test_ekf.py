@@ -92,15 +92,18 @@ def test_make_ekf_rejects_asymmetric_or_indefinite_covariances():
 
 
 def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
-    # the filter's rate and Jacobian share L(theta); so do the plant's k2 and k3 RK4 stages
-    import pmsmlab.ekf
+    # the filter's rate and Jacobian share L(theta); so do the plant's k2 and k3 RK4 stages, and state_rate's
+    # current rate and torque
+    import sys
+
     import pmsmlab.machine
-    import pmsmlab.observability
-    import pmsmlab.simulation
+    from pmsmlab.machine import state_rate
     from pmsmlab.simulation import SpeedProfile, integrate_electrical
 
     calls, inductance = [], pmsmlab.machine._inductance
-    for module in (pmsmlab.ekf, pmsmlab.machine, pmsmlab.observability, pmsmlab.simulation):
+    lookups = [m for name, m in sys.modules.items() if name.startswith("pmsmlab") and hasattr(m, "_inductance")]
+    assert sorted(m.__name__ for m in lookups) == ["pmsmlab.machine", "pmsmlab.simulation"]
+    for module in lookups:
         monkeypatch.setattr(module, "_inductance", lambda *a: calls.append(1) or inductance(*a))
     ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
     predict(ekf, ip_params, (1.0, -2.0))
@@ -108,6 +111,8 @@ def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
     prof = SpeedProfile.from_breakpoints([(0.0, 5.0), (1.0, 20.0)])
     integrate_electrical(MachineState(0.5, -0.5, 5.0, 0.2), alphabeta(1.0, -2.0), prof, 0.0, T_S, ip_params)
     assert len(calls) == 1 + 3  # the k1, shared k2/k3 and k4 angles
+    state_rate(ip_params, (0.5, -0.5, 5.0, 0.2), (1.0, -2.0))
+    assert len(calls) == 1 + 3 + 1
 
 
 def test_linearize_output_matrix(ip_params):

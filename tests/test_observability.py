@@ -1,11 +1,13 @@
 """Observability stacks and closed-form determinants vs the FD oracle."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from _samplers import ipmsm_free_states, spmsm_moving_points, spmsm_singular_points
+from pmsmlab.ekf import linearize
 from pmsmlab.machine import (
     MachineParams,
     MachineState,
@@ -14,6 +16,7 @@ from pmsmlab.machine import (
     dq_current_rate,
     dynamics_alphabeta,
     park,
+    torque_alphabeta,
 )
 from pmsmlab.observability import (
     DEFAULT_FD_STEPS,
@@ -187,46 +190,83 @@ def test_det_y1_equals_matrix_determinant(ip_params):
         assert np.linalg.det(mat) == pytest.approx(cf, rel=1e-10)
 
 
-def _exact_order1_matrix():
-    """Order-1 observability matrix of the salient model, derived in sympy.
+@functools.lru_cache(maxsize=None)
+def _exact_model():
+    """The salient model and its derivatives, derived in sympy.
 
     The model is written from the flux law, v = R i + d/dt (L(theta) i +
-    psi_r (cos theta, sin theta)) with d theta/dt = omega, and not from the
-    program's kernel.  Returns the matrix and its determinant as mpmath
-    functions of (i_a, i_b, omega, theta, v_a, v_b, R, L0, L2, psi_r).
+    psi_r (cos theta, sin theta)) with d theta/dt = omega, and from the
+    co-energy W' = i'L(theta)i / 2 + psi_r i'(cos theta, sin theta), whose
+    theta-derivative gives the torque T = 1.5 p dW'/dtheta and domega/dt =
+    (p/J) T at zero load torque; not from the program's kernels.  Returns
+    the order-1 observability matrix, its determinant, the Jacobian A of
+    f = (di/dt, domega/dt, omega) and T, as mpmath functions of (i_a, i_b,
+    omega, theta, v_a, v_b, R, L0, L2, psi_r, p, J).
     """
     import sympy
 
-    ia, ib, w, th, va, vb, R, L0, L2, psi = sympy.symbols("i_a i_b omega theta v_a v_b R L_0 L_2 psi_r", real=True)
+    ia, ib, w, th, va, vb, R, L0, L2, psi, p, J = sympy.symbols(
+        "i_a i_b omega theta v_a v_b R L_0 L_2 psi_r p J", real=True)
     L = sympy.Matrix([[L0 + L2 * sympy.cos(2 * th), L2 * sympy.sin(2 * th)],
                       [L2 * sympy.sin(2 * th), L0 - L2 * sympy.cos(2 * th)]])
     i = sympy.Matrix([ia, ib])
     rotor = sympy.Matrix([sympy.cos(th), sympy.sin(th)])
     di = L.inv() * (sympy.Matrix([va, vb]) - R * i - w * (L.diff(th) * i + psi * rotor.diff(th)))
+    coenergy = (i.T * L * i)[0] / 2 + psi * (i.T * rotor)[0]
+    torque = sympy.Rational(3, 2) * p * coenergy.diff(th)
     x = sympy.Matrix([ia, ib, w, th])
     O = sympy.Matrix.vstack(i.jacobian(x), di.jacobian(x))  # gradients of y and of dy/dt
-    args = (ia, ib, w, th, va, vb, R, L0, L2, psi)
-    return sympy.lambdify(args, O, "mpmath"), sympy.lambdify(args, O.det(), "mpmath")
+    A = sympy.Matrix.vstack(di, sympy.Matrix([p / J * torque, w])).jacobian(x)
+    args = (ia, ib, w, th, va, vb, R, L0, L2, psi, p, J)
+    return tuple(sympy.lambdify(args, expr, "mpmath") for expr in (O, O.det(), A, torque))
+
+
+def _exact_args(x, u, params):
+    import mpmath
+
+    return [mpmath.mpf(float(v)) for v in (*x, *u, params.R, params.L0, params.L2, params.psi_r, params.p, params.J)]
+
+
+def _worst_row_error(value, exact) -> float:
+    """Largest error of a matrix, relative to the largest magnitude of the exact matrix's row."""
+    exact = np.array(exact.tolist(), dtype=float)
+    return float(np.max(np.abs(value - exact) / np.max(np.abs(exact), axis=1, keepdims=True)))
 
 
 def test_order1_closed_forms_match_the_exact_symbolic_matrix(ip_params):
     # the exact route for the order-1 closed forms; the FD oracle checks stay as the independent numerical route
     import mpmath
 
-    matrix, det = _exact_order1_matrix()
+    matrix, det, _, _ = _exact_model()
     worst_det = worst_row = 0.0
     with mpmath.workdps(40):
         for x, u in ipmsm_free_states(42, 100):  # criterion 1's states and machine
-            args = [mpmath.mpf(float(v)) for v in (*x, *u, ip_params.R, ip_params.L0, ip_params.L2, ip_params.psi_r)]
+            args = _exact_args(x, u, ip_params)
             exact = det(*args)
             state = MachineState(*x)
             i_dq = park(state.currents, x[3])
             cf = det_y1_ipmsm((i_dq.x, i_dq.y), dq_current_rate(state, alphabeta(*u), ip_params), x[2], ip_params)
             worst_det = max(worst_det, float(abs(cf - exact) / abs(exact)))
-            O = np.array(matrix(*args).tolist(), dtype=float)
-            row_err = np.abs(obs_matrix_y1_ipmsm(x, u, ip_params) - O) / np.max(np.abs(O), axis=1, keepdims=True)
-            worst_row = max(worst_row, float(np.max(row_err)))
+            worst_row = max(worst_row, _worst_row_error(obs_matrix_y1_ipmsm(x, u, ip_params), matrix(*args)))
     assert worst_det < 1e-12
+    assert worst_row < 1e-12
+
+
+@pytest.mark.parametrize("machine", ["ip", "sp"])
+def test_torque_and_filter_jacobian_match_the_exact_symbolic_model(machine, ip_params, sp_params):
+    # the exact route for the co-energy torque and all 16 entries of the filter's A, row 2 included
+    import mpmath
+
+    params = ip_params if machine == "ip" else sp_params
+    _, _, jacobian, torque = _exact_model()
+    worst_torque = worst_row = 0.0
+    with mpmath.workdps(40):
+        for x, u in ipmsm_free_states(42, 100):
+            args = _exact_args(x, u, params)
+            exact = torque(*args)
+            worst_torque = max(worst_torque, float(abs(torque_alphabeta(MachineState(*x), params) - exact) / abs(exact)))
+            worst_row = max(worst_row, _worst_row_error(linearize(params, x, u)[0], jacobian(*args)))
+    assert worst_torque < 1e-12
     assert worst_row < 1e-12
 
 
