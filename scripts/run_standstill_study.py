@@ -42,7 +42,7 @@ def main() -> None:
             f"lock (|theta_err| < {LOCK_TOL}) after injection start: "
             f"{first_lock(log, scn.injection.t_start):.4g} s"
         )
-        print(f"lock after ramp start: {first_lock(log, 0.6):.4g} s")
+        print(f"lock after ramp start: {first_lock(log, scn.profile.times[1]):.4g} s")
         print(f"wrote {path}")
         print()
 

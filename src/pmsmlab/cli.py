@@ -161,15 +161,16 @@ def run_sweep(cfg: RunConfig):
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep is None:
         raise ConfigError(["sweep: config has no sweep block"])
-    rows = []
+    rows, status = [], EXIT_OK
     for value, scn, log in run_sweep(cfg):
-        if log.aborted:
+        if log.aborted:  # stop here; the finished points' rows are still written
             print(
                 f"numerical abort at t={log.abort_time:.6g} s "
                 f"({cfg.sweep.parameter}={value!r}): {log.abort_reason}",
                 file=sys.stderr,
             )
-            return EXIT_NUMERICAL
+            status = EXIT_NUMERICAL
+            break
         summary = summarize(log)
         stats = {ph.name: ph for ph in summary.phases}
         get = lambda name, attr: getattr(stats[name], attr) if name in stats else math.nan
@@ -186,7 +187,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     path = _out_path(cfg, "sweep.csv")
     write_rows(path, f"sweep parameter: {cfg.sweep.parameter}", SWEEP_COLUMNS, np.array(rows, dtype=float).T)
     print(f"wrote {len(rows)} sweep rows to {path}")
-    return EXIT_OK
+    return status
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,8 @@ Conventions used throughout the package:
   is non-salient exactly when L2 == 0.
 
 The module owns the model and all its derivatives, each read from one
-_inductance evaluation (L, L', L'', adj(L)) per angle.
+_inductance evaluation (L, L', L'', adj(L)) per angle.  One gradient kernel,
+_model_gradients, gives the gradients of the current rate and of the torque.
 """
 
 from __future__ import annotations
@@ -282,15 +283,17 @@ def _electrical_rate_ab(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b, 
     return di_a, di_b
 
 
-def _current_rate_jacobian(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b, ind=None) -> tuple:
-    """Gradient of the stator current rate in (i_a, i_b, omega, theta): rows 2-3 of the order-1 matrix.
+def _model_gradients(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b, ind) -> tuple:
+    """Gradients of the current rate and the torque, from one g = L'i + psi_r C'.
 
-    Plain arithmetic that broadcasts; c, s = cos(theta), sin(theta) and di is
-    the stator current rate; ind is _inductance(params, c, s) when the caller
-    already holds it.  Returns the 8 entries row by row, as a tuple.
+    Plain arithmetic that broadcasts; c, s = cos(theta), sin(theta), di is the
+    stator current rate and ind = _inductance(params, c, s).  Returns the current
+    rate's gradient in (i_a, i_b, omega, theta), 8 entries row by row: rows 2-3
+    of the order-1 matrix and rows 0-1 of the filter's Jacobian.  Then the 3
+    entries of T / (1.5 p)'s gradient in (i_a, i_b, theta): g, then
+    i'L''i / 2 - psi_r i'C.
     """
-    ind = _inductance(params, c, s) if ind is None else ind
-    (L_aa, L_ab, L_bb), (d1_aa, d1_ab), (d2_aa, d2_ab), (adj_aa, adj_ab, adj_bb), det = ind
+    _, (d1_aa, d1_ab), (d2_aa, d2_ab), (adj_aa, adj_ab, adj_bb), det = ind
     inv_aa, inv_ab, inv_bb = adj_aa / det, adj_ab / det, adj_bb / det
     R, psi_r = params.R, params.psi_r
 
@@ -299,25 +302,21 @@ def _current_rate_jacobian(params: MachineParams, i_a, i_b, omega, c, s, di_a, d
     n_ab = omega * d1_ab
     n_bb = R - omega * d1_aa
 
-    # -Linv (L' i + psi_r C')
+    # -Linv g
     g_a = d1_aa * i_a + d1_ab * i_b + psi_r * (-s)
     g_b = d1_ab * i_a - d1_aa * i_b + psi_r * c
 
-    # (Linv)' L di - Linv (L'' i - psi_r C) omega, with (Linv)' = -Linv L' Linv
-    Ldi_a = L_aa * di_a + L_ab * di_b
-    Ldi_b = L_ab * di_a + L_bb * di_b
-    t_a = inv_aa * Ldi_a + inv_ab * Ldi_b
-    t_b = inv_ab * Ldi_a + inv_bb * Ldi_b
-    lp_a = d1_aa * t_a + d1_ab * t_b
-    lp_b = d1_ab * t_a - d1_aa * t_b
+    # -Linv (L' di + omega (L'' i - psi_r C)), from (Linv)' = -Linv L' Linv and Linv u = di
     m_a = d2_aa * i_a + d2_ab * i_b - psi_r * c
     m_b = d2_ab * i_a - d2_aa * i_b - psi_r * s
-    h_a = lp_a + m_a * omega
-    h_b = lp_b + m_b * omega
+    h_a = d1_aa * di_a + d1_ab * di_b + m_a * omega
+    h_b = d1_ab * di_a - d1_aa * di_b + m_b * omega
+    half_quad = 0.5 * d2_aa * (i_a * i_a - i_b * i_b) + d2_ab * i_a * i_b  # i'L''i / 2
     return (-(inv_aa * n_aa + inv_ab * n_ab), -(inv_aa * n_ab + inv_ab * n_bb),
             -(inv_aa * g_a + inv_ab * g_b), -(inv_aa * h_a + inv_ab * h_b),
             -(inv_ab * n_aa + inv_bb * n_ab), -(inv_ab * n_ab + inv_bb * n_bb),
-            -(inv_ab * g_a + inv_bb * g_b), -(inv_ab * h_a + inv_bb * h_b))
+            -(inv_ab * g_a + inv_bb * g_b), -(inv_ab * h_a + inv_bb * h_b),
+            g_a, g_b, half_quad - psi_r * (i_a * c + i_b * s))
 
 
 def _dq_current_rate(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b):
@@ -338,14 +337,6 @@ def _torque(params: MachineParams, i_a, i_b, c, s, ind):
     return 1.5 * params.p * (params.psi_r * (i_b * c - i_a * s) + half_quad)
 
 
-def _torque_gradient(params: MachineParams, i_a, i_b, c, s, ind) -> tuple:
-    """Gradient of T / (1.5 p) in (i_a, i_b, theta): L'i + psi_r C', then i'L''i / 2 - psi_r i'C; as _torque."""
-    _, (d1_aa, d1_ab), (d2_aa, d2_ab), _, _ = ind
-    half_quad = 0.5 * d2_aa * (i_a * i_a - i_b * i_b) + d2_ab * i_a * i_b  # i'L''i / 2
-    return (d1_aa * i_a + d1_ab * i_b - params.psi_r * s, d1_ab * i_a - d1_aa * i_b + params.psi_r * c,
-            half_quad - params.psi_r * (i_a * c + i_b * s))
-
-
 def _filter_model(params: MachineParams, ia, ib, omega, theta, va, vb) -> tuple:
     """The filter's rate f (zero load torque) and the entries of A = df/dx that vary, from one L(theta).
 
@@ -354,13 +345,10 @@ def _filter_model(params: MachineParams, ia, ib, omega, theta, va, vb) -> tuple:
     c, s = math.cos(theta), math.sin(theta)
     ind = _inductance(params, c, s)
     di_a, di_b = _electrical_rate_ab(params, ia, ib, omega, c, s, va, vb, ind)
-    g_a, g_b, g_theta = _torque_gradient(params, ia, ib, c, s, ind)
+    *a_01, g_a, g_b, g_theta = _model_gradients(params, ia, ib, omega, c, s, di_a, di_b, ind)
     k = 1.5 * params.p * params.p / params.J
-    return (
-        di_a, di_b, params.p / params.J * _torque(params, ia, ib, c, s, ind), omega,
-        *_current_rate_jacobian(params, ia, ib, omega, c, s, di_a, di_b, ind),
-        k * g_a, k * g_b, k * g_theta,
-    )
+    return (di_a, di_b, params.p / params.J * _torque(params, ia, ib, c, s, ind), omega, *a_01,
+            k * g_a, k * g_b, k * g_theta)
 
 
 def torque_alphabeta(state: MachineState, params: MachineParams) -> float:

@@ -4,7 +4,9 @@ State ordering for all 4-state stacks is x = [i_alpha, i_beta, omega, theta]
 for the electromechanical model, x = [i_alpha, i_beta, e_alpha, e_beta] for
 the back-EMF model, and x = [i_alpha, i_beta, psi_alpha, psi_beta] for the
 flux model.  The measured output is always the stator current pair.  The
-electromechanical model and its derivatives come from pmsmlab.machine.
+electromechanical model and its derivatives come from pmsmlab.machine: the
+order-1 matrix's rows 2-3 are the current-rate gradient of its one gradient
+kernel, _model_gradients, which also gives the filter's Jacobian.
 
 Two independent routes are kept side by side on purpose:
 
@@ -22,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _current_rate_jacobian, _electrical_rate_ab, _rotate, state_rate
+from pmsmlab.machine import MachineParams, _electrical_rate_ab, _inductance, _model_gradients, _rotate, state_rate
 
 STATE_DIM = 4
 OUT_DIM = 2
@@ -222,16 +224,16 @@ def lie_gradient_stack(
 # ---------------------------------------------------------------------------
 
 
-def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b) -> np.ndarray:
+def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b, ind) -> np.ndarray:
     """Analytic order-1 observability matrix, with c, s = cos(theta), sin(theta).
 
     Float arguments give one 4x4 matrix, arrays of N samples an (N, 4, 4)
-    stack.  di is the stator current rate.
+    stack.  di is the stator current rate and ind = _inductance(params, c, s).
     """
     out = np.zeros(np.shape(c) + (4, 4))
     out[..., 0, 0] = 1.0
     out[..., 1, 1] = 1.0
-    for k, entry in enumerate(_current_rate_jacobian(params, i_a, i_b, omega, c, s, di_a, di_b)):
+    for k, entry in enumerate(_model_gradients(params, i_a, i_b, omega, c, s, di_a, di_b, ind)[:8]):
         out[..., 2 + k // 4, k % 4] = entry
     return out
 
@@ -243,8 +245,9 @@ def obs_matrix_y1_ipmsm(x, u, params: MachineParams) -> np.ndarray:
     x = (i_alpha, i_beta, omega, theta), u = (v_alpha, v_beta).
     """
     c, s = math.cos(x[3]), math.sin(x[3])
-    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], c, s, u[0], u[1])
-    return _obs_matrix_y1(params, x[0], x[1], x[2], c, s, di_a, di_b)
+    ind = _inductance(params, c, s)
+    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], c, s, u[0], u[1], ind)
+    return _obs_matrix_y1(params, x[0], x[1], x[2], c, s, di_a, di_b, ind)
 
 
 def det_y1_ipmsm(i_dq, di_dq_dt, omega: float, params: MachineParams) -> float:
@@ -563,7 +566,7 @@ def trajectory_reports(
     c, s = np.cos(theta), np.sin(theta)
     i_a, i_b = _rotate(i_d, i_q, c, s)
     di_a, di_b = _rotate(di_d - omega * i_q, di_q + omega * i_d, c, s)
-    m1 = _obs_matrix_y1(params, i_a, i_b, omega, c, s, di_a, di_b)
+    m1 = _obs_matrix_y1(params, i_a, i_b, omega, c, s, di_a, di_b, _inductance(params, c, s))
     bad = ~np.isfinite(m1).all(axis=(-2, -1))
     if bad.any():
         raise FloatingPointError(f"non-finite order-1 observability matrix at t={t[bad][0]:.6g}")

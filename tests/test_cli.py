@@ -222,6 +222,18 @@ def test_sweep_invalid_point_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_abort_keeps_the_finished_rows(tmp_path, capsys):
+    # the point that aborts ends the sweep; the rows of the points before it are still written
+    for sub, values in (("full", [0.0]), ("aborted", [0.0, 1e300])):
+        out = tmp_path / sub
+        cfg = tiny_config(tmp_path, scenario={"t_end": 0.001}, sweep={"parameter": "noise_std", "values": values},
+                          output={"dir": str(out)})
+        assert main(["sweep", "-c", cfg]) == (0 if sub == "full" else 2)
+    err = capsys.readouterr().err
+    assert "numerical abort at t=" in err and "(noise_std=1e+300)" in err
+    assert (tmp_path / "aborted" / "sweep.csv").read_bytes() == (tmp_path / "full" / "sweep.csv").read_bytes()
+
+
 def test_sweep_requires_sweep_block(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     assert main(["sweep", "-c", cfg]) == 1

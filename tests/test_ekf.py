@@ -92,17 +92,18 @@ def test_make_ekf_rejects_asymmetric_or_indefinite_covariances():
 
 
 def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
-    # the filter's rate and Jacobian share L(theta); so do the plant's k2 and k3 RK4 stages, and state_rate's
-    # current rate and torque
+    # the filter's rate and Jacobian share L(theta); so do the plant's k2 and k3 RK4 stages, state_rate's
+    # current rate and torque, and the order-1 matrix's current rate and gradient
     import sys
 
     import pmsmlab.machine
     from pmsmlab.machine import state_rate
+    from pmsmlab.observability import obs_matrix_y1_ipmsm
     from pmsmlab.simulation import SpeedProfile, integrate_electrical
 
     calls, inductance = [], pmsmlab.machine._inductance
     lookups = [m for name, m in sys.modules.items() if name.startswith("pmsmlab") and hasattr(m, "_inductance")]
-    assert sorted(m.__name__ for m in lookups) == ["pmsmlab.machine", "pmsmlab.simulation"]
+    assert sorted(m.__name__ for m in lookups) == ["pmsmlab.machine", "pmsmlab.observability", "pmsmlab.simulation"]
     for module in lookups:
         monkeypatch.setattr(module, "_inductance", lambda *a: calls.append(1) or inductance(*a))
     ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
@@ -113,6 +114,20 @@ def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
     assert len(calls) == 1 + 3  # the k1, shared k2/k3 and k4 angles
     state_rate(ip_params, (0.5, -0.5, 5.0, 0.2), (1.0, -2.0))
     assert len(calls) == 1 + 3 + 1
+    obs_matrix_y1_ipmsm((0.5, -0.5, 5.0, 0.2), (1.0, -2.0), ip_params)
+    assert len(calls) == 1 + 3 + 1 + 1
+
+
+@pytest.mark.parametrize("machine", ["ip", "sp"])
+def test_filter_jacobian_is_the_order1_matrix(machine, ip_params, sp_params):
+    # A's current-rate rows and the order-1 matrix's rows 2-3 come from one gradient kernel, so they agree bit for bit
+    from _samplers import ipmsm_free_states
+
+    from pmsmlab.observability import obs_matrix_y1_ipmsm
+
+    params = ip_params if machine == "ip" else sp_params
+    for x, u in ipmsm_free_states(42, 100):  # criterion 1's states
+        assert np.array_equal(linearize(params, x, u)[0][:2], obs_matrix_y1_ipmsm(x, u, params)[2:])
 
 
 def test_linearize_output_matrix(ip_params):
