@@ -362,12 +362,16 @@ def state_rate(params: MachineParams, x, u, T_l: float = 0.0) -> np.ndarray:
 
     The mechanical equation is domega/dt = (p/J)*(T_m - T_l) with no friction
     term.  Takes plain sequences, so hot callers skip building a MachineState.
+    Broadcasts over the leading axes of x: states of shape (..., 4) give rates
+    of shape (..., 4).
     """
-    c, s = math.cos(x[3]), math.sin(x[3])
+    x = np.asarray(x, dtype=float)
+    i_a, i_b, omega, theta = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    c, s = np.cos(theta), np.sin(theta)
     ind = _inductance(params, c, s)
-    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], c, s, u[0], u[1], ind)
-    domega = params.p / params.J * (_torque(params, x[0], x[1], c, s, ind) - T_l)
-    return np.array([di_a, di_b, domega, x[2]])
+    di_a, di_b = _electrical_rate_ab(params, i_a, i_b, omega, c, s, u[0], u[1], ind)
+    domega = params.p / params.J * (_torque(params, i_a, i_b, c, s, ind) - T_l)
+    return np.stack((di_a, di_b, domega, omega), axis=-1)
 
 
 def torque_dq(i_d: float, i_q: float, params: MachineParams) -> float:

@@ -13,6 +13,9 @@ Two independent routes are kept side by side on purpose:
 * closed-form expressions evaluated directly, and
 * a nested central finite-difference ("oracle") construction of the stacked
   Lie-derivative gradients, used to validate every closed form numerically.
+  It calls only the model's rate, never a closed form, and evaluates each
+  nesting level of its stencil as one broadcast rate call on an array of
+  states (4,096 states at the deepest level of an order-3 stack).
 """
 
 from __future__ import annotations
@@ -79,35 +82,37 @@ def _emech_rate(params, x, u, T_l, locked_rotor):
     if locked_rotor:
         # Reduced model for the held-rotor study: speed and position are
         # frozen identically, not just instantaneously zero.
-        f[2:] = 0.0
+        f[..., 2:] = 0.0
     return f
 
 
 def _backemf_rate(params, x, u, omega_dot):
     L0 = params.L0
-    di_a = (u[0] - params.R * x[0] - x[2]) / L0
-    di_b = (u[1] - params.R * x[1] - x[3]) / L0
+    e_a, e_b = x[..., 2], x[..., 3]
+    di_a = (u[0] - params.R * x[..., 0] - e_a) / L0
+    di_b = (u[1] - params.R * x[..., 1] - e_b) / L0
+    emf_norm = np.hypot(e_a, e_b)
     if omega_dot == 0.0:
         ratio = 0.0
     else:
-        emf_norm = math.hypot(x[2], x[3])
-        if emf_norm == 0.0:
+        if np.any(emf_norm == 0.0):
             raise ValueError(
                 "back-EMF dynamics are singular at zero EMF (standstill); "
                 "the amplitude term omega_dot/omega is indeterminate"
             )
         ratio = omega_dot / (emf_norm / params.psi_r)
-    omega = math.hypot(x[2], x[3]) / params.psi_r
-    de_a = ratio * x[2] - omega * x[3]
-    de_b = ratio * x[3] + omega * x[2]
-    return np.array([di_a, di_b, de_a, de_b])
+    omega = emf_norm / params.psi_r
+    de_a = ratio * e_a - omega * e_b
+    de_b = ratio * e_b + omega * e_a
+    return np.stack((di_a, di_b, de_a, de_b), axis=-1)
 
 
 def _flux_rate(params, x, u, omega):
     L0 = params.L0
-    di_a = (u[0] - params.R * x[0] + omega * x[3]) / L0
-    di_b = (u[1] - params.R * x[1] - omega * x[2]) / L0
-    return np.array([di_a, di_b, -omega * x[3], omega * x[2]])
+    psi_a, psi_b = x[..., 2], x[..., 3]
+    di_a = (u[0] - params.R * x[..., 0] + omega * psi_b) / L0
+    di_b = (u[1] - params.R * x[..., 1] - omega * psi_a) / L0
+    return np.stack((di_a, di_b, -omega * psi_b, omega * psi_a), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +120,26 @@ def _flux_rate(params, x, u, omega):
 # ---------------------------------------------------------------------------
 
 
-def _fd_jacobian(g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, hvec: np.ndarray) -> np.ndarray:
-    """Five-point central-difference Jacobian with per-component steps.
+_STENCIL = np.array([2.0, 1.0, -1.0, -2.0])
+
+
+def _fd_jacobian(g: Callable[[np.ndarray], np.ndarray], X: np.ndarray, hvec: np.ndarray) -> np.ndarray:
+    """Five-point central-difference Jacobian with per-component steps, at every state of X.
+
+    X has shape (..., 4).  The whole stencil, shape (..., 4, 4, 4) as direction,
+    multiplier (2, 1, -1, -2) and state, goes to g in one call, which broadcasts
+    over leading axes; the result has shape (..., 2, 4).
 
     The steps are fixed by the caller (frozen at the stack's base point); if
     they were rescaled at every perturbed point, the kinks of the scaling
     rule would contaminate the outer differences of nested evaluations.
     """
-    jac = np.empty((OUT_DIM, STATE_DIM))
+    pts = np.broadcast_to(X[..., None, None, :], X.shape[:-1] + (STATE_DIM, len(_STENCIL), STATE_DIM)).copy()
     for i in range(STATE_DIM):
-        h = hvec[i]
-        vals = []
-        for mult in (2.0, 1.0, -1.0, -2.0):
-            xv = x.copy()
-            xv[i] += mult * h
-            vals.append(g(xv))
-        jac[:, i] = (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * h)
-    return jac
+        pts[..., i, :, i] += _STENCIL * hvec[i]
+    vals = g(pts)  # (..., direction, multiplier, output)
+    diff = -vals[..., 0, :] + 8.0 * vals[..., 1, :] - 8.0 * vals[..., 2, :] + vals[..., 3, :]
+    return np.swapaxes(diff / (12.0 * hvec[:, None]), -1, -2)
 
 
 def lie_gradient_stack(
@@ -157,7 +165,12 @@ def lie_gradient_stack(
     Keyword arguments select model variants: T_l for the electromechanical
     model, omega_ext/omega_dot_ext for the flux and back-EMF models (speed is
     not a state there), locked_rotor for the held-rotor reduced model where
-    d(omega)/dt and d(theta)/dt are identically zero.
+    d(omega)/dt and d(theta)/dt are identically zero.  steps overrides
+    DEFAULT_FD_STEPS per order (keys 1..3, values finite and > 0).
+
+    Each nesting level of the stencil is one rate call on an array of states,
+    so a stack of order K makes 1 + K(K+1)/2 rate calls.  A stack that is not
+    finite raises ValueError.
     """
     if orders < 0 or orders > 3:
         raise ValueError(f"orders must be in 0..3, got {orders}")
@@ -165,6 +178,15 @@ def lie_gradient_stack(
     u = np.asarray(u, dtype=float)
     if x.shape != (STATE_DIM,):
         raise ValueError(f"state must have shape (4,), got {x.shape}")
+    if u.shape != (2,):
+        raise ValueError(f"input must have shape (2,), got {u.shape}")
+    fd_steps = dict(DEFAULT_FD_STEPS)
+    for k, lam in (steps or {}).items():
+        if k not in DEFAULT_FD_STEPS:
+            raise ValueError(f"steps keys must be orders in 1..3, got {k!r}")
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"steps[{k}] must be finite and > 0, got {lam!r}")
+        fd_steps[k] = lam
 
     if model is ModelKind.ELECTROMECHANICAL:
         f = lambda xv: _emech_rate(params, xv, u, T_l, locked_rotor)
@@ -180,10 +202,6 @@ def lie_gradient_stack(
     if not np.all(np.isfinite(f(x))):
         raise ValueError(f"non-finite dynamics at evaluation point x={x}")
 
-    fd_steps = dict(DEFAULT_FD_STEPS)
-    if steps:
-        fd_steps.update(steps)
-
     # Step scales are frozen at the base point and shared within a physical
     # kind: the two current components use one scale, and the two components
     # of the second state pair use one scale when they are of the same kind
@@ -196,27 +214,32 @@ def lie_gradient_stack(
         scales = np.array([s_cur, s_cur, s_pair, s_pair])
     hvecs = {k: lam * scales for k, lam in fd_steps.items()}
 
-    # lie[k] evaluates the k-th output derivative as a function of the state.
-    # Order 0 is the output itself; order 1 is exactly the current rows of f
-    # (the output gradient is constant), so finite differencing starts at the
-    # gradient of order 1.
-    lie: list[Callable[[np.ndarray], np.ndarray]] = [
-        lambda xv: xv[:OUT_DIM].copy(),
-        lambda xv: f(xv)[:OUT_DIM],
-    ]
+    # lie[k] evaluates the k-th output derivative at states of shape (..., 4).
+    # Order 1 is exactly the current rows of f (the output gradient is
+    # constant), so finite differencing starts at the gradient of order 1.
+    # Order k is J_{k-1} f, summed over the state in a fixed order so that the
+    # result does not depend on which matrix-product kernel runs.
+    def _chain(prev, hvec):
+        def lie_k(X):
+            jac, rate = _fd_jacobian(prev, X, hvec), f(X)
+            out = jac[..., 0] * rate[..., None, 0]
+            for j in range(1, STATE_DIM):
+                out = out + jac[..., j] * rate[..., None, j]
+            return out
 
-    def _chain(k: int) -> Callable[[np.ndarray], np.ndarray]:
-        prev = lie[k - 1]
-        hvec = hvecs[k - 1]
-        return lambda xv: _fd_jacobian(prev, xv, hvec) @ f(xv)
+        return lie_k
 
+    lie = [None, lambda X: f(X)[..., :OUT_DIM]]
     for k in range(2, orders + 1):
-        lie.append(_chain(k))
+        lie.append(_chain(lie[k - 1], hvecs[k - 1]))
 
-    blocks = [np.hstack([np.eye(OUT_DIM), np.zeros((OUT_DIM, STATE_DIM - OUT_DIM))])]
-    for k in range(1, orders + 1):
-        blocks.append(_fd_jacobian(lie[k], x, hvecs[k]))
-    return np.vstack(blocks)
+    blocks = [np.eye(OUT_DIM, STATE_DIM)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks += [_fd_jacobian(lie[k], x, hvecs[k]) for k in range(1, orders + 1)]
+    stack = np.vstack(blocks)
+    if not np.all(np.isfinite(stack)):
+        raise ValueError(f"non-finite gradient stack at x={x}")
+    return stack
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ from pmsmlab.machine import (
 )
 from pmsmlab.observability import (
     DEFAULT_FD_STEPS,
+    _backemf_rate,
+    _emech_rate,
+    _flux_rate,
     DegenerateObservabilityVector,
     ModelKind,
     augmented_output_rank,
@@ -145,6 +148,123 @@ def test_back_emf_stack_rejects_zero_emf_with_acceleration(sp_params):
             ModelKind.BACK_EMF, [1.0, 2.0, 0.0, 0.0], [0.0, 0.0], 1, sp_params,
             omega_dot_ext=5.0,
         )
+
+
+@pytest.mark.parametrize("u", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]], ids=["one", "three", "row"])
+def test_stack_rejects_input_of_wrong_shape(ip_params, u):
+    with pytest.raises(ValueError, match=r"input must have shape \(2,\)"):
+        lie_gradient_stack(EM, [1.0, -2.0, 30.0, 0.4], u, 1, ip_params)
+
+
+@pytest.mark.parametrize(
+    "steps, match",
+    [
+        ({1: 0.0}, "finite and > 0"),
+        ({2: -1e-3}, "finite and > 0"),
+        ({1: math.nan}, "finite and > 0"),
+        ({3: math.inf}, "finite and > 0"),
+        ({5: 1.0}, "orders in 1..3"),
+        ({0: 1e-5}, "orders in 1..3"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "order-5", "order-0"],
+)
+def test_stack_rejects_bad_steps(ip_params, steps, match):
+    with pytest.raises(ValueError, match=match):
+        lie_gradient_stack(EM, [1.0, -2.0, 30.0, 0.4], [5.0, -5.0], 1, ip_params, steps=steps)
+
+
+def test_stack_raises_when_not_finite(sp_params):
+    # the rate is finite at x, but the nested differences around it overflow
+    x, u = [1e150, 1e150, 0.0, 0.3], [0.0, 0.0]
+    assert np.all(np.isfinite(dynamics_alphabeta(MachineState(*x), alphabeta(*u), sp_params)[0]))
+    with pytest.raises(ValueError, match="non-finite gradient stack"):
+        lie_gradient_stack(EM, x, u, 3, sp_params)
+
+
+@pytest.mark.parametrize("orders, calls", [(0, 1), (1, 2), (2, 4), (3, 7)])
+def test_stack_makes_one_rate_call_per_nesting_level(monkeypatch, sp_params, orders, calls):
+    # 1 + K(K+1)/2 calls for order K; looping over stencil points makes 17, 289 and 4657
+    import pmsmlab.observability as obs
+
+    seen = []
+    rate = obs.state_rate
+    monkeypatch.setattr(obs, "state_rate", lambda *args: seen.append(1) or rate(*args))
+    lie_gradient_stack(EM, [1.0, -2.0, 0.0, 0.4], [0.1, 0.2], orders, sp_params)
+    assert len(seen) == calls
+
+
+def _pointwise_stack(rate, x, orders, scales):
+    """The oracle's nested five-point stencil as a plain loop, one rate call per state."""
+    hvecs = {k: lam * scales for k, lam in DEFAULT_FD_STEPS.items()}
+
+    def jac(g, xv, h):
+        out = np.empty((2, 4))
+        for i in range(4):
+            vals = []
+            for mult in (2.0, 1.0, -1.0, -2.0):
+                xp = xv.copy()
+                xp[i] += mult * h[i]
+                vals.append(g(xp))
+            out[:, i] = (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * h[i])
+        return out
+
+    def chained(prev, h):
+        # J f summed over the state in the oracle's fixed order, not by a BLAS product,
+        # so that only the stencil's layout is compared
+        def lie_k(xv):
+            jk, fv = jac(prev, xv, h), rate(xv)
+            return sum((jk[:, j] * fv[j] for j in range(1, 4)), jk[:, 0] * fv[0])
+
+        return lie_k
+
+    lie = [None, lambda xv: rate(xv)[:2]]
+    for k in range(2, orders + 1):
+        lie.append(chained(lie[k - 1], hvecs[k - 1]))
+    return np.vstack([np.eye(2, 4)] + [jac(lie[k], np.array(x, dtype=float), hvecs[k]) for k in range(1, orders + 1)])
+
+
+def _oracle_cases():
+    ip = MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=0.01)
+    sp = MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)
+
+    def emech(name, params, x, u, T_l=0.0, locked=False):
+        scales = np.array([max(1.0, abs(x[0]), abs(x[1]))] * 2 + [max(1.0, abs(x[2])), max(1.0, abs(x[3]))])
+        rate = lambda xv: _emech_rate(params, xv, u, T_l, locked)
+        return pytest.param(EM, x, u, 3, params, {"T_l": T_l, "locked_rotor": locked}, rate, scales, id=name)
+
+    def pair_scales(x):
+        return np.array([max(1.0, abs(x[0]), abs(x[1]))] * 2 + [max(1.0, abs(x[2]), abs(x[3]))] * 2)
+
+    cases = []
+    for k, (x, u) in enumerate(ipmsm_free_states(5, 3)):
+        cases.append(emech(f"free-salient-{k}", ip, x, u))
+    for k, (x, u, T_l) in enumerate(spmsm_moving_points(5, 3, sp)):
+        cases.append(emech(f"moving-round-{k}", sp, x, u, T_l))
+    for k, (x, u, T_l) in enumerate(spmsm_singular_points(5, 3, sp)):
+        cases.append(emech(f"singular-round-{k}", sp, x, u, T_l))
+        cases.append(emech(f"locked-rotor-{k}", sp, x, u, T_l, locked=True))
+    rng = np.random.default_rng(41)
+    for k in range(3):
+        x = np.concatenate([rng.uniform(-10, 10, 2), rng.uniform(-5, 5, 2)])
+        u = rng.uniform(-20, 20, 2)
+        rate = lambda xv, u=u: _backemf_rate(sp, xv, u, 5.0)
+        cases.append(pytest.param(ModelKind.BACK_EMF, x, u, 1, sp, {"omega_dot_ext": 5.0}, rate, pair_scales(x),
+                                  id=f"back-emf-{k}"))
+    for k, om in enumerate((12.0, -45.0, 80.0)):
+        x = np.concatenate([rng.uniform(-2, 2, 2), rng.uniform(-0.05, 0.05, 2)])
+        u = rng.uniform(-1, 1, 2)
+        rate = lambda xv, u=u, om=om: _flux_rate(sp, xv, u, om)
+        cases.append(pytest.param(ModelKind.FLUX, x, u, 3, sp, {"omega_ext": om}, rate, pair_scales(x),
+                                  id=f"flux-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("model, x, u, orders, params, kwargs, rate, scales", _oracle_cases())
+def test_broadcast_stencil_matches_pointwise_loop(model, x, u, orders, params, kwargs, rate, scales):
+    stack = lie_gradient_stack(model, x, u, orders, params, **kwargs)
+    ref = _pointwise_stack(rate, x, orders, scales)
+    rel = np.max(np.abs(stack - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert np.all(rel <= 1e-9)
 
 
 # ---------------------------------------------------------------------------
