@@ -9,16 +9,20 @@ pass then derives time, wrapped angles, dq currents and observability columns.
 
 With the motion imposed and the voltage held over a sample, one RK4 substep
 maps the currents affinely, and so do a sample's `ode_substeps` substeps
-together.  The maps depend only on the plant (`Scenario.plant_key`), so
-`plant_maps` builds them before the run: one broadcasting RK4 (`_step_maps`)
-over blocks of steps, composed pairwise into one map per sample
-(`_sample_maps`).  The loop applies one map per sample, and a sweep, whose
-points share the plant, builds the table once.
+together.  The maps depend only on the plant (`Scenario.plant_key`):
+one broadcasting RK4 (`_step_maps`) over blocks of steps, composed pairwise
+into one map per sample (`_sample_maps`).  A run builds them block by block
+as its loop reaches them (`_map_blocks`), and a still stretch of the profile,
+where every sample's map is the same, once.  The loop applies one map per
+sample.  A sweep, whose points share the plant, fills one table
+(`plant_maps`) from the same blocks and shares it.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -50,8 +54,10 @@ from pmsmlab.observability import trajectory_reports
 
 
 _MAP_BLOCK = 512  # most RK4 steps of one sample built at a time, and array rows _rows converts at a time
-_BUILD_STEPS = 2048  # RK4 steps of whole samples that plant_maps builds per block, when a sample fits
-MAX_SAMPLES = 10**7  # longest run, in samples: 24 float columns (log and loop record) and 12 map floats, ~2.9 GB
+_BUILD_STEPS = 2048  # RK4 steps of whole samples that _map_blocks builds per block, when a sample fits
+# longest run, in samples: 24 float columns (log and loop record), ~1.9 GB; a sweep's shared
+# map table adds 12 floats per sample, ~1 GB
+MAX_SAMPLES = 10**7
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
 
@@ -361,19 +367,83 @@ class PlantMaps:
     table: np.ndarray  # (n_samples, 12): _sample_maps rows
 
 
+def _still_stretches(profile: SpeedProfile, n: int, substeps: int, T_s: float) -> list:
+    """Sample ranges [k0, k1) of samples 0..n-1 over which every RK4 stage sees one profile value.
+
+    The profile's pieces, in time order, are (-inf, T0), {T0}, (T0, T1), ...,
+    {T_last}, (T_last, inf).  A point has one value, and so does an open piece
+    between zero speeds: there every evaluate term that varies with t is a
+    product of a zero speed or slope with a finite time difference (breakpoints
+    far beyond 1e300 s could overflow it).  Runs of consecutive such pieces with
+    bit-identical (omega, angle) are the still stretches.  A sample belongs to
+    one when its first and last stage times do; stage times are computed here
+    as _sample_maps and _step_maps compute them, k*T_s + j*dt (+ dt), and
+    rounding is monotone, so every stage in between does too.
+    """
+    T, W = profile.times, profile.speeds
+    dt = T_s / substeps
+
+    def piece(t: float) -> int:
+        i = bisect.bisect_left(T, t)
+        return 2 * i + (i < len(T) and T[i] == t)
+
+    probes = [np.nextafter(T[0], -np.inf)] + [x for t in T for x in (t, np.nextafter(t, np.inf))]
+    w, _, a = profile.evaluate(np.array(probes))
+    ends = [W[0], *W, W[-1]]  # open piece 2i runs from speed ends[i] to ends[i + 1]; the outer ones are held
+    # each piece's (omega, angle) as bits, so the sign of zero counts; None where they vary
+    bits = [b if p % 2 or ends[p // 2] == ends[p // 2 + 1] == 0.0 else None
+            for p, b in enumerate(np.stack([w, a], axis=-1).view(np.int64).tolist())]
+    stretches = []
+    for b, run in itertools.groupby(range(len(bits)), bits.__getitem__):
+        p = list(run)
+        if b is not None:
+            k0 = bisect.bisect_left(range(n), p[0], key=lambda k: piece(k * T_s))
+            k1 = bisect.bisect_right(range(n), p[-1], key=lambda k: piece((k * T_s + (substeps - 1) * dt) + dt))
+            if k0 < k1:
+                stretches.append((k0, k1))
+    return stretches
+
+
+def _map_blocks(scn: Scenario):
+    """scn's map rows in sample order, built as they are consumed: (rows, samples) pairs.
+
+    rows is an (samples, 12) block of _sample_maps rows, or a single row that
+    holds for all `samples` samples.  Moving samples are built _BUILD_STEPS RK4
+    steps (or one sample) at a time.  A still stretch's first sample is built
+    alone; its steps see one speed and one angle A, so when its row ends at the
+    angle it started from, every later sample of the stretch starts there and
+    has the same row, bit for bit.  Otherwise the stretch is built in blocks.
+    """
+    params, profile, n, substeps, T_s = scn.params, scn.profile, scn.n_samples, scn.ode_substeps, scn.T_s
+    per = _BUILD_STEPS // substeps if substeps <= _MAP_BLOCK else 1  # samples per block, as _sample_maps needs
+    theta = scn.theta0
+
+    def blocks(k0: int, k1: int):
+        nonlocal theta
+        for j in range(k0, k1, per):
+            rows = _sample_maps(params, profile, np.arange(j, min(j + per, k1)) * T_s, substeps, T_s, theta)
+            theta = rows[-1, 11]
+            yield rows, len(rows)
+
+    k = 0
+    for k0, k1 in _still_stretches(profile, n, substeps, T_s):
+        yield from blocks(k, k0)
+        start = np.float64(theta).tobytes()
+        row, _ = next(blocks(k0, k0 + 1))  # the first sample alone
+        k = k1 if theta.tobytes() == start else k0 + 1  # the angle chain (theta - A) + A returned theta
+        yield row, k - k0
+    yield from blocks(k, n)
+
+
 def plant_maps(scn: Scenario) -> PlantMaps:
-    """The map table of scn's plant, built _BUILD_STEPS RK4 steps (or one sample) at a time.
+    """The map table of scn's plant, filled from _map_blocks: a still stretch's row is built once.
 
     Runs that share scn.plant_key can share the table: run_scenario(..., maps=...).
     """
-    n, substeps, T_s = scn.n_samples, scn.ode_substeps, scn.T_s
-    per = _BUILD_STEPS // substeps if substeps <= _MAP_BLOCK else 1  # samples per block, as _sample_maps needs
-    table = np.empty((n, 12))
-    theta = scn.theta0
-    for k0 in range(0, n, per):
-        k1 = min(k0 + per, n)
-        table[k0:k1] = _sample_maps(scn.params, scn.profile, np.arange(k0, k1) * T_s, substeps, T_s, theta)
-        theta = table[k1 - 1, 11]
+    table, k = np.empty((scn.n_samples, 12)), 0
+    for rows, samples in _map_blocks(scn):
+        table[k:k + samples] = rows
+        k += samples
     table.flags.writeable = False  # runs share it
     return PlantMaps(scn.plant_key, table)
 
@@ -382,6 +452,12 @@ def _rows(table: np.ndarray):
     """The array's rows as Python values (lists of floats for the map table), converted _MAP_BLOCK rows at a time."""
     for k0 in range(0, len(table), _MAP_BLOCK):
         yield from table[k0:k0 + _MAP_BLOCK].tolist()
+
+
+def _sample_rows(blocks):
+    """One map row per sample, as a list of floats, from (rows, samples) blocks."""
+    for rows, samples in blocks:
+        yield from _rows(rows) if len(rows) == samples else itertools.repeat(rows[0].tolist(), samples)
 
 
 def needs_estimator(scn: Scenario) -> list:
@@ -398,19 +474,23 @@ def run_scenario(scn: Scenario, with_ekf: bool = True, maps: PlantMaps | None = 
     Per sample: measure currents (optional seeded noise), build references,
     PI control with the true angle, the sample's composed RK4 plant map, one
     EKF predict-correct cycle with the same voltage and measurement, then the
-    observability columns evaluated on the true trajectory afterwards.
+    observability columns evaluated on the true trajectory afterwards.  The
+    maps are built as the loop reaches them (a still stretch's once), so a run
+    that aborts early builds little.
 
     with_ekf=False skips the estimator (trajectory analysis only); the estimate columns
     come back NaN, the true trajectory is identical, and needs_estimator's settings raise.
-    maps is plant_maps of a scenario with the same plant_key (built here if None);
-    one built for another plant raises ValueError.
+    maps is plant_maps of a scenario with the same plant_key (built here, block by
+    block, if None); one built for another plant raises ValueError.
     """
     if not with_ekf:
         raise_violations(needs_estimator(scn))
     if maps is None:
-        maps = plant_maps(scn)
+        blocks = _map_blocks(scn)
     elif maps.key != scn.plant_key:
         raise ValueError("maps were built for another plant (machine, profile, T_s, ode_substeps, theta0 or length)")
+    else:
+        blocks = [(maps.table, scn.n_samples)]
     params, R = scn.params, scn.params.R
     n, T_s = scn.n_samples, scn.T_s
     rng = np.random.default_rng(scn.seed)
@@ -438,7 +518,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True, maps: PlantMaps | None = 
     aborted, abort_time, abort_reason = False, None, ""
     rows = n
 
-    for k, row in enumerate(_rows(maps.table)):
+    for k, row in enumerate(_sample_rows(blocks)):
         t_k = k * T_s
         ya, yb = ia, ib
         if scn.noise_std > 0.0:
@@ -467,7 +547,6 @@ def run_scenario(scn: Scenario, with_ekf: bool = True, maps: PlantMaps | None = 
         rec[k] = (ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat)
         ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
 
-    del maps  # frees a table built here before the derive pass, which sets the run's peak memory
     rec = rec[:rows]
     if not with_ekf:
         rec[:, 8:] = math.nan  # no estimates
@@ -506,26 +585,27 @@ def _observability_columns(scn: Scenario, cols: dict, di_d, di_q) -> dict:
     return trajectory_reports(scn.params, t, i_d, i_q, di_d, di_q, omega, omega_dot, theta)
 
 
-def table_params(kind: MachineKind = MachineKind.IPMSM, J: float = 0.02) -> MachineParams:
+def table_params(kind: MachineKind | str = MachineKind.IPMSM, J: float = 0.02) -> MachineParams:
     """Reference machine constants; the non-salient variant zeroes L2 only.
 
+    kind may be named, in any case ("ipmsm", "SPMSM"); another name raises ValueError.
     Inertia is not part of the published constants; 0.02 kg m^2 keeps the
     estimator's speed-error behaviour comparable between the two machines.
     """
+    if isinstance(kind, str):
+        kind = MachineKind(kind.lower())
     if kind is MachineKind.IPMSM:
         return MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=J)
     return MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=J)
 
 
-def standstill_study_scenario(kind: MachineKind = MachineKind.IPMSM) -> Scenario:
+def standstill_study_scenario(kind: MachineKind | str = MachineKind.IPMSM) -> Scenario:
     """Reference standstill-to-ramp study.
 
     Standstill until 0.6 s with a 500 Hz q-axis current injection active on
     [0.2 s, 0.5 s), then a ramp to 50 rad/s by 0.8 s held to 1.0 s.  Current
     set-points (0, 15) A, estimated position initialized -pi/4 off.
     """
-    if isinstance(kind, str):
-        kind = MachineKind(kind.lower())
     return Scenario(
         params=table_params(kind),
         profile=SpeedProfile.from_breakpoints(

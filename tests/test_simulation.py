@@ -158,6 +158,13 @@ def test_table_params():
     assert (sp.L0, sp.L2, sp.J) == (0.65e-3, 0.0, 0.05)
 
 
+def test_table_params_takes_a_kind_name():
+    assert table_params("ipmsm") == table_params(MachineKind.IPMSM)
+    assert table_params("SPMSM") == table_params(MachineKind.SPMSM)
+    with pytest.raises(ValueError, match="nonsense"):
+        table_params("nonsense")
+
+
 # ---------------------------------------------------------------------------
 # electrical integrator
 # ---------------------------------------------------------------------------
@@ -326,6 +333,32 @@ def test_abort_in_first_sample_gives_empty_columns():
             assert getattr(log, f.name).shape == (0,), f.name
 
 
+def _count_built_samples(monkeypatch) -> list:
+    """Wraps _sample_maps; the returned list gets the number of samples of each call."""
+    import pmsmlab.simulation as simulation
+
+    built, sample_maps = [], simulation._sample_maps
+
+    def counting(params, profile, t, *args):
+        built.append(len(t))
+        return sample_maps(params, profile, t, *args)
+
+    monkeypatch.setattr(simulation, "_sample_maps", counting)
+    return built
+
+
+def test_early_abort_builds_at_most_one_block_of_maps(monkeypatch):
+    # maps are built as the loop reaches them, so a run that aborts at t = 0 does not pay for the rest
+    import pmsmlab.simulation as simulation
+
+    built = _count_built_samples(monkeypatch)
+    scn = dataclasses.replace(standstill_study_scenario(MachineKind.IPMSM), setpoints=(1e200, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = run_scenario(scn)
+    assert log.aborted and log.abort_time == 0.0
+    assert 0 < sum(built) <= simulation._BUILD_STEPS // scn.ode_substeps
+
+
 def test_run_observability_on_estimates_smoke():
     scn = _tiny(obs_on_estimates=True)
     est = run_scenario(scn)
@@ -431,18 +464,20 @@ def test_run_replays_across_map_blocks(substeps, t_end, monkeypatch):
 
     if substeps <= _MAP_BLOCK:  # smaller blocks put more edges into a short run; a longer sample is its own block
         monkeypatch.setattr(simulation, "_BUILD_STEPS", _MAP_BLOCK)
-    prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.25 * t_end, 0.0), (t_end, 40.0)])
-    scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3, t_end=t_end, ode_substeps=substeps)
-    assert scn.n_samples > 3 * max(1, _MAP_BLOCK // substeps)  # at least three block edges
-    assert substeps < _MAP_BLOCK or substeps % _MAP_BLOCK != 0  # a short last chunk
-    log = run_scenario(scn, with_ekf=False)
-    assert len(log) == scn.n_samples
-    st = MachineState(log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
-    for k in range(len(log) - 1):
-        v = alphabeta(log.v_alpha[k], log.v_beta[k])
-        st = integrate_electrical(st, v, prof, k * scn.T_s, scn.T_s, scn.params, substeps=substeps)
-        assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
-        assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
+    # a leading standstill, then standstill after motion, where the held angle is not 0
+    for points in ([(0.0, 0.0), (0.25, 0.0), (1.0, 40.0)], [(0.0, 0.0), (0.25, 40.0), (0.5, 0.0)]):
+        prof = SpeedProfile.from_breakpoints([(f * t_end, w) for f, w in points])
+        scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3, t_end=t_end, ode_substeps=substeps)
+        assert scn.n_samples > 3 * max(1, _MAP_BLOCK // substeps)  # at least three block edges
+        assert substeps < _MAP_BLOCK or substeps % _MAP_BLOCK != 0  # a short last chunk
+        log = run_scenario(scn, with_ekf=False)
+        assert len(log) == scn.n_samples
+        st = MachineState(log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
+        for k in range(len(log) - 1):
+            v = alphabeta(log.v_alpha[k], log.v_beta[k])
+            st = integrate_electrical(st, v, prof, k * scn.T_s, scn.T_s, scn.params, substeps=substeps)
+            assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
+            assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
 
 
 def _stagewise_rk4(params, prof, i_a, i_b, theta, v, t, dt):
@@ -535,6 +570,86 @@ def test_run_rejects_maps_of_another_plant():
         assert other.plant_key != scn.plant_key
         with pytest.raises(ValueError, match="another plant"):
             run_scenario(other, maps=maps)
+
+
+def _unshared_table(scn):
+    """Every sample's map row built from its own steps, chaining the angle, as blocks of whole samples."""
+    from pmsmlab.simulation import _MAP_BLOCK, _sample_maps
+
+    per = 50 if scn.ode_substeps <= _MAP_BLOCK else 1  # _sample_maps takes one sample of more substeps
+    rows, theta = [], scn.theta0
+    for k0 in range(0, scn.n_samples, per):
+        t = np.arange(k0, min(k0 + per, scn.n_samples)) * scn.T_s
+        rows.append(_sample_maps(scn.params, scn.profile, t, scn.ode_substeps, scn.T_s, theta))
+        theta = rows[-1][-1, 11]
+    return np.vstack(rows)
+
+
+def _hfi_config_scenario():
+    from pmsmlab.config import parse_config
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "hfi_voltage_sweep.json")
+    with open(path) as fh:
+        return parse_config(fh.read()).scenario
+
+
+_MOVED_BEFORE_T0 = SpeedProfile.from_breakpoints([(-0.002, 0.0), (-0.001, 40.0), (0.0, 0.0)])  # held at A = 0.04
+
+
+@pytest.mark.parametrize("case, reused", [
+    ("study", True),
+    ("hfi_config", True),
+    ("standstill_after_motion", True),
+    ("theta_off_the_chain", False),
+    ("negative_zero_theta0", False),
+    ("holds_before_and_after_the_breakpoints", True),
+    ("edge_inside_a_sample", True),
+    ("600_substeps", True),
+    ("negative_zero_speeds", True),
+    ("creeping_ramp", False),
+])
+def test_plant_maps_equal_an_unshared_build(case, reused, monkeypatch):
+    # a still stretch's row is built once and repeated; the table must still
+    # equal every sample built from its own steps, byte for byte (so the sign of zero counts)
+    from pmsmlab.simulation import plant_maps
+
+    scn = {
+        "study": lambda: standstill_study_scenario(MachineKind.IPMSM),
+        "hfi_config": _hfi_config_scenario,
+        "standstill_after_motion": lambda: _tiny(
+            MachineKind.IPMSM, profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 40.0), (0.004, 0.0)]),
+            theta0=0.3, t_end=0.01),
+        # the whole run is held at A != 0, from a theta0 that the chain (theta0 - A) + A does not return
+        "theta_off_the_chain": lambda: _tiny(MachineKind.IPMSM, profile=_MOVED_BEFORE_T0, theta0=-0.49, t_end=0.005),
+        # (-0.0 - 0.0) + 0.0 is +0.0
+        "negative_zero_theta0": lambda: _tiny(theta0=-0.0, t_end=0.005),
+        "holds_before_and_after_the_breakpoints": lambda: _tiny(
+            profile=SpeedProfile.from_breakpoints([(0.003, 0.0), (0.005, 30.0), (0.007, 0.0)]), theta0=0.3, t_end=0.01),
+        "edge_inside_a_sample": lambda: _tiny(
+            MachineKind.IPMSM,
+            profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.00305, 0.0), (0.00505, 30.0), (0.00705, 0.0)]),
+            theta0=1.0, t_end=0.01),
+        "600_substeps": lambda: _tiny(
+            profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (3e-4, 0.0), (6e-4, 40.0), (8e-4, 0.0)]),
+            ode_substeps=600, t_end=1.2e-3),
+        # held speeds of -0.0: the segment between them evaluates to +0.0, the holds to -0.0
+        "negative_zero_speeds": lambda: _tiny(
+            profile=SpeedProfile.from_breakpoints([(0.003, -0.0), (0.006, -0.0)]), theta0=0.3, t_end=0.01),
+        # too slow to move the angle, yet every sample's speed differs
+        "creeping_ramp": lambda: _tiny(profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.01, 1e-200)]),
+                                       theta0=0.3, t_end=0.01),
+    }[case]()
+    if case == "theta_off_the_chain":
+        A = _MOVED_BEFORE_T0.angle(0.0)
+        assert A != 0.0 and (scn.theta0 - A) + A != scn.theta0
+    built = _count_built_samples(monkeypatch)
+    table = plant_maps(scn).table
+    monkeypatch.undo()
+    assert table.tobytes() == _unshared_table(scn).tobytes()
+    if case == "hfi_config":
+        assert sum(built) == 1  # the whole run is one still stretch
+    else:
+        assert (sum(built) < scn.n_samples) == reused
 
 
 def test_block_trig_equals_single_element_trig():
