@@ -22,7 +22,7 @@ from pmsmlab.config import ConfigError, RunConfig, apply_sweep_value, parse_conf
 from pmsmlab.control import InjectionKind
 from pmsmlab.observability import hfi_det_y1, sample_report
 from pmsmlab.report import summarize, write_csv, write_rows
-from pmsmlab.simulation import Scenario, needs_estimator, plant_maps, run_scenario, standstill_study_scenario
+from pmsmlab.simulation import Scenario, needs_estimator, run_scenario, standstill_study_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -145,17 +145,11 @@ def carrier_peak_det(scn: Scenario) -> float:
 def run_sweep(cfg: RunConfig):
     """Run the scenario once per sweep value; yields (value, scenario, log).
 
-    No sweepable parameter changes the plant, so the points share one table
-    of plant maps, built from cfg.scenario first; run_scenario checks each
-    point against it.  An invalid point raises ConfigError when reached.
+    parse_config has checked every point, and each run builds its own plant maps.
     """
-    maps = plant_maps(cfg.scenario)
     for value in cfg.sweep.values:
-        try:
-            scn = apply_sweep_value(cfg.scenario, cfg.sweep.parameter, value)
-        except ValueError as exc:
-            raise ConfigError([f"sweep: invalid point {cfg.sweep.parameter}={value!r}: {exc}"]) from exc
-        yield value, scn, run_scenario(scn, maps=maps)
+        scn = apply_sweep_value(cfg.scenario, cfg.sweep.parameter, value)
+        yield value, scn, run_scenario(scn)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -9,9 +9,10 @@ The parser checks the JSON: types, shapes, unknown keys and the choice
 between Ld/Lq and L0/L2.  The value rules belong to the dataclasses:
 MachineParams, SpeedProfile, InjectionSchedule and Scenario each state
 theirs once in violations(), which the parser calls on the values it read,
-without building the objects, and labels with the JSON path.  Validation
-never stops at the first problem: parse_config raises ConfigError carrying
-the complete list of violations.
+without building the objects, and labels with the JSON path.  Each sweep
+point is checked as the scenario it makes, once the base scenario is valid.
+Validation never stops at the first problem: parse_config raises ConfigError
+carrying the complete list of violations.
 """
 
 from __future__ import annotations
@@ -308,8 +309,16 @@ def parse_config(text: str) -> RunConfig:
     errors.extend(_labels("scenario", Scenario.violations(**scenario_values), SCENARIO_PATHS.get))
     if errors:
         raise ConfigError(errors)
+    scenario = Scenario(**scenario_values)
+    for value in sweep.values if sweep else ():
+        try:
+            apply_sweep_value(scenario, sweep.parameter, value)
+        except ValueError as exc:
+            errors.append(f"sweep: invalid point {sweep.parameter}={value!r}: {exc}")
+    if errors:
+        raise ConfigError(errors)
     return RunConfig(
-        scenario=Scenario(**scenario_values),
+        scenario=scenario,
         out_dir=out_dir,
         csv_name=csv_name,
         write_summary=write_summary,

@@ -9,13 +9,11 @@ pass then derives time, wrapped angles, dq currents and observability columns.
 
 With the motion imposed and the voltage held over a sample, one RK4 substep
 maps the currents affinely, and so do a sample's `ode_substeps` substeps
-together.  The maps depend only on the plant (`Scenario.plant_key`):
-one broadcasting RK4 (`_step_maps`) over blocks of steps, composed pairwise
-into one map per sample (`_sample_maps`).  A run builds them block by block
-as its loop reaches them (`_map_blocks`), and a still stretch of the profile,
-where every sample's map is the same, once.  The loop applies one map per
-sample.  A sweep, whose points share the plant, fills one table
-(`plant_maps`) from the same blocks and shares it.
+together.  The maps depend only on the plant: one broadcasting RK4
+(`_step_maps`) over blocks of steps, composed pairwise into one map per
+sample (`_sample_maps`).  A run builds them block by block as its loop
+reaches them (`_map_blocks`), and a still stretch of the profile, where
+every sample's map is the same, once.  The loop applies one map per sample.
 """
 
 from __future__ import annotations
@@ -55,9 +53,7 @@ from pmsmlab.observability import trajectory_reports
 
 _MAP_BLOCK = 512  # most RK4 steps of one sample built at a time, and array rows _rows converts at a time
 _BUILD_STEPS = 2048  # RK4 steps of whole samples that _map_blocks builds per block, when a sample fits
-# longest run, in samples: 24 float columns (log and loop record), ~1.9 GB; a sweep's shared
-# map table adds 12 floats per sample, ~1 GB
-MAX_SAMPLES = 10**7
+MAX_SAMPLES = 10**7  # longest run, in samples: 24 float columns (log and loop record), ~1.9 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
 
@@ -210,11 +206,6 @@ class Scenario:
     def n_samples(self) -> int:
         return int(round(self.t_end / self.T_s))
 
-    @property
-    def plant_key(self) -> tuple:
-        """What the plant's maps depend on: machine, profile, T_s, ode_substeps, theta0 and the sample count."""
-        return self.params, self.profile, self.T_s, self.ode_substeps, self.theta0, self.n_samples
-
 
 @dataclass
 class TrajectoryLog:
@@ -359,14 +350,6 @@ def integrate_electrical(
     return MachineState(ia, ib, row[10], row[11], state.T_l)
 
 
-@dataclass(frozen=True, eq=False)
-class PlantMaps:
-    """One composed plant map per control sample, and the plant_key it was built for."""
-
-    key: tuple
-    table: np.ndarray  # (n_samples, 12): _sample_maps rows
-
-
 def _still_stretches(profile: SpeedProfile, n: int, substeps: int, T_s: float) -> list:
     """Sample ranges [k0, k1) of samples 0..n-1 over which every RK4 stage sees one profile value.
 
@@ -435,21 +418,8 @@ def _map_blocks(scn: Scenario):
     yield from blocks(k, n)
 
 
-def plant_maps(scn: Scenario) -> PlantMaps:
-    """The map table of scn's plant, filled from _map_blocks: a still stretch's row is built once.
-
-    Runs that share scn.plant_key can share the table: run_scenario(..., maps=...).
-    """
-    table, k = np.empty((scn.n_samples, 12)), 0
-    for rows, samples in _map_blocks(scn):
-        table[k:k + samples] = rows
-        k += samples
-    table.flags.writeable = False  # runs share it
-    return PlantMaps(scn.plant_key, table)
-
-
 def _rows(table: np.ndarray):
-    """The array's rows as Python values (lists of floats for the map table), converted _MAP_BLOCK rows at a time."""
+    """The array's rows as Python values (lists of floats for map rows), converted _MAP_BLOCK rows at a time."""
     for k0 in range(0, len(table), _MAP_BLOCK):
         yield from table[k0:k0 + _MAP_BLOCK].tolist()
 
@@ -468,7 +438,7 @@ def needs_estimator(scn: Scenario) -> list:
     return [(key, f"{msg} for analyze, which runs no estimator") for key, used, msg in uses if used]
 
 
-def run_scenario(scn: Scenario, with_ekf: bool = True, maps: PlantMaps | None = None) -> TrajectoryLog:
+def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     """Execute the closed-loop scenario and return the full log.
 
     Per sample: measure currents (optional seeded noise), build references,
@@ -480,17 +450,9 @@ def run_scenario(scn: Scenario, with_ekf: bool = True, maps: PlantMaps | None = 
 
     with_ekf=False skips the estimator (trajectory analysis only); the estimate columns
     come back NaN, the true trajectory is identical, and needs_estimator's settings raise.
-    maps is plant_maps of a scenario with the same plant_key (built here, block by
-    block, if None); one built for another plant raises ValueError.
     """
     if not with_ekf:
         raise_violations(needs_estimator(scn))
-    if maps is None:
-        blocks = _map_blocks(scn)
-    elif maps.key != scn.plant_key:
-        raise ValueError("maps were built for another plant (machine, profile, T_s, ode_substeps, theta0 or length)")
-    else:
-        blocks = [(maps.table, scn.n_samples)]
     params, R = scn.params, scn.params.R
     n, T_s = scn.n_samples, scn.T_s
     rng = np.random.default_rng(scn.seed)
@@ -518,7 +480,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True, maps: PlantMaps | None = 
     aborted, abort_time, abort_reason = False, None, ""
     rows = n
 
-    for k, row in enumerate(_sample_rows(blocks)):
+    for k, row in enumerate(_sample_rows(_map_blocks(scn))):
         t_k = k * T_s
         ya, yb = ia, ib
         if scn.noise_std > 0.0:

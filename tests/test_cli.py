@@ -156,26 +156,13 @@ SWEEP_POINTS = {
 }
 
 
-def test_sweepable_parameters_keep_the_plant():
-    # the sweep shares one table of plant maps, so no sweepable parameter may change the plant
-    from pmsmlab.config import SWEEPABLE, apply_sweep_value
-    from pmsmlab.simulation import standstill_study_scenario
-
-    assert set(SWEEPABLE) == set(SWEEP_POINTS)
-    scn = standstill_study_scenario()
-    for parameter, values in SWEEP_POINTS.items():
-        for value in values:
-            assert apply_sweep_value(scn, parameter, value).plant_key == scn.plant_key
-
-
 @pytest.mark.parametrize("parameter", list(SWEEP_POINTS))
-def test_sweep_points_share_one_map_table_and_equal_standalone_runs(tmp_path, monkeypatch, parameter):
+def test_sweep_points_equal_standalone_runs(tmp_path, parameter):
     import pmsmlab.cli as cli
-    from pmsmlab.config import parse_config
+    from pmsmlab.config import SWEEPABLE, parse_config
     from pmsmlab.simulation import run_scenario
 
-    builds = []
-    monkeypatch.setattr(cli, "plant_maps", lambda scn, build=cli.plant_maps: builds.append(scn) or build(scn))
+    assert set(SWEEPABLE) == set(SWEEP_POINTS)
     cfg = parse_config(open(tiny_config(
         tmp_path,
         scenario={
@@ -186,7 +173,7 @@ def test_sweep_points_share_one_map_table_and_equal_standalone_runs(tmp_path, mo
         sweep={"parameter": parameter, "values": SWEEP_POINTS[parameter]},
     )).read())
     points = list(cli.run_sweep(cfg))
-    assert len(builds) == 1 and len(points) == len(SWEEP_POINTS[parameter])
+    assert len(points) == len(SWEEP_POINTS[parameter])
     for _, scn, log in points:
         alone = run_scenario(scn)
         assert not log.aborted
@@ -219,6 +206,23 @@ def test_sweep_invalid_point_is_config_error(tmp_path, capsys):
     cfg = tiny_config(tmp_path, sweep={"parameter": "noise_std", "values": [-1.0]})
     assert main(["sweep", "-c", cfg]) == 1
     assert capsys.readouterr().err.startswith("config error: sweep: invalid point noise_std=-1.0: ")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_grid_is_checked_before_any_point_runs(tmp_path, capsys, monkeypatch):
+    # a bad later point fails the whole config: no point runs, no file is written, and
+    # --print-config does not render it as a valid input
+    import pmsmlab.cli as cli
+
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kw: runs.append(args))
+    cfg = tiny_config(tmp_path, sweep={"parameter": "noise_std", "values": [0.0, -1.0]})
+    for extra in ([], ["--print-config"]):
+        assert main(["sweep", "-c", cfg, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: sweep: invalid point noise_std=-1.0: noise_std: must be >= 0\n"
+    assert runs == []
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -210,6 +210,32 @@ def test_integrator_is_fourth_order():
     assert 12.0 < e1 / e2 < 20.0  # halving the step cuts the error ~2^4
 
 
+def _held_voltage_steps(params, prof, state, voltage, dt, n, prefix=1000):
+    """(i_alpha, i_beta, theta) after n RK4 steps of dt from state, voltage(theta) held over each.
+
+    The steps are a run's map rows at one substep per sample, applied as the
+    run applies them; the first `prefix` states must equal integrate_electrical's,
+    bit for bit.
+    """
+    from pmsmlab.simulation import _apply_map, _map_blocks, _sample_rows
+
+    scn = Scenario(params=params, profile=prof, t_end=n * dt, T_s=dt, ode_substeps=1, theta0=state.theta)
+    assert scn.n_samples == n
+    ia, ib, theta = state.i_alpha, state.i_beta, state.theta
+    got, replay = [], [state]
+    for k, row in enumerate(_sample_rows(_map_blocks(scn))):
+        v = voltage(theta)
+        ia, ib = _apply_map(row, params.R, ia, ib, v.x, v.y, k * dt, dt)
+        theta = row[11]
+        if k < prefix:
+            got.append((ia, ib, row[10], theta))
+            st = replay[-1]
+            replay.append(integrate_electrical(st, voltage(st.theta), prof, k * dt, dt, params))
+    want = [(st.i_alpha, st.i_beta, st.omega, st.theta) for st in replay[1:]]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    return ia, ib, theta
+
+
 def test_integrator_standstill_steady_state():
     # constant voltage at locked rotor settles to i = v/R
     params = table_params()
@@ -217,10 +243,9 @@ def test_integrator_standstill_steady_state():
     st = MachineState(0.0, 0.0, 0.0, 0.3)
     v = inverse_park(dq(0.2, -0.1), 0.3)
     n = 13000  # 1.3 s = 20 L/R time constants
-    for k in range(n):
-        st = integrate_electrical(st, v, prof, k * 1e-4, 1e-4, params)
+    i_a, i_b, _ = _held_voltage_steps(params, prof, st, lambda theta: v, 1e-4, n)
     expect = np.array([v.x, v.y]) / params.R
-    err = np.linalg.norm([st.i_alpha, st.i_beta] - expect) / np.linalg.norm(expect)
+    err = np.linalg.norm([i_a, i_b] - expect) / np.linalg.norm(expect)
     assert err < 1e-6
 
 
@@ -238,9 +263,8 @@ def test_integrator_rotating_steady_state():
     i_ab0 = inverse_park(i_ref, 0.0)
     st = MachineState(i_ab0.x, i_ab0.y, omega, 0.0)
     dt = 2e-5
-    for k in range(65000):  # 1.3 s
-        st = integrate_electrical(st, inverse_park(v_dq, st.theta), prof, k * dt, dt, params)
-    i_dq = park(st.currents, st.theta)
+    i_a, i_b, theta = _held_voltage_steps(params, prof, st, lambda theta: inverse_park(v_dq, theta), dt, 65000)  # 1.3 s
+    i_dq = park(alphabeta(i_a, i_b), theta)
     assert abs(i_dq.y - 15.0) / 15.0 < 1.5e-3
     assert abs(i_dq.x) < 0.05
 
@@ -548,30 +572,6 @@ def test_sample_map_matches_stagewise_rk4_steps(substeps, cases):
         assert (out.omega, out.theta) == ref[2:]
 
 
-def test_run_rejects_maps_of_another_plant():
-    from pmsmlab.simulation import plant_maps
-
-    scn = _tiny(t_end=1e-3)
-    maps = plant_maps(scn)
-    assert maps.table.shape == (scn.n_samples, 12)
-    log = run_scenario(scn, maps=maps)
-    assert all(np.array_equal(getattr(log, f), getattr(run_scenario(scn), f), equal_nan=True)
-               for f in ("i_alpha", "i_beta", "theta_true", "omega_hat"))
-    other_plants = dict(
-        params=table_params(MachineKind.IPMSM),
-        profile=SpeedProfile.from_breakpoints([(0.0, 1.0)]),
-        T_s=5e-5,
-        ode_substeps=11,
-        theta0=0.1,
-        t_end=2e-3,
-    )
-    for field, value in other_plants.items():
-        other = dataclasses.replace(scn, **{field: value})
-        assert other.plant_key != scn.plant_key
-        with pytest.raises(ValueError, match="another plant"):
-            run_scenario(other, maps=maps)
-
-
 def _unshared_table(scn):
     """Every sample's map row built from its own steps, chaining the angle, as blocks of whole samples."""
     from pmsmlab.simulation import _MAP_BLOCK, _sample_maps
@@ -608,10 +608,10 @@ _MOVED_BEFORE_T0 = SpeedProfile.from_breakpoints([(-0.002, 0.0), (-0.001, 40.0),
     ("negative_zero_speeds", True),
     ("creeping_ramp", False),
 ])
-def test_plant_maps_equal_an_unshared_build(case, reused, monkeypatch):
-    # a still stretch's row is built once and repeated; the table must still
+def test_map_blocks_equal_an_unshared_build(case, reused, monkeypatch):
+    # a still stretch's row is built once and repeated; the rows must still
     # equal every sample built from its own steps, byte for byte (so the sign of zero counts)
-    from pmsmlab.simulation import plant_maps
+    from pmsmlab.simulation import _map_blocks
 
     scn = {
         "study": lambda: standstill_study_scenario(MachineKind.IPMSM),
@@ -643,7 +643,7 @@ def test_plant_maps_equal_an_unshared_build(case, reused, monkeypatch):
         A = _MOVED_BEFORE_T0.angle(0.0)
         assert A != 0.0 and (scn.theta0 - A) + A != scn.theta0
     built = _count_built_samples(monkeypatch)
-    table = plant_maps(scn).table
+    table = np.vstack([np.broadcast_to(rows, (samples, 12)) for rows, samples in _map_blocks(scn)])
     monkeypatch.undo()
     assert table.tobytes() == _unshared_table(scn).tobytes()
     if case == "hfi_config":
