@@ -58,7 +58,8 @@ def build_parser() -> _Parser:
         sp = sub.add_parser(verb, help=blurb)
         sp.add_argument("-c", "--config", required=True, help="path to JSON config")
         sp.add_argument("-o", "--out-dir", default=None, help="output directory override")
-        sp.add_argument("--csv", default=None, help="output CSV name override")
+        if verb != "sweep":  # a sweep writes sweep.csv and no trajectory
+            sp.add_argument("--csv", default=None, help="trajectory CSV name override")
         sp.add_argument("--seed", type=int, default=None, help="measurement-noise seed override")
         sp.add_argument("--print-config", action="store_true",
                         help="print the resolved configuration and exit without running")
@@ -79,7 +80,7 @@ def _load_config(args) -> RunConfig:
             raise ConfigError([f"scenario.{exc}"]) from exc
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
-    if args.csv is not None:
+    if getattr(args, "csv", None) is not None:
         cfg = replace(cfg, csv_name=args.csv)
     return cfg
 
@@ -153,6 +154,11 @@ def run_sweep(cfg: RunConfig):
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """Write one summary row per sweep point to sweep.csv in the output directory.
+
+    No trajectory CSV is written, so output.csv, which names the trajectory CSV of
+    simulate and analyze, has no effect here.
+    """
     if cfg.sweep is None:
         raise ConfigError(["sweep: config has no sweep block"])
     rows, status = [], EXIT_OK

@@ -25,6 +25,11 @@ class InjectionKind(enum.Enum):
     VOLTAGE_ON_DHAT = "voltage_on_dhat"
 
 
+# the members as module globals: the per-sample checks below read a global, not a class attribute
+_NO_INJECTION, _CURRENT_ON_Q = InjectionKind.NONE, InjectionKind.CURRENT_ON_Q
+_VOLTAGE_ON_DHAT = InjectionKind.VOLTAGE_ON_DHAT
+
+
 @dataclass(frozen=True)
 class InjectionSchedule:
     """Test signal description. Active on [t_start, t_end), closed-open."""
@@ -52,12 +57,12 @@ class InjectionSchedule:
         return found
 
     def active(self, t: float) -> bool:
-        return self.kind is not InjectionKind.NONE and self.t_start <= t < self.t_end
+        return self.kind is not _NO_INJECTION and self.t_start <= t < self.t_end
 
     def carrier(self, t: float) -> float:
         if not self.active(t):
             return 0.0
-        if self.kind is InjectionKind.CURRENT_ON_Q:
+        if self.kind is _CURRENT_ON_Q:
             return self.amplitude * math.sin(self.frequency * t)
         return self.amplitude * math.cos(self.frequency * t)
 
@@ -65,7 +70,7 @@ class InjectionSchedule:
 def current_reference(t: float, schedule: InjectionSchedule, base: tuple[float, float]) -> tuple[float, float]:
     """dq current setpoints at time t, with any active current injection added."""
     i_d_ref, i_q_ref = base
-    if schedule.kind is InjectionKind.CURRENT_ON_Q and schedule.active(t):
+    if schedule.kind is _CURRENT_ON_Q and schedule.active(t):
         i_q_ref = i_q_ref + schedule.carrier(t)
     return i_d_ref, i_q_ref
 
@@ -140,7 +145,7 @@ def controller_step(
 def _command_ab(v_d, v_q, c, s, t, schedule, theta_hat):
     """dq command to stator frame on c, s = cos, sin theta, plus any active d-hat voltage carrier."""
     v_a, v_b = _rotate(v_d, v_q, c, s)
-    if schedule is not None and schedule.kind is InjectionKind.VOLTAGE_ON_DHAT and schedule.active(t):
+    if schedule is not None and schedule.kind is _VOLTAGE_ON_DHAT and schedule.active(t):
         if theta_hat is None:
             raise ValueError("voltage injection on the estimated axis needs theta_hat")
         carrier = schedule.carrier(t)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pmsmlab.simulation import TrajectoryLog, _rows
+from pmsmlab.simulation import _ROW_BLOCK, TrajectoryLog
 
 SCHEMA_TAG = "pmsmlab.trajectory.v1"
 
@@ -26,10 +26,15 @@ CSV_COLUMNS = (
 
 
 def write_rows(path, comment: str, header, columns) -> None:
-    """Write "# comment", the header, then one line per row of the column arrays: repr of each tolist() value."""
+    """Write "# comment", the header, then one line per row of the column arrays: repr of each tolist() value.
+
+    Rows are formatted _ROW_BLOCK at a time, each block written as one string; no columns means no rows.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(f"# {comment}\n" + ",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*map(_rows, columns)))
+        for k0 in range(0, min(map(len, columns), default=0), _ROW_BLOCK):
+            cells = [map(repr, col[k0:k0 + _ROW_BLOCK].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_csv(log: TrajectoryLog, path) -> None:

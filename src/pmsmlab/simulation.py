@@ -14,6 +14,9 @@ together.  The maps depend only on the plant: one broadcasting RK4
 sample (`_sample_maps`).  A run builds them block by block as its loop
 reaches them (`_map_blocks`), and a still stretch of the profile, where
 every sample's map is the same, once.  The loop applies one map per sample.
+It draws the measurement noise and stores its record a block of `_ROW_BLOCK`
+samples at a time, so neither costs a numpy call per sample; the draws come
+in the order of one `standard_normal(2)` per sample, whatever the block.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from pmsmlab.machine import (
 from pmsmlab.observability import trajectory_reports
 
 
-_MAP_BLOCK = 512  # most RK4 steps of one sample built at a time, and array rows _rows converts at a time
+_MAP_BLOCK = 512  # most RK4 steps of one sample built at a time, and map rows _rows converts at a time
+_ROW_BLOCK = 64  # samples whose noise and record run_scenario handles at a time, and CSV rows write_rows formats
 _BUILD_STEPS = 2048  # RK4 steps of whole samples that _map_blocks builds per block, when a sample fits
 MAX_SAMPLES = 10**7  # longest run, in samples: 24 float columns (log and loop record), ~1.9 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
@@ -395,7 +399,9 @@ def _map_blocks(scn: Scenario):
     steps (or one sample) at a time.  A still stretch's first sample is built
     alone; its steps see one speed and one angle A, so when its row ends at the
     angle it started from, every later sample of the stretch starts there and
-    has the same row, bit for bit.  Otherwise the stretch is built in blocks.
+    has the same row, bit for bit.  Otherwise the second sample is built alone
+    too, since the chain (theta - A) + A is as a rule fixed from its second pass
+    on; only when that row also moves the angle is the rest built in blocks.
     """
     params, profile, n, substeps, T_s = scn.params, scn.profile, scn.n_samples, scn.ode_substeps, scn.T_s
     per = _BUILD_STEPS // substeps if substeps <= _MAP_BLOCK else 1  # samples per block, as _sample_maps needs
@@ -411,10 +417,13 @@ def _map_blocks(scn: Scenario):
     k = 0
     for k0, k1 in _still_stretches(profile, n, substeps, T_s):
         yield from blocks(k, k0)
-        start = np.float64(theta).tobytes()
-        row, _ = next(blocks(k0, k0 + 1))  # the first sample alone
-        k = k1 if theta.tobytes() == start else k0 + 1  # the angle chain (theta - A) + A returned theta
-        yield row, k - k0
+        k = k0
+        while k < min(k1, k0 + 2):  # the first two samples alone
+            start = np.float64(theta).tobytes()
+            row, _ = next(blocks(k, k + 1))
+            samples = k1 - k if theta.tobytes() == start else 1  # the angle chain (theta - A) + A returned theta
+            yield row, samples
+            k += samples
     yield from blocks(k, n)
 
 
@@ -479,35 +488,46 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     rec = np.empty((n, 10))  # one row per sample: what the loop decides or advances
     aborted, abort_time, abort_reason = False, None, ""
     rows = n
+    noise_std, schedule, setpoints = scn.noise_std, scn.injection, scn.setpoints
+    maps = _sample_rows(_map_blocks(scn))
 
-    for k, row in enumerate(_sample_rows(_map_blocks(scn))):
-        t_k = k * T_s
-        ya, yb = ia, ib
-        if scn.noise_std > 0.0:
-            na, nb = rng.standard_normal(2).tolist()
-            ya, yb = ia + scn.noise_std * na, ib + scn.noise_std * nb
+    for k0 in range(0, n, _ROW_BLOCK):
+        k1 = min(k0 + _ROW_BLOCK, n)
+        if noise_std > 0.0:  # the block's draws, in the order of one standard_normal(2) per sample
+            noise = rng.standard_normal((k1 - k0, 2)).tolist()
+        block = []  # the block's record rows
+        for k, row in zip(range(k0, k1), maps):
+            t_k = k * T_s
+            ya, yb = ia, ib
+            if noise_std > 0.0:
+                na, nb = noise[k - k0]
+                ya, yb = ia + noise_std * na, ib + noise_std * nb
 
-        # PI control in the rotor frame of the true angle, on plain floats
-        c, s = math.cos(theta), math.sin(theta)
-        refs = current_reference(t_k, scn.injection, scn.setpoints)
-        i_d_meas, i_q_meas = _rotate(ya, yb, c, -s)
-        v_d, integ_d = _pi_law(pi_d.kp, pi_d.ki, integ_d, limit, refs[0] - i_d_meas, T_s)
-        v_q, integ_q = _pi_law(pi_q.kp, pi_q.ki, integ_q, limit, refs[1] - i_q_meas, T_s)
-        va, vb = _command_ab(v_d, v_q, c, s, t_k, scn.injection, theta_hat)
+            # PI control in the rotor frame of the true angle, on plain floats
+            c, s = math.cos(theta), math.sin(theta)
+            refs = current_reference(t_k, schedule, setpoints)
+            i_d_meas, i_q_meas = _rotate(ya, yb, c, -s)
+            v_d, integ_d = _pi_law(pi_d.kp, pi_d.ki, integ_d, limit, refs[0] - i_d_meas, T_s)
+            v_q, integ_q = _pi_law(pi_q.kp, pi_q.ki, integ_q, limit, refs[1] - i_q_meas, T_s)
+            va, vb = _command_ab(v_d, v_q, c, s, t_k, schedule, theta_hat)
 
-        try:
-            ia_new, ib_new = _apply_map(row, R, ia, ib, va, vb, t_k, T_s)
+            try:
+                ia_new, ib_new = _apply_map(row, R, ia, ib, va, vb, t_k, T_s)
+                if with_ekf:
+                    x_hat, P = _predict(params, ekf.T_s, q, x_hat, P, va, vb)
+                    x_hat, P = _update(r, x_hat, P, ya, yb)
+            except FloatingPointError as exc:
+                aborted, abort_time, abort_reason, rows = True, t_k, str(exc), k
+                break
+
             if with_ekf:
-                x_hat, P = _predict(params, ekf.T_s, q, x_hat, P, va, vb)
-                x_hat, P = _update(r, x_hat, P, ya, yb)
-        except FloatingPointError as exc:
-            aborted, abort_time, abort_reason, rows = True, t_k, str(exc), k
+                _, _, omega_hat, theta_hat = x_hat
+            block.append((ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat))
+            ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
+        if block:  # empty when the block's first sample aborts
+            rec[k0:k0 + len(block)] = block
+        if aborted:
             break
-
-        if with_ekf:
-            _, _, omega_hat, theta_hat = x_hat
-        rec[k] = (ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat)
-        ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
 
     rec = rec[:rows]
     if not with_ekf:

@@ -238,6 +238,24 @@ def test_sweep_abort_keeps_the_finished_rows(tmp_path, capsys):
     assert (tmp_path / "aborted" / "sweep.csv").read_bytes() == (tmp_path / "full" / "sweep.csv").read_bytes()
 
 
+def test_sweep_abort_at_first_point_writes_the_header(tmp_path, capsys):
+    # no point finishes, so the sweep writes no rows: only the comment and the header
+    cfg = tiny_config(tmp_path, scenario={"t_end": 0.001}, sweep={"parameter": "noise_std", "values": [1e300, 0.0]})
+    assert main(["sweep", "-c", cfg]) == 2
+    assert "numerical abort at t=" in capsys.readouterr().err
+    assert (tmp_path / "sweep.csv").read_text() == "# sweep parameter: noise_std\n" + ",".join(SWEEP_COLUMNS) + "\n"
+
+
+def test_sweep_rejects_a_csv_name(tmp_path, capsys):
+    # a sweep writes sweep.csv and no trajectory, so a trajectory CSV name is an argument error
+    cfg = tiny_config(tmp_path, sweep={"parameter": "noise_std", "values": [0.0]})
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "-c", cfg, "--csv", "x.csv"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --csv x.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 def test_sweep_requires_sweep_block(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     assert main(["sweep", "-c", cfg]) == 1

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pmsmlab.report import CSV_COLUMNS, SCHEMA_TAG, read_csv, summarize, write_csv
+from pmsmlab.report import _ROW_BLOCK, CSV_COLUMNS, SCHEMA_TAG, read_csv, summarize, write_csv, write_rows
 from pmsmlab.simulation import MachineKind, run_scenario, standstill_study_scenario
 
 
@@ -53,6 +53,26 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
     write_csv(_small_log(), a)
     write_csv(_small_log(), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+def test_write_rows_matches_the_per_row_formula(tmp_path, rows):
+    # the writer formats a block of rows at a time; its bytes must equal one repr-joined line per row
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+    floats = np.resize(np.array(specials), (3, rows)) * np.array([[1.0], [-1.0], [3.0]])
+    ints = np.arange(rows) - 2
+    columns = [floats[0], ints, floats[1], floats[2]]
+    path = tmp_path / "rows.csv"
+    write_rows(path, "note", ("a", "b", "c", "d"), columns)
+    lines = [",".join(map(repr, row)) for row in zip(*(col.tolist() for col in columns))]
+    assert path.read_text() == "".join(line + "\n" for line in ["# note", "a,b,c,d", *lines])
+
+
+def test_write_rows_without_columns_writes_the_header(tmp_path):
+    # an empty sweep's table transposes to shape (0,): no columns, so no rows
+    path = tmp_path / "rows.csv"
+    write_rows(path, "note", ("a", "b"), np.array([], dtype=float).T)
+    assert path.read_text() == "# note\na,b\n"
 
 
 def test_csv_rejects_foreign_files(tmp_path):

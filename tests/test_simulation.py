@@ -290,6 +290,45 @@ def test_run_noise_depends_only_on_seed():
     assert not np.array_equal(a.omega_hat, c.omega_hat)
 
 
+_HOT_CARRIER = InjectionSchedule(kind=InjectionKind.VOLTAGE_ON_DHAT, amplitude=2.0, frequency=3000.0,
+                                 t_start=0.003, t_end=0.01)
+_SPEED_JUMP = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 0.0), (0.0021, 1e307)])  # aborts at sample 19
+
+
+@pytest.mark.parametrize("case", ["noisy_without_ekf", "noisy_with_ekf", "noise_aborts", "speed_jump_aborts"])
+def test_run_is_independent_of_the_row_block(case, monkeypatch):
+    # the loop draws the noise and stores its record a block of samples at a time;
+    # the log must not depend on where the blocks start, including a run that aborts inside one
+    import pmsmlab.simulation as simulation
+
+    scn, with_ekf, aborts_at = {
+        # 137 samples, not a multiple of the block
+        "noisy_without_ekf": (_tiny(noise_std=0.05, seed=3, t_end=0.0137), False, None),
+        "noisy_with_ekf": (_tiny(noise_std=0.05, seed=3, t_end=0.0137, injection=_HOT_CARRIER), True, None),
+        "noise_aborts": (_tiny(noise_std=1e300, seed=3, t_end=0.0137), True, 1),
+        "speed_jump_aborts": (_tiny(noise_std=0.05, seed=3, t_end=0.0137, profile=_SPEED_JUMP), True, 19),
+    }[case]
+
+    def run():
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_scenario(scn, with_ekf=with_ekf)
+
+    default = run()
+    assert len(default) == (137 if aborts_at is None else aborts_at) and default.aborted == (aborts_at is not None)
+    for block in (1, 7):
+        monkeypatch.setattr(simulation, "_ROW_BLOCK", block)
+        log = run()
+        for f in dataclasses.fields(log):
+            a, b = getattr(log, f.name), getattr(default, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (block, f.name)
+            else:
+                assert a == b, (block, f.name)
+    # numpy fills a block of draws in the order of one standard_normal(2) per sample
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    assert rng_a.standard_normal((137, 2)).tobytes() == np.array([rng_b.standard_normal(2) for _ in range(137)]).tobytes()
+
+
 def test_run_frame_consistency(ipmsm_log):
     # a moving run: i_d, i_q are the stator currents in the frame of the logged angle, bit for bit
     log = ipmsm_log
@@ -600,8 +639,8 @@ _MOVED_BEFORE_T0 = SpeedProfile.from_breakpoints([(-0.002, 0.0), (-0.001, 40.0),
     ("study", True),
     ("hfi_config", True),
     ("standstill_after_motion", True),
-    ("theta_off_the_chain", False),
-    ("negative_zero_theta0", False),
+    ("theta_off_the_chain", True),
+    ("negative_zero_theta0", True),
     ("holds_before_and_after_the_breakpoints", True),
     ("edge_inside_a_sample", True),
     ("600_substeps", True),
@@ -648,6 +687,8 @@ def test_map_blocks_equal_an_unshared_build(case, reused, monkeypatch):
     assert table.tobytes() == _unshared_table(scn).tobytes()
     if case == "hfi_config":
         assert sum(built) == 1  # the whole run is one still stretch
+    elif case in ("theta_off_the_chain", "negative_zero_theta0"):
+        assert sum(built) == 2  # the first sample moves the angle onto the chain's fixed point, the second keeps it
     else:
         assert (sum(built) < scn.n_samples) == reused
 
