@@ -508,7 +508,7 @@ def flux_model_dets(omega: float, params: MachineParams) -> tuple[float, float, 
 
 @dataclass(frozen=True)
 class ObservabilityReport:
-    """Observability quantities at one trajectory sample.
+    """Observability quantities at one trajectory sample: its time, then trajectory_reports' keys in order.
 
     det_y2/det_y3 are NaN where undefined: both require a non-salient
     machine, and det_y3 additionally the zero-speed zero-acceleration
@@ -519,12 +519,12 @@ class ObservabilityReport:
     det_y1: float
     det_y2: float
     det_y3: float
-    singular_values: tuple
     numeric_rank: int
     psi_o_d: float
     psi_o_q: float
     theta_o: float
     margin: float
+    singular_values: list
 
 
 def sample_report(
@@ -543,18 +543,7 @@ def sample_report(
     args = (t, i_dq[0], i_dq[1], di_dq_dt[0], di_dq_dt[1], omega, omega_dot, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         cols = trajectory_reports(params, *(np.array([v], dtype=float) for v in args))
-    return ObservabilityReport(
-        time=t,
-        det_y1=float(cols["det_y1"][0]),
-        det_y2=float(cols["det_y2"][0]),
-        det_y3=float(cols["det_y3"][0]),
-        singular_values=tuple(cols["singular_values"][0]),
-        numeric_rank=int(cols["rank"][0]),
-        psi_o_d=float(cols["psi_o_d"][0]),
-        psi_o_q=float(cols["psi_o_q"][0]),
-        theta_o=float(cols["theta_o"][0]),
-        margin=float(cols["margin"][0]),
-    )
+    return ObservabilityReport(t, *(col[0].tolist() for col in cols.values()))
 
 
 def trajectory_reports(
@@ -570,11 +559,12 @@ def trajectory_reports(
 ) -> dict:
     """Observability quantities over a whole trajectory of N samples.
 
-    Returns a dict of length-N column arrays keyed like the CSV schema
-    (det_y1, det_y2, det_y3, rank, psi_o_d, psi_o_q, theta_o, margin), plus
+    Returns length-N arrays keyed by their TrajectoryLog column names (det_y1,
+    det_y2, det_y3, rank, psi_o_d, psi_o_q, theta_o, margin), then
     "singular_values", the (N, 4) singular values of each order-1 matrix in
-    descending order.  The order-1 matrices are ranked in one batched SVD;
-    a non-finite matrix raises FloatingPointError naming its sample time.
+    descending order, which no column holds.  The order-1 matrices are ranked
+    in one batched SVD; a non-finite matrix raises FloatingPointError naming
+    the first such sample's time, with its index as the error's `sample`.
     """
     det1 = det_y1_ipmsm((i_d, i_q), (di_d, di_q), omega, params)
     if params.L2 == 0.0:
@@ -592,7 +582,10 @@ def trajectory_reports(
     m1 = _obs_matrix_y1(params, i_a, i_b, omega, c, s, di_a, di_b, _inductance(params, c, s))
     bad = ~np.isfinite(m1).all(axis=(-2, -1))
     if bad.any():
-        raise FloatingPointError(f"non-finite order-1 observability matrix at t={t[bad][0]:.6g}")
+        k = int(bad.argmax())
+        exc = FloatingPointError(f"non-finite order-1 observability matrix at t={t[k]:.6g}")
+        exc.sample = k
+        raise exc
     rank, sv = numeric_rank(m1)
     return {
         "det_y1": det1,

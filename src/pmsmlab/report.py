@@ -3,6 +3,7 @@
 The CSV layout is a versioned contract: a comment line carrying the schema
 tag, a header row, then one row per control sample.  Floats are written with
 repr (shortest round-trip), so identical runs produce byte-identical files.
+The v1 columns are TrajectoryLog's columns without those marked v1=False.
 """
 
 from __future__ import annotations
@@ -13,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pmsmlab.simulation import _ROW_BLOCK, TrajectoryLog
+from pmsmlab.simulation import _ROW_BLOCK, COLUMNS, TrajectoryLog
 
 SCHEMA_TAG = "pmsmlab.trajectory.v1"
 
-CSV_COLUMNS = (
-    "t", "i_alpha", "i_beta", "i_d", "i_q", "v_alpha", "v_beta",
-    "omega_true", "theta_true", "omega_hat", "theta_hat", "theta_err",
-    "det_y1", "det_y2", "det_y3", "rank",
-    "psi_o_d", "psi_o_q", "theta_o", "margin",
-)
+_V1 = tuple(f for f in COLUMNS if f.metadata.get("v1", True))  # the log's columns that v1 holds, in order
+CSV_COLUMNS = tuple(f.name for f in _V1)
 
 
 def write_rows(path, comment: str, header, columns) -> None:
@@ -42,7 +39,7 @@ def write_csv(log: TrajectoryLog, path) -> None:
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into column arrays (schema-checked)."""
+    """Read a trajectory CSV back into column arrays of the log's dtypes (schema-checked)."""
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first.startswith("#") or SCHEMA_TAG not in first:
@@ -51,11 +48,13 @@ def read_csv(path) -> dict[str, np.ndarray]:
         header = next(reader)
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected columns in {path}")
-        rows = [[float(v) for v in row] for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(CSV_COLUMNS):  # the comment line is the file's line 1, not counted by the reader
+                raise ValueError(f"{path}, line {reader.line_num + 1}: {len(row)} fields, not {len(CSV_COLUMNS)}")
+            rows.append([float(v) for v in row])
     data = np.array(rows, dtype=float).reshape(len(rows), len(CSV_COLUMNS))
-    out = {name: data[:, j] for j, name in enumerate(CSV_COLUMNS)}
-    out["rank"] = out["rank"].astype(int)
-    return out
+    return {f.name: data[:, j].astype(f.metadata.get("dtype", float), copy=False) for j, f in enumerate(_V1)}
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import bisect
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -213,15 +213,18 @@ class Scenario:
 
 @dataclass
 class TrajectoryLog:
-    """Column arrays, one row per control sample."""
+    """Column arrays, one row per control sample, then how the run ended.
+
+    The array fields, in order, are the trajectory columns (COLUMNS); the v1 CSV holds those not marked v1=False.
+    """
 
     t: np.ndarray
     i_alpha: np.ndarray
     i_beta: np.ndarray
     i_d: np.ndarray
     i_q: np.ndarray
-    id_ref: np.ndarray
-    iq_ref: np.ndarray
+    id_ref: np.ndarray = field(metadata={"v1": False})
+    iq_ref: np.ndarray = field(metadata={"v1": False})
     v_alpha: np.ndarray
     v_beta: np.ndarray
     omega_true: np.ndarray
@@ -232,7 +235,7 @@ class TrajectoryLog:
     det_y1: np.ndarray
     det_y2: np.ndarray
     det_y3: np.ndarray
-    rank: np.ndarray
+    rank: np.ndarray = field(metadata={"dtype": int})
     psi_o_d: np.ndarray
     psi_o_q: np.ndarray
     theta_o: np.ndarray
@@ -243,6 +246,9 @@ class TrajectoryLog:
 
     def __len__(self) -> int:
         return self.t.shape[0]
+
+
+COLUMNS = tuple(f for f in fields(TrajectoryLog) if f.default is MISSING)  # the array fields, in order
 
 
 def _step_maps(params: MachineParams, profile: SpeedProfile, t0, dt: float, theta: float) -> np.ndarray:
@@ -455,7 +461,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     EKF predict-correct cycle with the same voltage and measurement, then the
     observability columns evaluated on the true trajectory afterwards.  The
     maps are built as the loop reaches them (a still stretch's once), so a run
-    that aborts early builds little.
+    that aborts early builds little, as does one whose order-1 matrix is not finite.
 
     with_ekf=False skips the estimator (trajectory analysis only); the estimate columns
     come back NaN, the true trajectory is identical, and needs_estimator's settings raise.
@@ -533,38 +539,29 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     if not with_ekf:
         rec[:, 8:] = math.nan  # no estimates
     i_alpha, i_beta, id_ref, iq_ref, v_alpha, v_beta, omega_true, theta, omega_hat, theta_hat = rec.T
+    t = np.arange(rows) * T_s
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite matrix raises before the SVD
-        theta_true = wrap_angle(theta)
+        theta_err = wrap_angle(theta_hat - theta)
+        theta_true, theta_hat = wrap_angle(theta), wrap_angle(theta_hat)
         c, s = np.cos(theta_true), np.sin(theta_true)
         i_d, i_q, di_d, di_q = _dq_current_rate(params, i_alpha, i_beta, omega_true, c, s, v_alpha, v_beta)
-        cols = dict(t=np.arange(rows) * T_s, i_alpha=i_alpha, i_beta=i_beta, i_d=i_d, i_q=i_q, id_ref=id_ref,
-                    iq_ref=iq_ref, v_alpha=v_alpha, v_beta=v_beta, omega_true=omega_true, theta_true=theta_true,
-                    omega_hat=omega_hat, theta_hat=wrap_angle(theta_hat), theta_err=wrap_angle(theta_hat - theta))
-        obs = _observability_columns(scn, cols, di_d, di_q)
-    del obs["singular_values"]  # not a trajectory column
-    return TrajectoryLog(**cols, **obs, aborted=aborted, abort_time=abort_time, abort_reason=abort_reason)
-
-
-def _observability_columns(scn: Scenario, cols: dict, di_d, di_q) -> dict:
-    """Vectorized observability columns at the logged states and applied voltages.
-
-    di_d, di_q are the current rates in the true rotor frame, which cols' i_d, i_q are in;
-    obs_on_estimates uses the frame of the estimates.  The current rates are exact values
-    of the model, not finite differences of the log.
-    """
-    t = cols["t"]
-    if scn.obs_on_estimates:
-        theta = cols["theta_hat"]
-        omega = cols["omega_hat"]
-        omega_dot = np.gradient(omega, scn.T_s) if len(t) > 1 else np.zeros_like(t)
-        i_d, i_q, di_d, di_q = _dq_current_rate(scn.params, cols["i_alpha"], cols["i_beta"], omega,
-                                                np.cos(theta), np.sin(theta), cols["v_alpha"], cols["v_beta"])
-    else:
-        theta = cols["theta_true"]
-        omega = cols["omega_true"]
-        omega_dot = scn.profile.omega_dot(t)
-        i_d, i_q = cols["i_d"], cols["i_q"]
-    return trajectory_reports(scn.params, t, i_d, i_q, di_d, di_q, omega, omega_dot, theta)
+        # the observability columns' frame; its current rates are the model's, not differences of the log
+        if scn.obs_on_estimates:
+            omega_dot = np.gradient(omega_hat, T_s) if rows > 1 else np.zeros(rows)
+            frame = (*_dq_current_rate(params, i_alpha, i_beta, omega_hat, np.cos(theta_hat), np.sin(theta_hat),
+                                       v_alpha, v_beta), omega_hat, omega_dot, theta_hat)
+        else:
+            frame = (i_d, i_q, di_d, di_q, omega_true, scn.profile.omega_dot(t), theta_true)
+        try:
+            obs = trajectory_reports(params, t, *frame)
+        except FloatingPointError as exc:  # the log ends before the first sample whose matrix is not finite
+            aborted, abort_time, abort_reason, rows = True, exc.sample * T_s, str(exc), exc.sample
+            obs = trajectory_reports(params, t[:rows], *(col[:rows] for col in frame))
+    cols = dict(t=t, i_alpha=i_alpha, i_beta=i_beta, i_d=i_d, i_q=i_q, id_ref=id_ref, iq_ref=iq_ref, v_alpha=v_alpha,
+                v_beta=v_beta, omega_true=omega_true, theta_true=theta_true, omega_hat=omega_hat,
+                theta_hat=theta_hat, theta_err=theta_err, **obs)
+    return TrajectoryLog(**{f.name: cols[f.name][:rows] for f in COLUMNS},
+                         aborted=aborted, abort_time=abort_time, abort_reason=abort_reason)
 
 
 def table_params(kind: MachineKind | str = MachineKind.IPMSM, J: float = 0.02) -> MachineParams:

@@ -70,6 +70,23 @@ def test_simulate_numerical_abort(tmp_path, capsys):
     assert 0 < data["t"].shape[0] < 100
 
 
+@pytest.mark.parametrize("verb", ["simulate", "analyze", "sweep"])
+def test_derive_pass_abort_writes_the_finished_samples(tmp_path, capsys, verb):
+    # the loop stops itself at t = 0.0022, and the order-1 matrix at t = 0.0021 is not finite:
+    # the 21 samples before it are written, and a sweep stops there as at a loop abort
+    scenario = {"profile": [[0, 0], [0.002, 0], [0.0021, 1e304]], "t_end": 0.0137}
+    cfg = tiny_config(tmp_path, scenario=scenario, sweep={"parameter": "noise_std", "values": [0.0, 0.01]})
+    assert main([verb, "-c", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "numerical abort at t=0.0021 s" in err and "non-finite order-1 observability matrix at t=0.0021" in err
+    if verb == "sweep":
+        assert "(noise_std=0.0)" in err
+        assert (tmp_path / "sweep.csv").read_text().count("\n") == 2
+    else:
+        assert "partial log written" in err
+        assert read_csv(tmp_path / "trajectory.csv")["t"].shape == (21,)
+
+
 def test_simulate_io_failure(tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("")
@@ -370,8 +387,10 @@ def _run_cli(argv):
         ("simulate", "machine", {"L0": None, "L2": None, "Ld": 1e-300, "Lq": 1e-300}, 1,
          "config error: machine: Ld*Lq"),
         ("analyze", "machine", {"p": 10**320}, 1, "config error: machine: p must not exceed"),
-        ("simulate", "scenario", {"profile": [[0.0, 1e200]], "t_end": 0.001}, 2, "numerical abort: non-finite"),
-        ("analyze", "scenario", {"profile": [[0.0, 1e200]], "t_end": 0.001}, 2, "numerical abort: non-finite"),
+        ("simulate", "scenario", {"profile": [[0.0, 1e200]], "t_end": 0.001}, 2,
+         "numerical abort at t=0.0001 s: non-finite"),
+        ("analyze", "scenario", {"profile": [[0.0, 1e200]], "t_end": 0.001}, 2,
+         "numerical abort at t=0.0001 s: non-finite"),
         ("simulate", "estimator", {"q_diag": [1e308] * 4}, 2, "non-finite covariance propagation"),
         ("simulate", "scenario", {"ode_substeps": 10**400}, 1,
          "config error: scenario: t_end / T_s * ode_substeps must not exceed"),

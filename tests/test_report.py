@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,11 @@ def test_csv_round_trip(tmp_path):
         col = getattr(log, name)
         # repr round-trips floats exactly; NaNs compare positionally
         assert np.array_equal(back[name], np.asarray(col, dtype=float), equal_nan=True), name
-    assert back["rank"].dtype.kind == "i"
+    # v1 is the log's columns without the current references, read back as the log holds them
+    arrays = [f.name for f in dataclasses.fields(log) if isinstance(getattr(log, f.name), np.ndarray)]
+    assert [name for name in arrays if name not in CSV_COLUMNS] == ["id_ref", "iq_ref"]
+    assert {name: col.dtype for name, col in back.items()} == {
+        name: np.dtype(int) if name == "rank" else np.dtype(float) for name in CSV_COLUMNS}
 
 
 def test_csv_header_lines(tmp_path):
@@ -83,6 +88,18 @@ def test_csv_rejects_foreign_files(tmp_path):
     bad.write_text(f"# schema={SCHEMA_TAG}\nt,i_alpha\n")
     with pytest.raises(ValueError, match="unexpected columns"):
         read_csv(bad)
+
+
+@pytest.mark.parametrize("last", ["0.1,0.2", "truncated"])
+def test_read_csv_names_a_malformed_line(tmp_path, last):
+    # a stray short line, or a last row cut short, is reported with its file and line
+    path = tmp_path / "run.csv"
+    write_csv(_small_log(t_end=0.001), path)
+    text = path.read_text()
+    path.write_text(text + "0.1,0.2\n" if last == "0.1,0.2" else text[:text.rindex(",")] + "\n")
+    line = 13 if last == "0.1,0.2" else 12
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "):
+        read_csv(path)
 
 
 # ---------------------------------------------------------------------------

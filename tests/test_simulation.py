@@ -385,6 +385,20 @@ def test_run_aborts_cleanly_on_divergence():
     assert len(log.det_y1) == len(log)
 
 
+def test_derive_pass_abort_keeps_the_samples_before_it():
+    # the loop finishes 22 samples and stops at t = 0.0022; the order-1 matrix of sample 21
+    # (t = 0.0021, at 1e304 rad/s) is not finite, so the log ends before it
+    profile = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 0.0), (0.0021, 1e304)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = run_scenario(_tiny(profile=profile, t_end=0.0137))
+        short = run_scenario(_tiny(profile=profile, t_end=0.0021))
+    assert log.aborted and len(log) == 21 and log.abort_time == 21 * 1e-4
+    assert log.abort_reason == "non-finite order-1 observability matrix at t=0.0021"
+    assert not short.aborted
+    for f in dataclasses.fields(log)[:-3]:  # the columns equal those of the run that ends before sample 21
+        assert getattr(log, f.name).tobytes() == getattr(short, f.name).tobytes(), f.name
+
+
 def test_abort_in_first_sample_gives_empty_columns():
     # 1e200 A set-points overflow the filter dynamics in the first EKF cycle
     with np.errstate(over="ignore", invalid="ignore"):
