@@ -42,9 +42,9 @@ class EkfState:
     T_s: float
 
     def __post_init__(self) -> None:
-        # cheap shape checks only: step functions construct a new EkfState
-        # every sample, so the symmetry/definiteness validation runs once in
-        # make_ekf rather than inside the control loop.
+        # cheap shape checks only: the public step functions build a new
+        # EkfState per step, so the symmetry/definiteness validation runs once,
+        # in make_ekf.  The run loop calls the float kernels and builds none.
         if self.x_hat.shape != (4,) or self.P.shape != (4, 4):
             raise ValueError("x_hat must be (4,), P must be (4,4)")
         if self.Q.shape != (4, 4) or self.R_meas.shape != (2, 2):

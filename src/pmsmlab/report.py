@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pmsmlab.simulation import _ROW_BLOCK, COLUMNS, TrajectoryLog
+from pmsmlab.simulation import COLUMNS, TrajectoryLog
 
 SCHEMA_TAG = "pmsmlab.trajectory.v1"
+_ROW_BLOCK = 64  # CSV rows write_rows formats at a time
 
 _V1 = tuple(f for f in COLUMNS if f.metadata.get("v1", True))  # the log's columns that v1 holds, in order
 CSV_COLUMNS = tuple(f.name for f in _V1)
+_WHOLE = [j for j, f in enumerate(_V1) if f.metadata.get("dtype") is int]  # places of the integer columns
 
 
 def write_rows(path, comment: str, header, columns) -> None:
@@ -50,9 +52,17 @@ def read_csv(path) -> dict[str, np.ndarray]:
             raise ValueError(f"unexpected columns in {path}")
         rows = []
         for row in reader:
-            if len(row) != len(CSV_COLUMNS):  # the comment line is the file's line 1, not counted by the reader
-                raise ValueError(f"{path}, line {reader.line_num + 1}: {len(row)} fields, not {len(CSV_COLUMNS)}")
-            rows.append([float(v) for v in row])
+            where = f"{path}, line {reader.line_num + 1}"  # the comment line is line 1, not counted by the reader
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"{where}: {len(row)} fields, not {len(CSV_COLUMNS)}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            for j in _WHOLE:
+                if not values[j].is_integer():  # nan and inf included
+                    raise ValueError(f"{where}: {CSV_COLUMNS[j]} must be a whole number, not {row[j]!r}")
+            rows.append(values)
     data = np.array(rows, dtype=float).reshape(len(rows), len(CSV_COLUMNS))
     return {f.name: data[:, j].astype(f.metadata.get("dtype", float), copy=False) for j, f in enumerate(_V1)}
 

@@ -13,9 +13,9 @@ together.  The maps depend only on the plant: one broadcasting RK4
 (`_step_maps`) over blocks of steps, composed pairwise into one map per
 sample (`_sample_maps`).  A run builds them block by block as its loop
 reaches them (`_map_blocks`), and a still stretch of the profile, where
-every sample's map is the same, once.  The loop applies one map per sample.
-It draws the measurement noise and stores its record a block of `_ROW_BLOCK`
-samples at a time, so neither costs a numpy call per sample; the draws come
+every sample's map is the same, once.  Those blocks are the loop's unit:
+it applies one map per sample, and per block converts the rows, draws the
+measurement noise and stores its record with one call each; the draws come
 in the order of one `standard_normal(2)` per sample, whatever the block.
 """
 
@@ -54,8 +54,7 @@ from pmsmlab.machine import (
 from pmsmlab.observability import trajectory_reports
 
 
-_MAP_BLOCK = 512  # most RK4 steps of one sample built at a time, and map rows _rows converts at a time
-_ROW_BLOCK = 64  # samples whose noise and record run_scenario handles at a time, and CSV rows write_rows formats
+_MAP_BLOCK = 512  # most RK4 steps of one sample built at a time
 _BUILD_STEPS = 2048  # RK4 steps of whole samples that _map_blocks builds per block, when a sample fits
 MAX_SAMPLES = 10**7  # longest run, in samples: 24 float columns (log and loop record), ~1.9 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
@@ -163,7 +162,7 @@ class Scenario:
         raise_violations(self.violations(**{f.name: getattr(self, f.name) for f in fields(self)}))
 
     @staticmethod
-    def violations(setpoints, t_end, T_s, ode_substeps, q_diag, r_diag, p0_diag,
+    def violations(setpoints, t_end, T_s, ode_substeps, theta0, theta_hat_err0, q_diag, r_diag, p0_diag,
                    control_bandwidth, voltage_limit, noise_std, seed, **_) -> list:
         """(field or None, message) for every broken invariant; other fields are ignored."""
         found = []
@@ -200,6 +199,8 @@ class Scenario:
             found.append(("ode_substeps", "must be >= 1"))
         elif samples * ode_substeps > MAX_RK4_STEPS:  # in integers, so no substep count overflows
             found.append((None, f"t_end / T_s * ode_substeps must not exceed {MAX_RK4_STEPS} RK4 steps"))
+        if not math.isfinite(theta0 + theta_hat_err0):  # inf on overflow
+            found.append((None, "theta0 + theta_hat_err0, the filter's prior angle, must be finite"))
         if noise_std < 0.0:
             found.append(("noise_std", "must be >= 0"))
         if seed < 0:
@@ -400,14 +401,14 @@ def _still_stretches(profile: SpeedProfile, n: int, substeps: int, T_s: float) -
 def _map_blocks(scn: Scenario):
     """scn's map rows in sample order, built as they are consumed: (rows, samples) pairs.
 
-    rows is an (samples, 12) block of _sample_maps rows, or a single row that
-    holds for all `samples` samples.  Moving samples are built _BUILD_STEPS RK4
-    steps (or one sample) at a time.  A still stretch's first sample is built
-    alone; its steps see one speed and one angle A, so when its row ends at the
-    angle it started from, every later sample of the stretch starts there and
-    has the same row, bit for bit.  Otherwise the second sample is built alone
-    too, since the chain (theta - A) + A is as a rule fixed from its second pass
-    on; only when that row also moves the angle is the rest built in blocks.
+    rows is an (samples, 12) block of _sample_maps rows, or a single row that holds
+    for all `samples` samples.  No block holds more samples than _BUILD_STEPS RK4 steps
+    (or one sample), as many as are built at a time.  A still stretch's first sample is
+    built alone; its steps see one speed and one angle A, so when its row ends at the
+    angle it started from, every later sample of the stretch starts there and has the
+    same row, bit for bit.  Otherwise the second sample is built alone too, since the
+    chain (theta - A) + A is as a rule fixed from its second pass on; only when that row
+    also moves the angle is the rest built in blocks.
     """
     params, profile, n, substeps, T_s = scn.params, scn.profile, scn.n_samples, scn.ode_substeps, scn.T_s
     per = _BUILD_STEPS // substeps if substeps <= _MAP_BLOCK else 1  # samples per block, as _sample_maps needs
@@ -427,22 +428,11 @@ def _map_blocks(scn: Scenario):
         while k < min(k1, k0 + 2):  # the first two samples alone
             start = np.float64(theta).tobytes()
             row, _ = next(blocks(k, k + 1))
-            samples = k1 - k if theta.tobytes() == start else 1  # the angle chain (theta - A) + A returned theta
-            yield row, samples
-            k += samples
+            k_end = k1 if theta.tobytes() == start else k + 1  # the angle chain (theta - A) + A returned theta
+            for j in range(k, k_end, per):
+                yield row, min(per, k_end - j)
+            k = k_end
     yield from blocks(k, n)
-
-
-def _rows(table: np.ndarray):
-    """The array's rows as Python values (lists of floats for map rows), converted _MAP_BLOCK rows at a time."""
-    for k0 in range(0, len(table), _MAP_BLOCK):
-        yield from table[k0:k0 + _MAP_BLOCK].tolist()
-
-
-def _sample_rows(blocks):
-    """One map row per sample, as a list of floats, from (rows, samples) blocks."""
-    for rows, samples in blocks:
-        yield from _rows(rows) if len(rows) == samples else itertools.repeat(rows[0].tolist(), samples)
 
 
 def needs_estimator(scn: Scenario) -> list:
@@ -460,8 +450,8 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     PI control with the true angle, the sample's composed RK4 plant map, one
     EKF predict-correct cycle with the same voltage and measurement, then the
     observability columns evaluated on the true trajectory afterwards.  The
-    maps are built as the loop reaches them (a still stretch's once), so a run
-    that aborts early builds little, as does one whose order-1 matrix is not finite.
+    loop walks _map_blocks' blocks, built as it reaches them (a still stretch's map once),
+    so a run that aborts early builds little, as does one whose order-1 matrix is not finite.
 
     with_ekf=False skips the estimator (trajectory analysis only); the estimate columns
     come back NaN, the true trajectory is identical, and needs_estimator's settings raise.
@@ -486,23 +476,22 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     limit = scn.voltage_limit
     pi_d, pi_q = default_gains(params, scn.control_bandwidth, limit)
     integ_d, integ_q = (min(max(v, -limit), limit) for v in (v_d0, v_q0))
-    omega_hat, theta_hat = 0.0, scn.theta0 + scn.theta_hat_err0  # the filter's prior, unwrapped
-    ekf = make_ekf([i_ab0.x, i_ab0.y, omega_hat, theta_hat], T_s,
-                   Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag))
-    q, r, x_hat, P = _kernel_args(ekf)  # the filter runs on floats: x_hat and P's 10 distinct entries
+    # the filter runs on floats: x_hat, with the prior angle unwrapped, and P's 10 distinct entries
+    q, r, x_hat, P = _kernel_args(make_ekf([i_ab0.x, i_ab0.y, 0.0, scn.theta0 + scn.theta_hat_err0], T_s,
+                                           Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag)))
+    omega_hat, theta_hat = x_hat[2:] if with_ekf else (math.nan, math.nan)  # analyze has no estimates
 
     rec = np.empty((n, 10))  # one row per sample: what the loop decides or advances
     aborted, abort_time, abort_reason = False, None, ""
     rows = n
     noise_std, schedule, setpoints = scn.noise_std, scn.injection, scn.setpoints
-    maps = _sample_rows(_map_blocks(scn))
 
-    for k0 in range(0, n, _ROW_BLOCK):
-        k1 = min(k0 + _ROW_BLOCK, n)
+    k0 = 0
+    for maps, m in _map_blocks(scn):
         if noise_std > 0.0:  # the block's draws, in the order of one standard_normal(2) per sample
-            noise = rng.standard_normal((k1 - k0, 2)).tolist()
+            noise = rng.standard_normal((m, 2)).tolist()
         block = []  # the block's record rows
-        for k, row in zip(range(k0, k1), maps):
+        for k, row in enumerate(maps.tolist() * (m // len(maps)), k0):  # a still stretch's row, m times
             t_k = k * T_s
             ya, yb = ia, ib
             if noise_std > 0.0:
@@ -520,24 +509,22 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
             try:
                 ia_new, ib_new = _apply_map(row, R, ia, ib, va, vb, t_k, T_s)
                 if with_ekf:
-                    x_hat, P = _predict(params, ekf.T_s, q, x_hat, P, va, vb)
+                    x_hat, P = _predict(params, T_s, q, x_hat, P, va, vb)
                     x_hat, P = _update(r, x_hat, P, ya, yb)
+                    _, _, omega_hat, theta_hat = x_hat
             except FloatingPointError as exc:
                 aborted, abort_time, abort_reason, rows = True, t_k, str(exc), k
                 break
 
-            if with_ekf:
-                _, _, omega_hat, theta_hat = x_hat
             block.append((ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat))
             ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
         if block:  # empty when the block's first sample aborts
             rec[k0:k0 + len(block)] = block
         if aborted:
             break
+        k0 += m
 
     rec = rec[:rows]
-    if not with_ekf:
-        rec[:, 8:] = math.nan  # no estimates
     i_alpha, i_beta, id_ref, iq_ref, v_alpha, v_beta, omega_true, theta, omega_hat, theta_hat = rec.T
     t = np.arange(rows) * T_s
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite matrix raises before the SVD

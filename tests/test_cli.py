@@ -416,6 +416,23 @@ def test_extreme_inputs_fail_without_traceback(tmp_path, verb, block, override, 
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("verb", ["simulate", "analyze", "sweep"])
+def test_overflowing_filter_prior_is_config_error(tmp_path, verb):
+    # theta0 + theta_hat_err0 is the filter's prior angle: at inf it has no cosine, in the run or at a sweep point
+    doc = {"machine": dict(SPMSM_MACHINE), "scenario": {"t_end": 0.001, "theta0": 1e308, "theta_hat_err0": 1e308},
+           "output": {"dir": str(tmp_path)}}
+    rule = "theta0 + theta_hat_err0, the filter's prior angle, must be finite"
+    message = f"config error: scenario: {rule}"
+    if verb == "sweep":
+        doc["scenario"]["theta_hat_err0"] = 0.0
+        doc["sweep"] = {"parameter": "theta_hat_err0", "values": [0.0, 1e308]}
+        message = f"config error: sweep: invalid point theta_hat_err0=1e+308: {rule}"
+    rc, err = _run_cli([verb, "-c", write_config(tmp_path, doc)])
+    assert rc == 1, err
+    assert err == message + "\n"
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_analyze_trajectory_with_obs_on_estimates_is_config_error(tmp_path, capsys):
     # a voltage carrier on the estimated axis needs the estimates as much as obs_on_estimates does
     carrier = {"kind": "voltage_on_dhat", "amplitude": 2.0, "frequency": 3000.0, "window": [0.005, 0.015]}

@@ -102,6 +102,24 @@ def test_read_csv_names_a_malformed_line(tmp_path, last):
         read_csv(path)
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("margin", "x", "could not convert string to float: 'x'"),
+    ("rank", "nan", "rank must be a whole number, not 'nan'"),
+    ("rank", "2.5", "rank must be a whole number, not '2.5'"),
+])
+def test_read_csv_names_a_bad_field(tmp_path, column, value, message):
+    # a field that is not a number, or a rank that is not a whole one, is reported with its file and line
+    path = tmp_path / "run.csv"
+    write_csv(_small_log(t_end=0.001), path)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[5].rstrip("\n").split(",")
+    fields[CSV_COLUMNS.index(column)] = value
+    lines[5] = ",".join(fields) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 6: {message}')}$"):
+        read_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # summaries
 # ---------------------------------------------------------------------------

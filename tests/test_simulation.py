@@ -125,6 +125,7 @@ def test_scenario_validation():
         dict(q_diag=(1.0, 1.0)),
         dict(r_diag=(1.0,)),
         dict(p0_diag=(1.0, 1.0, 1.0)),
+        dict(theta0=1e308, theta_hat_err0=1e308),  # the filter's prior angle overflows
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(base, **bad)
@@ -217,13 +218,14 @@ def _held_voltage_steps(params, prof, state, voltage, dt, n, prefix=1000):
     run applies them; the first `prefix` states must equal integrate_electrical's,
     bit for bit.
     """
-    from pmsmlab.simulation import _apply_map, _map_blocks, _sample_rows
+    from pmsmlab.simulation import _apply_map, _map_blocks
 
     scn = Scenario(params=params, profile=prof, t_end=n * dt, T_s=dt, ode_substeps=1, theta0=state.theta)
     assert scn.n_samples == n
     ia, ib, theta = state.i_alpha, state.i_beta, state.theta
     got, replay = [], [state]
-    for k, row in enumerate(_sample_rows(_map_blocks(scn))):
+    rows = (row for maps, m in _map_blocks(scn) for row in maps.tolist() * (m // len(maps)))
+    for k, row in enumerate(rows):
         v = voltage(theta)
         ia, ib = _apply_map(row, params.R, ia, ib, v.x, v.y, k * dt, dt)
         theta = row[11]
@@ -297,7 +299,7 @@ _SPEED_JUMP = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 0.0), (0.0021, 
 
 @pytest.mark.parametrize("case", ["noisy_without_ekf", "noisy_with_ekf", "noise_aborts", "speed_jump_aborts"])
 def test_run_is_independent_of_the_row_block(case, monkeypatch):
-    # the loop draws the noise and stores its record a block of samples at a time;
+    # the loop converts the map rows, draws the noise and stores its record one _map_blocks block at a time;
     # the log must not depend on where the blocks start, including a run that aborts inside one
     import pmsmlab.simulation as simulation
 
@@ -313,10 +315,12 @@ def test_run_is_independent_of_the_row_block(case, monkeypatch):
         with np.errstate(over="ignore", invalid="ignore"):
             return run_scenario(scn, with_ekf=with_ekf)
 
-    default = run()
+    default = run()  # 137 samples fit in one block
+    assert simulation._BUILD_STEPS // scn.ode_substeps > 137
     assert len(default) == (137 if aborts_at is None else aborts_at) and default.aborted == (aborts_at is not None)
-    for block in (1, 7):
-        monkeypatch.setattr(simulation, "_ROW_BLOCK", block)
+    for block in (1, 7):  # samples per block, still stretches included
+        monkeypatch.setattr(simulation, "_BUILD_STEPS", block * scn.ode_substeps)
+        assert max(m for _, m in simulation._map_blocks(scn)) == block
         log = run()
         for f in dataclasses.fields(log):
             a, b = getattr(log, f.name), getattr(default, f.name)
@@ -649,6 +653,34 @@ def _hfi_config_scenario():
 _MOVED_BEFORE_T0 = SpeedProfile.from_breakpoints([(-0.002, 0.0), (-0.001, 40.0), (0.0, 0.0)])  # held at A = 0.04
 
 
+_MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks for them
+    "study": lambda: standstill_study_scenario(MachineKind.IPMSM),
+    "hfi_config": _hfi_config_scenario,
+    "standstill_after_motion": lambda: _tiny(
+        MachineKind.IPMSM, profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 40.0), (0.004, 0.0)]),
+        theta0=0.3, t_end=0.01),
+    # the whole run is held at A != 0, from a theta0 that the chain (theta0 - A) + A does not return
+    "theta_off_the_chain": lambda: _tiny(MachineKind.IPMSM, profile=_MOVED_BEFORE_T0, theta0=-0.49, t_end=0.005),
+    # (-0.0 - 0.0) + 0.0 is +0.0
+    "negative_zero_theta0": lambda: _tiny(theta0=-0.0, t_end=0.005),
+    "holds_before_and_after_the_breakpoints": lambda: _tiny(
+        profile=SpeedProfile.from_breakpoints([(0.003, 0.0), (0.005, 30.0), (0.007, 0.0)]), theta0=0.3, t_end=0.01),
+    "edge_inside_a_sample": lambda: _tiny(
+        MachineKind.IPMSM,
+        profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.00305, 0.0), (0.00505, 30.0), (0.00705, 0.0)]),
+        theta0=1.0, t_end=0.01),
+    "600_substeps": lambda: _tiny(
+        profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (3e-4, 0.0), (6e-4, 40.0), (8e-4, 0.0)]),
+        ode_substeps=600, t_end=1.2e-3),
+    # held speeds of -0.0: the segment between them evaluates to +0.0, the holds to -0.0
+    "negative_zero_speeds": lambda: _tiny(
+        profile=SpeedProfile.from_breakpoints([(0.003, -0.0), (0.006, -0.0)]), theta0=0.3, t_end=0.01),
+    # too slow to move the angle, yet every sample's speed differs
+    "creeping_ramp": lambda: _tiny(profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.01, 1e-200)]),
+                                   theta0=0.3, t_end=0.01),
+}
+
+
 @pytest.mark.parametrize("case, reused", [
     ("study", True),
     ("hfi_config", True),
@@ -666,32 +698,7 @@ def test_map_blocks_equal_an_unshared_build(case, reused, monkeypatch):
     # equal every sample built from its own steps, byte for byte (so the sign of zero counts)
     from pmsmlab.simulation import _map_blocks
 
-    scn = {
-        "study": lambda: standstill_study_scenario(MachineKind.IPMSM),
-        "hfi_config": _hfi_config_scenario,
-        "standstill_after_motion": lambda: _tiny(
-            MachineKind.IPMSM, profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 40.0), (0.004, 0.0)]),
-            theta0=0.3, t_end=0.01),
-        # the whole run is held at A != 0, from a theta0 that the chain (theta0 - A) + A does not return
-        "theta_off_the_chain": lambda: _tiny(MachineKind.IPMSM, profile=_MOVED_BEFORE_T0, theta0=-0.49, t_end=0.005),
-        # (-0.0 - 0.0) + 0.0 is +0.0
-        "negative_zero_theta0": lambda: _tiny(theta0=-0.0, t_end=0.005),
-        "holds_before_and_after_the_breakpoints": lambda: _tiny(
-            profile=SpeedProfile.from_breakpoints([(0.003, 0.0), (0.005, 30.0), (0.007, 0.0)]), theta0=0.3, t_end=0.01),
-        "edge_inside_a_sample": lambda: _tiny(
-            MachineKind.IPMSM,
-            profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.00305, 0.0), (0.00505, 30.0), (0.00705, 0.0)]),
-            theta0=1.0, t_end=0.01),
-        "600_substeps": lambda: _tiny(
-            profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (3e-4, 0.0), (6e-4, 40.0), (8e-4, 0.0)]),
-            ode_substeps=600, t_end=1.2e-3),
-        # held speeds of -0.0: the segment between them evaluates to +0.0, the holds to -0.0
-        "negative_zero_speeds": lambda: _tiny(
-            profile=SpeedProfile.from_breakpoints([(0.003, -0.0), (0.006, -0.0)]), theta0=0.3, t_end=0.01),
-        # too slow to move the angle, yet every sample's speed differs
-        "creeping_ramp": lambda: _tiny(profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.01, 1e-200)]),
-                                       theta0=0.3, t_end=0.01),
-    }[case]()
+    scn = _MAP_CASES[case]()
     if case == "theta_off_the_chain":
         A = _MOVED_BEFORE_T0.angle(0.0)
         assert A != 0.0 and (scn.theta0 - A) + A != scn.theta0
@@ -705,6 +712,22 @@ def test_map_blocks_equal_an_unshared_build(case, reused, monkeypatch):
         assert sum(built) == 2  # the first sample moves the angle onto the chain's fixed point, the second keeps it
     else:
         assert (sum(built) < scn.n_samples) == reused
+
+
+@pytest.mark.parametrize("case", list(_MAP_CASES))
+def test_map_blocks_hold_at_most_one_build_block(case, monkeypatch):
+    # the run loop handles one _map_blocks block at a time, so a still stretch's row,
+    # built once, must come in blocks no longer than a moving stretch's
+    from pmsmlab.simulation import _BUILD_STEPS, _map_blocks
+
+    scn = _MAP_CASES[case]()
+    built = _count_built_samples(monkeypatch)
+    blocks = [(len(rows), m) for rows, m in _map_blocks(scn)]
+    assert sum(m for _, m in blocks) == scn.n_samples
+    assert all(1 <= m <= max(1, _BUILD_STEPS // scn.ode_substeps) and rows in (1, m) for rows, m in blocks)
+    if case == "hfi_config":  # 6,000 still samples: 30 blocks of one row, built once
+        assert scn.n_samples == 6000 and len(blocks) == -(-6000 // (_BUILD_STEPS // scn.ode_substeps))
+        assert sum(built) == 1
 
 
 def test_block_trig_equals_single_element_trig():
