@@ -39,16 +39,7 @@ from pmsmlab.observability import (
     trajectory_reports,
 )
 from pmsmlab.ekf import EkfState, ekf_step, gain_and_innovate, linearize, make_ekf, predict
-from pmsmlab.control import (
-    ControllerState,
-    InjectionKind,
-    InjectionSchedule,
-    PiState,
-    controller_step,
-    current_reference,
-    default_gains,
-    pi_step,
-)
+from pmsmlab.control import InjectionKind, InjectionSchedule, current_reference, default_gains
 from pmsmlab.simulation import (
     MachineKind,
     Scenario,

@@ -68,9 +68,9 @@ def build_parser() -> _Parser:
 
 def _load_config(args) -> RunConfig:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:  # RFC 8259: JSON is UTF-8
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     cfg = parse_config(text)
     if args.seed is not None:

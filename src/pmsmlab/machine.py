@@ -24,10 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_WRAP_EXACT = 2.0**23  # rad: wrap_angle subtracts whole turns up to here
 
 
 def wrap_angle(theta):
-    """Wrap angles to (-pi, pi], elementwise, keeping those inside (-0.0 too); a float gives a float."""
+    """Wrap angles to (-pi, pi], elementwise, keeping those inside (-0.0 too); a float gives a float.
+
+    Subtracting whole turns loses about 1e-16 |theta| rad (1e-9 at _WRAP_EXACT), so an angle beyond
+    _WRAP_EXACT is first reduced to [-pi, pi] through its sine and cosine, whose argument reduction
+    keeps full precision.
+    """
+    far = np.abs(theta) > _WRAP_EXACT
+    if np.any(far):
+        theta = np.where(far, np.arctan2(np.sin(theta), np.cos(theta)), theta)
     wrapped = theta - TWO_PI * (np.ceil((theta - math.pi) / TWO_PI) + 0.0)  # + 0.0 makes ceil's -0.0 a 0.0
     return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
 
@@ -92,6 +101,19 @@ def raise_violations(found) -> None:
     """Raise one ValueError naming every (field or None, message) violation."""
     if found:
         raise ValueError("; ".join(msg if key is None else f"{key}: {msg}" for key, msg in found))
+
+
+def finite_violations(**values) -> list:
+    """(field, message) for each value, a number or a sequence of numbers, that is not finite.
+
+    The messages are the config parser's, so a code-built object and a config file read alike.
+    """
+    found = []
+    for key, v in values.items():
+        seq = isinstance(v, (tuple, list))
+        if not all(map(math.isfinite, v if seq else (v,))):
+            found.append((key, "must be a list of finite numbers" if seq else "must be a finite number"))
+    return found
 
 
 @dataclass(frozen=True)

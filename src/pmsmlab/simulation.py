@@ -47,6 +47,7 @@ from pmsmlab.machine import (
     _inductance,
     _rotate,
     dq,
+    finite_violations,
     inverse_park,
     raise_violations,
     wrap_angle,
@@ -164,8 +165,16 @@ class Scenario:
     @staticmethod
     def violations(setpoints, t_end, T_s, ode_substeps, theta0, theta_hat_err0, q_diag, r_diag, p0_diag,
                    control_bandwidth, voltage_limit, noise_std, seed, **_) -> list:
-        """(field or None, message) for every broken invariant; other fields are ignored."""
-        found = []
+        """(field or None, message) for every broken invariant; other fields are ignored.
+
+        The other rules apply once every number is finite.
+        """
+        found = finite_violations(setpoints=setpoints, t_end=t_end, T_s=T_s, theta0=theta0,
+                                  theta_hat_err0=theta_hat_err0, q_diag=q_diag, r_diag=r_diag, p0_diag=p0_diag,
+                                  control_bandwidth=control_bandwidth, voltage_limit=voltage_limit,
+                                  noise_std=noise_std)
+        if found:
+            return found
         for key, value, n in (("setpoints", setpoints, 2), ("q_diag", q_diag, 4),
                               ("r_diag", r_diag, 2), ("p0_diag", p0_diag, 4)):
             if len(value) != n:
@@ -474,7 +483,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     v_d0 = params.R * i_d0 - w0 * params.Lq * i_q0
     v_q0 = params.R * i_q0 + w0 * (params.Ld * i_d0 + params.psi_r)
     limit = scn.voltage_limit
-    pi_d, pi_q = default_gains(params, scn.control_bandwidth, limit)
+    kp_d, kp_q, ki = default_gains(params, scn.control_bandwidth)
     integ_d, integ_q = (min(max(v, -limit), limit) for v in (v_d0, v_q0))
     # the filter runs on floats: x_hat, with the prior angle unwrapped, and P's 10 distinct entries
     q, r, x_hat, P = _kernel_args(make_ekf([i_ab0.x, i_ab0.y, 0.0, scn.theta0 + scn.theta_hat_err0], T_s,
@@ -502,8 +511,8 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
             c, s = math.cos(theta), math.sin(theta)
             refs = current_reference(t_k, schedule, setpoints)
             i_d_meas, i_q_meas = _rotate(ya, yb, c, -s)
-            v_d, integ_d = _pi_law(pi_d.kp, pi_d.ki, integ_d, limit, refs[0] - i_d_meas, T_s)
-            v_q, integ_q = _pi_law(pi_q.kp, pi_q.ki, integ_q, limit, refs[1] - i_q_meas, T_s)
+            v_d, integ_d = _pi_law(kp_d, ki, integ_d, limit, refs[0] - i_d_meas, T_s)
+            v_q, integ_q = _pi_law(kp_q, ki, integ_q, limit, refs[1] - i_q_meas, T_s)
             va, vb = _command_ab(v_d, v_q, c, s, t_k, schedule, theta_hat)
 
             try:

@@ -316,6 +316,15 @@ def test_missing_config_file(tmp_path, capsys):
     assert "config error: cannot read config" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"machine": 1}')  # a UTF-16 byte order mark; JSON files are UTF-8
+    assert main(["simulate", "-c", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: cannot read config: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 def test_invalid_json_reports_each_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

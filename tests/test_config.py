@@ -328,6 +328,11 @@ def test_apply_sweep_value():
         ("ode_substeps", 0, "must be >= 1"),
         ("noise_std", -0.5, "must be >= 0"),
         ("seed", -3, "must be >= 0"),
+        # the parser rejects a non-finite number before the rule sees it, in the same words
+        ("noise_std", math.nan, "must be a finite number"),
+        ("voltage_limit", math.inf, "must be a finite number"),
+        ("setpoints", (math.nan, 0.0), "must be a list of finite numbers"),
+        ("q_diag", (1.0, 1.0, math.inf, 0.1), "must be a list of finite numbers"),
     ],
 )
 def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
@@ -346,6 +351,8 @@ def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
         ("window", {"t_start": 0.5, "t_end": 0.5}, [0.5, 0.5], "needs t_start < t_end"),
         ("amplitude", {"amplitude": -1.0}, -1.0, "must be >= 0"),
         ("frequency", {"frequency": 1e308}, 1e308, "the carrier phase frequency * t must stay finite over the window"),
+        ("amplitude", {"amplitude": math.nan}, math.nan, "must be a finite number"),
+        ("window", {"t_start": -math.inf}, [-math.inf, 3.0], "must be a list of finite numbers"),
     ],
 )
 def test_injection_rule_stated_once_for_code_and_config(field, change, value, message):

@@ -1,4 +1,4 @@
-"""Injection scheduling, PI loops, and the closed current-control loop."""
+"""Injection scheduling, the controller kernels, and the closed current-control loop."""
 
 import math
 
@@ -6,23 +6,14 @@ import numpy as np
 import pytest
 
 from pmsmlab.control import (
-    ControllerState,
     InjectionKind,
     InjectionSchedule,
-    PiState,
-    controller_step,
+    _command_ab,
+    _pi_law,
     current_reference,
     default_gains,
-    pi_step,
 )
-from pmsmlab.machine import (
-    MachineParams,
-    MachineState,
-    alphabeta,
-    dq,
-    dynamics_alphabeta,
-    park,
-)
+from pmsmlab.machine import MachineParams, MachineState, alphabeta, park
 from pmsmlab.simulation import Scenario
 
 T_S = 1e-4
@@ -43,6 +34,14 @@ def test_schedule_validation():
         InjectionSchedule(InjectionKind.CURRENT_ON_Q, 0.5, 100.0, 0.5, 0.5)
     with pytest.raises(ValueError, match="amplitude: must be >= 0"):
         InjectionSchedule(InjectionKind.CURRENT_ON_Q, -0.5, 100.0, 0.0, 1.0)
+    # non-finite numbers are named, as a config file names them, also in an inactive schedule
+    for kind in InjectionKind:
+        with pytest.raises(ValueError, match="^amplitude: must be a finite number$"):
+            InjectionSchedule(kind, math.nan, 100.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^frequency: must be a finite number$"):
+            InjectionSchedule(kind, 0.5, math.inf, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^window: must be a list of finite numbers$"):
+            InjectionSchedule(kind, 0.5, 100.0, 0.0, math.nan)
 
 
 def test_schedule_window_is_closed_open():
@@ -78,40 +77,30 @@ def test_current_reference_injection():
 # ---------------------------------------------------------------------------
 
 
-def test_pi_validation():
-    with pytest.raises(ValueError, match="gains"):
-        PiState(kp=-1.0, ki=0.0)
-    with pytest.raises(ValueError, match="limit"):
-        PiState(kp=1.0, ki=1.0, limit=0.0)
-
-
 def test_pi_step_law():
-    pi = PiState(kp=2.0, ki=10.0, integrator=0.5)
-    out, nxt = pi_step(pi, 3.0, 0.01)
+    out, integ = _pi_law(2.0, 10.0, 0.5, math.inf, 3.0, 0.01)
     assert out == pytest.approx(2.0 * 3.0 + 0.5)
-    assert nxt.integrator == pytest.approx(0.5 + 10.0 * 3.0 * 0.01)
-    assert nxt.kp == pi.kp and nxt.ki == pi.ki
+    assert integ == pytest.approx(0.5 + 10.0 * 3.0 * 0.01)
 
 
 def test_pi_anti_windup():
-    pi = PiState(kp=1.0, ki=100.0, limit=2.0)
+    integ = 0.0
     for _ in range(50):
-        out, pi = pi_step(pi, 10.0, 0.01)
+        out, integ = _pi_law(1.0, 100.0, integ, 2.0, 10.0, 0.01)
         assert abs(out) <= 2.0
-        assert abs(pi.integrator) <= 2.0
+        assert abs(integ) <= 2.0
     # integrator pinned at the limit, not wound far beyond it
-    assert pi.integrator == 2.0
-    out, pi = pi_step(pi, -1.0, 0.01)
+    assert integ == 2.0
+    out, integ = _pi_law(1.0, 100.0, integ, 2.0, -1.0, 0.01)
     assert out == pytest.approx(1.0)  # recovers immediately
 
 
 def test_default_gains_rule():
     p = MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=0.01)
-    g_d, g_q = default_gains(p, bandwidth=1000.0, limit=42.0)
-    assert g_d.kp == pytest.approx(0.5e-3 * 1000.0)
-    assert g_q.kp == pytest.approx(0.8e-3 * 1000.0)
-    assert g_d.ki == g_q.ki == pytest.approx(0.01 * 1000.0)
-    assert g_d.limit == g_q.limit == 42.0
+    kp_d, kp_q, ki = default_gains(p, bandwidth=1000.0)
+    assert kp_d == pytest.approx(0.5e-3 * 1000.0)
+    assert kp_q == pytest.approx(0.8e-3 * 1000.0)
+    assert ki == pytest.approx(0.01 * 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,38 +108,36 @@ def test_default_gains_rule():
 # ---------------------------------------------------------------------------
 
 
-def _controller(params, bandwidth=Scenario.control_bandwidth):
-    pi_d, pi_q = default_gains(params, bandwidth=bandwidth, limit=Scenario.voltage_limit)
-    return ControllerState(pi_d=pi_d, pi_q=pi_q)
+def _control(params, i_dq, refs, theta, integ=(0.0, 0.0), t=0.0, schedule=InjectionSchedule(), theta_hat=math.nan):
+    """One controller sample as run_scenario's loop takes it: ((v_alpha, v_beta), (integ_d, integ_q)).
+
+    theta_hat defaults to NaN, the estimate of a run without the estimator, so a command that read it would be NaN.
+    """
+    kp_d, kp_q, ki = default_gains(params, Scenario.control_bandwidth)
+    limit = Scenario.voltage_limit
+    v_d, integ_d = _pi_law(kp_d, ki, integ[0], limit, refs[0] - i_dq[0], T_S)
+    v_q, integ_q = _pi_law(kp_q, ki, integ[1], limit, refs[1] - i_dq[1], T_S)
+    return _command_ab(v_d, v_q, math.cos(theta), math.sin(theta), t, schedule, theta_hat), (integ_d, integ_q)
 
 
 def test_controller_zero_error_zero_command():
     p = _spmsm()
-    v, _ = controller_step(_controller(p), dq(1.0, 2.0), (1.0, 2.0), 0.7, T_S)
-    assert v.x == 0.0 and v.y == 0.0
+    v, _ = _control(p, (1.0, 2.0), (1.0, 2.0), 0.7)
+    assert v == (0.0, 0.0)
 
 
 def test_controller_voltage_injection_term():
     p = _spmsm()
     sch = InjectionSchedule(InjectionKind.VOLTAGE_ON_DHAT, 2.0, 500.0, 0.0, 1.0)
     t, th_hat = 0.003, 0.9
-    base, _ = controller_step(_controller(p), dq(1.0, 2.0), (1.0, 2.0), 0.7, T_S)
-    v, _ = controller_step(
-        _controller(p), dq(1.0, 2.0), (1.0, 2.0), 0.7, T_S,
-        t=t, schedule=sch, theta_hat=th_hat,
-    )
+    base, _ = _control(p, (1.0, 2.0), (1.0, 2.0), 0.7)
+    v, _ = _control(p, (1.0, 2.0), (1.0, 2.0), 0.7, t=t, schedule=sch, theta_hat=th_hat)
     carrier = 2.0 * math.cos(500.0 * t)
-    assert v.x - base.x == pytest.approx(carrier * math.cos(th_hat), rel=1e-14)
-    assert v.y - base.y == pytest.approx(carrier * math.sin(th_hat), rel=1e-14)
-    with pytest.raises(ValueError, match="theta_hat"):
-        controller_step(
-            _controller(p), dq(1.0, 2.0), (1.0, 2.0), 0.7, T_S, t=t, schedule=sch
-        )
-    # outside the window the schedule is a no-op and needs no estimate
-    v2, _ = controller_step(
-        _controller(p), dq(1.0, 2.0), (1.0, 2.0), 0.7, T_S, t=5.0, schedule=sch
-    )
-    assert v2.x == base.x and v2.y == base.y
+    assert v[0] - base[0] == pytest.approx(carrier * math.cos(th_hat), rel=1e-14)
+    assert v[1] - base[1] == pytest.approx(carrier * math.sin(th_hat), rel=1e-14)
+    # outside the window the schedule is a no-op and reads no estimate (a NaN one here)
+    v2, _ = _control(p, (1.0, 2.0), (1.0, 2.0), 0.7, t=5.0, schedule=sch)
+    assert v2 == base
 
 
 def _run_loop(params, theta, refs, n, substeps=10, omega=0.0):
@@ -159,15 +146,15 @@ def _run_loop(params, theta, refs, n, substeps=10, omega=0.0):
 
     profile = SpeedProfile.from_breakpoints([(0.0, omega)])
     state = MachineState(0.0, 0.0, omega, theta)
-    ctrl = _controller(params)
+    integ = (0.0, 0.0)
     log = []
     for k in range(n):
         i_dq = park(state.currents, state.theta)
         log.append((i_dq.x, i_dq.y))
-        v, ctrl = controller_step(ctrl, i_dq, refs, state.theta, T_S)
+        v, integ = _control(params, (i_dq.x, i_dq.y), refs, state.theta, integ, t=k * T_S)
         for j in range(substeps):
             state = integrate_electrical(
-                state, v, profile, k * T_S + j * T_S / substeps, T_S / substeps, params
+                state, alphabeta(*v), profile, k * T_S + j * T_S / substeps, T_S / substeps, params
             )
     return np.array(log), state
 

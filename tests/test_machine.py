@@ -53,6 +53,21 @@ def test_wrap_angle_points():
     assert wrap_angle(np.array(points)).tobytes() == np.array(formula).tobytes()
 
 
+def test_wrap_angle_reduces_far_angles_through_sine_and_cosine():
+    # subtracting whole turns from 1e17 leaves nothing of the angle; the far ones go through arctan2
+    far = [1e17, -1e300, 2.0**23 + 0.5, -(2.0**30), 1e308]
+    for theta in far:
+        w = wrap_angle(theta)
+        assert -math.pi < w <= math.pi
+        assert abs(math.cos(w) - np.cos(theta)) < 1e-12 and abs(math.sin(w) - np.sin(theta)) < 1e-12
+    # in a mixed array the near angles keep the subtraction's bits
+    near = [0.5, -3.0 * math.pi, 2.0**23, -(2.0**23)]
+    mixed = wrap_angle(np.array(far + near))
+    assert mixed.tobytes() == np.array([wrap_angle(p) for p in far + near]).tobytes()
+    formula = [p - 2.0 * math.pi * math.ceil((p - math.pi) / (2.0 * math.pi)) for p in near]
+    assert mixed[len(far):].tobytes() == np.array(formula).tobytes()
+
+
 @given(st.floats(min_value=-1e6, max_value=1e6))
 def test_wrap_angle_range_and_direction(theta):
     w = wrap_angle(theta)

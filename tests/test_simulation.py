@@ -12,10 +12,10 @@ import pytest
 
 import pmsmlab
 from pmsmlab.control import (
-    ControllerState,
     InjectionKind,
     InjectionSchedule,
-    controller_step,
+    _command_ab,
+    _pi_law,
     current_reference,
     default_gains,
 )
@@ -129,6 +129,17 @@ def test_scenario_validation():
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(base, **bad)
+    # a non-finite number is named, as a config file names it, before any rule computes with it
+    for field, value in (("noise_std", math.nan), ("voltage_limit", math.nan), ("voltage_limit", math.inf),
+                         ("control_bandwidth", math.nan), ("control_bandwidth", math.inf), ("T_s", math.nan),
+                         ("t_end", math.inf), ("theta0", -math.inf)):
+        with pytest.raises(ValueError, match=f"^{field}: must be a finite number$"):
+            dataclasses.replace(base, **{field: value})
+    for field, value in (("setpoints", (math.nan, 0.0)), ("q_diag", (1.0, 1.0, math.inf, 0.1)),
+                         ("q_diag", (math.nan, 1.0, 1e3, 0.1)), ("r_diag", (1.0, math.inf)),
+                         ("p0_diag", (1.0, 1.0, math.nan, 1.0))):
+        with pytest.raises(ValueError, match=f"^{field}: must be a list of finite numbers$"):
+            dataclasses.replace(base, **{field: value})
 
 
 def test_scenario_sample_count():
@@ -760,9 +771,9 @@ def test_non_positive_definite_innovation_ends_the_run_as_a_named_abort(monkeypa
 
 
 @pytest.mark.parametrize("case", ["current_on_q", "voltage_on_dhat", "saturated"])
-def test_run_replays_through_the_public_controller(case):
+def test_run_replays_through_the_controller_kernels(case):
     # one controller: the logged measured currents, stepped through
-    # controller_step, reproduce the logged voltages bit for bit
+    # _pi_law and _command_ab, reproduce the logged voltages bit for bit
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.004, 0.0), (0.015, 40.0)])
     window = dict(frequency=1000.0 * math.pi, t_start=0.002, t_end=0.008)
     over = {"injection": InjectionSchedule(InjectionKind.CURRENT_ON_Q, amplitude=0.5, **window)}
@@ -777,10 +788,9 @@ def test_run_replays_through_the_public_controller(case):
 
     # the settled start of run_scenario
     p, (i_d0, i_q0), w0, lim = scn.params, scn.setpoints, prof.omega(0.0), scn.voltage_limit
-    pi_d, pi_q = default_gains(p, scn.control_bandwidth, lim)
+    kp_d, kp_q, ki = default_gains(p, scn.control_bandwidth)
     v0 = (p.R * i_d0 - w0 * p.Lq * i_q0, p.R * i_q0 + w0 * (p.Ld * i_d0 + p.psi_r))
-    ctrl = ControllerState(*(dataclasses.replace(pi, integrator=min(max(v, -lim), lim))
-                             for pi, v in zip((pi_d, pi_q), v0)))
+    integ_d, integ_q = (min(max(v, -lim), lim) for v in v0)
     i_ab0 = inverse_park(dq(i_d0, i_q0), scn.theta0)
     ekf = make_ekf([i_ab0.x, i_ab0.y, 0.0, scn.theta0 + scn.theta_hat_err0], scn.T_s,
                    Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag))
@@ -789,13 +799,26 @@ def test_run_replays_through_the_public_controller(case):
         y = alphabeta(log.i_alpha[k], log.i_beta[k])
         theta, t = log.theta_true[k], log.t[k]
         refs = current_reference(t, scn.injection, scn.setpoints)
+        i_dq = park(y, theta)
+        v_d, integ_d = _pi_law(kp_d, ki, integ_d, lim, refs[0] - i_dq.x, scn.T_s)
+        v_q, integ_q = _pi_law(kp_q, ki, integ_q, lim, refs[1] - i_dq.y, scn.T_s)
         # the filter's prior angle is unwrapped; the log holds it wrapped
-        v, ctrl = controller_step(ctrl, park(y, theta), refs, theta, scn.T_s,
-                                  t=t, schedule=scn.injection, theta_hat=ekf.x_hat[3])
-        assert (v.x, v.y) == (log.v_alpha[k], log.v_beta[k])
-        saturated |= abs(ctrl.pi_q.integrator) == lim
-        ekf = ekf_step(ekf, p, (v.x, v.y), (y.x, y.y))
+        v = _command_ab(v_d, v_q, math.cos(theta), math.sin(theta), t, scn.injection, ekf.x_hat[3])
+        assert v == (log.v_alpha[k], log.v_beta[k])
+        saturated |= abs(integ_q) == lim
+        ekf = ekf_step(ekf, p, v, (y.x, y.y))
     assert saturated == (case == "saturated")
+
+
+def test_far_rotor_angle_logs_the_loop_frame():
+    # at theta0 = 1e17 the loop regulates i_q in the frame of cos, sin 1e17; the logged
+    # angle and the dq currents rotated by it must be that frame, not a wrap of 1e17 to 0
+    log = run_scenario(_tiny(theta0=1e17, t_end=0.01))
+    assert not log.aborted
+    c, s = math.cos(1e17), math.sin(1e17)
+    assert np.all(np.abs(log.i_d - (c * log.i_alpha + s * log.i_beta)) < 1e-9)
+    assert np.all(np.abs(log.i_q - (c * log.i_beta - s * log.i_alpha)) < 1e-9)
+    assert abs(log.i_q[-1] - 15.0) < 1e-9 and abs(log.i_d[-1]) < 1e-9
 
 
 def test_many_substeps_run_in_bounded_memory():
