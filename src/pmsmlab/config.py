@@ -24,7 +24,7 @@ from itertools import groupby
 
 from pmsmlab.control import InjectionKind, InjectionSchedule
 from pmsmlab.machine import MachineParams
-from pmsmlab.simulation import Scenario, SpeedProfile, standstill_study_scenario
+from pmsmlab.simulation import Scenario, SpeedProfile, _is_integer, standstill_study_scenario
 
 SWEEPABLE = ("injection.amplitude", "injection.frequency", "noise_std", "theta_hat_err0")
 
@@ -122,7 +122,7 @@ class _Block:
         return self._get(key, default, "a finite number", _is_num, float)
 
     def integer(self, key, default=None):
-        return self._get(key, default, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int)
+        return self._get(key, default, "an integer", _is_integer, int)
 
     def boolean(self, key, default=None):
         return self._get(key, default, "true or false", lambda v: isinstance(v, bool), bool)

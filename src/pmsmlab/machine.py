@@ -385,10 +385,9 @@ def state_rate(params: MachineParams, x, u, T_l: float = 0.0) -> np.ndarray:
     The mechanical equation is domega/dt = (p/J)*(T_m - T_l) with no friction
     term.  Takes plain sequences, so hot callers skip building a MachineState.
     Broadcasts over the leading axes of x: states of shape (..., 4) give rates
-    of shape (..., 4).
+    of shape (..., 4).  One state is evaluated on numpy scalars.
     """
-    x = np.asarray(x, dtype=float)
-    i_a, i_b, omega, theta = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    i_a, i_b, omega, theta = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
     c, s = np.cos(theta), np.sin(theta)
     ind = _inductance(params, c, s)
     di_a, di_b = _electrical_rate_ab(params, i_a, i_b, omega, c, s, u[0], u[1], ind)

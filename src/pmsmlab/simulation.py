@@ -131,6 +131,11 @@ class SpeedProfile:
         return self.evaluate(t)[2]
 
 
+def _is_integer(v) -> bool:
+    """The integer rule of Scenario and of a config file: a bool is not an integer."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class MachineKind(enum.Enum):
     IPMSM = "ipmsm"
     SPMSM = "spmsm"
@@ -204,7 +209,9 @@ class Scenario:
                 found.append(("t_end", f"must be a whole number of samples (t_end / T_s = {n:.9g})"))
             else:
                 samples = round(n)
-        if ode_substeps < 1:
+        if not _is_integer(ode_substeps):
+            found.append(("ode_substeps", "must be an integer"))
+        elif ode_substeps < 1:
             found.append(("ode_substeps", "must be >= 1"))
         elif samples * ode_substeps > MAX_RK4_STEPS:  # in integers, so no substep count overflows
             found.append((None, f"t_end / T_s * ode_substeps must not exceed {MAX_RK4_STEPS} RK4 steps"))
@@ -212,7 +219,9 @@ class Scenario:
             found.append((None, "theta0 + theta_hat_err0, the filter's prior angle, must be finite"))
         if noise_std < 0.0:
             found.append(("noise_std", "must be >= 0"))
-        if seed < 0:
+        if not _is_integer(seed):
+            found.append(("seed", "must be an integer"))
+        elif seed < 0:
             found.append(("seed", "must be >= 0"))
         return found
 

@@ -22,6 +22,7 @@ from pmsmlab.machine import (
     inductance_matrix_inv,
     inverse_park,
     park,
+    state_rate,
     torque_alphabeta,
     torque_dq,
     wrap_angle,
@@ -321,6 +322,17 @@ def test_zero_current_rate_is_pure_back_emf():
     assert np.allclose(di, expect, rtol=1e-12)
     di0, _, _ = dynamics_alphabeta(MachineState(0.0, 0.0, 0.0, theta), alphabeta(0.0, 0.0), p)
     assert not di0.any()
+
+
+def test_state_rate_of_one_state_is_row_zero_of_a_stack():
+    rng = np.random.default_rng(47)
+    for p in (table_machine(), MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)):
+        for _ in range(50):
+            x, u, T_l = rng.uniform(-50.0, 50.0, 4), rng.uniform(-20.0, 20.0, 2), rng.uniform(-1.0, 1.0)
+            one = state_rate(p, x, u, T_l)
+            assert type(one) is np.ndarray and one.shape == (4,)
+            assert one.tobytes() == state_rate(p, x[None, :], u, T_l)[0].tobytes()
+            assert one.tobytes() == state_rate(p, tuple(x.tolist()), tuple(u.tolist()), T_l).tobytes()
 
 
 def test_frame_equivalence_dynamics():

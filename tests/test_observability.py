@@ -2,6 +2,8 @@
 
 import functools
 import math
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from pmsmlab.observability import (
     _flux_rate,
     DegenerateObservabilityVector,
     ModelKind,
+    ObservabilityReport,
     augmented_output_rank,
     det_y1_ipmsm,
     emf_model_det,
@@ -95,6 +98,59 @@ def test_numeric_rank_batch_matches_single_matrices():
         rank_k, sv_k = numeric_rank(stack[k])
         assert type(rank_k) is int and ranks[k] == rank_k
         np.testing.assert_allclose(sv[k], sv_k, rtol=1e-12, atol=0.0)
+
+
+def _assert_ranked_one_by_one(stack):
+    ranks, sv = numeric_rank(stack)
+    assert ranks.shape == stack.shape[:1] and sv.shape == stack.shape[:1] + (4,)
+    for k in range(len(stack)):
+        rank_k, sv_k = numeric_rank(stack[k])
+        assert type(rank_k) is int and ranks[k] == rank_k
+        assert sv[k].tobytes() == sv_k.tobytes()
+
+
+def _count_svd_matrices(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(math.prod(np.shape(a)[:-2])) or svd(a, **kw))
+    return seen
+
+
+def test_numeric_rank_ranks_each_run_of_equal_matrices_once(monkeypatch):
+    rng = np.random.default_rng(37)
+    mats = rng.uniform(-1.0, 1.0, (4, 4, 4))
+    mats[1] = 0.0
+    mats[2] = rng.uniform(-1.0, 1.0, (4, 3)) @ rng.uniform(-1.0, 1.0, (3, 4))
+    mats[3, 0, 0] = 0.0
+    signed = mats[3].copy()
+    signed[0, 0] = -0.0  # equal to mats[3] as a number, not bit for bit
+    # runs: 0 0 0 | 1 1 | 2 | 0 | 3 | -0.0 twin of 3 | 3 3
+    stack = np.stack([mats[0]] * 3 + [mats[1]] * 2 + [mats[2], mats[0], mats[3], signed, mats[3], mats[3]])
+    seen = _count_svd_matrices(monkeypatch)
+    _assert_ranked_one_by_one(stack)
+    assert seen[0] == 7  # the stack's call, then one per matrix
+    assert numeric_rank(stack)[0].tolist() == [4, 4, 4, 0, 0, 3, 4, 4, 4, 4, 4]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16])
+def test_numeric_rank_stacks_without_repeats(monkeypatch, n):
+    stack = np.random.default_rng(41).uniform(-1.0, 1.0, (n, 4, 4))
+    seen = _count_svd_matrices(monkeypatch)
+    _assert_ranked_one_by_one(stack)
+    assert seen[0] == n
+
+
+def test_hfi_point_derive_pass_ranks_one_matrix(monkeypatch):
+    from pmsmlab.config import apply_sweep_value, parse_config
+    from pmsmlab.simulation import run_scenario
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "hfi_voltage_sweep.json")) as fh:
+        cfg = parse_config(fh.read())
+    # the carrier-free point: under a carrier, the zero theta entry of the alpha row takes the current rate's sign
+    scn = apply_sweep_value(cfg.scenario, cfg.sweep.parameter, cfg.sweep.values[0])
+    seen = _count_svd_matrices(monkeypatch)
+    log = run_scenario(scn)
+    assert seen == [1] and len(log) == scn.n_samples == 6000
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +721,35 @@ def test_trajectory_reports_match_scalar_path(machine, ip_params, sp_params):
         assert cols["psi_o_q"][k] == pytest.approx(rep.psi_o_q, rel=1e-14)
         assert cols["theta_o"][k] == pytest.approx(rep.theta_o, rel=1e-12)
         assert cols["margin"][k] == pytest.approx(rep.margin, rel=1e-12, abs=1e-12)
+
+
+def _one_sample_points():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        i_dq, di, om = rng.uniform(-30.0, 30.0, 2), rng.uniform(-2e3, 2e3, 2), rng.uniform(-120.0, 120.0)
+        yield rng.uniform(0.0, 1.0), i_dq, di, om, rng.uniform(-100.0, 100.0), rng.uniform(-math.pi, math.pi)
+    yield 0.5, (3.0, -2.0), (-40.0, 0.0), 0.0, 0.0, 1.25  # singular standstill point
+    yield 0.0, (-0.0, 0.0), (0.0, -0.0), -0.0, 0.0, -0.0  # signed zeros
+
+
+@pytest.mark.parametrize("machine", ["ip", "sp"])
+def test_sample_report_is_a_one_sample_trajectory(machine, ip_params, sp_params):
+    params = ip_params if machine == "ip" else sp_params
+    for t, i_dq, di, om, om_dot, theta in _one_sample_points():
+        rep = sample_report(params, t, i_dq, di, om, om_dot, theta)
+        cols = trajectory_reports(params, *(np.array([v]) for v in (t, *i_dq, *di, om, om_dot, theta)))
+        assert repr(rep.time) == repr(t)
+        for name, col in zip(fields(ObservabilityReport)[1:], cols.values()):
+            assert repr(getattr(rep, name.name)) == repr(col[0].tolist())
+        assert type(rep.numeric_rank) is int
+        assert type(rep.singular_values) is list and len(rep.singular_values) == 4
+        assert all(type(v) is float for v in rep.singular_values)
+
+
+def test_sample_report_non_finite_matrix_names_the_sample(ip_params):
+    with pytest.raises(FloatingPointError, match=r"^non-finite order-1 observability matrix at t=0$") as info:
+        sample_report(ip_params, 0.0, (1e300, 1e300), (1e300, 0.0), 1e300, 0.0, 0.0)
+    assert info.value.sample == 0
 
 
 def test_vector_and_margin_are_the_trajectory_columns_at_one_sample(ip_params):

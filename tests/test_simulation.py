@@ -129,6 +129,11 @@ def test_scenario_validation():
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(base, **bad)
+    # a config file's integers: a float, even a whole one, or a bool is not one
+    for field, value in (("ode_substeps", 2.5), ("ode_substeps", 2.0), ("ode_substeps", True),
+                         ("seed", 1.5), ("seed", 2.0), ("seed", False)):
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer$"):
+            dataclasses.replace(base, t_end=0.001, noise_std=0.1, **{field: value})
     # a non-finite number is named, as a config file names it, before any rule computes with it
     for field, value in (("noise_std", math.nan), ("voltage_limit", math.nan), ("voltage_limit", math.inf),
                          ("control_bandwidth", math.nan), ("control_bandwidth", math.inf), ("T_s", math.nan),
