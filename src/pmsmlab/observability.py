@@ -64,20 +64,8 @@ def numeric_rank(matrix: np.ndarray) -> tuple:
     A stack of matrices (leading axes, the matrix in the last two) is ranked
     matrix by matrix: rank is then an integer array of the leading shape and
     the singular values run along the last axis.  A single matrix gives an int.
-    A run of equal consecutive matrices in a stack (equal bit for bit, so -0.0
-    and 0.0 differ) is decomposed once and its singular values repeated.
     """
-    m = np.asarray(matrix, dtype=float)
-    n = math.prod(m.shape[:-2])
-    if n > 1:
-        stack = m.reshape((n,) + m.shape[-2:])
-        bits = stack.reshape(n, -1).view(np.int64)
-        first = np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1)))
-    if n > 1 and not first.all():
-        runs = np.linalg.svd(stack[first], compute_uv=False)
-        sv = runs[np.cumsum(first) - 1].reshape(m.shape[:-2] + runs.shape[-1:])
-    else:
-        sv = np.linalg.svd(m, compute_uv=False)
+    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
     smax = sv[..., :1]
     tol = np.where(smax > 0.0, RANK_RTOL * smax, RANK_ABS_FLOOR)
     rank = np.sum(sv > tol, axis=-1)
@@ -576,10 +564,10 @@ def trajectory_reports(
     det_y2, det_y3, rank, psi_o_d, psi_o_q, theta_o, margin), then
     "singular_values", the (N, 4) singular values of each order-1 matrix in
     descending order, which no column holds.  The order-1 matrices are ranked
-    in one batched SVD, one matrix per run of equal consecutive ones; a
-    non-finite matrix raises FloatingPointError naming the first such sample's
-    time, with its index as the error's `sample`.  Numpy scalar arguments give
-    one sample's values; unlike Python floats, they follow numpy's error state.
+    in one batched SVD; a non-finite matrix raises FloatingPointError naming
+    the first such sample's time, with its index as the error's `sample`.
+    Numpy scalar arguments give one sample's values; unlike Python floats,
+    they follow numpy's error state.
     """
     det1 = det_y1_ipmsm((i_d, i_q), (di_d, di_q), omega, params)
     if params.L2 == 0.0:

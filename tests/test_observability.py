@@ -2,7 +2,6 @@
 
 import functools
 import math
-import os
 from dataclasses import fields
 
 import numpy as np
@@ -98,59 +97,6 @@ def test_numeric_rank_batch_matches_single_matrices():
         rank_k, sv_k = numeric_rank(stack[k])
         assert type(rank_k) is int and ranks[k] == rank_k
         np.testing.assert_allclose(sv[k], sv_k, rtol=1e-12, atol=0.0)
-
-
-def _assert_ranked_one_by_one(stack):
-    ranks, sv = numeric_rank(stack)
-    assert ranks.shape == stack.shape[:1] and sv.shape == stack.shape[:1] + (4,)
-    for k in range(len(stack)):
-        rank_k, sv_k = numeric_rank(stack[k])
-        assert type(rank_k) is int and ranks[k] == rank_k
-        assert sv[k].tobytes() == sv_k.tobytes()
-
-
-def _count_svd_matrices(monkeypatch):
-    seen = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(math.prod(np.shape(a)[:-2])) or svd(a, **kw))
-    return seen
-
-
-def test_numeric_rank_ranks_each_run_of_equal_matrices_once(monkeypatch):
-    rng = np.random.default_rng(37)
-    mats = rng.uniform(-1.0, 1.0, (4, 4, 4))
-    mats[1] = 0.0
-    mats[2] = rng.uniform(-1.0, 1.0, (4, 3)) @ rng.uniform(-1.0, 1.0, (3, 4))
-    mats[3, 0, 0] = 0.0
-    signed = mats[3].copy()
-    signed[0, 0] = -0.0  # equal to mats[3] as a number, not bit for bit
-    # runs: 0 0 0 | 1 1 | 2 | 0 | 3 | -0.0 twin of 3 | 3 3
-    stack = np.stack([mats[0]] * 3 + [mats[1]] * 2 + [mats[2], mats[0], mats[3], signed, mats[3], mats[3]])
-    seen = _count_svd_matrices(monkeypatch)
-    _assert_ranked_one_by_one(stack)
-    assert seen[0] == 7  # the stack's call, then one per matrix
-    assert numeric_rank(stack)[0].tolist() == [4, 4, 4, 0, 0, 3, 4, 4, 4, 4, 4]
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 16])
-def test_numeric_rank_stacks_without_repeats(monkeypatch, n):
-    stack = np.random.default_rng(41).uniform(-1.0, 1.0, (n, 4, 4))
-    seen = _count_svd_matrices(monkeypatch)
-    _assert_ranked_one_by_one(stack)
-    assert seen[0] == n
-
-
-def test_hfi_point_derive_pass_ranks_one_matrix(monkeypatch):
-    from pmsmlab.config import apply_sweep_value, parse_config
-    from pmsmlab.simulation import run_scenario
-
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "hfi_voltage_sweep.json")) as fh:
-        cfg = parse_config(fh.read())
-    # the carrier-free point: under a carrier, the zero theta entry of the alpha row takes the current rate's sign
-    scn = apply_sweep_value(cfg.scenario, cfg.sweep.parameter, cfg.sweep.values[0])
-    seen = _count_svd_matrices(monkeypatch)
-    log = run_scenario(scn)
-    assert seen == [1] and len(log) == scn.n_samples == 6000
 
 
 # ---------------------------------------------------------------------------
