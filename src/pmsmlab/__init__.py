@@ -38,7 +38,7 @@ from pmsmlab.observability import (
     spmsm_rank_at_standstill,
     trajectory_reports,
 )
-from pmsmlab.ekf import EkfState, ekf_step, gain_and_innovate, linearize, make_ekf, predict
+from pmsmlab.ekf import linearize
 from pmsmlab.control import InjectionKind, InjectionSchedule, current_reference, default_gains
 from pmsmlab.simulation import (
     MachineKind,

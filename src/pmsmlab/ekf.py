@@ -8,79 +8,29 @@ continuous-Lyapunov Euler form P + T_s (A P + P A') + Q, not A P A'.
 One cycle is two kernels on Python floats, `_predict` and `_update`.  They
 hold x_hat as 4 floats and the symmetric P as its 10 upper-triangle entries,
 row by row (P00, P01, P02, P03, P11, P12, P13, P22, P23, P33), and take Q as
-its 10 such entries and R_meas as its 4.  Every sum runs in a fixed order
-without fused multiply-adds, so the filter's numbers do not depend on the
-BLAS library or the CPU it picks kernels for.  `run_scenario` calls the
-kernels on tuples.  The step functions below wrap the same kernels for an
-EkfState: they read the upper triangles of P and Q and return a new state
-that shares the old one's Q, R_meas and T_s.
+its 10 such entries and R_meas as its 4, row by row.  Every sum runs in a
+fixed order without fused multiply-adds, so the filter's numbers do not
+depend on the BLAS library or the CPU it picks kernels for.  `run_scenario`
+calls the kernels on tuples; `_diag_upper` lays out its diagonal Q and prior
+P, and `Scenario.violations` states the rules that make them semidefinite
+and R_meas positive definite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from pmsmlab.machine import MachineParams, _filter_model
 
 C_OUT = np.hstack([np.eye(2), np.zeros((2, 2))])
-_UPPER = np.array([0, 1, 2, 3, 5, 6, 7, 10, 11, 15])  # flat places of a 4x4 matrix's 10 stored entries
-_FULL = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])  # the stored entry at each place
-_TOL = 1e-9  # absolute tolerance of make_ekf's symmetry and semidefiniteness checks
 
 
-@dataclass(frozen=True)
-class EkfState:
-    """Estimated state, covariance, and tuning. Arrays are never mutated."""
-
-    x_hat: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    R_meas: np.ndarray
-    T_s: float
-
-    def __post_init__(self) -> None:
-        # cheap shape checks only: the public step functions build a new
-        # EkfState per step, so the symmetry/definiteness validation runs once,
-        # in make_ekf.  The run loop calls the float kernels and builds none.
-        if self.x_hat.shape != (4,) or self.P.shape != (4, 4):
-            raise ValueError("x_hat must be (4,), P must be (4,4)")
-        if self.Q.shape != (4, 4) or self.R_meas.shape != (2, 2):
-            raise ValueError("Q must be (4,4), R_meas (2,2)")
-        if self.T_s <= 0.0:
-            raise ValueError(f"T_s must be > 0, got {self.T_s}")
-
-
-def make_ekf(x0, T_s: float, Q, R_meas, P0) -> EkfState:
-    """Build and fully validate an initial filter state; P0 and Q are stored mirrored from their upper triangles."""
-    ekf = EkfState(
-        x_hat=np.asarray(x0, dtype=float).copy(),
-        P=np.asarray(P0, dtype=float),
-        Q=np.asarray(Q, dtype=float),
-        R_meas=np.asarray(R_meas, dtype=float).copy(),
-        T_s=float(T_s),
-    )
-    for name, m in (("P", ekf.P), ("Q", ekf.Q), ("R_meas", ekf.R_meas)):
-        if not np.isfinite(m).all():
-            raise ValueError(f"{name} must be finite")
-        if np.abs(m - m.T).max() > _TOL:
-            raise ValueError(f"{name} must be symmetric")
-    # R_meas must be positive definite for the innovation inverse
-    np.linalg.cholesky(ekf.R_meas)
-    # the kernels read the upper triangles, so store P and Q as their mirrored upper
-    # triangles: new arrays, equal to a symmetric input bit for bit
-    ekf = replace(ekf, P=ekf.P.take(_UPPER)[_FULL], Q=ekf.Q.take(_UPPER)[_FULL])
-    for name, m in (("P", ekf.P), ("Q", ekf.Q)):
-        if np.linalg.eigvalsh(m)[0] < -_TOL:
-            raise ValueError(f"{name} must be positive semidefinite")
-    return ekf
-
-
-def _kernel_args(ekf: EkfState) -> tuple[list, list, list, list]:
-    """(q, r, x, P) of the kernels for ekf: Q's and P's upper triangles, R_meas's 4 entries, x_hat."""
-    return ekf.Q.take(_UPPER).tolist(), ekf.R_meas.ravel().tolist(), ekf.x_hat.tolist(), ekf.P.take(_UPPER).tolist()
+def _diag_upper(d) -> tuple:
+    """The 10 upper-triangle entries, in the kernels' order, of the 4x4 diagonal matrix diag(d)."""
+    d0, d1, d2, d3 = map(float, d)
+    return (d0, 0.0, 0.0, 0.0, d1, 0.0, 0.0, d2, 0.0, d3)
 
 
 def _predict(params: MachineParams, T_s: float, q, x, P, va: float, vb: float) -> tuple[tuple, tuple]:
@@ -161,32 +111,8 @@ def _update(r, x, P, ya: float, yb: float) -> tuple[tuple, tuple]:
     return x, P
 
 
-def _state(ekf: EkfState, x, P) -> EkfState:
-    """A new EkfState of the kernels' x and P that shares ekf's Q, R_meas and T_s."""
-    return EkfState(np.array(x), np.array(P)[_FULL], ekf.Q, ekf.R_meas, ekf.T_s)
-
-
 def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
     """Analytic Jacobian A = df/dx at (x_hat, u) and constant output map C."""
     a = _filter_model(params, *map(float, x_hat), float(u[0]), float(u[1]))[4:]
     A = np.array([a[0:4], a[4:8], (a[8], a[9], 0.0, a[10]), (0.0, 0.0, 1.0, 0.0)])
     return A, C_OUT.copy()
-
-
-def predict(ekf: EkfState, params: MachineParams, u) -> EkfState:
-    """Euler state propagation and Lyapunov-form covariance propagation."""
-    q, _, x, P = _kernel_args(ekf)
-    return _state(ekf, *_predict(params, ekf.T_s, q, x, P, float(u[0]), float(u[1])))
-
-
-def gain_and_innovate(ekf: EkfState, y_meas) -> EkfState:
-    """Kalman gain, measurement update, covariance downdate, symmetrization."""
-    _, r, x, P = _kernel_args(ekf)
-    return _state(ekf, *_update(r, x, P, float(y_meas[0]), float(y_meas[1])))
-
-
-def ekf_step(ekf: EkfState, params: MachineParams, u, y_meas) -> EkfState:
-    """One full predict-correct cycle."""
-    q, r, x, P = _kernel_args(ekf)
-    x, P = _predict(params, ekf.T_s, q, x, P, float(u[0]), float(u[1]))
-    return _state(ekf, *_update(r, x, P, float(y_meas[0]), float(y_meas[1])))

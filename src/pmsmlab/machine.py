@@ -334,10 +334,11 @@ def _model_gradients(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b, i
     h_a = d1_aa * di_a + d1_ab * di_b + m_a * omega
     h_b = d1_ab * di_a - d1_aa * di_b + m_b * omega
     half_quad = 0.5 * d2_aa * (i_a * i_a - i_b * i_b) + d2_ab * i_a * i_b  # i'L''i / 2
+    # + 0.0 makes a zero theta entry +0.0: a round machine's 0 * di would carry the sign of di
     return (-(inv_aa * n_aa + inv_ab * n_ab), -(inv_aa * n_ab + inv_ab * n_bb),
-            -(inv_aa * g_a + inv_ab * g_b), -(inv_aa * h_a + inv_ab * h_b),
+            -(inv_aa * g_a + inv_ab * g_b), -(inv_aa * h_a + inv_ab * h_b) + 0.0,
             -(inv_ab * n_aa + inv_bb * n_ab), -(inv_ab * n_ab + inv_bb * n_bb),
-            -(inv_ab * g_a + inv_bb * g_b), -(inv_ab * h_a + inv_bb * h_b),
+            -(inv_ab * g_a + inv_bb * g_b), -(inv_ab * h_a + inv_bb * h_b) + 0.0,
             g_a, g_b, half_quad - psi_r * (i_a * c + i_b * s))
 
 

@@ -47,8 +47,7 @@ def read_csv(path) -> dict[str, np.ndarray]:
         if not first.startswith("#") or SCHEMA_TAG not in first:
             raise ValueError(f"not a {SCHEMA_TAG} file: {path}")
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
+        if tuple(next(reader, ())) != CSV_COLUMNS:  # () when the schema line is all there is
             raise ValueError(f"unexpected columns in {path}")
         rows = []
         for row in reader:

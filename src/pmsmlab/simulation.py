@@ -37,7 +37,7 @@ from pmsmlab.control import (
     current_reference,
     default_gains,
 )
-from pmsmlab.ekf import _kernel_args, _predict, _update, make_ekf
+from pmsmlab.ekf import _diag_upper, _predict, _update
 from pmsmlab.machine import (
     FrameVec,
     MachineParams,
@@ -372,8 +372,8 @@ def integrate_electrical(
     The steps are composed into one map as in a run, so at t = k*T_s, dt = T_s
     and substeps = ode_substeps this is the run's sample k, bit for bit.
     """
-    if dt <= 0.0 or substeps < 1:
-        raise ValueError("dt must be > 0 and substeps >= 1")
+    if not (math.isfinite(dt) and dt > 0.0) or not _is_integer(substeps) or substeps < 1:
+        raise ValueError("dt must be finite and > 0, and substeps an integer >= 1")
     (row,) = _sample_maps(params, profile, np.array([t]), substeps, dt, state.theta).tolist()
     ia, ib = _apply_map(row, params.R, state.i_alpha, state.i_beta, v_ab.x, v_ab.y, t, dt)
     return MachineState(ia, ib, row[10], row[11], state.T_l)
@@ -495,8 +495,9 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     kp_d, kp_q, ki = default_gains(params, scn.control_bandwidth)
     integ_d, integ_q = (min(max(v, -limit), limit) for v in (v_d0, v_q0))
     # the filter runs on floats: x_hat, with the prior angle unwrapped, and P's 10 distinct entries
-    q, r, x_hat, P = _kernel_args(make_ekf([i_ab0.x, i_ab0.y, 0.0, scn.theta0 + scn.theta_hat_err0], T_s,
-                                           Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag)))
+    q, P, (r0, r1) = _diag_upper(scn.q_diag), _diag_upper(scn.p0_diag), map(float, scn.r_diag)
+    r = (r0, 0.0, 0.0, r1)  # R_meas row by row
+    x_hat = (float(i_ab0.x), float(i_ab0.y), 0.0, float(scn.theta0 + scn.theta_hat_err0))
     omega_hat, theta_hat = x_hat[2:] if with_ekf else (math.nan, math.nan)  # analyze has no estimates
 
     rec = np.empty((n, 10))  # one row per sample: what the loop decides or advances

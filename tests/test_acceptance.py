@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from _samplers import ipmsm_free_states, spmsm_moving_points, spmsm_singular_points
-from pmsmlab.ekf import ekf_step, make_ekf
+from pmsmlab.ekf import _diag_upper, _predict, _update
 from pmsmlab.machine import (
     MachineState,
     alphabeta,
@@ -298,27 +298,24 @@ def criterion_8(ip_log: TrajectoryLog, sp_log: TrajectoryLog) -> tuple[bool, str
     scn = standstill_study_scenario(MachineKind.IPMSM)
     assert scn.noise_std == 0.0  # logged currents are the filter measurements
     i_ab0 = inverse_park(dq(*scn.setpoints), scn.theta0)
-    ekf = make_ekf(
-        [i_ab0.x, i_ab0.y, 0.0, scn.theta0 + scn.theta_hat_err0],
-        scn.T_s,
-        Q=np.diag(scn.q_diag),
-        R_meas=np.diag(scn.r_diag),
-        P0=np.diag(scn.p0_diag),
-    )
+    # the filter kernels on the logged stream: x_hat as 4 floats, P as its 10 upper-triangle entries
+    x_hat = (float(i_ab0.x), float(i_ab0.y), 0.0, scn.theta0 + scn.theta_hat_err0)
+    q, r, P = _diag_upper(scn.q_diag), (scn.r_diag[0], 0.0, 0.0, scn.r_diag[1]), _diag_upper(scn.p0_diag)
+    upper = np.triu_indices(4)
+    P_full = np.empty((4, 4))
     worst_asym = 0.0
     min_diag = math.inf
     replay_ok = True
     for k in range(len(ip_log)):
-        ekf = ekf_step(
-            ekf,
-            scn.params,
-            (ip_log.v_alpha[k], ip_log.v_beta[k]),
-            (ip_log.i_alpha[k], ip_log.i_beta[k]),
-        )
-        worst_asym = max(worst_asym, float(np.max(np.abs(ekf.P - ekf.P.T))))
-        min_diag = min(min_diag, float(np.min(np.diag(ekf.P))))
-        replay_ok &= ekf.x_hat[2] == ip_log.omega_hat[k]
-        replay_ok &= wrap_angle(ekf.x_hat[3]) == ip_log.theta_hat[k]
+        u = (float(ip_log.v_alpha[k]), float(ip_log.v_beta[k]))
+        x_hat, P = _predict(scn.params, scn.T_s, q, x_hat, P, *u)
+        x_hat, P = _update(r, x_hat, P, float(ip_log.i_alpha[k]), float(ip_log.i_beta[k]))
+        P_full[upper] = P
+        P_full.T[upper] = P
+        worst_asym = max(worst_asym, float(np.max(np.abs(P_full - P_full.T))))
+        min_diag = min(min_diag, float(np.min(np.diag(P_full))))
+        replay_ok &= x_hat[2] == ip_log.omega_hat[k]
+        replay_ok &= wrap_angle(x_hat[3]) == ip_log.theta_hat[k]
 
     def identical(a: TrajectoryLog, b: TrajectoryLog) -> bool:
         for name in a.__dataclass_fields__:

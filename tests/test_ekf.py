@@ -1,25 +1,38 @@
-"""Filter construction, linearization, and the predict/correct invariants."""
+"""Linearization and the predict/correct invariants of the filter kernels."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pmsmlab.ekf import (
-    C_OUT,
-    EkfState,
-    ekf_step,
-    gain_and_innovate,
-    linearize,
-    make_ekf,
-    predict,
-)
+from pmsmlab.ekf import C_OUT, _diag_upper, _predict, _update, linearize
 from pmsmlab.machine import MachineState, alphabeta, dynamics_alphabeta
 from pmsmlab.simulation import Scenario
 
 T_S = 1e-4
 # the reference tuning, whose one home is Scenario
 Q, R, P0 = (np.diag(d) for d in (Scenario.q_diag, Scenario.r_diag, Scenario.p0_diag))
+_IU = np.triu_indices(4)  # the kernels' 10 entries of a symmetric 4x4 matrix, row by row
+
+
+def _upper(M) -> tuple:
+    """The kernels' 10 entries of the symmetric 4x4 matrix M."""
+    return tuple(np.asarray(M, dtype=float)[_IU].tolist())
+
+
+def _full(P) -> np.ndarray:
+    """The symmetric 4x4 matrix of the kernels' 10 entries P."""
+    M = np.empty((4, 4))
+    M[_IU] = P
+    M.T[_IU] = P
+    return M
+
+
+def _floats(v) -> tuple:
+    return tuple(map(float, v))
+
+
+QU, RU, P0U = _upper(Q), _floats(R.ravel()), _upper(P0)
 
 
 def _rate(params, x, u):
@@ -29,61 +42,11 @@ def _rate(params, x, u):
     return np.array([di[0], di[1], dom, dth])
 
 
-# ---------------------------------------------------------------------------
-# construction and validation
-# ---------------------------------------------------------------------------
-
-
-def test_state_shape_validation():
-    with pytest.raises(ValueError):
-        EkfState(np.zeros(3), np.eye(4), Q, R, T_S)
-    with pytest.raises(ValueError):
-        EkfState(np.zeros(4), np.eye(3), Q, R, T_S)
-    with pytest.raises(ValueError):
-        EkfState(np.zeros(4), np.eye(4), np.eye(3), R, T_S)
-    with pytest.raises(ValueError):
-        EkfState(np.zeros(4), np.eye(4), Q, np.eye(3), T_S)
-    with pytest.raises(ValueError):
-        EkfState(np.zeros(4), np.eye(4), Q, R, 0.0)
-
-
-def test_make_ekf_validates_and_copies():
-    p0 = np.eye(4)
-    p0[0, 1] = 0.5
-    with pytest.raises(ValueError, match="symmetric"):
-        make_ekf(np.zeros(4), T_S, Q, R, p0)
-    with pytest.raises(np.linalg.LinAlgError):
-        make_ekf(np.zeros(4), T_S, Q, np.diag([1.0, -1.0]), P0)
-    x0 = np.zeros(4)
-    src = np.eye(4)
-    ekf = make_ekf(x0, T_S, Q, R, src)
-    src[0, 0] = 99.0
-    x0[0] = 99.0
-    assert ekf.P[0, 0] == 1.0 and ekf.x_hat[0] == 0.0
-
-
-def test_make_ekf_rejects_asymmetric_or_indefinite_covariances():
-    # asymmetric by 5e-3 and indefinite (P00 P11 - P01^2 < 0); np.allclose's hidden rtol=1e-5 let it through
-    p0 = np.diag([1e3, 1.0, 1.0, 1.0])
-    p0[0, 1], p0[1, 0] = 1e3, 1e3 + 5e-3
-    with pytest.raises(ValueError, match="P must be symmetric"):
-        make_ekf(np.zeros(4), T_S, Q, R, p0)
-    p0 = np.eye(4)
-    p0[0, 1], p0[1, 0] = 0.5, 0.5 + 2e-9  # the symmetry tolerance is an absolute 1e-9
-    with pytest.raises(ValueError, match="P must be symmetric"):
-        make_ekf(np.zeros(4), T_S, Q, R, p0)
-    p0[1, 0] = 0.5 + 5e-10
-    make_ekf(np.zeros(4), T_S, Q, R, p0)
-    p0 = np.diag([1e3, 1.0, 1.0, 1.0])
-    p0[0, 1] = p0[1, 0] = 1e3
-    with pytest.raises(ValueError, match="P must be positive semidefinite"):
-        make_ekf(np.zeros(4), T_S, Q, R, p0)
-    with pytest.raises(ValueError, match="Q must be positive semidefinite"):
-        make_ekf(np.zeros(4), T_S, np.diag([1.0, 1.0, -1e-6, 1.0]), R, P0)
-    # semidefinite is enough, to the same 1e-9
-    make_ekf(np.zeros(4), T_S, np.diag([1.0, 1.0, -5e-10, 0.0]), R, np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="P must be finite"):
-        make_ekf(np.zeros(4), T_S, Q, R, np.diag([math.inf, 1.0, 1.0, 1.0]))
+def test_diag_upper_lays_out_the_diagonal_matrix():
+    # Python floats equal to the upper triangle of np.diag(d), signed zeros included
+    for d in (Scenario.q_diag, Scenario.p0_diag, (1, 2.5, 0, -0.0)):
+        got, ref = _diag_upper(d), _upper(np.diag(np.array(d, dtype=float)))
+        assert [(type(v), math.copysign(1.0, v), v) for v in got] == [(float, math.copysign(1.0, v), v) for v in ref]
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +69,7 @@ def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
     assert sorted(m.__name__ for m in lookups) == ["pmsmlab.machine", "pmsmlab.observability", "pmsmlab.simulation"]
     for module in lookups:
         monkeypatch.setattr(module, "_inductance", lambda *a: calls.append(1) or inductance(*a))
-    ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
-    predict(ekf, ip_params, (1.0, -2.0))
+    _predict(ip_params, T_S, QU, (0.5, -0.5, 5.0, 0.2), P0U, 1.0, -2.0)
     assert len(calls) == 1
     prof = SpeedProfile.from_breakpoints([(0.0, 5.0), (1.0, 20.0)])
     integrate_electrical(MachineState(0.5, -0.5, 5.0, 0.2), alphabeta(1.0, -2.0), prof, 0.0, T_S, ip_params)
@@ -177,29 +139,28 @@ def test_linearize_standstill_position_blindness(sp_params):
 def test_predict_euler_forms(ip_params):
     x0 = np.array([2.0, -1.0, 30.0, 0.5])
     u = (4.0, -2.0)
-    ekf = make_ekf(x0, T_S, Q, R, P0)
-    out = predict(ekf, ip_params, u)
+    x, P = _predict(ip_params, T_S, QU, _floats(x0), P0U, *u)
+    P = _full(P)
     A, _ = linearize(ip_params, x0, u)
-    p_ref = np.eye(4) + T_S * (A + A.T) + ekf.Q
-    assert np.array_equal(out.x_hat, x0 + T_S * _rate(ip_params, x0, u))
-    assert np.allclose(out.P, 0.5 * (p_ref + p_ref.T), rtol=1e-12)
-    assert np.array_equal(out.P, out.P.T)
+    p_ref = np.eye(4) + T_S * (A + A.T) + Q
+    assert np.array_equal(x, x0 + T_S * _rate(ip_params, x0, u))
+    assert np.allclose(P, 0.5 * (p_ref + p_ref.T), rtol=1e-12)
+    assert np.array_equal(P, P.T)
 
 
 def test_predict_fixed_point(ip_params):
     # zero state, zero input, zero covariance and noise: nothing moves
-    ekf = make_ekf(np.array([0.0, 0.0, 0.0, 0.4]), T_S, np.zeros((4, 4)), R, np.zeros((4, 4)))
-    out = predict(ekf, ip_params, (0.0, 0.0))
-    assert np.array_equal(out.x_hat, ekf.x_hat)
-    assert np.array_equal(out.P, np.zeros((4, 4)))
+    x0, zero = (0.0, 0.0, 0.0, 0.4), (0.0,) * 10
+    x, P = _predict(ip_params, T_S, zero, x0, zero, 0.0, 0.0)
+    assert x == x0
+    assert P == zero
 
 
 def test_predict_rejects_non_finite_dynamics(ip_params):
     # currents large enough that the torque products overflow
-    ekf = make_ekf(np.array([1e300, 0.0, 0.0, 0.0]), T_S, Q, R, P0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite"):
-            predict(ekf, ip_params, (0.0, 0.0))
+            _predict(ip_params, T_S, QU, (1e300, 0.0, 0.0, 0.0), P0U, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +169,18 @@ def test_predict_rejects_non_finite_dynamics(ip_params):
 
 
 def test_innovate_consistent_measurement_keeps_state():
-    ekf = make_ekf(np.array([1.0, -2.0, 10.0, 0.3]), T_S, Q, R, P0)
-    out = gain_and_innovate(ekf, (1.0, -2.0))
-    assert np.array_equal(out.x_hat, ekf.x_hat)
+    x0 = (1.0, -2.0, 10.0, 0.3)
+    x, P = _update(RU, x0, P0U, 1.0, -2.0)
+    assert x == x0
     # covariance still shrinks on the measured channels
-    assert out.P[0, 0] < ekf.P[0, 0] and out.P[1, 1] < ekf.P[1, 1]
+    assert _full(P)[0, 0] < P0[0, 0] and _full(P)[1, 1] < P0[1, 1]
 
 
 def test_innovate_zero_covariance_ignores_measurement():
-    ekf = make_ekf(np.array([1.0, -2.0, 10.0, 0.3]), T_S, Q, R, np.zeros((4, 4)))
-    out = gain_and_innovate(ekf, (50.0, 50.0))
-    assert np.array_equal(out.x_hat, ekf.x_hat)
-    assert np.array_equal(out.P, np.zeros((4, 4)))
+    x0 = (1.0, -2.0, 10.0, 0.3)
+    x, P = _update(RU, x0, (0.0,) * 10, 50.0, 50.0)
+    assert x == x0
+    assert np.array_equal(_full(P), np.zeros((4, 4)))
 
 
 def test_innovate_never_increases_trace():
@@ -227,10 +188,11 @@ def test_innovate_never_increases_trace():
     for _ in range(100):
         m = rng.standard_normal((4, 4))
         p0 = m @ m.T + 1e-6 * np.eye(4)
-        ekf = make_ekf(rng.standard_normal(4), T_S, Q, R, p0)
-        out = gain_and_innovate(ekf, rng.standard_normal(2))
-        assert np.trace(out.P) <= np.trace(ekf.P) + 1e-12
-        assert np.array_equal(out.P, out.P.T)
+        x0 = _floats(rng.standard_normal(4))
+        _, P = _update(RU, x0, _upper(p0), *_floats(rng.standard_normal(2)))
+        P = _full(P)
+        assert np.trace(P) <= np.trace(p0) + 1e-12
+        assert np.array_equal(P, P.T)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +204,14 @@ def test_perfect_model_tracking(ip_params):
     # truth propagated by the same Euler model, zero Q and zero P0: the filter
     # reproduces the trajectory without correction
     x_true = np.array([1.0, 0.5, 20.0, 0.1])
-    ekf = make_ekf(x_true, T_S, np.zeros((4, 4)), R, np.zeros((4, 4)))
+    x, P, zero = _floats(x_true), (0.0,) * 10, (0.0,) * 10
     worst = 0.0
     for k in range(1000):
         t = k * T_S
         u = (5.0 * math.sin(50.0 * t), 5.0 * math.cos(70.0 * t))
         x_true = x_true + T_S * _rate(ip_params, x_true, u)
-        ekf = ekf_step(ekf, ip_params, u, x_true[:2])
-        worst = max(worst, float(np.max(np.abs(ekf.x_hat - x_true))))
+        x, P = _update(RU, *_predict(ip_params, T_S, zero, x, P, *u), *_floats(x_true[:2]))
+        worst = max(worst, float(np.max(np.abs(np.array(x) - x_true))))
     assert worst < 1e-9
 
 
@@ -257,46 +219,35 @@ def test_long_run_covariance_hygiene(ip_params):
     # noisy measurements and a wandering input for 1e5 steps: the covariance
     # must stay exactly symmetric with non-negative diagonal throughout
     rng = np.random.default_rng(123)
-    ekf = make_ekf(np.array([0.0, 0.0, 0.0, 0.0]), T_S, Q, R, P0)
+    x, P = (0.0, 0.0, 0.0, 0.0), P0U
     for _ in range(100_000):
         u = rng.uniform(-2.0, 2.0, 2)
-        y = ekf.x_hat[:2] + 0.1 * rng.standard_normal(2)
-        ekf = ekf_step(ekf, ip_params, u, y)
-        assert np.array_equal(ekf.P, ekf.P.T)
-        assert np.min(np.diag(ekf.P)) >= 0.0
-    assert np.all(np.isfinite(ekf.P))
+        y = np.array(x[:2]) + 0.1 * rng.standard_normal(2)
+        x, P = _update(RU, *_predict(ip_params, T_S, QU, x, P, *_floats(u)), *_floats(y))
+        Pf = _full(P)
+        assert np.array_equal(Pf, Pf.T)
+        assert np.min(np.diag(Pf)) >= 0.0
+    assert np.all(np.isfinite(P))
 
 
 def test_steps_are_deterministic(ip_params):
     def run():
-        ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
+        x, P = (0.5, -0.5, 5.0, 0.2), P0U
         rng = np.random.default_rng(99)
         for _ in range(100):
             u = rng.uniform(-3.0, 3.0, 2)
             y = rng.uniform(-1.0, 1.0, 2)
-            ekf = ekf_step(ekf, ip_params, u, y)
-        return ekf
+            x, P = _update(RU, *_predict(ip_params, T_S, QU, x, P, *_floats(u)), *_floats(y))
+        return x, P
 
-    a, b = run(), run()
-    assert np.array_equal(a.x_hat, b.x_hat)
-    assert np.array_equal(a.P, b.P)
+    (xa, Pa), (xb, Pb) = run(), run()
+    assert xa == xb
+    assert Pa == Pb
 
 
 # ---------------------------------------------------------------------------
-# step composition and the covariance form
+# the covariance form
 # ---------------------------------------------------------------------------
-
-
-def test_ekf_step_is_predict_then_update_bit_for_bit(ip_params):
-    rng = np.random.default_rng(2024)
-    ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
-    for _ in range(1000):
-        u = rng.uniform(-3.0, 3.0, 2)
-        y = ekf.x_hat[:2] + 0.1 * rng.standard_normal(2)
-        ref = gain_and_innovate(predict(ekf, ip_params, u), y)
-        ekf = ekf_step(ekf, ip_params, u, y)
-        assert np.array_equal(ekf.x_hat, ref.x_hat)
-        assert np.array_equal(ekf.P, ref.P)
 
 
 def test_predict_covariance_is_the_lyapunov_form_bit_for_bit(ip_params):
@@ -315,15 +266,8 @@ def test_predict_covariance_is_the_lyapunov_form_bit_for_bit(ip_params):
         a, p = A.tolist(), P.tolist()
         AP = [[sum(a[i][k] * p[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
         M = [[p[i][j] + T_S * (AP[i][j] + AP[j][i]) + q[i][j] for j in range(4)] for i in range(4)]
-        out = predict(EkfState(x, P, Q, R, T_S), ip_params, u)
-        assert np.array_equal(out.P, np.array(M))
-
-
-def test_steps_keep_the_callers_tuning_objects(ip_params):
-    ekf = make_ekf(np.array([0.5, -0.5, 5.0, 0.2]), T_S, Q, R, P0)
-    for out in (predict(ekf, ip_params, (1.0, -1.0)), gain_and_innovate(ekf, (0.4, -0.6))):
-        assert type(out) is EkfState
-        assert out.Q is ekf.Q and out.R_meas is ekf.R_meas and out.T_s is ekf.T_s
+        _, out = _predict(ip_params, T_S, QU, _floats(x), _upper(P), *_floats(u))
+        assert np.array_equal(_full(out), np.array(M))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +285,7 @@ def test_gain_matches_a_linear_solve():
         R_meas = 0.5 * (Bm @ Bm.T + (Bm @ Bm.T).T) + 0.1 * np.eye(2)
         ref = np.linalg.solve((P[:2, :2] + R_meas).T, P[:, :2].T).T
         # from a zero estimate, the measurement e_j moves x_hat by K[:, j] exactly
-        K = np.stack([gain_and_innovate(EkfState(np.zeros(4), P, Q, R_meas, T_S), y).x_hat
+        K = np.stack([_update(_floats(R_meas.ravel()), (0.0,) * 4, _upper(P), *y)[0]
                       for y in ((1.0, 0.0), (0.0, 1.0))], axis=1)
         assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -369,9 +313,9 @@ def test_kernels_match_a_numpy_statement_of_the_filter(machine, ip_params, sp_pa
         P_upd = P_pred - K @ C @ P_pred
         P_upd = 0.5 * (P_upd + P_upd.T)
 
-        pred = predict(EkfState(x, P, Q, R_meas, T_S), params, u)
-        upd = gain_and_innovate(pred, y)
-        for got, ref in ((pred.x_hat, x_pred), (pred.P, P_pred), (upd.x_hat, x_upd), (upd.P, P_upd)):
+        pred = _predict(params, T_S, QU, _floats(x), _upper(P), *_floats(u))
+        upd = _update(_floats(R_meas.ravel()), *pred, *_floats(y))
+        for got, ref in ((pred[0], x_pred), (_full(pred[1]), P_pred), (upd[0], x_upd), (_full(upd[1]), P_upd)):
             worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
     assert worst <= 1e-12
 
@@ -382,4 +326,4 @@ def test_non_positive_definite_innovation_covariance_is_a_named_abort(block):
     P = np.eye(4)
     P[:2, :2] = block
     with pytest.raises(FloatingPointError, match="^innovation covariance not positive definite$"):
-        gain_and_innovate(EkfState(np.zeros(4), P, Q, R, T_S), (0.1, -0.2))
+        _update(RU, (0.0,) * 4, _upper(P), 0.1, -0.2)

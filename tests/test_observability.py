@@ -400,6 +400,35 @@ def test_spmsm_standstill_matrix_has_zero_position_column(sp_params):
         assert rank == 3
 
 
+def test_round_machine_theta_column_zeros_are_positive(monkeypatch, sp_params):
+    # at omega = 0 the round machine's current-rate gradient has zero theta entries (3 and 7); they are
+    # +0.0 whatever the sign of the current rate, so numerically equal order-1 matrices are equal bit for bit
+    import pathlib
+
+    import pmsmlab.observability as observability
+    from pmsmlab.config import parse_config
+    from pmsmlab.machine import _inductance, _model_gradients
+    from pmsmlab.simulation import run_scenario
+
+    c, s = math.cos(0.7), math.sin(0.7)
+    for di in (250.0, -250.0):
+        grad = _model_gradients(sp_params, 3.0, -1.0, 0.0, c, s, di, -0.5 * di, _inductance(sp_params, c, s))
+        for k in (3, 7):
+            assert grad[k] == 0.0 and math.copysign(1.0, grad[k]) == 1.0
+
+    # the shipped HFI sweep's 2 V point: a voltage carrier at standstill on the round machine
+    stacks = []
+    monkeypatch.setattr(observability, "numeric_rank", lambda m: stacks.append(m) or numeric_rank(m))
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "hfi_voltage_sweep.json"
+    scn = parse_config(config.read_text()).scenario
+    assert scn.injection.amplitude == 2.0 and scn.params.L2 == 0.0
+    log = run_scenario(scn)
+    (m1,) = stacks
+    assert not log.aborted and len(m1) == len(log) == 6000
+    bits = m1.reshape(len(m1), -1).view(np.int64)
+    assert (bits[1:] == bits[:-1]).all()
+
+
 # ---------------------------------------------------------------------------
 # observability vector and margin
 # ---------------------------------------------------------------------------

@@ -85,9 +85,11 @@ def test_csv_rejects_foreign_files(tmp_path):
     bad.write_text("t,i_alpha\n0.0,1.0\n")
     with pytest.raises(ValueError, match="not a"):
         read_csv(bad)
-    bad.write_text(f"# schema={SCHEMA_TAG}\nt,i_alpha\n")
-    with pytest.raises(ValueError, match="unexpected columns"):
-        read_csv(bad)
+    for text in (f"# schema={SCHEMA_TAG}\nt,i_alpha\n", f"# schema={SCHEMA_TAG}\n"):  # wrong columns, then none
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="unexpected columns") as exc:
+            read_csv(bad)
+        assert str(bad) in str(exc.value)
 
 
 @pytest.mark.parametrize("last", ["0.1,0.2", "truncated"])

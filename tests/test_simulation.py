@@ -19,7 +19,7 @@ from pmsmlab.control import (
     current_reference,
     default_gains,
 )
-from pmsmlab.ekf import ekf_step, make_ekf
+from pmsmlab.ekf import _diag_upper, _predict, _update
 from pmsmlab.machine import MachineState, alphabeta, dq, dynamics_alphabeta, inverse_park, park
 from pmsmlab.observability import sample_report
 from pmsmlab.simulation import (
@@ -188,10 +188,12 @@ def test_table_params_takes_a_kind_name():
 
 
 def test_integrator_rejects_bad_step():
+    # the Scenario rules: a finite T_s > 0 and a whole number of substeps >= 1, where a bool is not one
     st = MachineState(0.0, 0.0, 0.0, 0.0)
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0)])
-    with pytest.raises(ValueError, match="dt"):
-        integrate_electrical(st, inverse_park(dq(0, 0), 0.0), prof, 0.0, 0.0, table_params())
+    for dt, substeps in ((0.0, 1), (math.nan, 1), (math.inf, 1), (1e-4, 0), (1e-4, 2.5), (1e-4, True)):
+        with pytest.raises(ValueError, match="dt must be finite and > 0, and substeps an integer >= 1"):
+            integrate_electrical(st, inverse_park(dq(0, 0), 0.0), prof, 0.0, dt, table_params(), substeps)
 
 
 def test_integrator_resistive_equilibrium_is_exact():
@@ -765,12 +767,14 @@ def test_block_trig_equals_single_element_trig():
 def test_non_positive_definite_innovation_ends_the_run_as_a_named_abort(monkeypatch):
     import pmsmlab.simulation as simulation
 
-    def indefinite(x0, T_s, Q, R_meas, P0):
-        # make_ekf rejects an indefinite P0, so set it after the checks
-        return dataclasses.replace(make_ekf(x0, T_s, Q, R_meas, P0), P=P0 - 5.0 * np.eye(4))
+    scn = _tiny()
 
-    monkeypatch.setattr(simulation, "make_ekf", indefinite)
-    log = run_scenario(_tiny())
+    def indefinite(d):
+        # Scenario rejects a negative p0_diag, so shift the prior P by -5 I after the checks
+        return _diag_upper([v - 5.0 for v in d] if d == scn.p0_diag else d)
+
+    monkeypatch.setattr(simulation, "_diag_upper", indefinite)
+    log = run_scenario(scn)
     assert log.aborted and log.abort_time == 0.0 and len(log) == 0
     assert log.abort_reason == "innovation covariance not positive definite"
 
@@ -797,8 +801,8 @@ def test_run_replays_through_the_controller_kernels(case):
     v0 = (p.R * i_d0 - w0 * p.Lq * i_q0, p.R * i_q0 + w0 * (p.Ld * i_d0 + p.psi_r))
     integ_d, integ_q = (min(max(v, -lim), lim) for v in v0)
     i_ab0 = inverse_park(dq(i_d0, i_q0), scn.theta0)
-    ekf = make_ekf([i_ab0.x, i_ab0.y, 0.0, scn.theta0 + scn.theta_hat_err0], scn.T_s,
-                   Q=np.diag(scn.q_diag), R_meas=np.diag(scn.r_diag), P0=np.diag(scn.p0_diag))
+    q, r, P = _diag_upper(scn.q_diag), (scn.r_diag[0], 0.0, 0.0, scn.r_diag[1]), _diag_upper(scn.p0_diag)
+    x_hat = (float(i_ab0.x), float(i_ab0.y), 0.0, scn.theta0 + scn.theta_hat_err0)
     saturated = False
     for k in range(len(log)):
         y = alphabeta(log.i_alpha[k], log.i_beta[k])
@@ -808,10 +812,10 @@ def test_run_replays_through_the_controller_kernels(case):
         v_d, integ_d = _pi_law(kp_d, ki, integ_d, lim, refs[0] - i_dq.x, scn.T_s)
         v_q, integ_q = _pi_law(kp_q, ki, integ_q, lim, refs[1] - i_dq.y, scn.T_s)
         # the filter's prior angle is unwrapped; the log holds it wrapped
-        v = _command_ab(v_d, v_q, math.cos(theta), math.sin(theta), t, scn.injection, ekf.x_hat[3])
+        v = _command_ab(v_d, v_q, math.cos(theta), math.sin(theta), t, scn.injection, x_hat[3])
         assert v == (log.v_alpha[k], log.v_beta[k])
         saturated |= abs(integ_q) == lim
-        ekf = ekf_step(ekf, p, v, (y.x, y.y))
+        x_hat, P = _update(r, *_predict(p, scn.T_s, q, x_hat, P, *v), float(y.x), float(y.y))
     assert saturated == (case == "saturated")
 
 
