@@ -7,19 +7,12 @@ from pmsmlab.machine import (
     MachineParams,
     MachineState,
     alphabeta,
-    dq,
     dynamics_alphabeta,
-    dynamics_dq,
-    inductance_matrix,
-    inductance_matrix_derivs,
-    inverse_park,
     park,
     torque_alphabeta,
-    torque_dq,
     wrap_angle,
 )
 from pmsmlab.observability import (
-    DegenerateObservabilityVector,
     ModelKind,
     ObservabilityReport,
     det_y1_ipmsm,
@@ -28,9 +21,6 @@ from pmsmlab.observability import (
     hfi_det_y1,
     lie_gradient_stack,
     numeric_rank,
-    obs_matrix_y1_ipmsm,
-    observability_margin,
-    observability_vector,
     sample_report,
     spmsm_det_y1,
     spmsm_det_y2,
@@ -45,7 +35,6 @@ from pmsmlab.simulation import (
     Scenario,
     SpeedProfile,
     TrajectoryLog,
-    integrate_electrical,
     run_scenario,
     standstill_study_scenario,
     table_params,

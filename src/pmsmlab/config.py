@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import groupby
 
 from pmsmlab.control import InjectionKind, InjectionSchedule
-from pmsmlab.machine import MachineParams
-from pmsmlab.simulation import Scenario, SpeedProfile, _is_integer, standstill_study_scenario
+from pmsmlab.machine import MachineParams, _is_integer
+from pmsmlab.simulation import Scenario, SpeedProfile, standstill_study_scenario
 
 SWEEPABLE = ("injection.amplitude", "injection.frequency", "noise_std", "theta_hat_err0")
 

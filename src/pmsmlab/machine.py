@@ -1,4 +1,4 @@
-"""Continuous-time PMSM models in the stator (alpha-beta) and rotor (dq) frames.
+"""Continuous-time PMSM model, written in the stator (alpha-beta) frame.
 
 Conventions used throughout the package:
 
@@ -12,6 +12,9 @@ Conventions used throughout the package:
 The module owns the model and all its derivatives, each read from one
 _inductance evaluation (L, L', L'', adj(L)) per angle.  One gradient kernel,
 _model_gradients, gives the gradients of the current rate and of the torque.
+The package runs on these kernels; the frame-tagged values (FrameVec,
+MachineState) and park, dq_current_rate, dynamics_alphabeta and
+torque_alphabeta on them serve callers outside it.
 """
 
 from __future__ import annotations
@@ -54,47 +57,15 @@ class FrameError(ValueError):
 
 @dataclass(frozen=True)
 class FrameVec:
-    """Two-component current or voltage vector tagged with its frame.
-
-    Arithmetic between vectors requires matching tags; mixing frames is a
-    contract violation and raises FrameError instead of silently rotating.
-    """
+    """Two-component current or voltage vector tagged with its frame; park and the models check the tag."""
 
     x: float
     y: float
     frame: Frame
 
-    def _check(self, other: "FrameVec") -> None:
-        if not isinstance(other, FrameVec):
-            raise TypeError(f"expected FrameVec, got {type(other).__name__}")
-        if other.frame is not self.frame:
-            raise FrameError(
-                f"frame mismatch: {self.frame.value} vs {other.frame.value}"
-            )
-
-    def __add__(self, other: "FrameVec") -> "FrameVec":
-        self._check(other)
-        return FrameVec(self.x + other.x, self.y + other.y, self.frame)
-
-    def __sub__(self, other: "FrameVec") -> "FrameVec":
-        self._check(other)
-        return FrameVec(self.x - other.x, self.y - other.y, self.frame)
-
-    def __mul__(self, scale: float) -> "FrameVec":
-        return FrameVec(self.x * scale, self.y * scale, self.frame)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
 
 def alphabeta(x: float, y: float) -> FrameVec:
     return FrameVec(float(x), float(y), Frame.ALPHA_BETA)
-
-
-def dq(x: float, y: float) -> FrameVec:
-    return FrameVec(float(x), float(y), Frame.DQ)
 
 
 def raise_violations(found) -> None:
@@ -114,6 +85,11 @@ def finite_violations(**values) -> list:
         if not all(map(math.isfinite, v if seq else (v,))):
             found.append((key, "must be a list of finite numbers" if seq else "must be a finite number"))
     return found
+
+
+def _is_integer(v) -> bool:
+    """The integer rule of every integer field and of a config file: a bool is not an integer."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -157,7 +133,7 @@ class MachineParams:
             found.append((None, "|L2| must be < L0 (both Ld and Lq positive)"))
         if psi_r is not None and psi_r < 0.0:
             found.append(("psi_r", "must be >= 0"))
-        if p is not None and int(p) != p:
+        if p is not None and not _is_integer(p):
             found.append(("p", "must be an integer"))
         elif p is not None and p < 1:
             found.append(("p", "must be >= 1"))
@@ -200,10 +176,7 @@ class MachineParams:
 
 @dataclass(frozen=True)
 class MachineState:
-    """True plant state plus the imposed load torque.
-
-    theta is unwrapped; use theta_wrapped for reporting.
-    """
+    """True plant state plus the imposed load torque; theta is unwrapped."""
 
     i_alpha: float
     i_beta: float
@@ -217,16 +190,12 @@ class MachineState:
             raise ValueError(f"non-finite machine state: {vals}")
 
     @property
-    def theta_wrapped(self) -> float:
-        return wrap_angle(self.theta)
-
-    @property
     def currents(self) -> FrameVec:
         return FrameVec(self.i_alpha, self.i_beta, Frame.ALPHA_BETA)
 
 
 def _rotate(x, y, c, s):
-    """(x, y) rotated by the angle with cosine c, sine s; park is (c, -s), inverse_park (c, s)."""
+    """(x, y) rotated by the angle with cosine c, sine s; park is (c, -s), the map back to the stator frame (c, s)."""
     return c * x - s * y, s * x + c * y
 
 
@@ -235,13 +204,6 @@ def park(vec: FrameVec, theta: float) -> FrameVec:
     if vec.frame is not Frame.ALPHA_BETA:
         raise FrameError(f"park expects an alpha-beta vector, got {vec.frame.value}")
     return FrameVec(*_rotate(vec.x, vec.y, math.cos(theta), -math.sin(theta)), Frame.DQ)
-
-
-def inverse_park(vec: FrameVec, theta: float) -> FrameVec:
-    """Map a dq vector back to the stator frame (rotation by +theta)."""
-    if vec.frame is not Frame.DQ:
-        raise FrameError(f"inverse_park expects a dq vector, got {vec.frame.value}")
-    return FrameVec(*_rotate(vec.x, vec.y, math.cos(theta), math.sin(theta)), Frame.ALPHA_BETA)
 
 
 def _inductance(params: MachineParams, c, s):
@@ -255,33 +217,6 @@ def _inductance(params: MachineParams, c, s):
     L_aa, L_ab, L_bb = L0 + L2 * c2, L2 * s2, L0 - L2 * c2
     return ((L_aa, L_ab, L_bb), (-2.0 * L2 * s2, 2.0 * L2 * c2), (-4.0 * L2 * c2, -4.0 * L2 * s2),
             (L_bb, -L_ab, L_aa), L0 * L0 - L2 * L2)
-
-
-def inductance_matrix(theta: float, params: MachineParams) -> np.ndarray:
-    """Stator inductance matrix at electrical position theta.
-
-    Symmetric with constant eigenvalues {Ld, Lq}; reduces to L0*I for a
-    non-salient machine.
-    """
-    (aa, ab, bb), *_ = _inductance(params, math.cos(theta), math.sin(theta))
-    return np.array([[aa, ab], [ab, bb]])
-
-
-def inductance_matrix_derivs(
-    theta: float, params: MachineParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and second theta-derivatives of the inductance matrix.
-
-    The second derivative satisfies L'' = -4*(L - L0*I).
-    """
-    _, (d1_aa, d1_ab), (d2_aa, d2_ab), _, _ = _inductance(params, math.cos(theta), math.sin(theta))
-    return np.array([[d1_aa, d1_ab], [d1_ab, -d1_aa]]), np.array([[d2_aa, d2_ab], [d2_ab, -d2_aa]])
-
-
-def inductance_matrix_inv(theta: float, params: MachineParams) -> np.ndarray:
-    """Inverse inductance matrix; det(L) = L0^2 - L2^2 is theta-independent."""
-    *_, (aa, ab, bb), det = _inductance(params, math.cos(theta), math.sin(theta))
-    return np.array([[aa, ab], [ab, bb]]) / det
 
 
 def _electrical_rate_ab(params: MachineParams, i_a, i_b, omega, c, s, v_a, v_b, ind=None):
@@ -396,11 +331,6 @@ def state_rate(params: MachineParams, x, u, T_l: float = 0.0) -> np.ndarray:
     return np.stack((di_a, di_b, domega, omega), axis=-1)
 
 
-def torque_dq(i_d: float, i_q: float, params: MachineParams) -> float:
-    """Electromagnetic torque from rotor-frame currents."""
-    return 1.5 * params.p * (params.L_delta * i_d + params.psi_r) * i_q
-
-
 def dynamics_alphabeta(
     state: MachineState, v: FrameVec, params: MachineParams
 ) -> tuple[np.ndarray, float, float]:
@@ -414,33 +344,6 @@ def dynamics_alphabeta(
     x = (state.i_alpha, state.i_beta, state.omega, state.theta)
     f = state_rate(params, x, (v.x, v.y), state.T_l)
     return f[:2], f[2], state.omega
-
-
-def dynamics_dq(
-    i_dq: FrameVec,
-    omega: float,
-    v_dq: FrameVec,
-    T_l: float,
-    params: MachineParams,
-) -> tuple[np.ndarray, float, float]:
-    """Full state derivative in the rotor frame.
-
-    Returns (dI_dq/dt, domega/dt, dtheta/dt) where dI_dq/dt is the derivative
-    of the rotor-frame current vector (it includes the -omega*J2*I_dq frame
-    rotation term, so it is consistent with the stator-frame derivative under
-    the Park map of a rotating trajectory).
-    """
-    for vec, name in ((i_dq, "current"), (v_dq, "voltage")):
-        if vec.frame is not Frame.DQ:
-            raise FrameError(f"expected dq {name}, got {vec.frame.value}")
-    i_d, i_q = i_dq.x, i_dq.y
-    v_d, v_q = v_dq.x, v_dq.y
-    Ld, Lq, R, psi_r = params.Ld, params.Lq, params.R, params.psi_r
-    di_d = (v_d - R * i_d + omega * Lq * i_q) / Ld
-    di_q = (v_q - R * i_q - omega * Ld * i_d - omega * psi_r) / Lq
-    T_m = torque_dq(i_d, i_q, params)
-    domega = params.p / params.J * (T_m - T_l)
-    return np.array([di_d, di_q]), domega, omega
 
 
 def dq_current_rate(

@@ -6,7 +6,10 @@ the back-EMF model, and x = [i_alpha, i_beta, psi_alpha, psi_beta] for the
 flux model.  The measured output is always the stator current pair.  The
 electromechanical model and its derivatives come from pmsmlab.machine: the
 order-1 matrix's rows 2-3 are the current-rate gradient of its one gradient
-kernel, _model_gradients, which also gives the filter's Jacobian.
+kernel, _model_gradients, which also gives the filter's Jacobian.  The
+per-sample quantities (order-1 rank and singular values, determinants,
+observability vector and margin) come only from trajectory_reports, which
+sample_report runs on one state.
 
 Two independent routes are kept side by side on purpose:
 
@@ -27,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _electrical_rate_ab, _inductance, _model_gradients, _rotate, state_rate
+from pmsmlab.machine import MachineParams, _inductance, _is_integer, _model_gradients, _rotate, state_rate
 
 STATE_DIM = 4
 OUT_DIM = 2
@@ -50,10 +53,6 @@ class ModelKind(enum.Enum):
     ELECTROMECHANICAL = "electromechanical"
     BACK_EMF = "back_emf"
     FLUX = "flux"
-
-
-class DegenerateObservabilityVector(ValueError):
-    """The observability vector is zero; its phase is undefined."""
 
 
 def numeric_rank(matrix: np.ndarray) -> tuple:
@@ -172,8 +171,8 @@ def lie_gradient_stack(
     so a stack of order K makes 1 + K(K+1)/2 rate calls.  A stack that is not
     finite raises ValueError.
     """
-    if orders < 0 or orders > 3:
-        raise ValueError(f"orders must be in 0..3, got {orders}")
+    if not (_is_integer(orders) and 0 <= orders <= 3):
+        raise ValueError(f"orders must be an integer in 0..3, got {orders!r}")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape != (STATE_DIM,):
@@ -261,24 +260,12 @@ def _obs_matrix_y1(params: MachineParams, i_a, i_b, omega, c, s, di_a, di_b, ind
     return out
 
 
-def obs_matrix_y1_ipmsm(x, u, params: MachineParams) -> np.ndarray:
-    """Analytic 4x4 observability matrix from the output and its first
-    derivative, for the salient electromechanical model.
-
-    x = (i_alpha, i_beta, omega, theta), u = (v_alpha, v_beta).
-    """
-    c, s = math.cos(x[3]), math.sin(x[3])
-    ind = _inductance(params, c, s)
-    di_a, di_b = _electrical_rate_ab(params, x[0], x[1], x[2], c, s, u[0], u[1], ind)
-    return _obs_matrix_y1(params, x[0], x[1], x[2], c, s, di_a, di_b, ind)
-
-
 def det_y1_ipmsm(i_dq, di_dq_dt, omega: float, params: MachineParams) -> float:
     """Closed-form determinant of the order-1 observability matrix.
 
     Arguments are rotor-frame currents and their time derivative (the true
     derivative of the rotating-frame vector, frame-rotation term included).
-    The value is frame-invariant and equals det(obs_matrix_y1_ipmsm).
+    The value is frame-invariant and equals the determinant of _obs_matrix_y1.
     """
     i_d, i_q = i_dq[0], i_dq[1]
     di_d, di_q = di_dq_dt[0], di_dq_dt[1]
@@ -290,17 +277,13 @@ def det_y1_ipmsm(i_dq, di_dq_dt, omega: float, params: MachineParams) -> float:
     return (speed_term + drift_term) / denom
 
 
-class ObsVector(NamedTuple):
-    """Observability vector in the rotor frame and its phase."""
-
-    psi_d: float
-    psi_q: float
-    theta_o: float
-    degenerate: bool
-
-
 def _vector_columns(params: MachineParams, i_d, i_q, di_d, di_q, omega) -> dict:
-    """Observability vector, phase and margin columns; NaN phase and margin where the vector is zero."""
+    """The observability vector Psi = (L_delta i_d + psi_r, L_delta i_q), its phase theta_o and the margin.
+
+    The margin is omega - d(theta_o)/dt, the rate from the quotient rule on the atan2 components.
+    margin * |Psi|^2 / (Ld*Lq) = det_y1, so a zero margin is the order-1 rank loss.  Phase and margin
+    are NaN where the vector is zero.
+    """
     ld = params.L_delta
     psi_d = ld * i_d + params.psi_r
     psi_q = ld * i_q
@@ -310,33 +293,6 @@ def _vector_columns(params: MachineParams, i_d, i_q, di_d, di_q, omega) -> dict:
         rate = ld * (psi_d * di_q - psi_q * di_d) / norm_sq
         margin = np.where(norm_sq > 0.0, omega - rate, np.nan)
     return {"psi_o_d": psi_d, "psi_o_q": psi_q, "theta_o": theta_o, "margin": margin}
-
-
-def observability_vector(i_dq, params: MachineParams) -> ObsVector:
-    """Rotor-frame vector whose rotation rate governs the rank condition.
-
-    The d-component is the active flux L_delta*i_d + psi_r.  When the vector
-    is exactly zero its phase is undefined; the result is flagged degenerate
-    and theta_o is NaN.
-    """
-    cols = _vector_columns(params, *np.asarray(i_dq, dtype=float), 0.0, 0.0, 0.0)
-    psi_d, psi_q = float(cols["psi_o_d"]), float(cols["psi_o_q"])
-    return ObsVector(psi_d, psi_q, float(cols["theta_o"]), psi_d == 0.0 and psi_q == 0.0)
-
-
-def observability_margin(i_dq, di_dq_dt, omega: float, params: MachineParams) -> float:
-    """omega minus the rotation rate of the observability vector.
-
-    The rate d(theta_o)/dt comes from the quotient rule on atan2 components,
-    not from differencing phase samples.  Zero margin is exactly the rank
-    deficiency of the order-1 stack: margin * |Psi|^2 / (Ld*Lq) = det_y1.
-    """
-    cols = _vector_columns(params, *np.asarray(i_dq, dtype=float), *np.asarray(di_dq_dt, dtype=float), omega)
-    if cols["psi_o_d"] == 0.0 and cols["psi_o_q"] == 0.0:
-        raise DegenerateObservabilityVector(
-            f"observability vector is zero at i_dq={tuple(i_dq)}"
-        )
-    return float(cols["margin"])
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ With the motion imposed and the voltage held over a sample, one RK4 substep
 maps the currents affinely, and so do a sample's `ode_substeps` substeps
 together.  The maps depend only on the plant: one broadcasting RK4
 (`_step_maps`) over blocks of steps, composed pairwise into one map per
-sample (`_sample_maps`).  A run builds them block by block as its loop
-reaches them (`_map_blocks`), and a still stretch of the profile, where
-every sample's map is the same, once.  Those blocks are the loop's unit:
+sample (`_sample_maps`), which `_apply_map` applies; there is no other
+integrator.  A run builds them block by block as its loop reaches them
+(`_map_blocks`), and a still stretch of the profile, where every sample's
+map is the same, once.  Those blocks are the loop's unit:
 it applies one map per sample, and per block converts the rows, draws the
 measurement noise and stores its record with one call each; the draws come
 in the order of one `standard_normal(2)` per sample, whatever the block.
@@ -39,16 +40,13 @@ from pmsmlab.control import (
 )
 from pmsmlab.ekf import _diag_upper, _predict, _update
 from pmsmlab.machine import (
-    FrameVec,
     MachineParams,
-    MachineState,
     _dq_current_rate,
     _electrical_rate_ab,
     _inductance,
+    _is_integer,
     _rotate,
-    dq,
     finite_violations,
-    inverse_park,
     raise_violations,
     wrap_angle,
 )
@@ -129,11 +127,6 @@ class SpeedProfile:
     def angle(self, t):
         """Exact integral of omega from the first breakpoint time to t."""
         return self.evaluate(t)[2]
-
-
-def _is_integer(v) -> bool:
-    """The integer rule of Scenario and of a config file: a bool is not an integer."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class MachineKind(enum.Enum):
@@ -356,29 +349,6 @@ def _apply_map(row, R: float, ia: float, ib: float, va: float, vb: float, t: flo
     return ia, ib
 
 
-def integrate_electrical(
-    state: MachineState,
-    v_ab: FrameVec,
-    profile: SpeedProfile,
-    t: float,
-    dt: float,
-    params: MachineParams,
-    substeps: int = 1,
-) -> MachineState:
-    """Classical RK4 on the currents over [t, t+dt], in `substeps` equal steps.
-
-    Speed and position inside the stages come from the profile (exact angle
-    integral anchored at the state's current theta), voltage is held constant.
-    The steps are composed into one map as in a run, so at t = k*T_s, dt = T_s
-    and substeps = ode_substeps this is the run's sample k, bit for bit.
-    """
-    if not (math.isfinite(dt) and dt > 0.0) or not _is_integer(substeps) or substeps < 1:
-        raise ValueError("dt must be finite and > 0, and substeps an integer >= 1")
-    (row,) = _sample_maps(params, profile, np.array([t]), substeps, dt, state.theta).tolist()
-    ia, ib = _apply_map(row, params.R, state.i_alpha, state.i_beta, v_ab.x, v_ab.y, t, dt)
-    return MachineState(ia, ib, row[10], row[11], state.T_l)
-
-
 def _still_stretches(profile: SpeedProfile, n: int, substeps: int, T_s: float) -> list:
     """Sample ranges [k0, k1) of samples 0..n-1 over which every RK4 stage sees one profile value.
 
@@ -487,8 +457,8 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     # where the Euler-form covariance prediction loses positive definiteness.
     i_d0, i_q0 = scn.setpoints
     w0 = scn.profile.omega(0.0)
-    i_ab0 = inverse_park(dq(i_d0, i_q0), scn.theta0)
-    ia, ib, omega, theta = i_ab0.x, i_ab0.y, w0, scn.theta0
+    ia, ib = _rotate(float(i_d0), float(i_q0), math.cos(scn.theta0), math.sin(scn.theta0))
+    omega, theta = w0, scn.theta0
     v_d0 = params.R * i_d0 - w0 * params.Lq * i_q0
     v_q0 = params.R * i_q0 + w0 * (params.Ld * i_d0 + params.psi_r)
     limit = scn.voltage_limit
@@ -497,7 +467,7 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     # the filter runs on floats: x_hat, with the prior angle unwrapped, and P's 10 distinct entries
     q, P, (r0, r1) = _diag_upper(scn.q_diag), _diag_upper(scn.p0_diag), map(float, scn.r_diag)
     r = (r0, 0.0, 0.0, r1)  # R_meas row by row
-    x_hat = (float(i_ab0.x), float(i_ab0.y), 0.0, float(scn.theta0 + scn.theta_hat_err0))
+    x_hat = (ia, ib, 0.0, float(scn.theta0 + scn.theta_hat_err0))
     omega_hat, theta_hat = x_hat[2:] if with_ekf else (math.nan, math.nan)  # analyze has no estimates
 
     rec = np.empty((n, 10))  # one row per sample: what the loop decides or advances

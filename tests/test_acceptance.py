@@ -11,19 +11,22 @@ import math
 import numpy as np
 import pytest
 
-from _samplers import ipmsm_free_states, spmsm_moving_points, spmsm_singular_points
+from _samplers import (
+    ipmsm_free_states,
+    rotor_frame_dynamics,
+    rotor_frame_torque,
+    spmsm_moving_points,
+    spmsm_singular_points,
+)
 from pmsmlab.ekf import _diag_upper, _predict, _update
 from pmsmlab.machine import (
     MachineState,
+    _rotate,
     alphabeta,
-    dq,
     dq_current_rate,
     dynamics_alphabeta,
-    dynamics_dq,
-    inverse_park,
     park,
     torque_alphabeta,
-    torque_dq,
     wrap_angle,
 )
 from pmsmlab.observability import (
@@ -275,8 +278,8 @@ def criterion_7() -> tuple[bool, str]:
         v_ab = alphabeta(*rng.uniform(-40.0, 40.0, 2))
         state = MachineState(i_a, i_b, om, th, T_l)
         di_ab, dom_ab, dth_ab = dynamics_alphabeta(state, v_ab, params)
-        i_dq = park(state.currents, th)
-        di_dq, dom_dq, dth_dq = dynamics_dq(i_dq, om, park(v_ab, th), T_l, params)
+        i_dq, v_dq = park(state.currents, th), park(v_ab, th)
+        di_dq, dom_dq, dth_dq = rotor_frame_dynamics(i_dq.x, i_dq.y, om, v_dq.x, v_dq.y, T_l, params)
         di_dq_from_ab = dq_current_rate(state, v_ab, params)
         w_dyn = max(
             w_dyn,
@@ -284,11 +287,12 @@ def criterion_7() -> tuple[bool, str]:
             rel(di_dq_from_ab[1], di_dq[1]),
             rel(dom_ab, dom_dq),
             rel(dth_ab, dth_dq),
-            rel(torque_alphabeta(state, params), torque_dq(i_dq.x, i_dq.y, params)),
+            rel(torque_alphabeta(state, params), rotor_frame_torque(i_dq.x, i_dq.y, params)),
         )
         vec = alphabeta(*rng.uniform(-50.0, 50.0, 2))
-        back = inverse_park(park(vec, th), th)
-        w_park = max(w_park, rel(back.x, vec.x), rel(back.y, vec.y))
+        out = park(vec, th)
+        back = _rotate(out.x, out.y, math.cos(th), math.sin(th))
+        w_park = max(w_park, rel(back[0], vec.x), rel(back[1], vec.y))
     ok = w_dyn < 1e-10 and w_park < 1e-14
     return ok, f"frame mismatch {w_dyn:.3e} over 1000 states; round trip {w_park:.3e}"
 
@@ -297,9 +301,10 @@ def criterion_8(ip_log: TrajectoryLog, sp_log: TrajectoryLog) -> tuple[bool, str
     """Covariance hygiene over the full study and bit-identical reruns."""
     scn = standstill_study_scenario(MachineKind.IPMSM)
     assert scn.noise_std == 0.0  # logged currents are the filter measurements
-    i_ab0 = inverse_park(dq(*scn.setpoints), scn.theta0)
+    i_d0, i_q0 = scn.setpoints
     # the filter kernels on the logged stream: x_hat as 4 floats, P as its 10 upper-triangle entries
-    x_hat = (float(i_ab0.x), float(i_ab0.y), 0.0, scn.theta0 + scn.theta_hat_err0)
+    x_hat = (*_rotate(float(i_d0), float(i_q0), math.cos(scn.theta0), math.sin(scn.theta0)), 0.0,
+             scn.theta0 + scn.theta_hat_err0)
     q, r, P = _diag_upper(scn.q_diag), (scn.r_diag[0], 0.0, 0.0, scn.r_diag[1]), _diag_upper(scn.p0_diag)
     upper = np.triu_indices(4)
     P_full = np.empty((4, 4))

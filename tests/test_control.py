@@ -13,7 +13,7 @@ from pmsmlab.control import (
     current_reference,
     default_gains,
 )
-from pmsmlab.machine import MachineParams, MachineState, alphabeta, park
+from pmsmlab.machine import MachineParams, alphabeta, park
 from pmsmlab.simulation import Scenario
 
 T_S = 1e-4
@@ -142,20 +142,20 @@ def test_controller_voltage_injection_term():
 
 def _run_loop(params, theta, refs, n, substeps=10, omega=0.0):
     """Regulate the real machine at a frozen rotor angle for n samples."""
-    from pmsmlab.simulation import integrate_electrical, SpeedProfile
+    from _samplers import sample_step
+    from pmsmlab.simulation import SpeedProfile
 
     profile = SpeedProfile.from_breakpoints([(0.0, omega)])
-    state = MachineState(0.0, 0.0, omega, theta)
+    state = (0.0, 0.0, omega, theta)
     integ = (0.0, 0.0)
     log = []
     for k in range(n):
-        i_dq = park(state.currents, state.theta)
+        i_dq = park(alphabeta(*state[:2]), state[3])
         log.append((i_dq.x, i_dq.y))
-        v, integ = _control(params, (i_dq.x, i_dq.y), refs, state.theta, integ, t=k * T_S)
+        v, integ = _control(params, (i_dq.x, i_dq.y), refs, state[3], integ, t=k * T_S)
         for j in range(substeps):
-            state = integrate_electrical(
-                state, alphabeta(*v), profile, k * T_S + j * T_S / substeps, T_S / substeps, params
-            )
+            state = sample_step(params, profile, state[0], state[1], state[3], v,
+                                k * T_S + j * T_S / substeps, T_S / substeps)
     return np.array(log), state
 
 

@@ -56,13 +56,13 @@ def test_diag_upper_lays_out_the_diagonal_matrix():
 
 def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
     # the filter's rate and Jacobian share L(theta); so do the plant's k2 and k3 RK4 stages, state_rate's
-    # current rate and torque, and the order-1 matrix's current rate and gradient
+    # current rate and torque, and the one-state report's order-1 matrix and gradient
     import sys
 
     import pmsmlab.machine
     from pmsmlab.machine import state_rate
-    from pmsmlab.observability import obs_matrix_y1_ipmsm
-    from pmsmlab.simulation import SpeedProfile, integrate_electrical
+    from pmsmlab.observability import sample_report
+    from pmsmlab.simulation import SpeedProfile, _sample_maps
 
     calls, inductance = [], pmsmlab.machine._inductance
     lookups = [m for name, m in sys.modules.items() if name.startswith("pmsmlab") and hasattr(m, "_inductance")]
@@ -72,24 +72,22 @@ def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
     _predict(ip_params, T_S, QU, (0.5, -0.5, 5.0, 0.2), P0U, 1.0, -2.0)
     assert len(calls) == 1
     prof = SpeedProfile.from_breakpoints([(0.0, 5.0), (1.0, 20.0)])
-    integrate_electrical(MachineState(0.5, -0.5, 5.0, 0.2), alphabeta(1.0, -2.0), prof, 0.0, T_S, ip_params)
+    _sample_maps(ip_params, prof, np.array([0.0]), 1, T_S, 0.2)  # one sample of one RK4 step
     assert len(calls) == 1 + 3  # the k1, shared k2/k3 and k4 angles
     state_rate(ip_params, (0.5, -0.5, 5.0, 0.2), (1.0, -2.0))
     assert len(calls) == 1 + 3 + 1
-    obs_matrix_y1_ipmsm((0.5, -0.5, 5.0, 0.2), (1.0, -2.0), ip_params)
+    sample_report(ip_params, 0.0, (0.5, -0.5), (1.0, -2.0), 5.0, 0.0, 0.2)
     assert len(calls) == 1 + 3 + 1 + 1
 
 
 @pytest.mark.parametrize("machine", ["ip", "sp"])
 def test_filter_jacobian_is_the_order1_matrix(machine, ip_params, sp_params):
     # A's current-rate rows and the order-1 matrix's rows 2-3 come from one gradient kernel, so they agree bit for bit
-    from _samplers import ipmsm_free_states
-
-    from pmsmlab.observability import obs_matrix_y1_ipmsm
+    from _samplers import ipmsm_free_states, order1_matrix
 
     params = ip_params if machine == "ip" else sp_params
     for x, u in ipmsm_free_states(42, 100):  # criterion 1's states
-        assert np.array_equal(linearize(params, x, u)[0][:2], obs_matrix_y1_ipmsm(x, u, params)[2:])
+        assert np.array_equal(linearize(params, x, u)[0][:2], order1_matrix(x, u, params)[2:])
 
 
 def test_linearize_output_matrix(ip_params):

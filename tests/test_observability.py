@@ -7,13 +7,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from _samplers import ipmsm_free_states, spmsm_moving_points, spmsm_singular_points
+from _samplers import ipmsm_free_states, order1_matrix, spmsm_moving_points, spmsm_singular_points
 from pmsmlab.ekf import linearize
 from pmsmlab.machine import (
     MachineParams,
     MachineState,
     alphabeta,
-    dq,
     dq_current_rate,
     dynamics_alphabeta,
     park,
@@ -24,7 +23,6 @@ from pmsmlab.observability import (
     _backemf_rate,
     _emech_rate,
     _flux_rate,
-    DegenerateObservabilityVector,
     ModelKind,
     ObservabilityReport,
     augmented_output_rank,
@@ -35,9 +33,6 @@ from pmsmlab.observability import (
     hfi_det_y1,
     lie_gradient_stack,
     numeric_rank,
-    obs_matrix_y1_ipmsm,
-    observability_margin,
-    observability_vector,
     sample_report,
     spmsm_det_y1,
     spmsm_det_y2,
@@ -62,6 +57,11 @@ def _random_dq_points(seed, n):
         di = rng.uniform(-2e3, 2e3, 2)
         om = rng.uniform(-120.0, 120.0)
         yield i_dq, di, om
+
+
+def _report(params, i_dq, di=(0.0, 0.0), om=0.0):
+    """The one-state report at theta = 0 and zero acceleration: the vector and margin columns at one sample."""
+    return sample_report(params, 0.0, i_dq, di, om, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +109,9 @@ def test_stack_input_validation(ip_params, sp_params):
     u = np.zeros(2)
     with pytest.raises(ValueError, match="orders"):
         lie_gradient_stack(EM, x, u, 4, ip_params)
-    with pytest.raises(ValueError, match="orders"):
-        lie_gradient_stack(EM, x, u, -1, ip_params)
+    for orders in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="orders"):
+            lie_gradient_stack(EM, x, u, orders, ip_params)
     with pytest.raises(ValueError, match="shape"):
         lie_gradient_stack(EM, np.zeros(3), u, 1, ip_params)
     with pytest.raises(ValueError, match="omega_ext"):
@@ -138,7 +139,7 @@ def test_order1_stack_matches_analytic_matrix(ip_params):
     worst = 0.0
     for x, u in ipmsm_free_states(21, 20):
         fd = lie_gradient_stack(EM, x, u, 1, ip_params)
-        cf = obs_matrix_y1_ipmsm(x, u, ip_params)
+        cf = order1_matrix(x, u, ip_params)
         scale = max(1.0, np.max(np.abs(cf)))
         worst = max(worst, np.max(np.abs(fd - cf)) / scale)
     assert worst < 1e-5
@@ -306,9 +307,7 @@ def test_det_y1_equals_matrix_determinant(ip_params):
         i_dq = park(st.currents, st.theta)
         di_dq = dq_current_rate(st, v, ip_params)
         cf = det_y1_ipmsm((i_dq.x, i_dq.y), di_dq, st.omega, ip_params)
-        mat = obs_matrix_y1_ipmsm(
-            [st.i_alpha, st.i_beta, st.omega, st.theta], [v.x, v.y], ip_params
-        )
+        mat = order1_matrix([st.i_alpha, st.i_beta, st.omega, st.theta], [v.x, v.y], ip_params)
         assert np.linalg.det(mat) == pytest.approx(cf, rel=1e-10)
 
 
@@ -369,7 +368,7 @@ def test_order1_closed_forms_match_the_exact_symbolic_matrix(ip_params):
             i_dq = park(state.currents, x[3])
             cf = det_y1_ipmsm((i_dq.x, i_dq.y), dq_current_rate(state, alphabeta(*u), ip_params), x[2], ip_params)
             worst_det = max(worst_det, float(abs(cf - exact) / abs(exact)))
-            worst_row = max(worst_row, _worst_row_error(obs_matrix_y1_ipmsm(x, u, ip_params), matrix(*args)))
+            worst_row = max(worst_row, _worst_row_error(order1_matrix(x, u, ip_params), matrix(*args)))
     assert worst_det < 1e-12
     assert worst_row < 1e-12
 
@@ -394,7 +393,7 @@ def test_torque_and_filter_jacobian_match_the_exact_symbolic_model(machine, ip_p
 
 def test_spmsm_standstill_matrix_has_zero_position_column(sp_params):
     for theta in (0.0, 0.7, -2.1):
-        mat = obs_matrix_y1_ipmsm([3.0, -1.0, 0.0, theta], [0.5, -0.2], sp_params)
+        mat = order1_matrix([3.0, -1.0, 0.0, theta], [0.5, -0.2], sp_params)
         assert not mat[:, 3].any()
         rank, _ = numeric_rank(mat)
         assert rank == 3
@@ -435,39 +434,34 @@ def test_round_machine_theta_column_zeros_are_positive(monkeypatch, sp_params):
 
 
 def test_observability_vector_table_point(ip_params):
-    vec = observability_vector((0.0, 15.0), ip_params)
-    assert vec.psi_d == pytest.approx(0.0225, rel=1e-12)
-    assert vec.psi_q == pytest.approx(-4.5e-3, rel=1e-12)
-    assert vec.theta_o == pytest.approx(math.atan2(-4.5e-3, 0.0225), rel=1e-12)
-    assert not vec.degenerate
+    rep = _report(ip_params, (0.0, 15.0))
+    assert rep.psi_o_d == pytest.approx(0.0225, rel=1e-12)
+    assert rep.psi_o_q == pytest.approx(-4.5e-3, rel=1e-12)
+    assert rep.theta_o == pytest.approx(math.atan2(-4.5e-3, 0.0225), rel=1e-12)
+    assert (rep.psi_o_d, rep.psi_o_q) != (0.0, 0.0)
 
 
 def test_observability_vector_degenerate_point():
+    # a zero vector has no phase and no rotation rate: both columns are NaN, and nothing raises
     i_d_star = -EXACT.psi_r / EXACT.L_delta
-    vec = observability_vector((i_d_star, 0.0), EXACT)
-    assert vec.degenerate
-    assert vec.psi_d == 0.0 and vec.psi_q == 0.0
-    assert math.isnan(vec.theta_o)
+    rep = _report(EXACT, (i_d_star, 0.0), (1.0, 1.0), 10.0)
+    assert rep.psi_o_d == 0.0 and rep.psi_o_q == 0.0
+    assert math.isnan(rep.theta_o)
+    assert math.isnan(rep.margin)
 
 
 def test_margin_zero_rate_cases(ip_params, sp_params):
-    assert observability_margin((1.0, 2.0), (0.0, 0.0), 50.0, ip_params) == 50.0
+    assert _report(ip_params, (1.0, 2.0), (0.0, 0.0), 50.0).margin == 50.0
     # non-salient machine: the vector never rotates, margin is the speed
-    assert observability_margin((1.0, 2.0), (900.0, -30.0), 7.0, sp_params) == 7.0
-
-
-def test_margin_raises_at_degenerate_vector():
-    i_d_star = -EXACT.psi_r / EXACT.L_delta
-    with pytest.raises(DegenerateObservabilityVector):
-        observability_margin((i_d_star, 0.0), (1.0, 1.0), 10.0, EXACT)
+    assert _report(sp_params, (1.0, 2.0), (900.0, -30.0), 7.0).margin == 7.0
 
 
 def test_margin_determinant_identity(ip_params):
     # margin * |Psi|^2 / (Ld Lq) == det_y1, two independent code paths
     for i_dq, di, om in _random_dq_points(17, 200):
-        vec = observability_vector(i_dq, ip_params)
-        norm_sq = vec.psi_d**2 + vec.psi_q**2
-        m = observability_margin(i_dq, di, om, ip_params)
+        rep = _report(ip_params, i_dq, di, om)
+        norm_sq = rep.psi_o_d**2 + rep.psi_o_q**2
+        m = rep.margin
         lhs = m * norm_sq / (ip_params.Ld * ip_params.Lq)
         rhs = det_y1_ipmsm(i_dq, di, om, ip_params)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-9)
@@ -475,7 +469,7 @@ def test_margin_determinant_identity(ip_params):
 
 def test_margin_sign_agrees_with_determinant(ip_params):
     for i_dq, di, om in _random_dq_points(19, 1000):
-        m = observability_margin(i_dq, di, om, ip_params)
+        m = _report(ip_params, i_dq, di, om).margin
         d = det_y1_ipmsm(i_dq, di, om, ip_params)
         if abs(m) > 1e-9 and abs(d) > 1e-9:
             assert (m > 0) == (d > 0)
@@ -732,13 +726,12 @@ def test_vector_and_margin_are_the_trajectory_columns_at_one_sample(ip_params):
         cols = trajectory_reports(
             ip_params, *(np.array([v]) for v in (0.0, *i_dq, *di, om, 0.0, 0.0))
         )
-        vec = observability_vector(i_dq, ip_params)
-        margin = observability_margin(i_dq, di, om, ip_params)
-        assert (vec.psi_d, vec.psi_q, vec.theta_o) == (
+        rep = _report(ip_params, i_dq, di, om)
+        assert (rep.psi_o_d, rep.psi_o_q, rep.theta_o) == (
             cols["psi_o_d"][0], cols["psi_o_q"][0], cols["theta_o"][0]
         )
-        assert margin == cols["margin"][0]
-        assert type(margin) is float and type(vec.theta_o) is float and not vec.degenerate
+        assert rep.margin == cols["margin"][0]
+        assert type(rep.margin) is float and type(rep.theta_o) is float and (rep.psi_o_d, rep.psi_o_q) != (0.0, 0.0)
 
 
 def test_non_finite_order1_matrix_raises_before_the_svd(ip_params):

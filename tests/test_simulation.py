@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pmsmlab
+from _samplers import sample_step
 from pmsmlab.control import (
     InjectionKind,
     InjectionSchedule,
@@ -20,13 +21,12 @@ from pmsmlab.control import (
     default_gains,
 )
 from pmsmlab.ekf import _diag_upper, _predict, _update
-from pmsmlab.machine import MachineState, alphabeta, dq, dynamics_alphabeta, inverse_park, park
+from pmsmlab.machine import MachineState, _rotate, alphabeta, dynamics_alphabeta, park, wrap_angle
 from pmsmlab.observability import sample_report
 from pmsmlab.simulation import (
     MachineKind,
     Scenario,
     SpeedProfile,
-    integrate_electrical,
     run_scenario,
     standstill_study_scenario,
     table_params,
@@ -187,41 +187,30 @@ def test_table_params_takes_a_kind_name():
 # ---------------------------------------------------------------------------
 
 
-def test_integrator_rejects_bad_step():
-    # the Scenario rules: a finite T_s > 0 and a whole number of substeps >= 1, where a bool is not one
-    st = MachineState(0.0, 0.0, 0.0, 0.0)
-    prof = SpeedProfile.from_breakpoints([(0.0, 0.0)])
-    for dt, substeps in ((0.0, 1), (math.nan, 1), (math.inf, 1), (1e-4, 0), (1e-4, 2.5), (1e-4, True)):
-        with pytest.raises(ValueError, match="dt must be finite and > 0, and substeps an integer >= 1"):
-            integrate_electrical(st, inverse_park(dq(0, 0), 0.0), prof, 0.0, dt, table_params(), substeps)
-
-
 def test_integrator_resistive_equilibrium_is_exact():
-    from pmsmlab.machine import alphabeta
-
     params = table_params()
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0)])
-    st = MachineState(3.0, -2.0, 0.0, 0.4)
-    v = alphabeta(params.R * 3.0, params.R * -2.0)
-    out = st
+    v = (params.R * 3.0, params.R * -2.0)
+    out = (3.0, -2.0, 0.0, 0.4)
     for k in range(10):
-        out = integrate_electrical(out, v, prof, k * 1e-4, 1e-4, params)
-    assert out.i_alpha == 3.0 and out.i_beta == -2.0
-    assert out.theta == 0.4 and out.omega == 0.0
+        out = sample_step(params, prof, out[0], out[1], out[3], v, k * 1e-4, 1e-4)
+    i_alpha, i_beta, omega, theta = out
+    assert i_alpha == 3.0 and i_beta == -2.0
+    assert theta == 0.4 and omega == 0.0
 
 
 def test_integrator_is_fourth_order():
     params = table_params()
     prof = SpeedProfile.from_breakpoints([(0.0, 40.0)])
-    st0 = MachineState(1.0, -2.0, 40.0, 0.2)
-    v = inverse_park(dq(0.5, 0.8), 0.2)
+    st0 = (1.0, -2.0, 40.0, 0.2)
+    v = _rotate(0.5, 0.8, math.cos(0.2), math.sin(0.2))
     dt = 1e-4
 
     def advance(state, n):
         h = dt / n
         for j in range(n):
-            state = integrate_electrical(state, v, prof, j * h, h, params)
-        return np.array([state.i_alpha, state.i_beta])
+            state = sample_step(params, prof, state[0], state[1], state[3], v, j * h, h)
+        return np.array(state[:2])
 
     ref = advance(st0, 64)
     e1 = np.linalg.norm(advance(st0, 1) - ref)
@@ -230,29 +219,29 @@ def test_integrator_is_fourth_order():
 
 
 def _held_voltage_steps(params, prof, state, voltage, dt, n, prefix=1000):
-    """(i_alpha, i_beta, theta) after n RK4 steps of dt from state, voltage(theta) held over each.
+    """(i_alpha, i_beta, theta) after n RK4 steps of dt from state = (i_alpha, i_beta, omega, theta).
 
-    The steps are a run's map rows at one substep per sample, applied as the
-    run applies them; the first `prefix` states must equal integrate_electrical's,
-    bit for bit.
+    voltage(theta) gives (v_alpha, v_beta), held over each step.  The steps
+    are a run's map rows at one substep per sample, applied as the run
+    applies them; the first `prefix` states must equal those of one-sample
+    builds (sample_step), bit for bit.
     """
     from pmsmlab.simulation import _apply_map, _map_blocks
 
-    scn = Scenario(params=params, profile=prof, t_end=n * dt, T_s=dt, ode_substeps=1, theta0=state.theta)
+    ia, ib, _, theta = state
+    scn = Scenario(params=params, profile=prof, t_end=n * dt, T_s=dt, ode_substeps=1, theta0=theta)
     assert scn.n_samples == n
-    ia, ib, theta = state.i_alpha, state.i_beta, state.theta
     got, replay = [], [state]
     rows = (row for maps, m in _map_blocks(scn) for row in maps.tolist() * (m // len(maps)))
     for k, row in enumerate(rows):
         v = voltage(theta)
-        ia, ib = _apply_map(row, params.R, ia, ib, v.x, v.y, k * dt, dt)
+        ia, ib = _apply_map(row, params.R, ia, ib, v[0], v[1], k * dt, dt)
         theta = row[11]
         if k < prefix:
             got.append((ia, ib, row[10], theta))
             st = replay[-1]
-            replay.append(integrate_electrical(st, voltage(st.theta), prof, k * dt, dt, params))
-    want = [(st.i_alpha, st.i_beta, st.omega, st.theta) for st in replay[1:]]
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+            replay.append(sample_step(params, prof, st[0], st[1], st[3], voltage(st[3]), k * dt, dt))
+    assert np.array(got).tobytes() == np.array(replay[1:]).tobytes()
     return ia, ib, theta
 
 
@@ -260,11 +249,11 @@ def test_integrator_standstill_steady_state():
     # constant voltage at locked rotor settles to i = v/R
     params = table_params()
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0)])
-    st = MachineState(0.0, 0.0, 0.0, 0.3)
-    v = inverse_park(dq(0.2, -0.1), 0.3)
+    st = (0.0, 0.0, 0.0, 0.3)
+    v = _rotate(0.2, -0.1, math.cos(0.3), math.sin(0.3))
     n = 13000  # 1.3 s = 20 L/R time constants
     i_a, i_b, _ = _held_voltage_steps(params, prof, st, lambda theta: v, 1e-4, n)
-    expect = np.array([v.x, v.y]) / params.R
+    expect = np.array(v) / params.R
     err = np.linalg.norm([i_a, i_b] - expect) / np.linalg.norm(expect)
     assert err < 1e-6
 
@@ -275,15 +264,13 @@ def test_integrator_rotating_steady_state():
     params = table_params()
     omega = 20.0
     prof = SpeedProfile.from_breakpoints([(0.0, omega)])
-    i_ref = dq(0.0, 15.0)
-    v_dq = dq(
-        params.R * i_ref.x - omega * params.Lq * i_ref.y,
-        params.R * i_ref.y + omega * (params.Ld * i_ref.x + params.psi_r),
-    )
-    i_ab0 = inverse_park(i_ref, 0.0)
-    st = MachineState(i_ab0.x, i_ab0.y, omega, 0.0)
+    i_d, i_q = 0.0, 15.0
+    v_d = params.R * i_d - omega * params.Lq * i_q
+    v_q = params.R * i_q + omega * (params.Ld * i_d + params.psi_r)
+    st = (*_rotate(i_d, i_q, math.cos(0.0), math.sin(0.0)), omega, 0.0)
     dt = 2e-5
-    i_a, i_b, theta = _held_voltage_steps(params, prof, st, lambda theta: inverse_park(v_dq, theta), dt, 65000)  # 1.3 s
+    i_a, i_b, theta = _held_voltage_steps(
+        params, prof, st, lambda theta: _rotate(v_d, v_q, math.cos(theta), math.sin(theta)), dt, 65000)  # 1.3 s
     i_dq = park(alphabeta(i_a, i_b), theta)
     assert abs(i_dq.y - 15.0) / 15.0 < 1.5e-3
     assert abs(i_dq.x) < 0.05
@@ -539,25 +526,25 @@ def test_profile_scalar_calls_return_float():
 
 
 def test_run_replays_through_the_single_step_integrator():
-    # one integrator: the logged voltages, stepped through integrate_electrical
-    # one sample at a time with the run's substeps, reproduce the logged currents bit for bit
+    # one integrator: the logged voltages, stepped one sample at a time through a map row built
+    # for that sample alone, with the run's substeps, reproduce the logged currents bit for bit
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.004, 0.0), (0.015, 40.0)])
     scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3)
     log = run_scenario(scn, with_ekf=False)
-    st = MachineState(log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
+    st = (log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
     for k in range(len(log) - 1):
-        v = alphabeta(log.v_alpha[k], log.v_beta[k])
-        st = integrate_electrical(st, v, prof, k * scn.T_s, scn.T_s, scn.params, substeps=scn.ode_substeps)
-        assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
-        assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
+        v = (log.v_alpha[k], log.v_beta[k])
+        st = sample_step(scn.params, prof, st[0], st[1], st[3], v, k * scn.T_s, scn.T_s, scn.ode_substeps)
+        assert st[:2] == (log.i_alpha[k + 1], log.i_beta[k + 1])
+        assert (st[2], wrap_angle(st[3])) == (log.omega_true[k + 1], log.theta_true[k + 1])
 
 
 @pytest.mark.parametrize("substeps, t_end", [(3, 0.06), (137, 0.002), (600, 0.0006)])
 def test_run_replays_across_map_blocks(substeps, t_end, monkeypatch):
     # the run builds its maps in blocks of whole samples, and a sample of more
-    # than _MAP_BLOCK substeps in chunks; the replay through
-    # integrate_electrical, which builds one sample per call, must still
-    # match bit for bit at every block and chunk edge, whatever the block size
+    # than _MAP_BLOCK substeps in chunks; the replay through sample_step,
+    # which builds one sample per call, must still match bit for bit at every
+    # block and chunk edge, whatever the block size
     import pmsmlab.simulation as simulation
     from pmsmlab.simulation import _MAP_BLOCK
 
@@ -571,12 +558,12 @@ def test_run_replays_across_map_blocks(substeps, t_end, monkeypatch):
         assert substeps < _MAP_BLOCK or substeps % _MAP_BLOCK != 0  # a short last chunk
         log = run_scenario(scn, with_ekf=False)
         assert len(log) == scn.n_samples
-        st = MachineState(log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
+        st = (log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
         for k in range(len(log) - 1):
-            v = alphabeta(log.v_alpha[k], log.v_beta[k])
-            st = integrate_electrical(st, v, prof, k * scn.T_s, scn.T_s, scn.params, substeps=substeps)
-            assert (st.i_alpha, st.i_beta) == (log.i_alpha[k + 1], log.i_beta[k + 1])
-            assert (st.omega, st.theta_wrapped) == (log.omega_true[k + 1], log.theta_true[k + 1])
+            v = (log.v_alpha[k], log.v_beta[k])
+            st = sample_step(scn.params, prof, st[0], st[1], st[3], v, k * scn.T_s, scn.T_s, substeps)
+            assert st[:2] == (log.i_alpha[k + 1], log.i_beta[k + 1])
+            assert (st[2], wrap_angle(st[3])) == (log.omega_true[k + 1], log.theta_true[k + 1])
 
 
 def _stagewise_rk4(params, prof, i_a, i_b, theta, v, t, dt):
@@ -618,10 +605,10 @@ def test_step_map_matches_a_stagewise_rk4(kind):
         theta = rng.uniform(-math.pi, math.pi)
         v = alphabeta(*rng.uniform(-40.0, 40.0, 2))
         ref = _stagewise_rk4(params, prof, i_a, i_b, theta, v, t, dt)
-        out = integrate_electrical(MachineState(i_a, i_b, 0.0, theta), v, prof, t, dt, params)
-        err = math.hypot(out.i_alpha - ref[0], out.i_beta - ref[1])
+        out = sample_step(params, prof, i_a, i_b, theta, (v.x, v.y), t, dt)
+        err = math.hypot(out[0] - ref[0], out[1] - ref[1])
         assert err <= 1e-12 * math.hypot(ref[0] - i_a, ref[1] - i_b)
-        assert (out.omega, out.theta) == ref[2:]
+        assert out[2:] == ref[2:]
 
 
 @pytest.mark.parametrize("substeps, cases", [(1, 60), (3, 60), (10, 40), (137, 10), (600, 4)])
@@ -641,10 +628,10 @@ def test_sample_map_matches_stagewise_rk4_steps(substeps, cases):
         ref = (i_a, i_b, 0.0, theta)
         for j in range(substeps):
             ref = _stagewise_rk4(params, prof, ref[0], ref[1], ref[3], v, t + j * dt, dt)
-        out = integrate_electrical(MachineState(i_a, i_b, 0.0, theta), v, prof, t, T, params, substeps=substeps)
-        err = math.hypot(out.i_alpha - ref[0], out.i_beta - ref[1])
+        out = sample_step(params, prof, i_a, i_b, theta, (v.x, v.y), t, T, substeps)
+        err = math.hypot(out[0] - ref[0], out[1] - ref[1])
         assert err <= 1e-12 * math.hypot(ref[0] - i_a, ref[1] - i_b)
-        assert (out.omega, out.theta) == ref[2:]
+        assert out[2:] == ref[2:]
 
 
 def _unshared_table(scn):
@@ -750,8 +737,8 @@ def test_map_blocks_hold_at_most_one_build_block(case, monkeypatch):
 
 def test_block_trig_equals_single_element_trig():
     # the replay tests need np.cos/np.sin of an angle not to depend on the
-    # array around it: run_scenario takes them over blocks, integrate_electrical
-    # over one sample
+    # array around it: run_scenario takes them over blocks, sample_step over
+    # one sample
     from pmsmlab.simulation import _BUILD_STEPS, _MAP_BLOCK
 
     x = np.random.default_rng(4).uniform(-300.0, 300.0, _BUILD_STEPS + 1)
@@ -760,7 +747,7 @@ def test_block_trig_equals_single_element_trig():
         for n in (_BUILD_STEPS + 1, _BUILD_STEPS, _MAP_BLOCK + 1, _MAP_BLOCK, 7):
             assert np.array_equal(fn(x[:n]), single[:n]), (
                 f"np.{fn.__name__} over {n} elements differs from one element at a time on this host,"
-                " so a run and its replay through integrate_electrical cannot agree bit for bit"
+                " so a run and its one-sample replay cannot agree bit for bit"
             )
 
 
@@ -800,9 +787,9 @@ def test_run_replays_through_the_controller_kernels(case):
     kp_d, kp_q, ki = default_gains(p, scn.control_bandwidth)
     v0 = (p.R * i_d0 - w0 * p.Lq * i_q0, p.R * i_q0 + w0 * (p.Ld * i_d0 + p.psi_r))
     integ_d, integ_q = (min(max(v, -lim), lim) for v in v0)
-    i_ab0 = inverse_park(dq(i_d0, i_q0), scn.theta0)
+    i_ab0 = _rotate(float(i_d0), float(i_q0), math.cos(scn.theta0), math.sin(scn.theta0))
     q, r, P = _diag_upper(scn.q_diag), (scn.r_diag[0], 0.0, 0.0, scn.r_diag[1]), _diag_upper(scn.p0_diag)
-    x_hat = (float(i_ab0.x), float(i_ab0.y), 0.0, scn.theta0 + scn.theta_hat_err0)
+    x_hat = (*i_ab0, 0.0, scn.theta0 + scn.theta_hat_err0)
     saturated = False
     for k in range(len(log)):
         y = alphabeta(log.i_alpha[k], log.i_beta[k])
