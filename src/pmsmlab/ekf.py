@@ -7,13 +7,13 @@ continuous-Lyapunov Euler form P + T_s (A P + P A') + Q, not A P A'.
 
 One cycle is two kernels on Python floats, `_predict` and `_update`.  They
 hold x_hat as 4 floats and the symmetric P as its 10 upper-triangle entries,
-row by row (P00, P01, P02, P03, P11, P12, P13, P22, P23, P33), and take Q as
-its 10 such entries and R_meas as its 4, row by row.  Every sum runs in a
-fixed order without fused multiply-adds, so the filter's numbers do not
-depend on the BLAS library or the CPU it picks kernels for.  `run_scenario`
-calls the kernels on tuples; `_diag_upper` lays out its diagonal Q and prior
-P, and `Scenario.violations` states the rules that make them semidefinite
-and R_meas positive definite.
+row by row (P00, P01, P02, P03, P11, P12, P13, P22, P23, P33).  Q and R_meas
+are diagonal: the kernels take their 4 and 2 diagonal entries, as a
+Scenario holds them.  Every sum runs in a fixed order without fused
+multiply-adds, so the filter's numbers do not depend on the BLAS library or
+the CPU it picks kernels for.  `run_scenario` calls the kernels on tuples;
+`_diag_upper` lays out its diagonal prior P, and `Scenario.violations`
+states the rules that make Q and P semidefinite and R_meas positive definite.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _predict(params: MachineParams, T_s: float, q, x, P, va: float, vb: float) -
     """Euler state propagation and Lyapunov-form covariance propagation: (x, P) as tuples.
 
     M = A P is summed over k = 0..3 in order, leaving out A's zero entries;
-    the new P is P + T_s (M + M') + Q, entry by entry.
+    the new P is P + T_s (M + M') + diag(q), entry by entry.
     """
     x0, x1, x2, x3 = x
     (f0, f1, f2, f3, a00, a01, a02, a03, a10, a11, a12, a13,
@@ -60,13 +60,13 @@ def _predict(params: MachineParams, T_s: float, q, x, P, va: float, vb: float) -
     m22 = a20 * p02 + a21 * p12 + a23 * p23
     m23 = a20 * p03 + a21 * p13 + a23 * p33
     # row 3 of M is row 2 of P: m30, m31, m32, m33 = p02, p12, p22, p23
-    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = q
+    q0, q1, q2, q3 = q
     P = (
-        p00 + T_s * (m00 + m00) + q00, p01 + T_s * (m01 + m10) + q01,
-        p02 + T_s * (m02 + m20) + q02, p03 + T_s * (m03 + p02) + q03,
-        p11 + T_s * (m11 + m11) + q11, p12 + T_s * (m12 + m21) + q12, p13 + T_s * (m13 + p12) + q13,
-        p22 + T_s * (m22 + m22) + q22, p23 + T_s * (m23 + p22) + q23,
-        p33 + T_s * (p23 + p23) + q33,
+        p00 + T_s * (m00 + m00) + q0, p01 + T_s * (m01 + m10),
+        p02 + T_s * (m02 + m20), p03 + T_s * (m03 + p02),
+        p11 + T_s * (m11 + m11) + q1, p12 + T_s * (m12 + m21), p13 + T_s * (m13 + p12),
+        p22 + T_s * (m22 + m22) + q2, p23 + T_s * (m23 + p22),
+        p33 + T_s * (p23 + p23) + q3,
     )
     if not all(map(math.isfinite, x + P)):
         raise FloatingPointError("non-finite covariance propagation")
@@ -76,21 +76,21 @@ def _predict(params: MachineParams, T_s: float, q, x, P, va: float, vb: float) -
 def _update(r, x, P, ya: float, yb: float) -> tuple[tuple, tuple]:
     """Kalman gain, measurement update, covariance downdate, symmetrization: (x, P) as tuples.
 
-    K = P C' S^-1 with the closed-form inverse of the 2x2 S = P[:2, :2] + R_meas.
+    K = P C' S^-1 with the closed-form inverse of the symmetric 2x2 S = P[:2, :2] + diag(r).
     The downdate P - K P[:2, :] averages its (i, j) and (j, i) entries.
     """
     x0, x1, x2, x3 = x
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = P
-    r00, r01, r10, r11 = r
-    s00, s01, s10, s11 = p00 + r00, p01 + r01, p01 + r10, p11 + r11
-    det = s00 * s11 - s01 * s10
+    r0, r1 = r
+    s00, s11 = p00 + r0, p11 + r1
+    det = s00 * s11 - p01 * p01
     if det <= 0.0 or s00 <= 0.0:
         raise FloatingPointError("innovation covariance not positive definite")
-    i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
-    k00, k01 = p00 * i00 + p01 * i10, p00 * i01 + p01 * i11
-    k10, k11 = p01 * i00 + p11 * i10, p01 * i01 + p11 * i11
-    k20, k21 = p02 * i00 + p12 * i10, p02 * i01 + p12 * i11
-    k30, k31 = p03 * i00 + p13 * i10, p03 * i01 + p13 * i11
+    i00, i01, i11 = s11 / det, -p01 / det, s00 / det
+    k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
+    k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
+    k20, k21 = p02 * i00 + p12 * i01, p02 * i01 + p12 * i11
+    k30, k31 = p03 * i00 + p13 * i01, p03 * i01 + p13 * i11
     e0, e1 = ya - x0, yb - x1
     x = (x0 + (k00 * e0 + k01 * e1), x1 + (k10 * e0 + k11 * e1),
          x2 + (k20 * e0 + k21 * e1), x3 + (k30 * e0 + k31 * e1))

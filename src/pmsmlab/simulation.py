@@ -53,8 +53,7 @@ from pmsmlab.machine import (
 from pmsmlab.observability import trajectory_reports
 
 
-_MAP_BLOCK = 512  # most RK4 steps of one sample built at a time
-_BUILD_STEPS = 2048  # RK4 steps of whole samples that _map_blocks builds per block, when a sample fits
+_BUILD_STEPS = 2048  # most RK4 steps built at a time: whole samples per block, or one sample's chunk
 MAX_SAMPLES = 10**7  # longest run, in samples: 24 float columns (log and loop record), ~1.9 GB
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
@@ -315,13 +314,13 @@ def _sample_maps(params: MachineParams, profile: SpeedProfile, t, substeps: int,
     """One composed map row per sample starting at the times t, in the _step_maps layout.
 
     Each sample's substeps are composed by pairwise halving, in chunks of at
-    most _MAP_BLOCK steps counted from the sample's first step; the partial
+    most _BUILD_STEPS steps counted from the sample's first step; the partial
     composite carries across chunks.  So a sample's row depends only on its
     own steps, wherever its block starts.  t holds one sample when substeps
-    exceeds _MAP_BLOCK.  Returns an (n, 12) array.
+    exceeds _BUILD_STEPS.  Returns an (n, 12) array.
     """
     dt = T_s / substeps
-    chunk = min(substeps, _MAP_BLOCK)
+    chunk = min(substeps, _BUILD_STEPS)
     done = None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite maps abort in _apply_map
         for j0 in range(0, substeps, chunk):
@@ -399,7 +398,7 @@ def _map_blocks(scn: Scenario):
     also moves the angle is the rest built in blocks.
     """
     params, profile, n, substeps, T_s = scn.params, scn.profile, scn.n_samples, scn.ode_substeps, scn.T_s
-    per = _BUILD_STEPS // substeps if substeps <= _MAP_BLOCK else 1  # samples per block, as _sample_maps needs
+    per = max(1, _BUILD_STEPS // substeps)  # samples per block; a longer sample is built alone, in chunks
     theta = scn.theta0
 
     def blocks(k0: int, k1: int):
@@ -464,9 +463,8 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     limit = scn.voltage_limit
     kp_d, kp_q, ki = default_gains(params, scn.control_bandwidth)
     integ_d, integ_q = (min(max(v, -limit), limit) for v in (v_d0, v_q0))
-    # the filter runs on floats: x_hat, with the prior angle unwrapped, and P's 10 distinct entries
-    q, P, (r0, r1) = _diag_upper(scn.q_diag), _diag_upper(scn.p0_diag), map(float, scn.r_diag)
-    r = (r0, 0.0, 0.0, r1)  # R_meas row by row
+    # the filter runs on floats: x_hat, with the prior angle unwrapped, P's 10 distinct entries, Q's and R's diagonals
+    q, r, P = tuple(map(float, scn.q_diag)), tuple(map(float, scn.r_diag)), _diag_upper(scn.p0_diag)
     x_hat = (ia, ib, 0.0, float(scn.theta0 + scn.theta_hat_err0))
     omega_hat, theta_hat = x_hat[2:] if with_ekf else (math.nan, math.nan)  # analyze has no estimates
 

@@ -305,7 +305,7 @@ def criterion_8(ip_log: TrajectoryLog, sp_log: TrajectoryLog) -> tuple[bool, str
     # the filter kernels on the logged stream: x_hat as 4 floats, P as its 10 upper-triangle entries
     x_hat = (*_rotate(float(i_d0), float(i_q0), math.cos(scn.theta0), math.sin(scn.theta0)), 0.0,
              scn.theta0 + scn.theta_hat_err0)
-    q, r, P = _diag_upper(scn.q_diag), (scn.r_diag[0], 0.0, 0.0, scn.r_diag[1]), _diag_upper(scn.p0_diag)
+    q, r, P = scn.q_diag, scn.r_diag, _diag_upper(scn.p0_diag)
     upper = np.triu_indices(4)
     P_full = np.empty((4, 4))
     worst_asym = 0.0

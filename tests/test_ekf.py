@@ -32,7 +32,7 @@ def _floats(v) -> tuple:
     return tuple(map(float, v))
 
 
-QU, RU, P0U = _upper(Q), _floats(R.ravel()), _upper(P0)
+QD, RD, P0U = _floats(Scenario.q_diag), _floats(Scenario.r_diag), _upper(P0)  # the kernels take Q's and R's diagonals
 
 
 def _rate(params, x, u):
@@ -69,7 +69,7 @@ def test_one_inductance_evaluation_per_angle(monkeypatch, ip_params):
     assert sorted(m.__name__ for m in lookups) == ["pmsmlab.machine", "pmsmlab.observability", "pmsmlab.simulation"]
     for module in lookups:
         monkeypatch.setattr(module, "_inductance", lambda *a: calls.append(1) or inductance(*a))
-    _predict(ip_params, T_S, QU, (0.5, -0.5, 5.0, 0.2), P0U, 1.0, -2.0)
+    _predict(ip_params, T_S, QD, (0.5, -0.5, 5.0, 0.2), P0U, 1.0, -2.0)
     assert len(calls) == 1
     prof = SpeedProfile.from_breakpoints([(0.0, 5.0), (1.0, 20.0)])
     _sample_maps(ip_params, prof, np.array([0.0]), 1, T_S, 0.2)  # one sample of one RK4 step
@@ -137,7 +137,7 @@ def test_linearize_standstill_position_blindness(sp_params):
 def test_predict_euler_forms(ip_params):
     x0 = np.array([2.0, -1.0, 30.0, 0.5])
     u = (4.0, -2.0)
-    x, P = _predict(ip_params, T_S, QU, _floats(x0), P0U, *u)
+    x, P = _predict(ip_params, T_S, QD, _floats(x0), P0U, *u)
     P = _full(P)
     A, _ = linearize(ip_params, x0, u)
     p_ref = np.eye(4) + T_S * (A + A.T) + Q
@@ -149,7 +149,7 @@ def test_predict_euler_forms(ip_params):
 def test_predict_fixed_point(ip_params):
     # zero state, zero input, zero covariance and noise: nothing moves
     x0, zero = (0.0, 0.0, 0.0, 0.4), (0.0,) * 10
-    x, P = _predict(ip_params, T_S, zero, x0, zero, 0.0, 0.0)
+    x, P = _predict(ip_params, T_S, (0.0,) * 4, x0, zero, 0.0, 0.0)
     assert x == x0
     assert P == zero
 
@@ -158,7 +158,7 @@ def test_predict_rejects_non_finite_dynamics(ip_params):
     # currents large enough that the torque products overflow
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite"):
-            _predict(ip_params, T_S, QU, (1e300, 0.0, 0.0, 0.0), P0U, 0.0, 0.0)
+            _predict(ip_params, T_S, QD, (1e300, 0.0, 0.0, 0.0), P0U, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_predict_rejects_non_finite_dynamics(ip_params):
 
 def test_innovate_consistent_measurement_keeps_state():
     x0 = (1.0, -2.0, 10.0, 0.3)
-    x, P = _update(RU, x0, P0U, 1.0, -2.0)
+    x, P = _update(RD, x0, P0U, 1.0, -2.0)
     assert x == x0
     # covariance still shrinks on the measured channels
     assert _full(P)[0, 0] < P0[0, 0] and _full(P)[1, 1] < P0[1, 1]
@@ -176,7 +176,7 @@ def test_innovate_consistent_measurement_keeps_state():
 
 def test_innovate_zero_covariance_ignores_measurement():
     x0 = (1.0, -2.0, 10.0, 0.3)
-    x, P = _update(RU, x0, (0.0,) * 10, 50.0, 50.0)
+    x, P = _update(RD, x0, (0.0,) * 10, 50.0, 50.0)
     assert x == x0
     assert np.array_equal(_full(P), np.zeros((4, 4)))
 
@@ -187,7 +187,7 @@ def test_innovate_never_increases_trace():
         m = rng.standard_normal((4, 4))
         p0 = m @ m.T + 1e-6 * np.eye(4)
         x0 = _floats(rng.standard_normal(4))
-        _, P = _update(RU, x0, _upper(p0), *_floats(rng.standard_normal(2)))
+        _, P = _update(RD, x0, _upper(p0), *_floats(rng.standard_normal(2)))
         P = _full(P)
         assert np.trace(P) <= np.trace(p0) + 1e-12
         assert np.array_equal(P, P.T)
@@ -202,13 +202,13 @@ def test_perfect_model_tracking(ip_params):
     # truth propagated by the same Euler model, zero Q and zero P0: the filter
     # reproduces the trajectory without correction
     x_true = np.array([1.0, 0.5, 20.0, 0.1])
-    x, P, zero = _floats(x_true), (0.0,) * 10, (0.0,) * 10
+    x, P, zero = _floats(x_true), (0.0,) * 10, (0.0,) * 4
     worst = 0.0
     for k in range(1000):
         t = k * T_S
         u = (5.0 * math.sin(50.0 * t), 5.0 * math.cos(70.0 * t))
         x_true = x_true + T_S * _rate(ip_params, x_true, u)
-        x, P = _update(RU, *_predict(ip_params, T_S, zero, x, P, *u), *_floats(x_true[:2]))
+        x, P = _update(RD, *_predict(ip_params, T_S, zero, x, P, *u), *_floats(x_true[:2]))
         worst = max(worst, float(np.max(np.abs(np.array(x) - x_true))))
     assert worst < 1e-9
 
@@ -221,7 +221,7 @@ def test_long_run_covariance_hygiene(ip_params):
     for _ in range(100_000):
         u = rng.uniform(-2.0, 2.0, 2)
         y = np.array(x[:2]) + 0.1 * rng.standard_normal(2)
-        x, P = _update(RU, *_predict(ip_params, T_S, QU, x, P, *_floats(u)), *_floats(y))
+        x, P = _update(RD, *_predict(ip_params, T_S, QD, x, P, *_floats(u)), *_floats(y))
         Pf = _full(P)
         assert np.array_equal(Pf, Pf.T)
         assert np.min(np.diag(Pf)) >= 0.0
@@ -235,7 +235,7 @@ def test_steps_are_deterministic(ip_params):
         for _ in range(100):
             u = rng.uniform(-3.0, 3.0, 2)
             y = rng.uniform(-1.0, 1.0, 2)
-            x, P = _update(RU, *_predict(ip_params, T_S, QU, x, P, *_floats(u)), *_floats(y))
+            x, P = _update(RD, *_predict(ip_params, T_S, QD, x, P, *_floats(u)), *_floats(y))
         return x, P
 
     (xa, Pa), (xb, Pb) = run(), run()
@@ -264,7 +264,7 @@ def test_predict_covariance_is_the_lyapunov_form_bit_for_bit(ip_params):
         a, p = A.tolist(), P.tolist()
         AP = [[sum(a[i][k] * p[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
         M = [[p[i][j] + T_S * (AP[i][j] + AP[j][i]) + q[i][j] for j in range(4)] for i in range(4)]
-        _, out = _predict(ip_params, T_S, QU, _floats(x), _upper(P), *_floats(u))
+        _, out = _predict(ip_params, T_S, QD, _floats(x), _upper(P), *_floats(u))
         assert np.array_equal(_full(out), np.array(M))
 
 
@@ -279,11 +279,10 @@ def test_gain_matches_a_linear_solve():
     for _ in range(1000):
         B = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3.0, 2.0)
         P = 0.5 * (B @ B.T + (B @ B.T).T)
-        Bm = rng.standard_normal((2, 2))
-        R_meas = 0.5 * (Bm @ Bm.T + (Bm @ Bm.T).T) + 0.1 * np.eye(2)
-        ref = np.linalg.solve((P[:2, :2] + R_meas).T, P[:, :2].T).T
+        r = rng.uniform(0.1, 3.0, 2)
+        ref = np.linalg.solve((P[:2, :2] + np.diag(r)).T, P[:, :2].T).T
         # from a zero estimate, the measurement e_j moves x_hat by K[:, j] exactly
-        K = np.stack([_update(_floats(R_meas.ravel()), (0.0,) * 4, _upper(P), *y)[0]
+        K = np.stack([_update(_floats(r), (0.0,) * 4, _upper(P), *y)[0]
                       for y in ((1.0, 0.0), (0.0, 1.0))], axis=1)
         assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -301,18 +300,17 @@ def test_kernels_match_a_numpy_statement_of_the_filter(machine, ip_params, sp_pa
         u, y = rng.uniform(-3.0, 3.0, 2), rng.uniform(-20.0, 20.0, 2)
         B = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3.0, 0.0)
         P = 0.5 * (B @ B.T + (B @ B.T).T) + 1e-6 * np.eye(4)
-        Bm = rng.standard_normal((2, 2))
-        R_meas = 0.5 * (Bm @ Bm.T + (Bm @ Bm.T).T) + 0.1 * np.eye(2)
+        r = rng.uniform(0.1, 3.0, 2)
         A, C = linearize(params, x, u)
         x_pred = x + T_S * _rate(params, x, u)
         P_pred = P + T_S * (A @ P + P @ A.T) + Q
-        K = np.linalg.solve(C @ P_pred @ C.T + R_meas, C @ P_pred).T  # P C' S^-1, S symmetric
+        K = np.linalg.solve(C @ P_pred @ C.T + np.diag(r), C @ P_pred).T  # P C' S^-1, S symmetric
         x_upd = x_pred + K @ (y - C @ x_pred)
         P_upd = P_pred - K @ C @ P_pred
         P_upd = 0.5 * (P_upd + P_upd.T)
 
-        pred = _predict(params, T_S, QU, _floats(x), _upper(P), *_floats(u))
-        upd = _update(_floats(R_meas.ravel()), *pred, *_floats(y))
+        pred = _predict(params, T_S, QD, _floats(x), _upper(P), *_floats(u))
+        upd = _update(_floats(r), *pred, *_floats(y))
         for got, ref in ((pred[0], x_pred), (_full(pred[1]), P_pred), (upd[0], x_upd), (_full(upd[1]), P_upd)):
             worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
     assert worst <= 1e-12
@@ -324,4 +322,4 @@ def test_non_positive_definite_innovation_covariance_is_a_named_abort(block):
     P = np.eye(4)
     P[:2, :2] = block
     with pytest.raises(FloatingPointError, match="^innovation covariance not positive definite$"):
-        _update(RU, (0.0,) * 4, _upper(P), 0.1, -0.2)
+        _update(RD, (0.0,) * 4, _upper(P), 0.1, -0.2)

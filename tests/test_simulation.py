@@ -542,20 +542,19 @@ def test_run_replays_through_the_single_step_integrator():
 @pytest.mark.parametrize("substeps, t_end", [(3, 0.06), (137, 0.002), (600, 0.0006)])
 def test_run_replays_across_map_blocks(substeps, t_end, monkeypatch):
     # the run builds its maps in blocks of whole samples, and a sample of more
-    # than _MAP_BLOCK substeps in chunks; the replay through sample_step,
+    # than _BUILD_STEPS substeps in chunks; the replay through sample_step,
     # which builds one sample per call, must still match bit for bit at every
     # block and chunk edge, whatever the block size
     import pmsmlab.simulation as simulation
-    from pmsmlab.simulation import _MAP_BLOCK
 
-    if substeps <= _MAP_BLOCK:  # smaller blocks put more edges into a short run; a longer sample is its own block
-        monkeypatch.setattr(simulation, "_BUILD_STEPS", _MAP_BLOCK)
+    build = 512  # a smaller bound puts more block edges into a short run, and chunks a 600-substep sample
+    monkeypatch.setattr(simulation, "_BUILD_STEPS", build)
     # a leading standstill, then standstill after motion, where the held angle is not 0
     for points in ([(0.0, 0.0), (0.25, 0.0), (1.0, 40.0)], [(0.0, 0.0), (0.25, 40.0), (0.5, 0.0)]):
         prof = SpeedProfile.from_breakpoints([(f * t_end, w) for f, w in points])
         scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3, t_end=t_end, ode_substeps=substeps)
-        assert scn.n_samples > 3 * max(1, _MAP_BLOCK // substeps)  # at least three block edges
-        assert substeps < _MAP_BLOCK or substeps % _MAP_BLOCK != 0  # a short last chunk
+        assert scn.n_samples > 3 * max(1, build // substeps)  # at least three block edges
+        assert substeps < build or substeps % build != 0  # a short last chunk
         log = run_scenario(scn, with_ekf=False)
         assert len(log) == scn.n_samples
         st = (log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
@@ -611,11 +610,11 @@ def test_step_map_matches_a_stagewise_rk4(kind):
         assert out[2:] == ref[2:]
 
 
-@pytest.mark.parametrize("substeps, cases", [(1, 60), (3, 60), (10, 40), (137, 10), (600, 4)])
+@pytest.mark.parametrize("substeps, cases", [(1, 60), (3, 60), (10, 40), (137, 10), (2100, 2)])
 def test_sample_map_matches_stagewise_rk4_steps(substeps, cases):
     # one composed map per sample is its substeps RK4 steps: the currents
     # agree to rounding relative to the sample's own increment, the speed and
-    # angle exactly; 600 substeps span two chunks of _MAP_BLOCK steps
+    # angle exactly; 2100 substeps span two chunks of _BUILD_STEPS steps
     rng = np.random.default_rng(substeps)
     for case in range(cases):
         params = table_params(list(MachineKind)[case % 2])
@@ -636,9 +635,9 @@ def test_sample_map_matches_stagewise_rk4_steps(substeps, cases):
 
 def _unshared_table(scn):
     """Every sample's map row built from its own steps, chaining the angle, as blocks of whole samples."""
-    from pmsmlab.simulation import _MAP_BLOCK, _sample_maps
+    from pmsmlab.simulation import _BUILD_STEPS, _sample_maps
 
-    per = 50 if scn.ode_substeps <= _MAP_BLOCK else 1  # _sample_maps takes one sample of more substeps
+    per = 50 if scn.ode_substeps <= _BUILD_STEPS else 1  # _sample_maps takes one sample of more substeps
     rows, theta = [], scn.theta0
     for k0 in range(0, scn.n_samples, per):
         t = np.arange(k0, min(k0 + per, scn.n_samples)) * scn.T_s
@@ -674,9 +673,10 @@ _MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks fo
         MachineKind.IPMSM,
         profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.00305, 0.0), (0.00505, 30.0), (0.00705, 0.0)]),
         theta0=1.0, t_end=0.01),
-    "600_substeps": lambda: _tiny(
+    # more substeps than _BUILD_STEPS: one sample per block, built in two chunks
+    "2100_substeps": lambda: _tiny(
         profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (3e-4, 0.0), (6e-4, 40.0), (8e-4, 0.0)]),
-        ode_substeps=600, t_end=1.2e-3),
+        ode_substeps=2100, t_end=1.2e-3),
     # held speeds of -0.0: the segment between them evaluates to +0.0, the holds to -0.0
     "negative_zero_speeds": lambda: _tiny(
         profile=SpeedProfile.from_breakpoints([(0.003, -0.0), (0.006, -0.0)]), theta0=0.3, t_end=0.01),
@@ -694,7 +694,7 @@ _MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks fo
     ("negative_zero_theta0", True),
     ("holds_before_and_after_the_breakpoints", True),
     ("edge_inside_a_sample", True),
-    ("600_substeps", True),
+    ("2100_substeps", True),
     ("negative_zero_speeds", True),
     ("creeping_ramp", False),
 ])
@@ -739,12 +739,12 @@ def test_block_trig_equals_single_element_trig():
     # the replay tests need np.cos/np.sin of an angle not to depend on the
     # array around it: run_scenario takes them over blocks, sample_step over
     # one sample
-    from pmsmlab.simulation import _BUILD_STEPS, _MAP_BLOCK
+    from pmsmlab.simulation import _BUILD_STEPS
 
     x = np.random.default_rng(4).uniform(-300.0, 300.0, _BUILD_STEPS + 1)
     for fn in (np.cos, np.sin):
         single = np.array([fn(x[i:i + 1])[0] for i in range(x.size)])
-        for n in (_BUILD_STEPS + 1, _BUILD_STEPS, _MAP_BLOCK + 1, _MAP_BLOCK, 7):
+        for n in (_BUILD_STEPS + 1, _BUILD_STEPS, 1800, 513, 512, 7):
             assert np.array_equal(fn(x[:n]), single[:n]), (
                 f"np.{fn.__name__} over {n} elements differs from one element at a time on this host,"
                 " so a run and its one-sample replay cannot agree bit for bit"
@@ -758,7 +758,7 @@ def test_non_positive_definite_innovation_ends_the_run_as_a_named_abort(monkeypa
 
     def indefinite(d):
         # Scenario rejects a negative p0_diag, so shift the prior P by -5 I after the checks
-        return _diag_upper([v - 5.0 for v in d] if d == scn.p0_diag else d)
+        return _diag_upper([v - 5.0 for v in d])
 
     monkeypatch.setattr(simulation, "_diag_upper", indefinite)
     log = run_scenario(scn)
@@ -788,7 +788,7 @@ def test_run_replays_through_the_controller_kernels(case):
     v0 = (p.R * i_d0 - w0 * p.Lq * i_q0, p.R * i_q0 + w0 * (p.Ld * i_d0 + p.psi_r))
     integ_d, integ_q = (min(max(v, -lim), lim) for v in v0)
     i_ab0 = _rotate(float(i_d0), float(i_q0), math.cos(scn.theta0), math.sin(scn.theta0))
-    q, r, P = _diag_upper(scn.q_diag), (scn.r_diag[0], 0.0, 0.0, scn.r_diag[1]), _diag_upper(scn.p0_diag)
+    q, r, P = scn.q_diag, scn.r_diag, _diag_upper(scn.p0_diag)
     x_hat = (*i_ab0, 0.0, scn.theta0 + scn.theta_hat_err0)
     saturated = False
     for k in range(len(log)):
