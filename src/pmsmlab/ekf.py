@@ -77,16 +77,22 @@ def _update(r, x, P, ya: float, yb: float) -> tuple[tuple, tuple]:
     """Kalman gain, measurement update, covariance downdate, symmetrization: (x, P) as tuples.
 
     K = P C' S^-1 with the closed-form inverse of the symmetric 2x2 S = P[:2, :2] + diag(r).
+    The inverse is taken as f (f S)^-1, f = 2^-e with e >= 0 the exponent of S's larger
+    diagonal entry, so the determinant does not overflow; a power of two scales exactly, so
+    without subnormals the inverse has the bits of the unscaled closed form.
     The downdate P - K P[:2, :] averages its (i, j) and (j, i) entries.
     """
     x0, x1, x2, x3 = x
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = P
     r0, r1 = r
     s00, s11 = p00 + r0, p11 + r1
-    det = s00 * s11 - p01 * p01
+    # 0.5 keeps e >= 0: S is only scaled down, so f and the inverse's scaling back stay finite
+    f = math.ldexp(1.0, -math.frexp(max(s00, s11, 0.5))[1])
+    a, b, c = s00 * f, p01 * f, s11 * f
+    det = a * c - b * b
     if det <= 0.0 or s00 <= 0.0:
         raise FloatingPointError("innovation covariance not positive definite")
-    i00, i01, i11 = s11 / det, -p01 / det, s00 / det
+    i00, i01, i11 = c / det * f, -b / det * f, a / det * f
     k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
     k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
     k20, k21 = p02 * i00 + p12 * i01, p02 * i01 + p12 * i11

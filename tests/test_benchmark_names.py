@@ -1,9 +1,9 @@
 """The pmsmlab names that the benchmark harness reads must exist.
 
-perfbench/worker.py and perfbench/inputs.py import pmsmlab by name.  A
-program change that deletes one of those names breaks the benchmark; this
-test makes that fail in the tier-1 suite, not only in the harness's own
-smoke tests.
+The harness's worker, inputs, gate, run and record_reference scripts import
+pmsmlab by name, module by module.  A program change that deletes or moves
+one of those names breaks the benchmark; this test makes that fail in the
+tier-1 suite, not only in the harness's own smoke tests.
 """
 
 import ast
@@ -48,7 +48,7 @@ def _pmsmlab_names(path: pathlib.Path) -> list:
     return found
 
 
-@pytest.mark.parametrize("name", ["worker.py", "inputs.py"])
+@pytest.mark.parametrize("name", ["worker.py", "inputs.py", "gate.py", "run.py", "record_reference.py"])
 def test_every_pmsmlab_name_the_benchmark_reads_exists(name):
     found = _pmsmlab_names(PERFBENCH / name)
     assert found, f"perfbench/{name} reads no pmsmlab name"

@@ -1,15 +1,21 @@
 """Command-line behaviour: verbs, overrides, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsmlab.cli import SWEEP_COLUMNS, main
 from pmsmlab.observability import hfi_det_y1
 from pmsmlab.report import read_csv
-from pmsmlab.simulation import MachineKind, table_params
+from pmsmlab.simulation import MachineKind, Scenario, table_params
 
 SPMSM_MACHINE = {"R": 0.01, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": 2, "J": 0.02}
 
@@ -464,3 +470,62 @@ def test_huge_json_integer_is_config_error(tmp_path, capsys):
     assert main(["simulate", "-c", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: invalid JSON: ")
+
+
+# ---------------------------------------------------------------------------
+# run-level fuzz
+# ---------------------------------------------------------------------------
+
+FUZZ_SAMPLES = 30  # samples per fuzzed run: t_end is FUZZ_SAMPLES * T_s
+FUZZ_BASES = {
+    path.name: {k: v for k, v in json.loads(path.read_text()).items() if k != "sweep"}
+    for path in sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+}
+FUZZ_NUMBERS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(-100.0, 100.0)
+    | st.integers(-3, 50)  # small enough for ode_substeps
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-154, 1e154, 1e300, -1.0])
+)
+
+
+def _numeric_paths(doc, path=()):
+    """Paths of every number in a config document; bools are not numbers."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [p for key, value in items for p in _numeric_paths(value, path + (key,))]
+    return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_fuzzed_shipped_configs_end_as_a_run_or_a_named_error(data):
+    # a shipped config with up to 6 numbers replaced, run through the CLI for FUZZ_SAMPLES samples: no exception
+    # escapes, a config error prints only config error lines, and a numerical abort leaves the finished samples
+    name = data.draw(st.sampled_from(list(FUZZ_BASES)))
+    doc = json.loads(json.dumps(FUZZ_BASES[name]))
+    paths = [p for p in _numeric_paths(doc) if p != ("scenario", "t_end")]
+    for path, value in data.draw(st.lists(st.tuples(st.sampled_from(paths), FUZZ_NUMBERS), max_size=6)):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    T_s = doc["scenario"].get("T_s", Scenario.T_s)
+    doc["scenario"]["t_end"] = FUZZ_SAMPLES * T_s
+    verb = data.draw(st.sampled_from(["simulate", "analyze"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["output"] = {"dir": tmp, "csv": "run.csv"}
+        cfg = os.path.join(tmp, "run.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([verb, "-c", cfg])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), lines
+        if code == 1:
+            assert lines and all(line.startswith("config error: ") for line in lines), lines
+        else:
+            t = read_csv(os.path.join(tmp, "run.csv"))["t"]
+            assert len(t) == FUZZ_SAMPLES if code == 0 else len(t) < FUZZ_SAMPLES, lines
+            assert np.array_equal(t, np.arange(len(t)) * T_s)

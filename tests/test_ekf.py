@@ -316,6 +316,33 @@ def test_kernels_match_a_numpy_statement_of_the_filter(machine, ip_params, sp_pa
     assert worst <= 1e-12
 
 
+def test_update_is_exact_under_power_of_two_scaling():
+    # P and R_meas times 2^k leave the gain alone: the updated state is the same bits and P scales
+    # exactly, also where det(S) itself would overflow (entries of S beyond ~1e154)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        B = rng.standard_normal((4, 4))
+        P = _full(_upper(B @ B.T + 1e-3 * np.eye(4)))
+        r, x0, y = rng.uniform(0.1, 3.0, 2), _floats(rng.standard_normal(4)), _floats(rng.standard_normal(2))
+        x_ref, P_ref = _update(_floats(r), x0, _upper(P), *y)
+        for k in (300, 600, 900):
+            x, P_k = _update(_floats(np.ldexp(r, k)), x0, _upper(np.ldexp(P, k)), *y)
+            assert x == x_ref
+            assert P_k == _upper(np.ldexp(_full(P_ref), k))
+
+
+@pytest.mark.parametrize("p00, r, reason", [
+    (math.inf, RD, "non-finite measurement update"),
+    (math.nan, RD, "non-finite measurement update"),
+    # S = 5e-324 I is not scaled up, and its determinant underflows to 0
+    (0.0, (5e-324, 5e-324), "innovation covariance not positive definite"),
+])
+def test_degenerate_innovation_covariance_is_a_named_abort(p00, r, reason):
+    P = (p00,) + (0.0,) * 9
+    with pytest.raises(FloatingPointError, match=f"^{reason}$"):
+        _update(r, (0.0,) * 4, P, 0.1, -0.2)
+
+
 @pytest.mark.parametrize("block", [[[-3.0, 0.0], [0.0, 1.0]], [[0.0, 2.0], [2.0, 0.0]]])
 def test_non_positive_definite_innovation_covariance_is_a_named_abort(block):
     # S = P[:2, :2] + I: a negative leading entry, then a negative determinant

@@ -610,11 +610,11 @@ def test_step_map_matches_a_stagewise_rk4(kind):
         assert out[2:] == ref[2:]
 
 
-@pytest.mark.parametrize("substeps, cases", [(1, 60), (3, 60), (10, 40), (137, 10), (2100, 2)])
+@pytest.mark.parametrize("substeps, cases", [(1, 60), (3, 60), (10, 40), (137, 10), (600, 4), (2100, 2)])
 def test_sample_map_matches_stagewise_rk4_steps(substeps, cases):
     # one composed map per sample is its substeps RK4 steps: the currents
     # agree to rounding relative to the sample's own increment, the speed and
-    # angle exactly; 2100 substeps span two chunks of _BUILD_STEPS steps
+    # angle exactly; 600 substeps are one chunk, 2100 span two chunks of _BUILD_STEPS steps
     rng = np.random.default_rng(substeps)
     for case in range(cases):
         params = table_params(list(MachineKind)[case % 2])
@@ -673,6 +673,10 @@ _MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks fo
         MachineKind.IPMSM,
         profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.00305, 0.0), (0.00505, 30.0), (0.00705, 0.0)]),
         theta0=1.0, t_end=0.01),
+    # three samples per block, short of _BUILD_STEPS steps
+    "600_substeps": lambda: _tiny(
+        profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (3e-4, 0.0), (6e-4, 40.0), (8e-4, 0.0)]),
+        ode_substeps=600, t_end=1.2e-3),
     # more substeps than _BUILD_STEPS: one sample per block, built in two chunks
     "2100_substeps": lambda: _tiny(
         profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (3e-4, 0.0), (6e-4, 40.0), (8e-4, 0.0)]),
@@ -694,6 +698,7 @@ _MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks fo
     ("negative_zero_theta0", True),
     ("holds_before_and_after_the_breakpoints", True),
     ("edge_inside_a_sample", True),
+    ("600_substeps", True),
     ("2100_substeps", True),
     ("negative_zero_speeds", True),
     ("creeping_ramp", False),
