@@ -135,7 +135,7 @@ def carrier_peak_det(scn: Scenario) -> float:
     NaN unless the scenario injects a d-axis voltage carrier on a round
     machine, the case hfi_det_y1 is defined for.
     """
-    if scn.injection.kind is not InjectionKind.VOLTAGE_ON_DHAT or scn.params.L2 != 0.0:
+    if scn.injection.kind is not InjectionKind.VOLTAGE_ON_DHAT or scn.params.is_salient:
         return math.nan
     return hfi_det_y1(
         scn.profile.omega(scn.injection.t_start), scn.theta_hat_err0,

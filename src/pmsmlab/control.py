@@ -1,9 +1,11 @@
 """Rotor-frame current control and test-signal injection.
 
 A pair of PI loops regulates the dq currents; the commanded voltage is
-rotated back to the stationary frame with the true rotor angle.  Injection
-is either a sinusoidal perturbation added to the q-axis current reference
-or a voltage carrier applied on the estimated d-axis.
+rotated back to the stationary frame with the true rotor angle.  An
+InjectionSchedule says which test signal is on and when, and each caller
+applies its own waveform: current_reference adds amplitude * sin(frequency
+* t) to the q-axis current reference, and _command_ab a voltage carrier
+amplitude * cos(frequency * t) on the estimated d-axis.
 
 The controller is two float kernels, which run_scenario's loop calls once
 per sample: _pi_law holds the PI law of one axis with its anti-windup
@@ -45,8 +47,11 @@ class InjectionSchedule:
 
     @staticmethod
     def violations(kind, amplitude, frequency, t_start, t_end) -> list:
-        """(field, message) for every broken invariant; an inactive schedule needs only finite values."""
+        """(field, message) for every broken invariant; an inactive schedule needs only its kind and finite values."""
         found = finite_violations(amplitude=amplitude, frequency=frequency, window=(t_start, t_end))
+        if not isinstance(kind, InjectionKind):
+            kinds = ", ".join(k.value for k in InjectionKind)
+            found.append(("kind", f"must be an InjectionKind ({kinds}), got {kind!r}"))
         if found or kind is InjectionKind.NONE:
             return found
         if not t_start < t_end:
@@ -60,19 +65,12 @@ class InjectionSchedule:
     def active(self, t: float) -> bool:
         return self.kind is not _NO_INJECTION and self.t_start <= t < self.t_end
 
-    def carrier(self, t: float) -> float:
-        if not self.active(t):
-            return 0.0
-        if self.kind is _CURRENT_ON_Q:
-            return self.amplitude * math.sin(self.frequency * t)
-        return self.amplitude * math.cos(self.frequency * t)
-
 
 def current_reference(t: float, schedule: InjectionSchedule, base: tuple[float, float]) -> tuple[float, float]:
     """dq current setpoints at time t, with any active current injection added."""
     i_d_ref, i_q_ref = base
     if schedule.kind is _CURRENT_ON_Q and schedule.active(t):
-        i_q_ref = i_q_ref + schedule.carrier(t)
+        i_q_ref = i_q_ref + schedule.amplitude * math.sin(schedule.frequency * t)
     return i_d_ref, i_q_ref
 
 
@@ -97,6 +95,6 @@ def _command_ab(v_d, v_q, c, s, t, schedule, theta_hat):
     """
     v_a, v_b = _rotate(v_d, v_q, c, s)
     if schedule.kind is _VOLTAGE_ON_DHAT and schedule.active(t):
-        carrier = schedule.carrier(t)
+        carrier = schedule.amplitude * math.cos(schedule.frequency * t)
         v_a, v_b = v_a + carrier * math.cos(theta_hat), v_b + carrier * math.sin(theta_hat)
     return v_a, v_b

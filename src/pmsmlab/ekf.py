@@ -24,8 +24,6 @@ import numpy as np
 
 from pmsmlab.machine import MachineParams, _filter_model
 
-C_OUT = np.hstack([np.eye(2), np.zeros((2, 2))])
-
 
 def _diag_upper(d) -> tuple:
     """The 10 upper-triangle entries, in the kernels' order, of the 4x4 diagonal matrix diag(d)."""
@@ -117,8 +115,7 @@ def _update(r, x, P, ya: float, yb: float) -> tuple[tuple, tuple]:
     return x, P
 
 
-def linearize(params: MachineParams, x_hat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic Jacobian A = df/dx at (x_hat, u) and constant output map C."""
+def linearize(params: MachineParams, x_hat: np.ndarray, u) -> np.ndarray:
+    """Analytic Jacobian A = df/dx at (x_hat, u); the output map is the constant C = [I2 | 0]."""
     a = _filter_model(params, *map(float, x_hat), float(u[0]), float(u[1]))[4:]
-    A = np.array([a[0:4], a[4:8], (a[8], a[9], 0.0, a[10]), (0.0, 0.0, 1.0, 0.0)])
-    return A, C_OUT.copy()
+    return np.array([a[0:4], a[4:8], (a[8], a[9], 0.0, a[10]), (0.0, 0.0, 1.0, 0.0)])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -301,7 +301,7 @@ def _vector_columns(params: MachineParams, i_d, i_q, di_d, di_q, omega) -> dict:
 
 
 def _require_nonsalient(params: MachineParams, what: str) -> None:
-    if params.L2 != 0.0:
+    if params.is_salient:
         raise ValueError(f"{what} is defined for a non-salient machine (L2=0), got L2={params.L2}")
 
 
@@ -366,13 +366,6 @@ def spmsm_standstill_stack(params: MachineParams, theta: float) -> np.ndarray:
     return np.array(rows)
 
 
-def spmsm_rank_at_standstill(params: MachineParams, theta: float) -> tuple[np.ndarray, int]:
-    """Standstill stack and its numeric rank (3 for any theta when psi_r > 0)."""
-    stack = spmsm_standstill_stack(params, theta)
-    rank, _ = numeric_rank(stack)
-    return stack, rank
-
-
 def hfi_det_y1(
     omega: float,
     theta_err: float,
@@ -395,24 +388,6 @@ def hfi_det_y1(
     ) * V_hf * math.cos(omega_hf * t) * math.sin(theta_err)
 
 
-class AugmentedRank(NamedTuple):
-    rank: int
-    degenerate: bool
-
-
-def augmented_output_rank(params: MachineParams, theta: float, a: float, b: float) -> AugmentedRank:
-    """Rank of the standstill stack augmented with a position-dependent
-    measurement a*theta + b.
-
-    The offset b has zero gradient and cannot matter.  a = 0 degenerates to
-    the unaugmented rank-3 case and is flagged.
-    """
-    stack = spmsm_standstill_stack(params, theta)
-    extra = np.array([[0.0, 0.0, 0.0, a]])
-    rank, _ = numeric_rank(np.vstack([stack, extra]))
-    return AugmentedRank(rank, a == 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Back-EMF and flux model determinants
 # ---------------------------------------------------------------------------
@@ -423,25 +398,17 @@ def emf_model_det(params: MachineParams) -> float:
     return 1.0 / (params.L0 * params.L0)
 
 
-class EmfEstimate(NamedTuple):
-    theta: float
-    omega: float
-    indeterminate: bool
+def emf_position_speed(e_alpha: float, e_beta: float, params: MachineParams) -> tuple[float, float]:
+    """(theta, omega) reconstructed from the back-EMF components.
 
-
-def emf_position_speed(e_alpha: float, e_beta: float, params: MachineParams) -> EmfEstimate:
-    """Position and speed reconstructed from the back-EMF components.
-
-    At zero EMF (standstill) the position is indeterminate: flagged, NaN
-    outputs.  The speed sign is taken from the convention e_beta = omega *
-    psi_r * cos(theta); the magnitude-only reconstruction cannot separate
+    At zero EMF (standstill) the position is indeterminate and both are NaN.
+    The speed sign is taken from the convention e_beta = omega * psi_r *
+    cos(theta); the magnitude-only reconstruction cannot separate
     (omega, theta) from (-omega, theta+pi).
     """
     if e_alpha == 0.0 and e_beta == 0.0:
-        return EmfEstimate(math.nan, math.nan, True)
-    theta = math.atan2(-e_alpha, e_beta)
-    omega = math.hypot(e_alpha, e_beta) / params.psi_r
-    return EmfEstimate(theta, omega, False)
+        return math.nan, math.nan
+    return math.atan2(-e_alpha, e_beta), math.hypot(e_alpha, e_beta) / params.psi_r
 
 
 def flux_model_dets(omega: float, params: MachineParams) -> tuple[float, float, float]:
@@ -526,7 +493,7 @@ def trajectory_reports(
     they follow numpy's error state.
     """
     det1 = det_y1_ipmsm((i_d, i_q), (di_d, di_q), omega, params)
-    if params.L2 == 0.0:
+    if not params.is_salient:
         det2 = spmsm_det_y2(omega, omega_dot, i_d, params)
         sing = (omega == 0.0) & (omega_dot == 0.0)
         det3 = np.where(sing, spmsm_det_y3_at_sing(i_d, di_q, params), np.nan)

@@ -161,7 +161,7 @@ class Scenario:
 
     @staticmethod
     def violations(setpoints, t_end, T_s, ode_substeps, theta0, theta_hat_err0, q_diag, r_diag, p0_diag,
-                   control_bandwidth, voltage_limit, noise_std, seed, **_) -> list:
+                   control_bandwidth, voltage_limit, noise_std, seed, obs_on_estimates, **_) -> list:
         """(field or None, message) for every broken invariant; other fields are ignored.
 
         The other rules apply once every number is finite.
@@ -215,6 +215,8 @@ class Scenario:
             found.append(("seed", "must be an integer"))
         elif seed < 0:
             found.append(("seed", "must be >= 0"))
+        if not isinstance(obs_on_estimates, bool):
+            found.append(("obs_on_estimates", "must be true or false"))
         return found
 
     @property

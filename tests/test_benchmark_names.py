@@ -3,15 +3,22 @@
 The harness's worker, inputs, gate, run and record_reference scripts import
 pmsmlab by name, module by module.  A program change that deletes or moves
 one of those names breaks the benchmark; this test makes that fail in the
-tier-1 suite, not only in the harness's own smoke tests.
+tier-1 suite, not only in the harness's own smoke tests.  The output gate
+also reads attributes of the objects it is given (a config's scenario, its
+profile's omega, its sweep values), which no import shows, so the gate's
+three checks run here on short outputs of the shipped configs.
 """
 
 import ast
 import importlib
+import json
 import pathlib
 import types
 
 import pytest
+
+from pmsmlab.cli import main
+from pmsmlab.config import parse_config
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,3 +69,23 @@ def test_the_name_check_sees_attribute_reads_and_missing_names(tmp_path):
     found = dict(_pmsmlab_names(src))
     assert {k for k, v in found.items() if v is None} == {"pmsmlab.machine.gone", "pmsmlab.machine.lost"}
     assert {"pmsmlab.machine", "pmsmlab.machine.park", "pmsmlab.machine.MachineState"} <= set(found)
+
+
+def test_the_output_gate_runs_on_each_verb(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gate = importlib.import_module("gate")
+    ref = gate.load_reference()
+    checks = {
+        "simulate": ("standstill_ipmsm", lambda out, cfg: gate.check_study(out, cfg, ref["study_ipmsm"])),
+        "analyze": ("standstill_spmsm", gate.check_analyze),
+        "sweep": ("hfi_voltage_sweep", lambda out, cfg: gate.check_sweep(out, cfg, ref["hfi_sweep"])),
+    }
+    for verb, (name, check) in checks.items():
+        doc = json.loads((PERFBENCH.parent / "configs" / f"{name}.json").read_text())
+        doc["scenario"]["t_end"] = 0.002  # too short to match the reference: only that each check runs is asserted
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / verb
+        assert main([verb, "-c", str(path), "-o", str(out)]) == 0
+        fails, observations = check(str(out), parse_config(path.read_text()))
+        assert isinstance(fails, list) and isinstance(observations, list)

@@ -34,6 +34,11 @@ def test_schedule_validation():
         InjectionSchedule(InjectionKind.CURRENT_ON_Q, 0.5, 100.0, 0.5, 0.5)
     with pytest.raises(ValueError, match="amplitude: must be >= 0"):
         InjectionSchedule(InjectionKind.CURRENT_ON_Q, -0.5, 100.0, 0.0, 1.0)
+    # a kind given by its config name, not as an InjectionKind, would never inject: it is named, not accepted
+    kinds = r"\(none, current_on_q, voltage_on_dhat\)"
+    for name in ("none", "voltage_on_dhat"):
+        with pytest.raises(ValueError, match=rf"^kind: must be an InjectionKind {kinds}, got '{name}'$"):
+            InjectionSchedule(name, 2.0, 3000.0, 0.0, 0.001)
     # non-finite numbers are named, as a config file names them, also in an inactive schedule
     for kind in InjectionKind:
         with pytest.raises(ValueError, match="^amplitude: must be a finite number$"):
@@ -51,15 +56,6 @@ def test_schedule_window_is_closed_open():
     assert sch.active(0.499999)
     assert not sch.active(0.5)
     assert not InjectionSchedule().active(0.3)
-
-
-def test_carrier_shapes():
-    cur = InjectionSchedule(InjectionKind.CURRENT_ON_Q, 2.0, 300.0, 0.0, 1.0)
-    vol = InjectionSchedule(InjectionKind.VOLTAGE_ON_DHAT, 2.0, 300.0, 0.0, 1.0)
-    t = 0.013
-    assert cur.carrier(t) == pytest.approx(2.0 * math.sin(300.0 * t), rel=1e-15)
-    assert vol.carrier(t) == pytest.approx(2.0 * math.cos(300.0 * t), rel=1e-15)
-    assert cur.carrier(2.0) == 0.0  # outside the window
 
 
 def test_current_reference_injection():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pmsmlab.ekf import C_OUT, _diag_upper, _predict, _update, linearize
+from pmsmlab.ekf import _diag_upper, _predict, _update, linearize
 from pmsmlab.machine import MachineState, alphabeta, dynamics_alphabeta
 from pmsmlab.simulation import Scenario
 
@@ -87,12 +87,7 @@ def test_filter_jacobian_is_the_order1_matrix(machine, ip_params, sp_params):
 
     params = ip_params if machine == "ip" else sp_params
     for x, u in ipmsm_free_states(42, 100):  # criterion 1's states
-        assert np.array_equal(linearize(params, x, u)[0][:2], order1_matrix(x, u, params)[2:])
-
-
-def test_linearize_output_matrix(ip_params):
-    _, C = linearize(ip_params, np.zeros(4), (0.0, 0.0))
-    assert np.array_equal(C, C_OUT)
+        assert np.array_equal(linearize(params, x, u)[:2], order1_matrix(x, u, params)[2:])
 
 
 @pytest.mark.parametrize("machine", ["ip", "sp"])
@@ -110,7 +105,7 @@ def test_linearize_matches_finite_difference(machine, ip_params, sp_params):
             ]
         )
         u = rng.uniform(-30, 30, 2)
-        A, _ = linearize(params, x, u)
+        A = linearize(params, x, u)
         fd = np.empty((4, 4))
         for i in range(4):
             h = 1e-6 * max(1.0, abs(x[i]))
@@ -125,7 +120,7 @@ def test_linearize_matches_finite_difference(machine, ip_params, sp_params):
 
 def test_linearize_standstill_position_blindness(sp_params):
     # non-salient, zero speed, zero current: position column vanishes
-    A, _ = linearize(sp_params, np.array([0.0, 0.0, 0.0, 1.2]), (3.0, -4.0))
+    A = linearize(sp_params, np.array([0.0, 0.0, 0.0, 1.2]), (3.0, -4.0))
     assert not A[:, 3].any()
 
 
@@ -139,7 +134,7 @@ def test_predict_euler_forms(ip_params):
     u = (4.0, -2.0)
     x, P = _predict(ip_params, T_S, QD, _floats(x0), P0U, *u)
     P = _full(P)
-    A, _ = linearize(ip_params, x0, u)
+    A = linearize(ip_params, x0, u)
     p_ref = np.eye(4) + T_S * (A + A.T) + Q
     assert np.array_equal(x, x0 + T_S * _rate(ip_params, x0, u))
     assert np.allclose(P, 0.5 * (p_ref + p_ref.T), rtol=1e-12)
@@ -260,7 +255,7 @@ def test_predict_covariance_is_the_lyapunov_form_bit_for_bit(ip_params):
         B = rng.standard_normal((4, 4))
         P = 0.5 * (B @ B.T + (B @ B.T).T)
         assert np.array_equal(P, P.T)
-        A, _ = linearize(ip_params, x, u)
+        A = linearize(ip_params, x, u)
         a, p = A.tolist(), P.tolist()
         AP = [[sum(a[i][k] * p[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
         M = [[p[i][j] + T_S * (AP[i][j] + AP[j][i]) + q[i][j] for j in range(4)] for i in range(4)]
@@ -292,6 +287,7 @@ def test_kernels_match_a_numpy_statement_of_the_filter(machine, ip_params, sp_pa
     # the float kernels against the matrix form of one cycle: matmul Lyapunov
     # predict, a solved gain and the symmetrised downdate P - K C P
     params = ip_params if machine == "ip" else sp_params
+    C = np.hstack([np.eye(2), np.zeros((2, 2))])  # the output is the current pair
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(1000):
@@ -301,7 +297,7 @@ def test_kernels_match_a_numpy_statement_of_the_filter(machine, ip_params, sp_pa
         B = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3.0, 0.0)
         P = 0.5 * (B @ B.T + (B @ B.T).T) + 1e-6 * np.eye(4)
         r = rng.uniform(0.1, 3.0, 2)
-        A, C = linearize(params, x, u)
+        A = linearize(params, x, u)
         x_pred = x + T_S * _rate(params, x, u)
         P_pred = P + T_S * (A @ P + P @ A.T) + Q
         K = np.linalg.solve(C @ P_pred @ C.T + np.diag(r), C @ P_pred).T  # P C' S^-1, S symmetric

@@ -25,7 +25,6 @@ from pmsmlab.observability import (
     _flux_rate,
     ModelKind,
     ObservabilityReport,
-    augmented_output_rank,
     det_y1_ipmsm,
     emf_model_det,
     emf_position_speed,
@@ -37,7 +36,6 @@ from pmsmlab.observability import (
     spmsm_det_y1,
     spmsm_det_y2,
     spmsm_det_y3_at_sing,
-    spmsm_rank_at_standstill,
     spmsm_standstill_stack,
     trajectory_reports,
 )
@@ -386,7 +384,7 @@ def test_torque_and_filter_jacobian_match_the_exact_symbolic_model(machine, ip_p
             args = _exact_args(x, u, params)
             exact = torque(*args)
             worst_torque = max(worst_torque, float(abs(torque_alphabeta(MachineState(*x), params) - exact) / abs(exact)))
-            worst_row = max(worst_row, _worst_row_error(linearize(params, x, u)[0], jacobian(*args)))
+            worst_row = max(worst_row, _worst_row_error(linearize(params, x, u), jacobian(*args)))
     assert worst_torque < 1e-12
     assert worst_row < 1e-12
 
@@ -544,9 +542,9 @@ def test_standstill_stack_structure(sp_params):
     rng = np.random.default_rng(23)
     a = -sp_params.R / sp_params.L0
     for theta in rng.uniform(-math.pi, math.pi, 20):
-        stack, rank = spmsm_rank_at_standstill(sp_params, theta)
+        stack = spmsm_standstill_stack(sp_params, theta)
         assert stack.shape == (8, 4)
-        assert rank == 3
+        assert numeric_rank(stack)[0] == 3
         assert not stack[:, 3].any()
         # each derivative block is the previous one scaled by -R/L0
         for k in (1, 2):
@@ -557,12 +555,10 @@ def test_standstill_stack_structure(sp_params):
 
 
 def test_augmented_measurement_restores_rank(sp_params):
-    full = augmented_output_rank(sp_params, 0.8, 1.0, 0.0)
-    assert full.rank == 4 and not full.degenerate
-    # the offset term has zero gradient; only the slope matters
-    assert augmented_output_rank(sp_params, 0.8, 1.0, 123.0).rank == 4
-    none = augmented_output_rank(sp_params, 0.8, 0.0, 5.0)
-    assert none.rank == 3 and none.degenerate
+    # a measurement a*theta + b adds the gradient row [0, 0, 0, a]: the offset b drops out, only the slope matters
+    stack = spmsm_standstill_stack(sp_params, 0.8)
+    for a, rank in ((1.0, 4), (-0.25, 4), (0.0, 3)):
+        assert numeric_rank(np.vstack([stack, [[0.0, 0.0, 0.0, a]]]))[0] == rank
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +599,11 @@ def test_emf_reconstruction(sp_params):
     for om, th in ((40.0, 0.3), (12.0, -2.0), (5.0, 3.0)):
         e_a = -om * sp_params.psi_r * math.sin(th)
         e_b = om * sp_params.psi_r * math.cos(th)
-        est = emf_position_speed(e_a, e_b, sp_params)
-        assert not est.indeterminate
-        assert est.theta == pytest.approx(th, abs=1e-12)
-        assert est.omega == pytest.approx(om, rel=1e-12)
-    est = emf_position_speed(0.0, 0.0, sp_params)
-    assert est.indeterminate
-    assert math.isnan(est.theta) and math.isnan(est.omega)
+        theta, omega = emf_position_speed(e_a, e_b, sp_params)
+        assert theta == pytest.approx(th, abs=1e-12)
+        assert omega == pytest.approx(om, rel=1e-12)
+    # zero EMF (standstill): the position is indeterminate and both outputs are NaN
+    assert all(map(math.isnan, emf_position_speed(0.0, 0.0, sp_params)))
 
 
 def test_flux_dets_standstill_and_oracle(sp_params):

@@ -134,6 +134,10 @@ def test_scenario_validation():
                          ("seed", 1.5), ("seed", 2.0), ("seed", False)):
         with pytest.raises(ValueError, match=f"^{field}: must be an integer$"):
             dataclasses.replace(base, t_end=0.001, noise_std=0.1, **{field: value})
+    # and its booleans: neither a string nor a 0/1 integer is one
+    for value in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="^obs_on_estimates: must be true or false$"):
+            dataclasses.replace(base, obs_on_estimates=value)
     # a non-finite number is named, as a config file names it, before any rule computes with it
     for field, value in (("noise_std", math.nan), ("voltage_limit", math.nan), ("voltage_limit", math.inf),
                          ("control_bandwidth", math.nan), ("control_bandwidth", math.inf), ("T_s", math.nan),
