@@ -18,12 +18,11 @@ carrying the complete list of violations.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import groupby
 
 from pmsmlab.control import InjectionKind, InjectionSchedule
-from pmsmlab.machine import MachineParams, _is_integer
+from pmsmlab.machine import MachineParams, _is_integer, _is_num
 from pmsmlab.simulation import Scenario, SpeedProfile, standstill_study_scenario
 
 SWEEPABLE = ("injection.amplitude", "injection.frequency", "noise_std", "theta_hat_err0")
@@ -84,11 +83,6 @@ class RunConfig:
     write_summary: bool = True
     sweep: SweepSpec | None = None
     analyze_states: tuple[AnalyzePoint, ...] = ()
-
-
-def _is_num(v) -> bool:
-    # abs(v) <= max also rejects NaN, and an int past the float range without converting it
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _labels(block: str, found, path) -> list[str]:
@@ -262,7 +256,7 @@ def parse_config(text: str) -> RunConfig:
         params = _parse_machine(_Block("machine", root["machine"], machine_errors), machine_errors, base.params.J)
     errors.extend(machine_errors)
 
-    scenario_values = {"params": params}
+    scenario_values = {"params": base.params if params is None else params}  # a bad machine block is named above
     for name, paths in groupby(SCENARIO_PATHS.items(), lambda item: item[1].split(".")[0]):
         block = _Block(name, root.get(name, {}), errors)
         for field, path in paths:

@@ -75,11 +75,15 @@ def current_reference(t: float, schedule: InjectionSchedule, base: tuple[float, 
 
 
 def _pi_law(kp, ki, integrator, limit, error, T_s):
-    """One sample of the PI law on floats; returns (saturated output, integrator)."""
+    """One sample of the PI law on floats; returns (saturated output, integrator).
+
+    Each clamp is min(max(x, -limit), limit) written as comparisons, which return the same bits for any x
+    (NaN, +-inf and +-0.0 included) and any limit >= 0, at a fraction of the two calls' cost.
+    """
     out = kp * error + integrator
-    out = min(max(out, -limit), limit)
+    out = -limit if out < -limit else limit if out > limit else out
     integ = integrator + ki * error * T_s
-    integ = min(max(integ, -limit), limit)  # anti-windup
+    integ = -limit if integ < -limit else limit if integ > limit else integ  # anti-windup
     return out, integ
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -82,9 +83,17 @@ def finite_violations(**values) -> list:
     found = []
     for key, v in values.items():
         seq = isinstance(v, (tuple, list))
-        if not all(map(math.isfinite, v if seq else (v,))):
+        if not all(map(_is_num, v if seq else (v,))):
             found.append((key, "must be a list of finite numbers" if seq else "must be a finite number"))
     return found
+
+
+def _is_num(v) -> bool:
+    """The number rule of every float field and of a config file: a finite real, numpy's included, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    # an int is compared, not converted, so one past the float range is rejected rather than raising
+    return abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v)
 
 
 def _is_integer(v) -> bool:

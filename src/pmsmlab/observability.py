@@ -9,7 +9,8 @@ order-1 matrix's rows 2-3 are the current-rate gradient of its one gradient
 kernel, _model_gradients, which also gives the filter's Jacobian.  The
 per-sample quantities (order-1 rank and singular values, determinants,
 observability vector and margin) come only from trajectory_reports, which
-sample_report runs on one state.
+sample_report runs on one state.  numeric_rank decomposes one order-1 matrix
+per run of bit-equal consecutive samples.
 
 Two independent routes are kept side by side on purpose:
 
@@ -44,7 +45,8 @@ OUT_DIM = 2
 DEFAULT_FD_STEPS = {1: 1e-5, 2: 2e-3, 3: 2e-2}
 
 RANK_RTOL = 1e-9
-RANK_ABS_FLOOR = 1e-12
+# numeric_rank works through a stack this many matrices at a time, so its temporaries stay this size
+RANK_CHUNK = 4096
 
 
 class ModelKind(enum.Enum):
@@ -56,19 +58,38 @@ class ModelKind(enum.Enum):
 
 
 def numeric_rank(matrix: np.ndarray) -> tuple:
-    """Rank by singular-value counting.
+    """Rank by singular-value counting, with the threshold RANK_RTOL * sigma_max.
 
-    Threshold is RANK_RTOL * sigma_max, with an absolute floor when the matrix
-    is identically zero.  Returns (rank, singular values in descending order).
-    A stack of matrices (leading axes, the matrix in the last two) is ranked
-    matrix by matrix: rank is then an integer array of the leading shape and
-    the singular values run along the last axis.  A single matrix gives an int.
+    Returns (rank, singular values in descending order).  A stack of matrices
+    (leading axes, the matrix in the last two) is ranked matrix by matrix: rank
+    is then an integer array of the leading shape and the singular values run
+    along the last axis.  A single matrix gives an int.
+
+    Only the first matrix of each run of bit-equal consecutive matrices is
+    decomposed (-0.0 and +0.0 differ), RANK_CHUNK matrices at a time; a run
+    that crosses a chunk boundary carries its values across.  The values are
+    those of np.linalg.svd on each matrix, bit for bit.
     """
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    smax = sv[..., :1]
-    tol = np.where(smax > 0.0, RANK_RTOL * smax, RANK_ABS_FLOOR)
-    rank = np.sum(sv > tol, axis=-1)
-    return (int(rank) if rank.ndim == 0 else rank), sv
+    m = np.asarray(matrix, dtype=float)
+    *lead, rows, cols = m.shape
+    stack = m.reshape(-1, rows, cols)
+    n = len(stack)
+    key = f"V{m.itemsize * rows * cols}"  # a matrix's bytes as one value
+    sv = np.empty((n, min(rows, cols)))
+    sv[:1] = np.linalg.svd(stack[:1], compute_uv=False)  # the first matrix starts a run
+    for s in range(1, n, RANK_CHUNK):
+        e = min(s + RANK_CHUNK, n)
+        keys = stack[s - 1:e].reshape(e - s + 1, rows * cols).view(key)[:, 0]
+        fresh = keys[1:] != keys[:-1]  # starts a run: differs from the matrix before it
+        svals = np.linalg.svd(stack[s:e].compress(fresh, axis=0), compute_uv=False)
+        # each matrix takes the values of its run's first; row 0 carries those of matrix s - 1
+        sv[s:e] = np.concatenate((sv[s - 1:s], svals))[fresh.cumsum()]
+    rank = np.empty(n, dtype=np.intp)
+    for s in range(0, n, RANK_CHUNK):
+        chunk = sv[s:s + RANK_CHUNK]
+        rank[s:s + RANK_CHUNK] = (chunk > RANK_RTOL * chunk[:, :1]).sum(axis=1)
+    rank = rank.reshape(lead)
+    return (int(rank) if rank.ndim == 0 else rank), sv.reshape(*lead, sv.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +508,7 @@ def trajectory_reports(
     det_y2, det_y3, rank, psi_o_d, psi_o_q, theta_o, margin), then
     "singular_values", the (N, 4) singular values of each order-1 matrix in
     descending order, which no column holds.  The order-1 matrices are ranked
-    in one batched SVD; a non-finite matrix raises FloatingPointError naming
+    by numeric_rank; a non-finite matrix raises FloatingPointError naming
     the first such sample's time, with its index as the error's `sample`.
     Numpy scalar arguments give one sample's values; unlike Python floats,
     they follow numpy's error state.
@@ -506,9 +527,8 @@ def trajectory_reports(
     i_a, i_b = _rotate(i_d, i_q, c, s)
     di_a, di_b = _rotate(di_d - omega * i_q, di_q + omega * i_d, c, s)
     m1 = _obs_matrix_y1(params, i_a, i_b, omega, c, s, di_a, di_b, _inductance(params, c, s))
-    bad = ~np.isfinite(m1).all(axis=(-2, -1))
-    if bad.any():
-        k = int(bad.argmax())
+    if not np.isfinite(m1).all():
+        k = int(np.isfinite(m1).all(axis=(-2, -1)).argmin())
         exc = FloatingPointError(f"non-finite order-1 observability matrix at t={np.ravel(t)[k]:.6g}")
         exc.sample = k
         raise exc

@@ -160,16 +160,22 @@ class Scenario:
         raise_violations(self.violations(**{f.name: getattr(self, f.name) for f in fields(self)}))
 
     @staticmethod
-    def violations(setpoints, t_end, T_s, ode_substeps, theta0, theta_hat_err0, q_diag, r_diag, p0_diag,
-                   control_bandwidth, voltage_limit, noise_std, seed, obs_on_estimates, **_) -> list:
-        """(field or None, message) for every broken invariant; other fields are ignored.
+    def violations(params, profile, setpoints, injection, t_end, T_s, ode_substeps, theta0, theta_hat_err0, q_diag,
+                   r_diag, p0_diag, control_bandwidth, voltage_limit, noise_std, seed, obs_on_estimates) -> list:
+        """(field or None, message) for every broken invariant.
 
-        The other rules apply once every number is finite.
+        The other rules apply once the three parts have their types and every number is finite.
         """
-        found = finite_violations(setpoints=setpoints, t_end=t_end, T_s=T_s, theta0=theta0,
-                                  theta_hat_err0=theta_hat_err0, q_diag=q_diag, r_diag=r_diag, p0_diag=p0_diag,
-                                  control_bandwidth=control_bandwidth, voltage_limit=voltage_limit,
-                                  noise_std=noise_std)
+        found = []
+        for key, value, kind, what in (("params", params, MachineParams, "a MachineParams"),
+                                       ("profile", profile, SpeedProfile, "a SpeedProfile"),
+                                       ("injection", injection, InjectionSchedule, "an InjectionSchedule")):
+            if not isinstance(value, kind):
+                found.append((key, f"must be {what}"))
+        found += finite_violations(setpoints=setpoints, t_end=t_end, T_s=T_s, theta0=theta0,
+                                   theta_hat_err0=theta_hat_err0, q_diag=q_diag, r_diag=r_diag, p0_diag=p0_diag,
+                                   control_bandwidth=control_bandwidth, voltage_limit=voltage_limit,
+                                   noise_std=noise_std)
         if found:
             return found
         for key, value, n in (("setpoints", setpoints, 2), ("q_diag", q_diag, 4),

@@ -333,6 +333,10 @@ def test_apply_sweep_value():
         ("voltage_limit", math.inf, "must be a finite number"),
         ("setpoints", (math.nan, 0.0), "must be a list of finite numbers"),
         ("q_diag", (1.0, 1.0, math.inf, 0.1), "must be a list of finite numbers"),
+        # a bool is not a number, and a string is named rather than left to fail in math.isfinite
+        ("noise_std", True, "must be a finite number"),
+        ("t_end", "0.001", "must be a finite number"),
+        ("q_diag", (1.0, True, 1e3, 0.1), "must be a list of finite numbers"),
     ],
 )
 def test_scenario_rule_stated_once_for_code_and_config(field, value, message):

@@ -1,9 +1,11 @@
 """Injection scheduling, the controller kernels, and the closed current-control loop."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsmlab.control import (
     InjectionKind,
@@ -89,6 +91,19 @@ def test_pi_anti_windup():
     assert integ == 2.0
     out, integ = _pi_law(1.0, 100.0, integ, 2.0, -1.0, 0.01)
     assert out == pytest.approx(1.0)  # recovers immediately
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_pi_law_clamps_as_min_max(data):
+    # the comparison clamp returns the bits of min(max(x, -limit), limit) for NaN, +-inf, +-0.0 and +-limit too
+    limit = data.draw(st.floats(min_value=0.0), label="limit")
+    value = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, limit, -limit])
+    kp, ki, integrator, error, T_s = (data.draw(st.sampled_from([0.0, 1.0]) | value, label=name)
+                                      for name in ("kp", "ki", "integrator", "error", "T_s"))
+    want = (min(max(kp * error + integrator, -limit), limit), min(max(integrator + ki * error * T_s, -limit), limit))
+    got = _pi_law(kp, ki, integrator, limit, error, T_s)
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
 
 def test_default_gains_rule():

@@ -2,7 +2,9 @@
 
 import functools
 import math
-from dataclasses import fields
+import pathlib
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from pmsmlab.machine import (
 )
 from pmsmlab.observability import (
     DEFAULT_FD_STEPS,
+    RANK_CHUNK,
+    RANK_RTOL,
     _backemf_rate,
     _emech_rate,
     _flux_rate,
@@ -95,6 +99,82 @@ def test_numeric_rank_batch_matches_single_matrices():
         rank_k, sv_k = numeric_rank(stack[k])
         assert type(rank_k) is int and ranks[k] == rank_k
         np.testing.assert_allclose(sv[k], sv_k, rtol=1e-12, atol=0.0)
+
+
+def _assert_plain_rank(matrix):
+    """numeric_rank equals one np.linalg.svd per matrix, bit for bit, and the RANK_RTOL count on its values."""
+    rank, sv = numeric_rank(matrix)
+    want_sv = np.linalg.svd(matrix, compute_uv=False)
+    want_rank = (want_sv > RANK_RTOL * want_sv[..., :1]).sum(axis=-1)
+    assert sv.shape == want_sv.shape and np.array_equal(sv.view(np.int64), want_sv.view(np.int64))
+    if np.ndim(want_rank) == 0:
+        assert type(rank) is int and rank == want_rank
+    else:
+        assert rank.shape == want_rank.shape and np.array_equal(rank, want_rank)
+
+
+def test_numeric_rank_reuses_runs_bit_for_bit(monkeypatch, ip_params):
+    import pmsmlab.observability as observability
+
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1.0, 1.0, (2, 4, 4))
+    # three runs each, the first crossing two chunk boundaries and the second starting around one
+    runs = [np.repeat(np.stack([a, b, a]), [2 * RANK_CHUNK + k, RANK_CHUNK, 3], axis=0) for k in (-1, 0, 1, 2)]
+    signed = np.zeros((6, 4, 4))
+    signed[:, 0, 0] = signed[:, 1, 1] = 1.0
+    signed[3, 2, 3] = -0.0  # equal as a number, not bit for bit: it starts a run of its own
+    assert math.copysign(1.0, signed[3, 2, 3]) == -1.0
+    svd_rows = []
+    plain_svd = np.linalg.svd
+    monkeypatch.setattr(observability.np.linalg, "svd",
+                        lambda m, **kw: svd_rows.append(len(m)) or plain_svd(m, **kw))
+    for m in runs + [signed]:
+        svd_rows.clear()
+        numeric_rank(m)
+        assert sum(svd_rows) == 3 and max(svd_rows) <= RANK_CHUNK  # one matrix per run, a chunk at a time
+    monkeypatch.undo()
+    fd = lie_gradient_stack(EM, [1.0, -2.0, 30.0, 0.4], [5.0, -5.0], 3, ip_params)
+    for m in runs + [signed, np.zeros((0, 4, 4)), a, fd, np.stack([fd, fd, 2.0 * fd]), np.vstack([fd, fd[:4]]),
+                     np.stack([np.vstack([fd, fd[:4]])] * 3)]:
+        _assert_plain_rank(m)
+
+
+def test_numeric_rank_of_the_benchmark_runs_is_plain(monkeypatch):
+    # the order-1 stacks of the benchmarked simulate, sweep and noisy analyze runs
+    import pmsmlab.observability as observability
+    from pmsmlab.config import apply_sweep_value, parse_config
+    from pmsmlab.simulation import run_scenario
+
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    stacks = []
+    monkeypatch.setattr(observability, "numeric_rank", lambda m: stacks.append(m) or numeric_rank(m))
+    run_scenario(parse_config((configs / "standstill_ipmsm.json").read_text()).scenario)
+    cfg = parse_config((configs / "hfi_voltage_sweep.json").read_text())
+    for value in cfg.sweep.values:
+        run_scenario(apply_sweep_value(cfg.scenario, cfg.sweep.parameter, value))
+    noisy = replace(parse_config((configs / "standstill_spmsm.json").read_text()).scenario, noise_std=0.05, seed=4)
+    run_scenario(noisy, with_ekf=False)
+    monkeypatch.undo()
+    assert [len(m) for m in stacks] == [10000] + [6000] * len(cfg.sweep.values) + [10000]
+    for m in stacks:
+        _assert_plain_rank(m)
+
+
+def test_numeric_rank_memory_is_its_output_and_one_chunk():
+    # 200,000 distinct matrices: the extra memory is the (N, 4) values, the N ranks and one chunk's temporaries,
+    # not a mask, a copy or an index over the whole stack
+    n = 200_000
+    stack = np.random.default_rng(9).uniform(-1.0, 1.0, (n, 4, 4))
+    numeric_rank(stack[:2])  # numpy's first-call allocations are not the stack's
+    tracemalloc.start()
+    try:
+        rank, sv = numeric_rank(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sv.shape == (n, 4) and rank.shape == (n,)
+    outputs = sv.nbytes + rank.nbytes
+    assert peak <= outputs + RANK_CHUNK * stack[0].nbytes, (peak - outputs) / RANK_CHUNK  # a chunk's matrices
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,25 @@ def test_scenario_validation():
             dataclasses.replace(base, **{field: value})
 
 
+@pytest.mark.parametrize("field, kind", [("params", "a MachineParams"), ("profile", "a SpeedProfile"),
+                                         ("injection", "an InjectionSchedule")])
+def test_code_built_scenario_names_a_part_of_the_wrong_type(field, kind):
+    # a config file can only fill these with their types; in code, None or a stand-in is named, not run
+    base = standstill_study_scenario()
+    for value in (None, dataclasses.asdict(getattr(base, field))):
+        with pytest.raises(ValueError, match=f"^{field}: must be {kind}$"):
+            dataclasses.replace(base, t_end=0.001, **{field: value})
+
+
+def test_code_built_scenario_takes_numpy_real_scalars():
+    base = standstill_study_scenario()
+    for value in (np.float64(0.5), np.float32(0.5), np.int64(1), np.int32(1)):
+        dataclasses.replace(base, theta0=value, noise_std=value, q_diag=(value, 1.0, 1e3, 0.1))
+    for value in (np.float32(np.inf), np.float64(np.nan), 10**400):
+        with pytest.raises(ValueError, match="^noise_std: must be a finite number$"):
+            dataclasses.replace(base, noise_std=value)
+
+
 def test_scenario_sample_count():
     assert standstill_study_scenario().n_samples == 10000
     assert _tiny().n_samples == 200
