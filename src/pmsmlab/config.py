@@ -5,8 +5,9 @@ The file is a JSON object with blocks "machine" (required), "scenario",
 field takes the documented default (the reference standstill study), so a
 minimal file needs only the machine constants.
 
-The parser checks the JSON: types, shapes, unknown keys and the choice
-between Ld/Lq and L0/L2.  The value rules belong to the dataclasses:
+The parser checks the JSON's shapes, unknown keys and the choice between
+Ld/Lq and L0/L2, and each value by the type rules that the dataclasses
+check too, machine.TYPE_RULES.  The value rules belong to the dataclasses:
 MachineParams, SpeedProfile, InjectionSchedule and Scenario each state
 theirs once in violations(), which the parser calls on the values it read,
 without building the objects, and labels with the JSON path.  Each sweep
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import groupby
 
 from pmsmlab.control import InjectionKind, InjectionSchedule
-from pmsmlab.machine import MachineParams, _is_integer, _is_num
+from pmsmlab.machine import TYPE_RULES, MachineParams, _is_num
 from pmsmlab.simulation import Scenario, SpeedProfile, standstill_study_scenario
 
 SWEEPABLE = ("injection.amplitude", "injection.frequency", "noise_std", "theta_hat_err0")
@@ -91,7 +92,7 @@ def _labels(block: str, found, path) -> list[str]:
 
 
 class _Block:
-    """One nested section: typed getters that record problems instead of raising."""
+    """One nested section: a getter that records problems instead of raising."""
 
     def __init__(self, name: str, data: dict, errors: list):
         self.name = name
@@ -101,56 +102,31 @@ class _Block:
         if not isinstance(data, dict):
             errors.append(f"{name}: must be an object")
 
-    def _get(self, key, default, what, accept, convert):
-        """convert(value) at key; the default when the key is missing or its value is not `what`."""
+    def get(self, key, default, kind=None):
+        """The value at key if it keeps the type rule of kind (by default the default's type), else the default.
+
+        A broken rule is recorded; a number is read as a float and a list of numbers as a tuple of floats.
+        """
         self.seen.add(key)
         if key not in self.data:
             return default
+        kind = kind or type(default)
+        holds, message = TYPE_RULES[kind]
         v = self.data[key]
-        if not accept(v):
-            self.errors.append(f"{self.name}.{key}: must be {what}")
+        if not holds(v):
+            self.errors.append(f"{self.name}.{key}: {message}")
             return default
-        return convert(v)
-
-    def num(self, key, default=None):
-        return self._get(key, default, "a finite number", _is_num, float)
-
-    def integer(self, key, default=None):
-        return self._get(key, default, "an integer", _is_integer, int)
-
-    def boolean(self, key, default=None):
-        return self._get(key, default, "true or false", lambda v: isinstance(v, bool), bool)
-
-    def string(self, key, default=None):
-        return self._get(key, default, "a string", lambda v: isinstance(v, str), str)
-
-    def num_list(self, key, length=None, default=None):
-        v = self._get(
-            key, default, "a list of finite numbers",
-            lambda v: isinstance(v, list) and all(_is_num(x) for x in v), lambda v: tuple(float(x) for x in v),
-        )
-        if v is not default and length is not None and len(v) != length:
-            self.errors.append(f"{self.name}.{key}: must have exactly {length} entries")
-            return default
-        return v
+        return tuple(map(float, v)) if kind is tuple else kind(v)
 
     def raw(self, key):
         self.seen.add(key)
         return self.data.get(key)
 
     def read(self, key, default):
-        """The value at key, read with the getter for the default's type."""
-        if isinstance(default, bool):
-            return self.boolean(key, default)
-        if isinstance(default, int):
-            return self.integer(key, default)
-        if isinstance(default, float):
-            return self.num(key, default)
-        if isinstance(default, tuple):
-            return self.num_list(key, default=default)
+        """The value at key: the injection block parsed, the profile raw (parsed once its block is read), else get."""
         if isinstance(default, InjectionSchedule):
             return _parse_injection(self.raw(key), default, self.errors)
-        return self.raw(key)  # the profile, parsed once its block is read
+        return self.raw(key) if isinstance(default, SpeedProfile) else self.get(key, default)
 
     def check_unknown(self):
         extra = set(self.data) - self.seen
@@ -158,10 +134,10 @@ class _Block:
             self.errors.append(f"{self.name}.{k}: unknown key")
 
 
-def _parse_machine(block: _Block, errors: list, J: float) -> MachineParams | None:
-    values = dict(R=block.num("R"), psi_r=block.num("psi_r"), p=block.integer("p"), J=block.num("J", J))
-    Ld, Lq = block.num("Ld"), block.num("Lq")
-    L0, L2 = block.num("L0"), block.num("L2")
+def _parse_machine(block: _Block, errors: list, ref: MachineParams) -> MachineParams | None:
+    # a missing or mistyped constant takes the reference machine's value, so the value rules still run on the others
+    values = {key: block.get(key, getattr(ref, key)) for key in ("R", "psi_r", "p", "J")}
+    Ld, Lq, L0, L2 = (block.get(key, None, float) for key in ("Ld", "Lq", "L0", "L2"))
     block.check_unknown()
 
     for key in ("R", "psi_r", "p"):
@@ -194,19 +170,15 @@ def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> Injectio
     if raw is None:
         return defaults
     b = _Block("scenario.injection", raw, errors)
-    kind_s = b.string("kind", defaults.kind.value)
-    amplitude = b.num("amplitude", defaults.amplitude)
-    frequency = b.num("frequency", defaults.frequency)
-    window = b.num_list("window", 2, (defaults.t_start, defaults.t_end))
+    name = b.get("kind", defaults.kind.value)
+    amplitude = b.get("amplitude", defaults.amplitude)
+    frequency = b.get("frequency", defaults.frequency)
+    window = b.get("window", (defaults.t_start, defaults.t_end))
+    if len(window) != 2:
+        errors.append("scenario.injection.window: must have exactly 2 entries")
+        window = (defaults.t_start, defaults.t_end)
     b.check_unknown()
-    try:
-        kind = InjectionKind(kind_s)
-    except ValueError:
-        errors.append(
-            f"scenario.injection.kind: unknown kind {kind_s!r} "
-            f"(use {', '.join(k.value for k in InjectionKind)})"
-        )
-        return defaults
+    kind = {k.value: k for k in InjectionKind}.get(name, name)  # an unknown name is left for the kind rule to name
     found = _labels(b.name, InjectionSchedule.violations(kind, amplitude, frequency, *window),
                     "scenario.injection.{}".format)
     errors.extend(found)
@@ -253,7 +225,7 @@ def parse_config(text: str) -> RunConfig:
     machine_errors: list[str] = []
     params = None
     if "machine" in root:
-        params = _parse_machine(_Block("machine", root["machine"], machine_errors), machine_errors, base.params.J)
+        params = _parse_machine(_Block("machine", root["machine"], machine_errors), machine_errors, base.params)
     errors.extend(machine_errors)
 
     scenario_values = {"params": base.params if params is None else params}  # a bad machine block is named above
@@ -266,16 +238,16 @@ def parse_config(text: str) -> RunConfig:
             scenario_values["profile"] = _parse_profile(scenario_values["profile"], base.profile, errors)
 
     ob = _Block("output", root.get("output", {}), errors)
-    out_dir = ob.string("dir", ".")
-    csv_name = ob.string("csv", "trajectory.csv")
-    write_summary = ob.boolean("summary", True)
+    out_dir = ob.get("dir", ".")
+    csv_name = ob.get("csv", "trajectory.csv")
+    write_summary = ob.get("summary", True)
     ob.check_unknown()
 
     sweep = None
     if "sweep" in root:
         wb = _Block("sweep", root["sweep"], errors)
-        parameter = wb.string("parameter")
-        values = wb.num_list("values")
+        parameter = wb.get("parameter", None, str)
+        values = wb.get("values", None, tuple)
         wb.check_unknown()
         if parameter is None or values is None or not values:
             errors.append("sweep: needs 'parameter' and a non-empty 'values' list")
@@ -295,7 +267,7 @@ def parse_config(text: str) -> RunConfig:
             pts = []
             for idx, entry in enumerate(states_raw):
                 pb = _Block(f"analyze.states[{idx}]", entry, errors)
-                pt = AnalyzePoint(**{f.name: pb.num(f.name, f.default) for f in fields(AnalyzePoint)})
+                pt = AnalyzePoint(**{f.name: pb.get(f.name, f.default) for f in fields(AnalyzePoint)})
                 pb.check_unknown()
                 pts.append(pt)
             analyze_states = tuple(pts)

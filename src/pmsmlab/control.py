@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from pmsmlab.machine import MachineParams, _rotate, finite_violations, raise_violations
+from pmsmlab.machine import MachineParams, _rotate, raise_violations, type_violations
 
 
 class InjectionKind(enum.Enum):
@@ -48,7 +48,8 @@ class InjectionSchedule:
     @staticmethod
     def violations(kind, amplitude, frequency, t_start, t_end) -> list:
         """(field, message) for every broken invariant; an inactive schedule needs only its kind and finite values."""
-        found = finite_violations(amplitude=amplitude, frequency=frequency, window=(t_start, t_end))
+        found = type_violations(float, amplitude=amplitude, frequency=frequency)
+        found += type_violations(tuple, window=(t_start, t_end))
         if not isinstance(kind, InjectionKind):
             kinds = ", ".join(k.value for k in InjectionKind)
             found.append(("kind", f"must be an InjectionKind ({kinds}), got {kind!r}"))
@@ -58,7 +59,7 @@ class InjectionSchedule:
             found.append(("window", "needs t_start < t_end"))
         if amplitude < 0.0:
             found.append(("amplitude", "must be >= 0"))
-        if not math.isfinite(frequency * max(abs(t_start), abs(t_end))):
+        if not math.isfinite(float(frequency) * float(max(abs(t_start), abs(t_end)))):  # inf on overflow, also of ints
             found.append(("frequency", "the carrier phase frequency * t must stay finite over the window"))
         return found
 

@@ -75,21 +75,8 @@ def raise_violations(found) -> None:
         raise ValueError("; ".join(msg if key is None else f"{key}: {msg}" for key, msg in found))
 
 
-def finite_violations(**values) -> list:
-    """(field, message) for each value, a number or a sequence of numbers, that is not finite.
-
-    The messages are the config parser's, so a code-built object and a config file read alike.
-    """
-    found = []
-    for key, v in values.items():
-        seq = isinstance(v, (tuple, list))
-        if not all(map(_is_num, v if seq else (v,))):
-            found.append((key, "must be a list of finite numbers" if seq else "must be a finite number"))
-    return found
-
-
 def _is_num(v) -> bool:
-    """The number rule of every float field and of a config file: a finite real, numpy's included, not a bool."""
+    """The number rule: a finite real, numpy's included, not a bool."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return False
     # an int is compared, not converted, so one past the float range is rejected rather than raising
@@ -97,8 +84,25 @@ def _is_num(v) -> bool:
 
 
 def _is_integer(v) -> bool:
-    """The integer rule of every integer field and of a config file: a bool is not an integer."""
+    """The integer rule: a bool is not an integer."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+# The type rule of each kind of field, a predicate and its message in the config parser's words: the dataclasses
+# check their fields by it, and the parser each JSON value, so a code-built object and a config file read alike.
+TYPE_RULES = {
+    float: (_is_num, "must be a finite number"),
+    tuple: (lambda v: isinstance(v, (tuple, list)) and all(map(_is_num, v)), "must be a list of finite numbers"),
+    int: (_is_integer, "must be an integer"),
+    bool: (lambda v: isinstance(v, bool), "must be true or false"),
+    str: (lambda v: isinstance(v, str), "must be a string"),
+}
+
+
+def type_violations(kind, **values) -> list:
+    """(field, message) for each value that breaks the type rule of kind, the type of its fields."""
+    holds, message = TYPE_RULES[kind]
+    return [(key, message) for key, v in values.items() if not holds(v)]
 
 
 @dataclass(frozen=True)
@@ -128,31 +132,31 @@ class MachineParams:
 
     @staticmethod
     def violations(R, L0, L2, psi_r, p, J) -> list:
-        """(field or None, message) for every broken invariant; a None value skips its rules.
+        """(field or None, message) for every broken invariant.
 
-        The range rules at the end apply once the others hold; only the first broken one is reported.
+        The value rules apply once every field has its type, and the range rules at the end once the
+        others hold; only the first broken range rule is reported.
         """
-        found = []
-        if R is not None and R <= 0.0:
+        found = type_violations(float, R=R, L0=L0, L2=L2, psi_r=psi_r, J=J) + type_violations(int, p=p)
+        if found:
+            return found
+        if R <= 0.0:
             found.append(("R", "must be > 0"))
         if L0 <= 0.0:
             found.append(("L0", "must be > 0 (equivalently Ld + Lq > 0)"))
         elif abs(L2) >= L0:
             # |L2| < L0 keeps the inductance matrix positive definite at all theta.
             found.append((None, "|L2| must be < L0 (both Ld and Lq positive)"))
-        if psi_r is not None and psi_r < 0.0:
+        if psi_r < 0.0:
             found.append(("psi_r", "must be >= 0"))
-        if p is not None and not _is_integer(p):
-            found.append(("p", "must be an integer"))
-        elif p is not None and p < 1:
+        if p < 1:
             found.append(("p", "must be >= 1"))
         if J <= 0.0:
             found.append(("J", "must be > 0"))
-        if found or None in (R, psi_r, p):
+        if found:
             return found
-        if not all(math.isfinite(v) for v in (R, L0, L2, psi_r, J)):
-            return [(None, "machine parameters must be finite")]
-        if not sys.float_info.min <= L0 * L0 - L2 * L2 <= sys.float_info.max:
+        # in floats, as _inductance forms det(L): an int squared may not convert
+        if not sys.float_info.min <= float(L0) * float(L0) - float(L2) * float(L2) <= sys.float_info.max:
             return [(None, f"Ld*Lq = L0^2 - L2^2 must be a normal float, got L0={L0}, L2={L2}")]
         if p > sys.float_info.max:
             return [(None, "p must not exceed the float range")]

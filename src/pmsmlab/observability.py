@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from pmsmlab.machine import MachineParams, _inductance, _is_integer, _model_gradients, _rotate, state_rate
+from pmsmlab.machine import MachineParams, _inductance, _is_integer, _is_num, _model_gradients, _rotate, state_rate
 
 STATE_DIM = 4
 OUT_DIM = 2
@@ -202,9 +202,9 @@ def lie_gradient_stack(
         raise ValueError(f"input must have shape (2,), got {u.shape}")
     fd_steps = dict(DEFAULT_FD_STEPS)
     for k, lam in (steps or {}).items():
-        if k not in DEFAULT_FD_STEPS:
+        if not (_is_integer(k) and k in DEFAULT_FD_STEPS):
             raise ValueError(f"steps keys must be orders in 1..3, got {k!r}")
-        if not (math.isfinite(lam) and lam > 0.0):
+        if not (_is_num(lam) and lam > 0.0):
             raise ValueError(f"steps[{k}] must be finite and > 0, got {lam!r}")
         fd_steps[k] = lam
 

@@ -44,10 +44,9 @@ from pmsmlab.machine import (
     _dq_current_rate,
     _electrical_rate_ab,
     _inductance,
-    _is_integer,
     _rotate,
-    finite_violations,
     raise_violations,
+    type_violations,
     wrap_angle,
 )
 from pmsmlab.observability import trajectory_reports
@@ -83,15 +82,15 @@ class SpeedProfile:
 
     @staticmethod
     def violations(times, speeds) -> list:
-        """(None, message) for every broken invariant of the breakpoint list."""
+        """(field or None, message) for every broken invariant of the breakpoint list."""
+        found = type_violations(tuple, times=times, speeds=speeds)
+        if found:
+            return found
         if len(times) != len(speeds) or not times:
             return [(None, "need matching, non-empty times and speeds")]
-        found = []
         if any(b <= a for a, b in zip(times, times[1:])):
-            found.append((None, "breakpoint times must be strictly increasing"))
-        if not all(math.isfinite(v) for v in times + speeds):
-            found.append((None, "breakpoints must be finite"))
-        return found
+            return [(None, "breakpoint times must be strictly increasing")]
+        return []
 
     @classmethod
     def from_breakpoints(cls, points) -> "SpeedProfile":
@@ -164,7 +163,7 @@ class Scenario:
                    r_diag, p0_diag, control_bandwidth, voltage_limit, noise_std, seed, obs_on_estimates) -> list:
         """(field or None, message) for every broken invariant.
 
-        The other rules apply once the three parts have their types and every number is finite.
+        The value rules apply once every field has its type.
         """
         found = []
         for key, value, kind, what in (("params", params, MachineParams, "a MachineParams"),
@@ -172,10 +171,11 @@ class Scenario:
                                        ("injection", injection, InjectionSchedule, "an InjectionSchedule")):
             if not isinstance(value, kind):
                 found.append((key, f"must be {what}"))
-        found += finite_violations(setpoints=setpoints, t_end=t_end, T_s=T_s, theta0=theta0,
-                                   theta_hat_err0=theta_hat_err0, q_diag=q_diag, r_diag=r_diag, p0_diag=p0_diag,
-                                   control_bandwidth=control_bandwidth, voltage_limit=voltage_limit,
-                                   noise_std=noise_std)
+        found += type_violations(tuple, setpoints=setpoints, q_diag=q_diag, r_diag=r_diag, p0_diag=p0_diag)
+        found += type_violations(float, t_end=t_end, T_s=T_s, theta0=theta0, theta_hat_err0=theta_hat_err0,
+                                 control_bandwidth=control_bandwidth, voltage_limit=voltage_limit, noise_std=noise_std)
+        found += type_violations(int, ode_substeps=ode_substeps, seed=seed)
+        found += type_violations(bool, obs_on_estimates=obs_on_estimates)
         if found:
             return found
         for key, value, n in (("setpoints", setpoints, 2), ("q_diag", q_diag, 4),
@@ -207,22 +207,16 @@ class Scenario:
                 found.append(("t_end", f"must be a whole number of samples (t_end / T_s = {n:.9g})"))
             else:
                 samples = round(n)
-        if not _is_integer(ode_substeps):
-            found.append(("ode_substeps", "must be an integer"))
-        elif ode_substeps < 1:
+        if ode_substeps < 1:
             found.append(("ode_substeps", "must be >= 1"))
         elif samples * ode_substeps > MAX_RK4_STEPS:  # in integers, so no substep count overflows
             found.append((None, f"t_end / T_s * ode_substeps must not exceed {MAX_RK4_STEPS} RK4 steps"))
-        if not math.isfinite(theta0 + theta_hat_err0):  # inf on overflow
+        if not math.isfinite(float(theta0) + float(theta_hat_err0)):  # inf on overflow, also of two ints
             found.append((None, "theta0 + theta_hat_err0, the filter's prior angle, must be finite"))
         if noise_std < 0.0:
             found.append(("noise_std", "must be >= 0"))
-        if not _is_integer(seed):
-            found.append(("seed", "must be an integer"))
-        elif seed < 0:
+        if seed < 0:
             found.append(("seed", "must be >= 0"))
-        if not isinstance(obs_on_estimates, bool):
-            found.append(("obs_on_estimates", "must be true or false"))
         return found
 
     @property

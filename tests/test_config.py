@@ -3,8 +3,9 @@
 import json
 import math
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,7 +186,7 @@ def test_injection_kind_error_lists_options():
         )
     )
     assert len(errs) == 1
-    assert "scenario.injection.kind: unknown kind 'zap'" in errs[0]
+    assert errs[0].startswith("scenario.injection.kind: must be an InjectionKind (") and errs[0].endswith(", got 'zap'")
     for option in ("none", "current_on_q", "voltage_on_dhat"):
         assert option in errs[0]
 
@@ -337,6 +338,9 @@ def test_apply_sweep_value():
         ("noise_std", True, "must be a finite number"),
         ("t_end", "0.001", "must be a finite number"),
         ("q_diag", (1.0, True, 1e3, 0.1), "must be a list of finite numbers"),
+        # a list field's rule is chosen by the field, not guessed from the value
+        ("setpoints", "ab", "must be a list of finite numbers"),
+        ("setpoints", None, "must be a list of finite numbers"),
     ],
 )
 def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
@@ -357,6 +361,7 @@ def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
         ("frequency", {"frequency": 1e308}, 1e308, "the carrier phase frequency * t must stay finite over the window"),
         ("amplitude", {"amplitude": math.nan}, math.nan, "must be a finite number"),
         ("window", {"t_start": -math.inf}, [-math.inf, 3.0], "must be a list of finite numbers"),
+        ("kind", {"kind": "zap"}, "zap", "must be an InjectionKind (none, current_on_q, voltage_on_dhat), got 'zap'"),
     ],
 )
 def test_injection_rule_stated_once_for_code_and_config(field, change, value, message):
@@ -367,6 +372,24 @@ def test_injection_rule_stated_once_for_code_and_config(field, change, value, me
     doc = json.loads(MINIMAL_SPMSM)
     doc["scenario"] = {"injection": {"kind": "current_on_q", "window": [0.2, 3.0], field: value}}
     assert errors_of(json.dumps(doc)) == [f"scenario.injection.{field}: {message}"]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("R", None, "must be a finite number"),
+        ("R", True, "must be a finite number"),
+        ("R", "x", "must be a finite number"),
+        ("p", True, "must be an integer"),
+    ],
+)
+def test_machine_rule_stated_once_for_code_and_config(field, value, message):
+    with pytest.raises(ValueError) as exc:
+        replace(standstill_study_scenario().params, **{field: value})
+    assert str(exc.value) == f"{field}: {message}"
+    doc = json.loads(MINIMAL_SPMSM)
+    doc["machine"][field] = value
+    assert errors_of(json.dumps(doc)) == [f"machine.{field}: {message}"]
 
 
 def test_scenario_rules_reported_with_machine_errors():
@@ -459,3 +482,22 @@ def test_any_one_field_replaced_parses_or_is_a_config_error(field_path, value):
         assert isinstance(parse_config(json.dumps(doc)), RunConfig)
     except ConfigError as exc:
         assert exc.errors
+
+
+_SCN = standstill_study_scenario()
+CODE_FIELDS = [(obj, f.name) for obj in (_SCN, _SCN.params, _SCN.profile, _SCN.injection)
+               for f in fields(obj) if f.init]
+PYTHON_VALUES = st.sampled_from(
+    [10**300, -(10**300), np.float32(np.inf), np.float32(0.5), np.float64(np.nan), np.int64(2), 1j, InjectionKind.NONE]
+) | JSON_VALUES | st.lists(JSON_SCALARS, max_size=5).map(tuple)
+
+
+@pytest.mark.parametrize("obj, field", CODE_FIELDS, ids=[f"{type(obj).__name__}.{name}" for obj, name in CODE_FIELDS])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(value=PYTHON_VALUES)
+def test_any_one_field_of_a_code_built_object_replaced_constructs_or_is_a_value_error(obj, field, value):
+    # the type rules name what the value rules could not compute with: no TypeError or OverflowError escapes
+    try:
+        replace(obj, **{field: value})
+    except ValueError:
+        pass

@@ -246,8 +246,15 @@ def test_stack_rejects_input_of_wrong_shape(ip_params, u):
         ({3: math.inf}, "finite and > 0"),
         ({5: 1.0}, "orders in 1..3"),
         ({0: 1e-5}, "orders in 1..3"),
+        # a step is held to the number rule and an order to the integer rule of every field
+        ({1: "x"}, "finite and > 0"),
+        ({1: 10**400}, "finite and > 0"),
+        ({1: True}, "finite and > 0"),
+        ({True: 1e-5}, "orders in 1..3"),
+        ({1.0: 1e-5}, "orders in 1..3"),
     ],
-    ids=["zero", "negative", "nan", "inf", "order-5", "order-0"],
+    ids=["zero", "negative", "nan", "inf", "order-5", "order-0", "string", "int-past-float", "bool", "bool-order",
+         "float-order"],
 )
 def test_stack_rejects_bad_steps(ip_params, steps, match):
     with pytest.raises(ValueError, match=match):

@@ -59,6 +59,11 @@ def test_profile_validation():
         SpeedProfile(times=(0.0, 0.0), speeds=(1.0, 2.0))
     with pytest.raises(ValueError, match="finite"):
         SpeedProfile(times=(0.0, math.inf), speeds=(1.0, 2.0))
+    # a breakpoint is held to the number rule: a string, a bool or an int past the float range is named
+    for times, speeds, field in (((0.0, "1"), (1.0, 2.0), "times"), ((0.0, True), (1.0, 2.0), "times"),
+                                 ((0.0, 1.0), (1.0, 10**400), "speeds"), ("ab", (1.0, 2.0), "times")):
+        with pytest.raises(ValueError, match=f"^{field}: must be a list of finite numbers$"):
+            SpeedProfile(times=times, speeds=speeds)
 
 
 def test_profile_interpolation_and_clamping():
