@@ -10,10 +10,11 @@ Ld/Lq and L0/L2, and each value by the type rules that the dataclasses
 check too, machine.TYPE_RULES.  The value rules belong to the dataclasses:
 MachineParams, SpeedProfile, InjectionSchedule and Scenario each state
 theirs once in violations(), which the parser calls on the values it read,
-without building the objects, and labels with the JSON path.  Each sweep
-point is checked as the scenario it makes, once the base scenario is valid.
-Validation never stops at the first problem: parse_config raises ConfigError
-carrying the complete list of violations.
+without building the objects, and labels with the JSON path.  Scenario's
+fields give the paths, in file order, and what a sweep may vary.  Each
+sweep point is checked as the scenario it makes, once the base scenario is
+valid.  Validation never stops at the first problem: parse_config raises
+ConfigError carrying the complete list of violations.
 """
 
 from __future__ import annotations
@@ -26,27 +27,10 @@ from pmsmlab.control import InjectionKind, InjectionSchedule
 from pmsmlab.machine import TYPE_RULES, MachineParams, _is_num
 from pmsmlab.simulation import Scenario, SpeedProfile, standstill_study_scenario
 
-SWEEPABLE = ("injection.amplitude", "injection.frequency", "noise_std", "theta_hat_err0")
-
 # Scenario field -> JSON path, in file order: drives parsing, rendering and error labels
-SCENARIO_PATHS = {
-    "profile": "scenario.profile",
-    "setpoints": "scenario.setpoints",
-    "injection": "scenario.injection",
-    "t_end": "scenario.t_end",
-    "T_s": "scenario.T_s",
-    "ode_substeps": "scenario.ode_substeps",
-    "theta0": "scenario.theta0",
-    "theta_hat_err0": "scenario.theta_hat_err0",
-    "noise_std": "scenario.noise_std",
-    "seed": "scenario.seed",
-    "obs_on_estimates": "scenario.obs_on_estimates",
-    "q_diag": "estimator.q_diag",
-    "r_diag": "estimator.r_diag",
-    "p0_diag": "estimator.p0_diag",
-    "control_bandwidth": "control.bandwidth",
-    "voltage_limit": "control.voltage_limit",
-}
+SCENARIO_PATHS = {f.name: f.metadata["path"] for f in fields(Scenario) if f.metadata}
+# what a sweep may vary, "a.b" naming part b of field a; sorted, as the sweep.parameter message lists them
+SWEEPABLE = tuple(sorted(f.name + part for f in fields(Scenario) for part in f.metadata.get("sweep", ())))
 
 
 class ConfigError(ValueError):

@@ -26,6 +26,7 @@ import bisect
 import enum
 import itertools
 import math
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -40,6 +41,7 @@ from pmsmlab.control import (
 )
 from pmsmlab.ekf import _diag_upper, _predict, _update
 from pmsmlab.machine import (
+    TYPE_RULES,
     MachineParams,
     _dq_current_rate,
     _electrical_rate_ab,
@@ -53,7 +55,7 @@ from pmsmlab.observability import trajectory_reports
 
 
 _BUILD_STEPS = 2048  # most RK4 steps built at a time: whole samples per block, or one sample's chunk
-MAX_SAMPLES = 10**7  # longest run, in samples: 24 float columns (log and loop record), ~1.9 GB
+MAX_SAMPLES = 10**7  # longest run, in samples: a run holds ~0.59 KB per sample, so ~5.9 GB at the cap
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
 
@@ -94,7 +96,7 @@ class SpeedProfile:
 
     @classmethod
     def from_breakpoints(cls, points) -> "SpeedProfile":
-        pts = [(float(t), float(w)) for t, w in points]
+        pts = list(points)  # converted by nothing, so the number rule sees each breakpoint as given
         return cls(times=tuple(t for t, _ in pts), speeds=tuple(w for _, w in pts))
 
     def evaluate(self, t):
@@ -132,73 +134,70 @@ class MachineKind(enum.Enum):
     SPMSM = "spmsm"
 
 
+def _config(path: str, default=MISSING, bound: str | None = None, sweep=()):
+    """A Scenario field held at path in the config file, with its bound (one of _BOUNDS, on each entry of a list)
+    and what a sweep may vary of it: all of it (True) or its parts by name, kept as suffixes of the field's name."""
+    sweep = ("",) if sweep is True else tuple(f".{part}" for part in sweep)
+    return field(default=default, metadata={"path": path, "bound": bound, "sweep": sweep})
+
+
+# each bound a field may state, by its words in the messages
+_BOUNDS = {"> 0": lambda v: v > 0.0, ">= 0": lambda v: v >= 0.0, ">= 1": lambda v: v >= 1}
+
+
+def _sample_ratio(t_end, T_s) -> float:
+    """t_end / T_s in floats (inf on overflow): the sample count that its rule and Scenario.n_samples read."""
+    return float(t_end) / float(T_s)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one closed-loop run."""
+    """Complete description of one closed-loop run, its fields in the config file's order.
+
+    Each field states its rules once: its type and a list's length in its annotation, its config path, bound and
+    sweepability in its metadata; violations() and the config parser, renderer and sweep list read them there.
+    """
 
     params: MachineParams
-    profile: SpeedProfile
-    setpoints: tuple[float, float] = (0.0, 0.0)  # (i_d*, i_q*)
-    injection: InjectionSchedule = InjectionSchedule()
-    t_end: float = 1.0
-    T_s: float = 1e-4
-    ode_substeps: int = 10
-    theta0: float = 0.0
-    theta_hat_err0: float = -math.pi / 4.0
-    q_diag: tuple[float, float, float, float] = (1.0, 1.0, 1e3, 0.1)
-    r_diag: tuple[float, float] = (1.0, 1.0)
-    p0_diag: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    control_bandwidth: float = 2.0 * math.pi * 500.0
-    voltage_limit: float = 50.0
-    noise_std: float = 0.0  # measurement noise on both current channels
-    seed: int = 0
-    obs_on_estimates: bool = False
+    profile: SpeedProfile = _config("scenario.profile")
+    setpoints: tuple[float, float] = _config("scenario.setpoints", (0.0, 0.0))  # (i_d*, i_q*)
+    injection: InjectionSchedule = _config("scenario.injection", InjectionSchedule(), sweep=("amplitude", "frequency"))
+    t_end: float = _config("scenario.t_end", 1.0, "> 0")
+    T_s: float = _config("scenario.T_s", 1e-4, "> 0")
+    ode_substeps: int = _config("scenario.ode_substeps", 10, ">= 1")
+    theta0: float = _config("scenario.theta0", 0.0)
+    theta_hat_err0: float = _config("scenario.theta_hat_err0", -math.pi / 4.0, sweep=True)
+    noise_std: float = _config("scenario.noise_std", 0.0, ">= 0", sweep=True)  # measurement noise, both channels
+    seed: int = _config("scenario.seed", 0, ">= 0")
+    obs_on_estimates: bool = _config("scenario.obs_on_estimates", False)
+    q_diag: tuple[float, float, float, float] = _config("estimator.q_diag", (1.0, 1.0, 1e3, 0.1), ">= 0")
+    r_diag: tuple[float, float] = _config("estimator.r_diag", (1.0, 1.0), "> 0")
+    p0_diag: tuple[float, float, float, float] = _config("estimator.p0_diag", (1.0, 1.0, 1.0, 1.0), ">= 0")
+    control_bandwidth: float = _config("control.bandwidth", 2.0 * math.pi * 500.0, "> 0")
+    voltage_limit: float = _config("control.voltage_limit", 50.0, "> 0")
 
     def __post_init__(self) -> None:
         # not vars(self): reading __dict__ slows every later attribute read of the instance
         raise_violations(self.violations(**{f.name: getattr(self, f.name) for f in fields(self)}))
 
     @staticmethod
-    def violations(params, profile, setpoints, injection, t_end, T_s, ode_substeps, theta0, theta_hat_err0, q_diag,
-                   r_diag, p0_diag, control_bandwidth, voltage_limit, noise_std, seed, obs_on_estimates) -> list:
-        """(field or None, message) for every broken invariant.
+    def violations(**values) -> list:
+        """(field or None, message) for every broken invariant of the fields given by name.
 
-        The value rules apply once every field has its type.
+        The value rules apply once every field has its type: each field's own, then those across fields.
         """
-        found = []
-        for key, value, kind, what in (("params", params, MachineParams, "a MachineParams"),
-                                       ("profile", profile, SpeedProfile, "a SpeedProfile"),
-                                       ("injection", injection, InjectionSchedule, "an InjectionSchedule")):
-            if not isinstance(value, kind):
-                found.append((key, f"must be {what}"))
-        found += type_violations(tuple, setpoints=setpoints, q_diag=q_diag, r_diag=r_diag, p0_diag=p0_diag)
-        found += type_violations(float, t_end=t_end, T_s=T_s, theta0=theta0, theta_hat_err0=theta_hat_err0,
-                                 control_bandwidth=control_bandwidth, voltage_limit=voltage_limit, noise_std=noise_std)
-        found += type_violations(int, ode_substeps=ode_substeps, seed=seed)
-        found += type_violations(bool, obs_on_estimates=obs_on_estimates)
+        found = [(key, message) for key, holds, message, _, _ in _FIELD_RULES if not holds(values[key])]
         if found:
             return found
-        for key, value, n in (("setpoints", setpoints, 2), ("q_diag", q_diag, 4),
-                              ("r_diag", r_diag, 2), ("p0_diag", p0_diag, 4)):
-            if len(value) != n:
-                found.append((key, f"must have exactly {n} entries"))
-        if len(q_diag) == 4 and any(v < 0.0 for v in q_diag):
-            found.append(("q_diag", "entries must be >= 0"))
-        if len(p0_diag) == 4 and any(v < 0.0 for v in p0_diag):
-            found.append(("p0_diag", "entries must be >= 0"))
-        if len(r_diag) == 2 and any(v <= 0.0 for v in r_diag):
-            found.append(("r_diag", "entries must be > 0"))
-        if control_bandwidth <= 0.0:
-            found.append(("control_bandwidth", "must be > 0"))
-        if voltage_limit <= 0.0:
-            found.append(("voltage_limit", "must be > 0"))
-        if t_end <= 0.0:
-            found.append(("t_end", "must be > 0"))
+        for key, _, _, length, bound in _FIELD_RULES:
+            value = values[key]
+            if length is not None and len(value) != length:
+                found.append((key, f"must have exactly {length} entries"))
+            elif bound is not None and not all(map(_BOUNDS[bound], value if length else (value,))):
+                found.append((key, f"entries must be {bound}" if length else f"must be {bound}"))
         samples = 0  # the run length, once its rules hold
-        if T_s <= 0.0:
-            found.append(("T_s", "must be > 0"))
-        elif t_end > 0.0:
-            n = t_end / T_s  # inf on overflow
+        if not {"t_end", "T_s"} & {key for key, _ in found}:
+            n = _sample_ratio(values["t_end"], values["T_s"])
             if n <= 0.5:
                 found.append(("t_end", "must span at least one sample (round(t_end / T_s) >= 1)"))
             elif n >= MAX_SAMPLES + 0.5:
@@ -207,21 +206,32 @@ class Scenario:
                 found.append(("t_end", f"must be a whole number of samples (t_end / T_s = {n:.9g})"))
             else:
                 samples = round(n)
-        if ode_substeps < 1:
-            found.append(("ode_substeps", "must be >= 1"))
-        elif samples * ode_substeps > MAX_RK4_STEPS:  # in integers, so no substep count overflows
+        if samples * values["ode_substeps"] > MAX_RK4_STEPS:  # in integers, so no substep count overflows
             found.append((None, f"t_end / T_s * ode_substeps must not exceed {MAX_RK4_STEPS} RK4 steps"))
-        if not math.isfinite(float(theta0) + float(theta_hat_err0)):  # inf on overflow, also of two ints
+        if not math.isfinite(float(values["theta0"]) + float(values["theta_hat_err0"])):  # inf on overflow
             found.append((None, "theta0 + theta_hat_err0, the filter's prior angle, must be finite"))
-        if noise_std < 0.0:
-            found.append(("noise_std", "must be >= 0"))
-        if seed < 0:
-            found.append(("seed", "must be >= 0"))
         return found
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.t_end / self.T_s))
+        return round(_sample_ratio(self.t_end, self.T_s))
+
+
+def _field_rules(cls):
+    """(field, type predicate, type message, length or None, bound or None) for each field of cls.
+
+    The type, and a list's length, come from the annotation: a TYPE_RULES kind, or a class the value is an instance of.
+    """
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        kind = typing.get_origin(hints[f.name]) or hints[f.name]
+        a = "an" if kind.__name__[0] in "AEIOU" else "a"
+        holds, message = TYPE_RULES.get(kind) or (lambda v, k=kind: isinstance(v, k), f"must be {a} {kind.__name__}")
+        length = len(typing.get_args(hints[f.name])) if kind is tuple else None
+        yield f.name, holds, message, length, f.metadata.get("bound")
+
+
+_FIELD_RULES = tuple(_field_rules(Scenario))
 
 
 @dataclass

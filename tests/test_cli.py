@@ -309,6 +309,23 @@ def test_print_config_without_verb(capsys):
     assert doc["machine"]["psi_r"] == 0.0225
 
 
+def test_print_config_layout():
+    # the blocks and keys of the rendered default, in the order a user reads them
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--print-config"]) == 0
+    doc = json.loads(out.getvalue())
+    assert [(block, list(keys)) for block, keys in doc.items()] == [
+        ("machine", ["R", "L0", "L2", "psi_r", "p", "J"]),
+        ("scenario", ["profile", "setpoints", "injection", "t_end", "T_s", "ode_substeps", "theta0", "theta_hat_err0",
+                      "noise_std", "seed", "obs_on_estimates"]),
+        ("estimator", ["q_diag", "r_diag", "p0_diag"]),
+        ("control", ["bandwidth", "voltage_limit"]),
+        ("output", ["dir", "csv", "summary"]),
+    ]
+    assert list(doc["scenario"]["injection"]) == ["kind", "amplitude", "frequency", "window"]
+
+
 def test_print_config_on_verb_skips_run(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     assert main(["simulate", "-c", cfg, "--print-config"]) == 0

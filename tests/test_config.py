@@ -3,7 +3,7 @@
 import json
 import math
 import pathlib
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from pmsmlab.config import (
     render_config,
 )
 from pmsmlab.control import InjectionKind
-from pmsmlab.simulation import MachineKind, standstill_study_scenario
+from pmsmlab.simulation import MachineKind, Scenario, standstill_study_scenario
 from pmsmlab.simulation import MAX_RK4_STEPS, MAX_SAMPLES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -351,6 +351,27 @@ def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
     doc = json.loads(MINIMAL_SPMSM)
     doc[block] = {key: list(value) if isinstance(value, tuple) else value}
     assert errors_of(json.dumps(doc)) == [f"{SCENARIO_PATHS[field]}: {message}"]
+
+
+_PATH_FIELDS = [f.name for f in fields(Scenario) if f.metadata.get("path")]
+
+
+@pytest.mark.parametrize("field", _PATH_FIELDS)
+def test_every_config_field_names_a_mistyped_value(field):
+    # a list holding null breaks every type rule; each field with a path is covered, also one added later
+    value = [None]
+    with pytest.raises(ValueError) as exc:
+        replace(standstill_study_scenario(), **{field: value})
+    code = str(exc.value)
+    block, key = SCENARIO_PATHS[field].split(".")
+    doc = json.loads(MINIMAL_SPMSM)
+    doc[block] = {key: value}
+    (config,) = errors_of(json.dumps(doc))
+    assert code.startswith(f"{field}: ") and config.startswith(f"{SCENARIO_PATHS[field]}: ")
+    if not is_dataclass(getattr(standstill_study_scenario(), field)):
+        # profile and injection are written in the file as a list and an object, not as the values they become,
+        # so their two messages differ in form; every other field's are the same words
+        assert config.removeprefix(f"{SCENARIO_PATHS[field]}: ") == code.removeprefix(f"{field}: ")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pmsmlab.ekf import _diag_upper, _predict, _update
 from pmsmlab.machine import MachineState, _rotate, alphabeta, dynamics_alphabeta, park, wrap_angle
 from pmsmlab.observability import sample_report
 from pmsmlab.simulation import (
+    COLUMNS,
     MachineKind,
     Scenario,
     SpeedProfile,
@@ -64,6 +66,23 @@ def test_profile_validation():
                                  ((0.0, 1.0), (1.0, 10**400), "speeds"), ("ab", (1.0, 2.0), "times")):
         with pytest.raises(ValueError, match=f"^{field}: must be a list of finite numbers$"):
             SpeedProfile(times=times, speeds=speeds)
+    # and from_breakpoints converts nothing before the rule runs: no bool is read as 1.0, no int overflows float()
+    for points in ([(0.0, 0.0), (1.0, True)], [(0.0, 0.0), (1.0, 10**400)]):
+        with pytest.raises(ValueError, match="^speeds: must be a list of finite numbers$"):
+            SpeedProfile.from_breakpoints(points)
+
+
+def test_int_breakpoints_run_as_their_floats():
+    # the profile keeps the ints as given: the still stretch up to 1 s and the ramp after it read them directly
+    points = [(0, 0), (1, 0), (2, 100)]
+    assert all(type(t) is int for t in SpeedProfile.from_breakpoints(points).times)
+    logs = [run_scenario(_tiny(profile=SpeedProfile.from_breakpoints(pts), t_end=1.2, T_s=1e-3,
+                               control_bandwidth=2.0 * math.pi * 50.0))
+            for pts in (points, [(float(t), float(w)) for t, w in points])]
+    assert not logs[0].aborted and len(logs[0]) == 1200
+    for col in COLUMNS:
+        a, b = (getattr(log, col.name) for log in logs)
+        assert a.tobytes() == b.tobytes(), col.name
 
 
 def test_profile_interpolation_and_clamping():
@@ -178,6 +197,13 @@ def test_code_built_scenario_takes_numpy_real_scalars():
 def test_scenario_sample_count():
     assert standstill_study_scenario().n_samples == 10000
     assert _tiny().n_samples == 200
+    # a float32 t_end / T_s would overflow in float32; the rule divides in floats and names only the cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t_end / T_s must not exceed 10000000 samples$"):
+            dataclasses.replace(standstill_study_scenario(), t_end=np.float32(3e38))
+        scn = dataclasses.replace(standstill_study_scenario(), t_end=np.float32(0.5))
+    assert scn.n_samples == 5000
 
 
 def test_study_scenario_contents():
