@@ -21,8 +21,8 @@ import numpy as np
 from pmsmlab.config import ConfigError, RunConfig, apply_sweep_value, parse_config, render_config
 from pmsmlab.control import InjectionKind
 from pmsmlab.observability import hfi_det_y1, sample_report
-from pmsmlab.report import summarize, write_csv, write_rows
-from pmsmlab.simulation import Scenario, needs_estimator, run_scenario, standstill_study_scenario
+from pmsmlab.report import SUMMARY_COLUMNS, stream_csv, summarize, write_rows
+from pmsmlab.simulation import Scenario, needs_estimator, run_chunks, run_scenario, standstill_study_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -90,9 +90,10 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _finish_run(cfg: RunConfig, log) -> int:
+def _finish_run(cfg: RunConfig, chunks) -> int:
+    """Write the run's CSV as its chunks come, then report on it."""
     path = _out_path(cfg, cfg.csv_name)
-    write_csv(log, path)
+    log = stream_csv(chunks, path)
     if cfg.write_summary and len(log):
         print(summarize(log))
     print(f"wrote {len(log)} rows to {path}")
@@ -107,7 +108,7 @@ def _finish_run(cfg: RunConfig, log) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    return _finish_run(cfg, run_scenario(cfg.scenario))
+    return _finish_run(cfg, run_chunks(cfg.scenario))
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
@@ -125,7 +126,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         return EXIT_OK
     if found := needs_estimator(cfg.scenario):
         raise ConfigError([f"scenario.{key}: {msg}" for key, msg in found])
-    return _finish_run(cfg, run_scenario(cfg.scenario, with_ekf=False))
+    return _finish_run(cfg, run_chunks(cfg.scenario, with_ekf=False))
 
 
 def carrier_peak_det(scn: Scenario) -> float:
@@ -143,14 +144,14 @@ def carrier_peak_det(scn: Scenario) -> float:
     )
 
 
-def run_sweep(cfg: RunConfig):
-    """Run the scenario once per sweep value; yields (value, scenario, log).
+def run_sweep(cfg: RunConfig, keep=None):
+    """Run the scenario once per sweep value; yields (value, scenario, log), the log with the columns keep names.
 
     parse_config has checked every point, and each run builds its own plant maps.
     """
     for value in cfg.sweep.values:
         scn = apply_sweep_value(cfg.scenario, cfg.sweep.parameter, value)
-        yield value, scn, run_scenario(scn)
+        yield value, scn, run_scenario(scn, keep=keep)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -162,7 +163,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep is None:
         raise ConfigError(["sweep: config has no sweep block"])
     rows, status = [], EXIT_OK
-    for value, scn, log in run_sweep(cfg):
+    for value, scn, log in run_sweep(cfg, SUMMARY_COLUMNS):
         if log.aborted:  # stop here; the finished points' rows are still written
             print(
                 f"numerical abort at t={log.abort_time:.6g} s "
@@ -185,7 +186,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             carrier_peak_det(scn),
         ))
     path = _out_path(cfg, "sweep.csv")
-    write_rows(path, f"sweep parameter: {cfg.sweep.parameter}", SWEEP_COLUMNS, np.array(rows, dtype=float).T)
+    write_rows(path, f"sweep parameter: {cfg.sweep.parameter}", SWEEP_COLUMNS, [np.array(rows, dtype=float).T])
     print(f"wrote {len(rows)} sweep rows to {path}")
     return status
 

@@ -107,10 +107,17 @@ class _Block:
         return self.data.get(key)
 
     def read(self, key, default):
-        """The value at key: the injection block parsed, the profile raw (parsed once its block is read), else get."""
-        if isinstance(default, InjectionSchedule):
-            return _parse_injection(self.raw(key), default, self.errors)
-        return self.raw(key) if isinstance(default, SpeedProfile) else self.get(key, default)
+        """The value at key: the injection block parsed, the profile raw (parsed once its block is read), else get.
+
+        An absent key gives the default; an explicit null is a value, so it breaks the shape rule of its key.
+        """
+        if not isinstance(default, (InjectionSchedule, SpeedProfile)):
+            return self.get(key, default)
+        self.seen.add(key)
+        if key not in self.data:
+            return default
+        raw = self.data[key]
+        return _parse_injection(raw, default, self.errors) if isinstance(default, InjectionSchedule) else raw
 
     def check_unknown(self):
         extra = set(self.data) - self.seen
@@ -151,8 +158,6 @@ def _parse_machine(block: _Block, errors: list, ref: MachineParams) -> MachinePa
 
 
 def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> InjectionSchedule:
-    if raw is None:
-        return defaults
     b = _Block("scenario.injection", raw, errors)
     name = b.get("kind", defaults.kind.value)
     amplitude = b.get("amplitude", defaults.amplitude)
@@ -170,7 +175,7 @@ def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> Injectio
 
 
 def _parse_profile(raw, default: SpeedProfile, errors: list) -> SpeedProfile:
-    if raw is None:
+    if raw is default:  # the key is absent
         return default
     if not (
         isinstance(raw, list)
@@ -234,7 +239,8 @@ def parse_config(text: str) -> RunConfig:
         values = wb.get("values", None, tuple)
         wb.check_unknown()
         if parameter is None or values is None or not values:
-            errors.append("sweep: needs 'parameter' and a non-empty 'values' list")
+            if isinstance(root["sweep"], dict):  # a block that is no object has its one line
+                errors.append("sweep: needs 'parameter' and a non-empty 'values' list")
         elif parameter not in SWEEPABLE:
             errors.append(f"sweep.parameter: {parameter!r} not sweepable (use one of {', '.join(SWEEPABLE)})")
         else:
@@ -246,7 +252,8 @@ def parse_config(text: str) -> RunConfig:
         states_raw = ab.raw("states")
         ab.check_unknown()
         if not isinstance(states_raw, list) or not states_raw:
-            errors.append("analyze.states: must be a non-empty list of state objects")
+            if isinstance(root["analyze"], dict):  # a block that is no object has its one line
+                errors.append("analyze.states: must be a non-empty list of state objects")
         else:
             pts = []
             for idx, entry in enumerate(states_raw):

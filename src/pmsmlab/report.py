@@ -4,6 +4,8 @@ The CSV layout is a versioned contract: a comment line carrying the schema
 tag, a header row, then one row per control sample.  Floats are written with
 repr (shortest round-trip), so identical runs produce byte-identical files.
 The v1 columns are TrajectoryLog's columns without those marked v1=False.
+A run's chunks are written as the run hands them on (stream_csv), so the file
+grows while the run goes and only the summary columns are kept.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pmsmlab.simulation import COLUMNS, TrajectoryLog
+from pmsmlab.simulation import COLUMNS, Collector, TrajectoryLog
 
 SCHEMA_TAG = "pmsmlab.trajectory.v1"
 _ROW_BLOCK = 64  # CSV rows write_rows formats at a time
@@ -22,22 +24,43 @@ _ROW_BLOCK = 64  # CSV rows write_rows formats at a time
 _V1 = tuple(f for f in COLUMNS if f.metadata.get("v1", True))  # the log's columns that v1 holds, in order
 CSV_COLUMNS = tuple(f.name for f in _V1)
 _WHOLE = [j for j, f in enumerate(_V1) if f.metadata.get("dtype") is int]  # places of the integer columns
+# the columns summarize reads (a sweep row reads two of them too): all a streamed run keeps
+SUMMARY_COLUMNS = ("iq_ref", "omega_true", "omega_hat", "theta_err", "rank", "margin")
 
 
-def write_rows(path, comment: str, header, columns) -> None:
-    """Write "# comment", the header, then one line per row of the column arrays: repr of each tolist() value.
+def write_rows(path, comment: str, header, chunks) -> None:
+    """Write "# comment", the header, then one line per row of each chunk's column arrays: repr of each tolist() value.
 
-    Rows are formatted _ROW_BLOCK at a time, each block written as one string; no columns means no rows.
+    A chunk is a list of columns, written as it comes from the iterable.  Rows are formatted _ROW_BLOCK at a
+    time, each block written as one string; a chunk without columns has no rows.
     """
     with open(path, "w", newline="") as fh:
         fh.write(f"# {comment}\n" + ",".join(header) + "\n")
-        for k0 in range(0, min(map(len, columns), default=0), _ROW_BLOCK):
-            cells = [map(repr, col[k0:k0 + _ROW_BLOCK].tolist()) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for columns in chunks:
+            for k0 in range(0, min(map(len, columns), default=0), _ROW_BLOCK):
+                cells = [map(repr, col[k0:k0 + _ROW_BLOCK].tolist()) for col in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _csv_chunk(log: TrajectoryLog) -> list:
+    return [getattr(log, name) for name in CSV_COLUMNS]
 
 
 def write_csv(log: TrajectoryLog, path) -> None:
-    write_rows(path, f"schema={SCHEMA_TAG}", CSV_COLUMNS, [getattr(log, name) for name in CSV_COLUMNS])
+    write_rows(path, f"schema={SCHEMA_TAG}", CSV_COLUMNS, [_csv_chunk(log)])
+
+
+def stream_csv(chunks, path) -> TrajectoryLog:
+    """Write a run's chunks (run_chunks) to the CSV at path as they come; return the run with SUMMARY_COLUMNS kept."""
+    kept = Collector(SUMMARY_COLUMNS)
+
+    def written():
+        for chunk in chunks:
+            yield _csv_chunk(chunk)
+            kept.add(chunk)
+
+    write_rows(path, f"schema={SCHEMA_TAG}", CSV_COLUMNS, written())
+    return kept.log()
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

@@ -4,8 +4,11 @@ The mechanical trajectory is imposed by a piecewise-linear speed profile
 (the rotor is dragged by an external rig), so only the two stator currents
 are integrated.  A fixed control clock runs measurement, dq-current PI
 control with the true rotor angle, plant integration with RK4 substeps and
-one EKF cycle; it records only what it decides or advances.  One vectorized
-pass then derives time, wrapped angles, dq currents and observability columns.
+one EKF cycle; it records only what it decides or advances, and hands the
+record on a chunk of CHUNK_SAMPLES samples at a time.  One vectorized pass per
+chunk derives time, wrapped angles, dq currents and observability columns, so
+the run is a stream of logs (run_chunks) that a consumer writes as it comes;
+what grows with the run is only what the consumer keeps (Collector).
 
 With the motion imposed and the voltage held over a sample, one RK4 substep
 maps the currents affinely, and so do a sample's `ode_substeps` substeps
@@ -55,7 +58,8 @@ from pmsmlab.observability import trajectory_reports
 
 
 _BUILD_STEPS = 2048  # most RK4 steps built at a time: whole samples per block, or one sample's chunk
-MAX_SAMPLES = 10**7  # longest run, in samples: a run holds ~0.59 KB per sample, so ~5.9 GB at the cap
+CHUNK_SAMPLES = 1024  # samples derived and handed on at a time; measured: smaller is slower, larger peaks higher
+MAX_SAMPLES = 10**7  # longest run: simulate's peak RSS grows ~0.08 KB a sample (its summary columns), ~0.8 GB here
 MAX_RK4_STEPS = 10**8  # most plant steps in a run: MAX_SAMPLES at the default 10 substeps
 
 
@@ -239,6 +243,7 @@ class TrajectoryLog:
     """Column arrays, one row per control sample, then how the run ended.
 
     The array fields, in order, are the trajectory columns (COLUMNS); the v1 CSV holds those not marked v1=False.
+    A log that a Collector kept only some columns of holds None in the others.
     """
 
     t: np.ndarray
@@ -268,7 +273,7 @@ class TrajectoryLog:
     abort_reason: str = ""
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return next(len(col) for col in (getattr(self, f.name) for f in COLUMNS) if col is not None)
 
 
 COLUMNS = tuple(f for f in fields(TrajectoryLog) if f.default is MISSING)  # the array fields, in order
@@ -442,21 +447,24 @@ def needs_estimator(scn: Scenario) -> list:
     return [(key, f"{msg} for analyze, which runs no estimator") for key, used, msg in uses if used]
 
 
-def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
-    """Execute the closed-loop scenario and return the full log.
+def _chunked(blocks, size: int):
+    """blocks' (rows, samples) pairs, cut where each chunk of size samples, counted from the first, ends."""
+    room = size  # samples left in the current chunk
+    for rows, m in blocks:
+        while m:
+            take = min(m, room)
+            whole = len(rows) == m  # a row per sample, not one row for them all
+            yield (rows[:take] if whole else rows), take
+            rows, m, room = (rows[take:] if whole else rows), m - take, room - take or size
 
-    Per sample: measure currents (optional seeded noise), build references,
-    PI control with the true angle, the sample's composed RK4 plant map, one
-    EKF predict-correct cycle with the same voltage and measurement, then the
-    observability columns evaluated on the true trajectory afterwards.  The
-    loop walks _map_blocks' blocks, built as it reaches them (a still stretch's map once),
-    so a run that aborts early builds little, as does one whose order-1 matrix is not finite.
 
-    with_ekf=False skips the estimator (trajectory analysis only); the estimate columns
-    come back NaN, the true trajectory is identical, and needs_estimator's settings raise.
+def _records(scn: Scenario, with_ekf: bool):
+    """The control loop: what it decides or advances per sample, one chunk of CHUNK_SAMPLES samples at a time.
+
+    Yields (record, abort) pairs, record an (m, 10) array of rows (i_alpha, i_beta, id_ref, iq_ref, v_alpha,
+    v_beta, omega, theta, omega_hat, theta_hat), where the angles are not wrapped.  abort is None, or on the
+    last chunk of an aborted run (time, reason); that chunk is empty when the abort comes at its first sample.
     """
-    if not with_ekf:
-        raise_violations(needs_estimator(scn))
     params, R = scn.params, scn.params.R
     n, T_s = scn.n_samples, scn.T_s
     rng = np.random.default_rng(scn.seed)
@@ -480,13 +488,12 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
     x_hat = (ia, ib, 0.0, float(scn.theta0 + scn.theta_hat_err0))
     omega_hat, theta_hat = x_hat[2:] if with_ekf else (math.nan, math.nan)  # analyze has no estimates
 
-    rec = np.empty((n, 10))  # one row per sample: what the loop decides or advances
-    aborted, abort_time, abort_reason = False, None, ""
-    rows = n
+    rec, j = np.empty((min(n, CHUNK_SAMPLES), 10)), 0  # the chunk's record, j rows of it filled
+    abort = None
     noise_std, schedule, setpoints = scn.noise_std, scn.injection, scn.setpoints
 
     k0 = 0
-    for maps, m in _map_blocks(scn):
+    for maps, m in _chunked(_map_blocks(scn), CHUNK_SAMPLES):
         if noise_std > 0.0:  # the block's draws, in the order of one standard_normal(2) per sample
             noise = rng.standard_normal((m, 2)).tolist()
         block = []  # the block's record rows
@@ -512,20 +519,33 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
                     x_hat, P = _update(r, x_hat, P, ya, yb)
                     _, _, omega_hat, theta_hat = x_hat
             except FloatingPointError as exc:
-                aborted, abort_time, abort_reason, rows = True, t_k, str(exc), k
+                abort = (t_k, str(exc))
                 break
 
             block.append((ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat))
             ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
         if block:  # empty when the block's first sample aborts
-            rec[k0:k0 + len(block)] = block
-        if aborted:
+            rec[j:j + len(block)] = block
+            j += len(block)
+        if abort:
             break
         k0 += m
+        if j == len(rec) and k0 < n:  # a full chunk, and more to come
+            yield rec, None
+            rec, j = np.empty((min(n - k0, CHUNK_SAMPLES), 10)), 0
+    yield rec[:j], abort
 
-    rec = rec[:rows]
-    i_alpha, i_beta, id_ref, iq_ref, v_alpha, v_beta, omega_true, theta, omega_hat, theta_hat = rec.T
-    t = np.arange(rows) * T_s
+
+def _derive(scn: Scenario, k0: int, record: np.ndarray, around: tuple, abort) -> TrajectoryLog:
+    """The log of samples k0, k0+1, ... from their loop record, in one vectorized pass.
+
+    around holds the record rows of the sample just before and just after, each where the run has one (else an
+    empty array), so obs_on_estimates' centred derivative sees across the chunk's edges as it does inside.
+    """
+    params, T_s, rows = scn.params, scn.T_s, len(record)
+    aborted, (abort_time, abort_reason) = abort is not None, abort or (None, "")
+    i_alpha, i_beta, id_ref, iq_ref, v_alpha, v_beta, omega_true, theta, omega_hat, theta_hat = record.T
+    t = np.arange(k0, k0 + rows) * T_s
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite matrix raises before the SVD
         theta_err = wrap_angle(theta_hat - theta)
         theta_true, theta_hat = wrap_angle(theta), wrap_angle(theta_hat)
@@ -533,7 +553,9 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
         i_d, i_q, di_d, di_q = _dq_current_rate(params, i_alpha, i_beta, omega_true, c, s, v_alpha, v_beta)
         # the observability columns' frame; its current rates are the model's, not differences of the log
         if scn.obs_on_estimates:
-            omega_dot = np.gradient(omega_hat, T_s) if rows > 1 else np.zeros(rows)
+            before, after = around
+            w = np.concatenate((before, record, after))[:, 8]  # omega_hat, with the samples around the chunk
+            omega_dot = np.gradient(w, T_s)[len(before):len(before) + rows] if len(w) > 1 else np.zeros(rows)
             frame = (*_dq_current_rate(params, i_alpha, i_beta, omega_hat, np.cos(theta_hat), np.sin(theta_hat),
                                        v_alpha, v_beta), omega_hat, omega_dot, theta_hat)
         else:
@@ -541,13 +563,77 @@ def run_scenario(scn: Scenario, with_ekf: bool = True) -> TrajectoryLog:
         try:
             obs = trajectory_reports(params, t, *frame)
         except FloatingPointError as exc:  # the log ends before the first sample whose matrix is not finite
-            aborted, abort_time, abort_reason, rows = True, exc.sample * T_s, str(exc), exc.sample
+            rows = exc.sample
+            aborted, abort_time, abort_reason = True, (k0 + rows) * T_s, str(exc)
             obs = trajectory_reports(params, t[:rows], *(col[:rows] for col in frame))
     cols = dict(t=t, i_alpha=i_alpha, i_beta=i_beta, i_d=i_d, i_q=i_q, id_ref=id_ref, iq_ref=iq_ref, v_alpha=v_alpha,
                 v_beta=v_beta, omega_true=omega_true, theta_true=theta_true, omega_hat=omega_hat,
                 theta_hat=theta_hat, theta_err=theta_err, **obs)
     return TrajectoryLog(**{f.name: cols[f.name][:rows] for f in COLUMNS},
                          aborted=aborted, abort_time=abort_time, abort_reason=abort_reason)
+
+
+def run_chunks(scn: Scenario, with_ekf: bool = True):
+    """Execute the closed-loop scenario as a stream of logs of consecutive samples, CHUNK_SAMPLES at most each.
+
+    Per sample: measure currents (optional seeded noise), build references,
+    PI control with the true angle, the sample's composed RK4 plant map, one
+    EKF predict-correct cycle with the same voltage and measurement.  The
+    loop walks _map_blocks' blocks, built as it reaches them (a still stretch's map once),
+    and hands on each chunk it finishes; the observability columns, evaluated on the true
+    trajectory, are derived per chunk.  So a run holds a chunk or two, whatever its length,
+    and one that aborts early builds and derives little.  Every chunk but the last says
+    aborted=False; the last says how the run ended, and is empty when it aborted at a chunk's start.
+
+    with_ekf=False skips the estimator (trajectory analysis only); the estimate columns
+    come back NaN, the true trajectory is identical, and needs_estimator's settings raise.
+    """
+    if not with_ekf:
+        raise_violations(needs_estimator(scn))
+    records = _records(scn, with_ekf)
+    record, abort = next(records)
+    k0, before = 0, record[:0]
+    for following in itertools.chain(records, [(record[:0], None)]):
+        # the chunk is derived once the loop has finished the sample after it, or the run
+        chunk = _derive(scn, k0, record, (before, following[0][:1]), abort)
+        yield chunk
+        if chunk.aborted:
+            return
+        k0, before, (record, abort) = k0 + len(record), record[-1:], following
+
+
+class Collector:
+    """A run's chunks kept as one log: the columns named in keep (all by default), and None for the others.
+
+    add() appends a chunk's columns in place; each grows by realloc, so no joined copy sits beside its parts.
+    log() is the run once its last chunk is added, ended as that chunk says.
+    """
+
+    def __init__(self, keep=None):
+        self.cols = {f.name: None for f in COLUMNS if keep is None or f.name in keep}
+        self.n, self.last = 0, None
+
+    def add(self, chunk: TrajectoryLog) -> None:
+        k, self.n, self.last = self.n, self.n + len(chunk), chunk
+        for name, col in self.cols.items():
+            part = getattr(chunk, name)
+            if col is None:
+                self.cols[name] = col = np.empty(0, part.dtype)
+            col.resize(self.n, refcheck=False)  # no view of col exists before log()
+            col[k:] = part
+
+    def log(self) -> TrajectoryLog:
+        last = self.last
+        return TrajectoryLog(**{f.name: self.cols.get(f.name) for f in COLUMNS},
+                             aborted=last.aborted, abort_time=last.abort_time, abort_reason=last.abort_reason)
+
+
+def run_scenario(scn: Scenario, with_ekf: bool = True, keep=None) -> TrajectoryLog:
+    """The run of run_chunks collected into one log, with the columns named in keep (all by default)."""
+    into = Collector(keep)
+    for chunk in run_chunks(scn, with_ekf):
+        into.add(chunk)
+    return into.log()
 
 
 def table_params(kind: MachineKind | str = MachineKind.IPMSM, J: float = 0.02) -> MachineParams:

@@ -207,6 +207,27 @@ def test_sweep_points_equal_standalone_runs(tmp_path, parameter):
                 assert value == getattr(alone, name), name
 
 
+def test_run_memory_is_bounded_in_its_length(tmp_path):
+    # a run is derived and written a chunk at a time and keeps only the columns its summary reads, so a run
+    # twice as long peaks at most 100 B a sample higher (the whole-run derive pass held ~0.6 KB a sample)
+    import tracemalloc
+
+    doc = json.loads((pathlib.Path(__file__).resolve().parent.parent / "configs" / "standstill_spmsm.json").read_text())
+    peaks = {}
+    for t_end, traced in ((1.0, False), (1.0, True), (2.0, True)):  # the first run makes numpy's first-call allocations
+        doc["scenario"]["t_end"] = t_end
+        cfg = write_config(tmp_path, doc)
+        if traced:
+            tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", "-c", cfg, "-o", str(tmp_path)]) == 0
+            peaks[t_end] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2.0] - peaks[1.0] <= 100 * 10_000, (peaks[2.0] - peaks[1.0]) / 10_000
+
+
 def test_sweep_hfi_column_nan_for_current_injection(tmp_path, capsys):
     cfg = tiny_config(
         tmp_path,

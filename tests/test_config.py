@@ -218,6 +218,29 @@ def test_profile_validation_messages():
     )
 
 
+def test_null_profile_or_injection_is_a_type_error(tmp_path):
+    # an explicit null is a value of the wrong shape, as for every other key; an absent key keeps its default
+    from pmsmlab.cli import main
+
+    base = json.loads(MINIMAL_SPMSM)
+    for key, message in (("profile", "scenario.profile: must be a non-empty list of [time, omega] pairs"),
+                         ("injection", "scenario.injection: must be an object")):
+        bad = dict(base, scenario={key: None})
+        assert errors_of(json.dumps(bad)) == [message]
+        path = tmp_path / f"null_{key}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["simulate", "-c", str(path), "-o", str(tmp_path / key)]) == 1
+        assert not (tmp_path / key).exists()
+    assert parse_config(json.dumps(dict(base, scenario={}))).scenario == standstill_study_scenario(MachineKind.SPMSM)
+
+
+@pytest.mark.parametrize("value", [None, 3, []])
+@pytest.mark.parametrize("block", ["sweep", "analyze"])
+def test_a_block_that_is_no_object_has_one_line(block, value):
+    # only the shape is reported, not the block's missing parameter or states besides
+    assert errors_of(json.dumps(dict(json.loads(MINIMAL_SPMSM), **{block: value}))) == [f"{block}: must be an object"]
+
+
 def test_negative_seed_rejected():
     base = {"machine": {"R": 0.01, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": 2}}
     # rejected even without noise, where the seed would never be drawn from

@@ -143,7 +143,7 @@ def test_numeric_rank_of_the_benchmark_runs_is_plain(monkeypatch):
     # the order-1 stacks of the benchmarked simulate, sweep and noisy analyze runs
     import pmsmlab.observability as observability
     from pmsmlab.config import apply_sweep_value, parse_config
-    from pmsmlab.simulation import run_scenario
+    from pmsmlab.simulation import CHUNK_SAMPLES, run_scenario
 
     configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
     stacks = []
@@ -155,7 +155,9 @@ def test_numeric_rank_of_the_benchmark_runs_is_plain(monkeypatch):
     noisy = replace(parse_config((configs / "standstill_spmsm.json").read_text()).scenario, noise_std=0.05, seed=4)
     run_scenario(noisy, with_ekf=False)
     monkeypatch.undo()
-    assert [len(m) for m in stacks] == [10000] + [6000] * len(cfg.sweep.values) + [10000]
+    # every sample's matrix, ranked a run's chunk at a time
+    assert sum(map(len, stacks)) == 10000 + 6000 * len(cfg.sweep.values) + 10000
+    assert max(map(len, stacks)) == CHUNK_SAMPLES
     for m in stacks:
         _assert_plain_rank(m)
 
@@ -507,7 +509,7 @@ def test_round_machine_theta_column_zeros_are_positive(monkeypatch, sp_params):
     scn = parse_config(config.read_text()).scenario
     assert scn.injection.amplitude == 2.0 and scn.params.L2 == 0.0
     log = run_scenario(scn)
-    (m1,) = stacks
+    m1 = np.concatenate(stacks)  # the run's matrices, ranked a chunk at a time
     assert not log.aborted and len(m1) == len(log) == 6000
     bits = m1.reshape(len(m1), -1).view(np.int64)
     assert (bits[1:] == bits[:-1]).all()

@@ -68,15 +68,21 @@ def test_write_rows_matches_the_per_row_formula(tmp_path, rows):
     ints = np.arange(rows) - 2
     columns = [floats[0], ints, floats[1], floats[2]]
     path = tmp_path / "rows.csv"
-    write_rows(path, "note", ("a", "b", "c", "d"), columns)
+    write_rows(path, "note", ("a", "b", "c", "d"), [columns])
     lines = [",".join(map(repr, row)) for row in zip(*(col.tolist() for col in columns))]
     assert path.read_text() == "".join(line + "\n" for line in ["# note", "a,b,c,d", *lines])
+    # the same rows in chunks of any size, empty ones included, write the same bytes
+    for size in (1, 7, _ROW_BLOCK + 1):
+        split = tmp_path / f"rows_{size}.csv"
+        write_rows(split, "note", ("a", "b", "c", "d"),
+                   ([col[k:k + size] for col in columns] for k in range(0, rows + size, size)))
+        assert split.read_bytes() == path.read_bytes(), size
 
 
 def test_write_rows_without_columns_writes_the_header(tmp_path):
     # an empty sweep's table transposes to shape (0,): no columns, so no rows
     path = tmp_path / "rows.csv"
-    write_rows(path, "note", ("a", "b"), np.array([], dtype=float).T)
+    write_rows(path, "note", ("a", "b"), [np.array([], dtype=float).T])
     assert path.read_text() == "# note\na,b\n"
 
 

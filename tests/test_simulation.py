@@ -356,11 +356,20 @@ _HOT_CARRIER = InjectionSchedule(kind=InjectionKind.VOLTAGE_ON_DHAT, amplitude=2
 _SPEED_JUMP = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 0.0), (0.0021, 1e307)])  # aborts at sample 19
 
 
-@pytest.mark.parametrize("case", ["noisy_without_ekf", "noisy_with_ekf", "noise_aborts", "speed_jump_aborts"])
-def test_run_is_independent_of_the_row_block(case, monkeypatch):
-    # the loop converts the map rows, draws the noise and stores its record one _map_blocks block at a time;
-    # the log must not depend on where the blocks start, including a run that aborts inside one
+_DERIVE_ABORT = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 0.0), (0.0021, 1e304)])  # order-1 matrix at 21
+
+
+@pytest.mark.parametrize("case", ["noisy_without_ekf", "noisy_with_ekf", "noise_aborts", "speed_jump_aborts",
+                                  "derive_aborts", "obs_on_estimates"])
+def test_run_is_independent_of_the_row_block(case, monkeypatch, tmp_path):
+    # the loop converts the map rows, draws the noise and stores its record one _map_blocks block at a time, and
+    # hands the record on to be derived and written one CHUNK_SAMPLES chunk at a time; neither the log nor the
+    # simulate CSV may depend on where the blocks or the chunks start, including a run that aborts inside one and
+    # the estimates' centred speed derivative, which reaches one sample across each chunk edge
     import pmsmlab.simulation as simulation
+    from pmsmlab.cli import main
+    from pmsmlab.config import RunConfig, render_config
+    from pmsmlab.report import write_csv
 
     scn, with_ekf, aborts_at = {
         # 137 samples, not a multiple of the block
@@ -368,25 +377,39 @@ def test_run_is_independent_of_the_row_block(case, monkeypatch):
         "noisy_with_ekf": (_tiny(noise_std=0.05, seed=3, t_end=0.0137, injection=_HOT_CARRIER), True, None),
         "noise_aborts": (_tiny(noise_std=1e300, seed=3, t_end=0.0137), True, 1),
         "speed_jump_aborts": (_tiny(noise_std=0.05, seed=3, t_end=0.0137, profile=_SPEED_JUMP), True, 19),
+        "derive_aborts": (_tiny(t_end=0.0137, profile=_DERIVE_ABORT, injection=InjectionSchedule()), True, 21),
+        "obs_on_estimates": (_tiny(noise_std=0.05, seed=3, t_end=0.0137, obs_on_estimates=True), True, None),
     }[case]
+    config = tmp_path / "run.json"
+    config.write_text(render_config(RunConfig(scenario=scn, csv_name="run.csv")))
 
-    def run():
+    def run(name: str):
         with np.errstate(over="ignore", invalid="ignore"):
-            return run_scenario(scn, with_ekf=with_ekf)
+            code = main(["simulate" if with_ekf else "analyze", "-c", str(config), "-o", str(tmp_path / name)])
+            assert code == (0 if aborts_at is None else 2)
+            return run_scenario(scn, with_ekf=with_ekf), (tmp_path / name / "run.csv").read_bytes()
 
-    default = run()  # 137 samples fit in one block
-    assert simulation._BUILD_STEPS // scn.ode_substeps > 137
+    default, csv = run("default")  # 137 samples fit in one block and one chunk
+    assert simulation._BUILD_STEPS // scn.ode_substeps > 137 and simulation.CHUNK_SAMPLES > 137
     assert len(default) == (137 if aborts_at is None else aborts_at) and default.aborted == (aborts_at is not None)
-    for block in (1, 7):  # samples per block, still stretches included
-        monkeypatch.setattr(simulation, "_BUILD_STEPS", block * scn.ode_substeps)
-        assert max(m for _, m in simulation._map_blocks(scn)) == block
-        log = run()
+    write_csv(default, tmp_path / "whole.csv")
+    assert csv == (tmp_path / "whole.csv").read_bytes()  # the streamed file is the collected log's
+    for name, size in (("_BUILD_STEPS", 1), ("_BUILD_STEPS", 7), ("CHUNK_SAMPLES", 1), ("CHUNK_SAMPLES", 7)):
+        with monkeypatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            if name == "_BUILD_STEPS":  # samples per block, still stretches included
+                patch.setattr(simulation, name, size * scn.ode_substeps)
+                assert max(m for _, m in simulation._map_blocks(scn)) == size
+            else:
+                patch.setattr(simulation, name, size)
+                assert max(map(len, simulation.run_chunks(scn, with_ekf))) == min(size, len(default))
+            log, written = run(f"{name}{size}")
         for f in dataclasses.fields(log):
             a, b = getattr(log, f.name), getattr(default, f.name)
             if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (block, f.name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, size, f.name)
             else:
-                assert a == b, (block, f.name)
+                assert a == b, (name, size, f.name)
+        assert written == csv, (name, size)
     # numpy fills a block of draws in the order of one standard_normal(2) per sample
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
     assert rng_a.standard_normal((137, 2)).tobytes() == np.array([rng_b.standard_normal(2) for _ in range(137)]).tobytes()
