@@ -45,8 +45,6 @@ OUT_DIM = 2
 DEFAULT_FD_STEPS = {1: 1e-5, 2: 2e-3, 3: 2e-2}
 
 RANK_RTOL = 1e-9
-# numeric_rank works through a stack this many matrices at a time, so its temporaries stay this size
-RANK_CHUNK = 4096
 
 
 class ModelKind(enum.Enum):
@@ -66,29 +64,20 @@ def numeric_rank(matrix: np.ndarray) -> tuple:
     along the last axis.  A single matrix gives an int.
 
     Only the first matrix of each run of bit-equal consecutive matrices is
-    decomposed (-0.0 and +0.0 differ), RANK_CHUNK matrices at a time; a run
-    that crosses a chunk boundary carries its values across.  The values are
-    those of np.linalg.svd on each matrix, bit for bit.
+    decomposed (-0.0 and +0.0 differ), in one pass over the stack, so its
+    temporaries grow with the stack; a run's derive pass hands it one chunk
+    (simulation.CHUNK_SAMPLES matrices) at a time.  The values are those of
+    np.linalg.svd on each matrix, bit for bit.
     """
     m = np.asarray(matrix, dtype=float)
     *lead, rows, cols = m.shape
     stack = m.reshape(-1, rows, cols)
-    n = len(stack)
-    key = f"V{m.itemsize * rows * cols}"  # a matrix's bytes as one value
-    sv = np.empty((n, min(rows, cols)))
-    sv[:1] = np.linalg.svd(stack[:1], compute_uv=False)  # the first matrix starts a run
-    for s in range(1, n, RANK_CHUNK):
-        e = min(s + RANK_CHUNK, n)
-        keys = stack[s - 1:e].reshape(e - s + 1, rows * cols).view(key)[:, 0]
-        fresh = keys[1:] != keys[:-1]  # starts a run: differs from the matrix before it
-        svals = np.linalg.svd(stack[s:e].compress(fresh, axis=0), compute_uv=False)
-        # each matrix takes the values of its run's first; row 0 carries those of matrix s - 1
-        sv[s:e] = np.concatenate((sv[s - 1:s], svals))[fresh.cumsum()]
-    rank = np.empty(n, dtype=np.intp)
-    for s in range(0, n, RANK_CHUNK):
-        chunk = sv[s:s + RANK_CHUNK]
-        rank[s:s + RANK_CHUNK] = (chunk > RANK_RTOL * chunk[:, :1]).sum(axis=1)
-    rank = rank.reshape(lead)
+    keys = stack.reshape(len(stack), rows * cols).view(f"V{m.itemsize * rows * cols}")[:, 0]  # a matrix as one value
+    fresh = np.ones(len(stack), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]  # starts a run: differs from the matrix before it
+    # each matrix takes the values of its run's first
+    sv = np.linalg.svd(stack.compress(fresh, axis=0), compute_uv=False)[fresh.cumsum() - 1]
+    rank = (sv > RANK_RTOL * sv[:, :1]).sum(axis=1).reshape(lead)
     return (int(rank) if rank.ndim == 0 else rank), sv.reshape(*lead, sv.shape[1])
 
 

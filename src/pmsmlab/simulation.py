@@ -17,10 +17,11 @@ together.  The maps depend only on the plant: one broadcasting RK4
 sample (`_sample_maps`), which `_apply_map` applies; there is no other
 integrator.  A run builds them block by block as its loop reaches them
 (`_map_blocks`), and a still stretch of the profile, where every sample's
-map is the same, once.  Those blocks are the loop's unit:
-it applies one map per sample, and per block converts the rows, draws the
-measurement noise and stores its record with one call each; the draws come
-in the order of one `standard_normal(2)` per sample, whatever the block.
+map is the same, once.  The loop walks them as one stream of rows, one per
+sample, and the chunk is its only unit: at a chunk's first sample it draws
+the chunk's measurement noise with one call, in the order of one
+`standard_normal(2)` per sample, and it stores each sample's record in the
+chunk's array.
 """
 
 from __future__ import annotations
@@ -403,16 +404,14 @@ def _still_stretches(profile: SpeedProfile, n: int, substeps: int, T_s: float) -
 
 
 def _map_blocks(scn: Scenario):
-    """scn's map rows in sample order, built as they are consumed: (rows, samples) pairs.
+    """scn's map rows in sample order, built as they are consumed: blocks of rows, each row a list, one per sample.
 
-    rows is an (samples, 12) block of _sample_maps rows, or a single row that holds
-    for all `samples` samples.  No block holds more samples than _BUILD_STEPS RK4 steps
-    (or one sample), as many as are built at a time.  A still stretch's first sample is
-    built alone; its steps see one speed and one angle A, so when its row ends at the
-    angle it started from, every later sample of the stretch starts there and has the
-    same row, bit for bit.  Otherwise the second sample is built alone too, since the
-    chain (theta - A) + A is as a rule fixed from its second pass on; only when that row
-    also moves the angle is the rest built in blocks.
+    A built block is a list of _sample_maps rows, no more samples than _BUILD_STEPS RK4 steps (or one sample), as
+    many as are built at a time.  A still stretch's first sample is built alone; its steps see one speed and one
+    angle A, so when its row ends at the angle it started from, every later sample of the stretch starts there and
+    has the same row, bit for bit, which the block repeats.  Otherwise the second sample is built alone too, since
+    the chain (theta - A) + A is as a rule fixed from its second pass on; only when that row also moves the angle is
+    the rest built in blocks.
     """
     params, profile, n, substeps, T_s = scn.params, scn.profile, scn.n_samples, scn.ode_substeps, scn.T_s
     per = max(1, _BUILD_STEPS // substeps)  # samples per block; a longer sample is built alone, in chunks
@@ -423,7 +422,7 @@ def _map_blocks(scn: Scenario):
         for j in range(k0, k1, per):
             rows = _sample_maps(params, profile, np.arange(j, min(j + per, k1)) * T_s, substeps, T_s, theta)
             theta = rows[-1, 11]
-            yield rows, len(rows)
+            yield rows.tolist()
 
     k = 0
     for k0, k1 in _still_stretches(profile, n, substeps, T_s):
@@ -431,10 +430,9 @@ def _map_blocks(scn: Scenario):
         k = k0
         while k < min(k1, k0 + 2):  # the first two samples alone
             start = np.float64(theta).tobytes()
-            row, _ = next(blocks(k, k + 1))
+            (row,), = blocks(k, k + 1)
             k_end = k1 if theta.tobytes() == start else k + 1  # the angle chain (theta - A) + A returned theta
-            for j in range(k, k_end, per):
-                yield row, min(per, k_end - j)
+            yield itertools.repeat(row, k_end - k)
             k = k_end
     yield from blocks(k, n)
 
@@ -445,17 +443,6 @@ def needs_estimator(scn: Scenario) -> list:
     uses = (("obs_on_estimates", scn.obs_on_estimates, "must be false"),
             ("injection.kind", scn.injection.kind is InjectionKind.VOLTAGE_ON_DHAT, "must not be voltage_on_dhat"))
     return [(key, f"{msg} for analyze, which runs no estimator") for key, used, msg in uses if used]
-
-
-def _chunked(blocks, size: int):
-    """blocks' (rows, samples) pairs, cut where each chunk of size samples, counted from the first, ends."""
-    room = size  # samples left in the current chunk
-    for rows, m in blocks:
-        while m:
-            take = min(m, room)
-            whole = len(rows) == m  # a row per sample, not one row for them all
-            yield (rows[:take] if whole else rows), take
-            rows, m, room = (rows[take:] if whole else rows), m - take, room - take or size
 
 
 def _records(scn: Scenario, with_ekf: bool):
@@ -488,52 +475,43 @@ def _records(scn: Scenario, with_ekf: bool):
     x_hat = (ia, ib, 0.0, float(scn.theta0 + scn.theta_hat_err0))
     omega_hat, theta_hat = x_hat[2:] if with_ekf else (math.nan, math.nan)  # analyze has no estimates
 
-    rec, j = np.empty((min(n, CHUNK_SAMPLES), 10)), 0  # the chunk's record, j rows of it filled
     abort = None
     noise_std, schedule, setpoints = scn.noise_std, scn.injection, scn.setpoints
 
-    k0 = 0
-    for maps, m in _chunked(_map_blocks(scn), CHUNK_SAMPLES):
-        if noise_std > 0.0:  # the block's draws, in the order of one standard_normal(2) per sample
-            noise = rng.standard_normal((m, 2)).tolist()
-        block = []  # the block's record rows
-        for k, row in enumerate(maps.tolist() * (m // len(maps)), k0):  # a still stretch's row, m times
-            t_k = k * T_s
-            ya, yb = ia, ib
-            if noise_std > 0.0:
-                na, nb = noise[k - k0]
-                ya, yb = ia + noise_std * na, ib + noise_std * nb
+    for k, row in enumerate(itertools.chain.from_iterable(_map_blocks(scn))):
+        j = k % CHUNK_SAMPLES  # the sample's row in its chunk
+        if j == 0:  # a chunk's first sample: hand on the chunk before it
+            if k:
+                yield rec, None
+            rec = np.empty((min(n - k, CHUNK_SAMPLES), 10))
+            if noise_std > 0.0:  # the chunk's draws, in the order of one standard_normal(2) per sample
+                noise = rng.standard_normal(2 * len(rec)).tolist()
+        t_k = k * T_s
+        ya, yb = ia, ib
+        if noise_std > 0.0:
+            ya, yb = ia + noise_std * noise[2 * j], ib + noise_std * noise[2 * j + 1]
 
-            # PI control in the rotor frame of the true angle, on plain floats
-            c, s = math.cos(theta), math.sin(theta)
-            refs = current_reference(t_k, schedule, setpoints)
-            i_d_meas, i_q_meas = _rotate(ya, yb, c, -s)
-            v_d, integ_d = _pi_law(kp_d, ki, integ_d, limit, refs[0] - i_d_meas, T_s)
-            v_q, integ_q = _pi_law(kp_q, ki, integ_q, limit, refs[1] - i_q_meas, T_s)
-            va, vb = _command_ab(v_d, v_q, c, s, t_k, schedule, theta_hat)
+        # PI control in the rotor frame of the true angle, on plain floats
+        c, s = math.cos(theta), math.sin(theta)
+        refs = current_reference(t_k, schedule, setpoints)
+        i_d_meas, i_q_meas = _rotate(ya, yb, c, -s)
+        v_d, integ_d = _pi_law(kp_d, ki, integ_d, limit, refs[0] - i_d_meas, T_s)
+        v_q, integ_q = _pi_law(kp_q, ki, integ_q, limit, refs[1] - i_q_meas, T_s)
+        va, vb = _command_ab(v_d, v_q, c, s, t_k, schedule, theta_hat)
 
-            try:
-                ia_new, ib_new = _apply_map(row, R, ia, ib, va, vb, t_k, T_s)
-                if with_ekf:
-                    x_hat, P = _predict(params, T_s, q, x_hat, P, va, vb)
-                    x_hat, P = _update(r, x_hat, P, ya, yb)
-                    _, _, omega_hat, theta_hat = x_hat
-            except FloatingPointError as exc:
-                abort = (t_k, str(exc))
-                break
-
-            block.append((ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat))
-            ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
-        if block:  # empty when the block's first sample aborts
-            rec[j:j + len(block)] = block
-            j += len(block)
-        if abort:
+        try:
+            ia_new, ib_new = _apply_map(row, R, ia, ib, va, vb, t_k, T_s)
+            if with_ekf:
+                x_hat, P = _predict(params, T_s, q, x_hat, P, va, vb)
+                x_hat, P = _update(r, x_hat, P, ya, yb)
+                _, _, omega_hat, theta_hat = x_hat
+        except FloatingPointError as exc:
+            abort = (t_k, str(exc))
             break
-        k0 += m
-        if j == len(rec) and k0 < n:  # a full chunk, and more to come
-            yield rec, None
-            rec, j = np.empty((min(n - k0, CHUNK_SAMPLES), 10)), 0
-    yield rec[:j], abort
+
+        rec[j] = (ia, ib, *refs, va, vb, omega, theta, omega_hat, theta_hat)
+        ia, ib, omega, theta = ia_new, ib_new, row[10], row[11]
+    yield (rec if abort is None else rec[:j]), abort  # rows 0..j-1 of an aborted chunk
 
 
 def _derive(scn: Scenario, k0: int, record: np.ndarray, around: tuple, abort) -> TrajectoryLog:
@@ -579,7 +557,7 @@ def run_chunks(scn: Scenario, with_ekf: bool = True):
     Per sample: measure currents (optional seeded noise), build references,
     PI control with the true angle, the sample's composed RK4 plant map, one
     EKF predict-correct cycle with the same voltage and measurement.  The
-    loop walks _map_blocks' blocks, built as it reaches them (a still stretch's map once),
+    loop walks _map_blocks' rows, built as it reaches them (a still stretch's map once),
     and hands on each chunk it finishes; the observability columns, evaluated on the true
     trajectory, are derived per chunk.  So a run holds a chunk or two, whatever its length,
     and one that aborts early builds and derives little.  Every chunk but the last says
@@ -606,11 +584,17 @@ class Collector:
     """A run's chunks kept as one log: the columns named in keep (all by default), and None for the others.
 
     add() appends a chunk's columns in place; each grows by realloc, so no joined copy sits beside its parts.
-    log() is the run once its last chunk is added, ended as that chunk says.
+    log() is the run once its last chunk is added, ended as that chunk says.  A keep that names no column, or a name
+    that is not a column, raises ValueError.
     """
 
     def __init__(self, keep=None):
-        self.cols = {f.name: None for f in COLUMNS if keep is None or f.name in keep}
+        names = [f.name for f in COLUMNS]
+        keep = names if keep is None else tuple(keep)
+        unknown = [name for name in keep if name not in names]
+        if unknown or not keep:
+            raise ValueError(f"no column named {', '.join(map(repr, unknown))}" if unknown else "keep names no column")
+        self.cols = dict.fromkeys(name for name in names if name in keep)
         self.n, self.last = 0, None
 
     def add(self, chunk: TrajectoryLog) -> None:

@@ -3,7 +3,6 @@
 import functools
 import math
 import pathlib
-import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -22,7 +21,6 @@ from pmsmlab.machine import (
 )
 from pmsmlab.observability import (
     DEFAULT_FD_STEPS,
-    RANK_CHUNK,
     RANK_RTOL,
     _backemf_rate,
     _emech_rate,
@@ -118,8 +116,8 @@ def test_numeric_rank_reuses_runs_bit_for_bit(monkeypatch, ip_params):
 
     rng = np.random.default_rng(5)
     a, b = rng.uniform(-1.0, 1.0, (2, 4, 4))
-    # three runs each, the first crossing two chunk boundaries and the second starting around one
-    runs = [np.repeat(np.stack([a, b, a]), [2 * RANK_CHUNK + k, RANK_CHUNK, 3], axis=0) for k in (-1, 0, 1, 2)]
+    # three runs each, of lengths around and beyond a run's chunk
+    runs = [np.repeat(np.stack([a, b, a]), [2048 + k, 1024, 3], axis=0) for k in (-1, 0, 1, 2)]
     signed = np.zeros((6, 4, 4))
     signed[:, 0, 0] = signed[:, 1, 1] = 1.0
     signed[3, 2, 3] = -0.0  # equal as a number, not bit for bit: it starts a run of its own
@@ -131,7 +129,7 @@ def test_numeric_rank_reuses_runs_bit_for_bit(monkeypatch, ip_params):
     for m in runs + [signed]:
         svd_rows.clear()
         numeric_rank(m)
-        assert sum(svd_rows) == 3 and max(svd_rows) <= RANK_CHUNK  # one matrix per run, a chunk at a time
+        assert svd_rows == [3]  # one matrix per run, in one call
     monkeypatch.undo()
     fd = lie_gradient_stack(EM, [1.0, -2.0, 30.0, 0.4], [5.0, -5.0], 3, ip_params)
     for m in runs + [signed, np.zeros((0, 4, 4)), a, fd, np.stack([fd, fd, 2.0 * fd]), np.vstack([fd, fd[:4]]),
@@ -160,23 +158,6 @@ def test_numeric_rank_of_the_benchmark_runs_is_plain(monkeypatch):
     assert max(map(len, stacks)) == CHUNK_SAMPLES
     for m in stacks:
         _assert_plain_rank(m)
-
-
-def test_numeric_rank_memory_is_its_output_and_one_chunk():
-    # 200,000 distinct matrices: the extra memory is the (N, 4) values, the N ranks and one chunk's temporaries,
-    # not a mask, a copy or an index over the whole stack
-    n = 200_000
-    stack = np.random.default_rng(9).uniform(-1.0, 1.0, (n, 4, 4))
-    numeric_rank(stack[:2])  # numpy's first-call allocations are not the stack's
-    tracemalloc.start()
-    try:
-        rank, sv = numeric_rank(stack)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sv.shape == (n, 4) and rank.shape == (n,)
-    outputs = sv.nbytes + rank.nbytes
-    assert peak <= outputs + RANK_CHUNK * stack[0].nbytes, (peak - outputs) / RANK_CHUNK  # a chunk's matrices
 
 
 # ---------------------------------------------------------------------------

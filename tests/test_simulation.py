@@ -1,6 +1,7 @@
 """Speed profile, RK4 integrator, and the closed-loop scenario engine."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -286,8 +287,7 @@ def _held_voltage_steps(params, prof, state, voltage, dt, n, prefix=1000):
     scn = Scenario(params=params, profile=prof, t_end=n * dt, T_s=dt, ode_substeps=1, theta0=theta)
     assert scn.n_samples == n
     got, replay = [], [state]
-    rows = (row for maps, m in _map_blocks(scn) for row in maps.tolist() * (m // len(maps)))
-    for k, row in enumerate(rows):
+    for k, row in enumerate(itertools.chain.from_iterable(_map_blocks(scn))):
         v = voltage(theta)
         ia, ib = _apply_map(row, params.R, ia, ib, v[0], v[1], k * dt, dt)
         theta = row[11]
@@ -362,10 +362,11 @@ _DERIVE_ABORT = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 0.0), (0.0021
 @pytest.mark.parametrize("case", ["noisy_without_ekf", "noisy_with_ekf", "noise_aborts", "speed_jump_aborts",
                                   "derive_aborts", "obs_on_estimates"])
 def test_run_is_independent_of_the_row_block(case, monkeypatch, tmp_path):
-    # the loop converts the map rows, draws the noise and stores its record one _map_blocks block at a time, and
-    # hands the record on to be derived and written one CHUNK_SAMPLES chunk at a time; neither the log nor the
-    # simulate CSV may depend on where the blocks or the chunks start, including a run that aborts inside one and
-    # the estimates' centred speed derivative, which reaches one sample across each chunk edge
+    # the maps are built one _BUILD_STEPS block at a time, and the loop draws the noise and stores its record
+    # one CHUNK_SAMPLES chunk at a time, which is derived and written as it comes; neither the log nor the
+    # simulate CSV may depend on where the blocks or the chunks start, including a run that aborts inside one, at
+    # a chunk's first or last sample, and the estimates' centred speed derivative, which reaches one sample
+    # across each chunk edge
     import pmsmlab.simulation as simulation
     from pmsmlab.cli import main
     from pmsmlab.config import RunConfig, render_config
@@ -394,11 +395,16 @@ def test_run_is_independent_of_the_row_block(case, monkeypatch, tmp_path):
     assert len(default) == (137 if aborts_at is None else aborts_at) and default.aborted == (aborts_at is not None)
     write_csv(default, tmp_path / "whole.csv")
     assert csv == (tmp_path / "whole.csv").read_bytes()  # the streamed file is the collected log's
-    for name, size in (("_BUILD_STEPS", 1), ("_BUILD_STEPS", 7), ("CHUNK_SAMPLES", 1), ("CHUNK_SAMPLES", 7)):
+    # chunks of 19 and 20 samples put speed_jump_aborts' abort, at sample 19, at a chunk's first and last
+    # sample; a chunk of 137 samples is the whole run
+    for name, size in (("_BUILD_STEPS", 1), ("_BUILD_STEPS", 7), ("CHUNK_SAMPLES", 1), ("CHUNK_SAMPLES", 7),
+                       ("CHUNK_SAMPLES", 19), ("CHUNK_SAMPLES", 20), ("CHUNK_SAMPLES", 137)):
         with monkeypatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
-            if name == "_BUILD_STEPS":  # samples per block, still stretches included
+            if name == "_BUILD_STEPS":  # samples per built block; a still stretch builds one
                 patch.setattr(simulation, name, size * scn.ode_substeps)
-                assert max(m for _, m in simulation._map_blocks(scn)) == size
+                built = _count_built_samples(patch)
+                list(itertools.chain.from_iterable(simulation._map_blocks(scn)))
+                assert max(built) <= size
             else:
                 patch.setattr(simulation, name, size)
                 assert max(map(len, simulation.run_chunks(scn, with_ekf))) == min(size, len(default))
@@ -410,9 +416,9 @@ def test_run_is_independent_of_the_row_block(case, monkeypatch, tmp_path):
             else:
                 assert a == b, (name, size, f.name)
         assert written == csv, (name, size)
-    # numpy fills a block of draws in the order of one standard_normal(2) per sample
+    # numpy fills a chunk's draws in the order of one standard_normal(2) per sample
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    assert rng_a.standard_normal((137, 2)).tobytes() == np.array([rng_b.standard_normal(2) for _ in range(137)]).tobytes()
+    assert rng_a.standard_normal(2 * 137).tobytes() == np.array([rng_b.standard_normal(2) for _ in range(137)]).tobytes()
 
 
 def test_run_frame_consistency(ipmsm_log):
@@ -520,6 +526,16 @@ def test_early_abort_builds_at_most_one_block_of_maps(monkeypatch):
         log = run_scenario(scn)
     assert log.aborted and log.abort_time == 0.0
     assert 0 < sum(built) <= simulation._BUILD_STEPS // scn.ode_substeps
+
+
+def test_run_keeps_the_columns_it_is_told_and_rejects_unknown_names():
+    scn = _tiny(t_end=0.001)
+    log = run_scenario(scn, keep=("theta_err", "t"))
+    assert len(log) == 10 and [f.name for f in COLUMNS if getattr(log, f.name) is not None] == ["t", "theta_err"]
+    with pytest.raises(ValueError, match="'theta_eror', 'ranks'"):
+        run_scenario(scn, keep=("theta_eror", "t", "ranks"))
+    with pytest.raises(ValueError, match="no column"):
+        run_scenario(scn, keep=())
 
 
 def test_run_observability_on_estimates_smoke():
@@ -790,7 +806,7 @@ def test_map_blocks_equal_an_unshared_build(case, reused, monkeypatch):
         A = _MOVED_BEFORE_T0.angle(0.0)
         assert A != 0.0 and (scn.theta0 - A) + A != scn.theta0
     built = _count_built_samples(monkeypatch)
-    table = np.vstack([np.broadcast_to(rows, (samples, 12)) for rows, samples in _map_blocks(scn)])
+    table = np.array(list(itertools.chain.from_iterable(_map_blocks(scn))))
     monkeypatch.undo()
     assert table.tobytes() == _unshared_table(scn).tobytes()
     if case == "hfi_config":
@@ -803,18 +819,22 @@ def test_map_blocks_equal_an_unshared_build(case, reused, monkeypatch):
 
 @pytest.mark.parametrize("case", list(_MAP_CASES))
 def test_map_blocks_hold_at_most_one_build_block(case, monkeypatch):
-    # the run loop handles one _map_blocks block at a time, so a still stretch's row,
-    # built once, must come in blocks no longer than a moving stretch's
+    # the maps are built as the loop reaches them, at most one block of _BUILD_STEPS steps at a time, and a
+    # still stretch's row once, however long the stretch
     from pmsmlab.simulation import _BUILD_STEPS, _map_blocks
 
     scn = _MAP_CASES[case]()
+    per = max(1, _BUILD_STEPS // scn.ode_substeps)
     built = _count_built_samples(monkeypatch)
-    blocks = [(len(rows), m) for rows, m in _map_blocks(scn)]
-    assert sum(m for _, m in blocks) == scn.n_samples
-    assert all(1 <= m <= max(1, _BUILD_STEPS // scn.ode_substeps) and rows in (1, m) for rows, m in blocks)
-    if case == "hfi_config":  # 6,000 still samples: 30 blocks of one row, built once
-        assert scn.n_samples == 6000 and len(blocks) == -(-6000 // (_BUILD_STEPS // scn.ode_substeps))
-        assert sum(built) == 1
+    rows = 0
+    for row in itertools.chain.from_iterable(_map_blocks(scn)):
+        assert type(row) is list and len(row) == 12
+        rows += 1
+        assert sum(built) < rows + per  # no block is built before the loop reaches it
+    assert rows == scn.n_samples
+    assert all(1 <= m <= per for m in built)
+    if case == "hfi_config":  # 6,000 still samples, built once
+        assert scn.n_samples == 6000 and built == [1]
 
 
 def test_block_trig_equals_single_element_trig():
