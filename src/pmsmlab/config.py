@@ -2,16 +2,18 @@
 
 The file is a JSON object with blocks "machine" (required), "scenario",
 "estimator", "control", "output", "sweep", and "analyze".  Every omitted
-field takes the documented default (the reference standstill study), so a
-minimal file needs only the machine constants.
+field takes the default its field declares (the reference standstill study,
+written to trajectory.csv in the working directory), so a minimal file needs
+only the machine constants.
 
 The parser checks the JSON's shapes, unknown keys and the choice between
 Ld/Lq and L0/L2, and each value by the type rules that the dataclasses
 check too, machine.TYPE_RULES.  The value rules belong to the dataclasses:
 MachineParams, SpeedProfile, InjectionSchedule and Scenario each state
 theirs once in violations(), which the parser calls on the values it read,
-without building the objects, and labels with the JSON path.  Scenario's
-fields give the paths, in file order, and what a sweep may vary.  Each
+without building the objects, and labels with the JSON path.  The fields
+of Scenario and RunConfig give the paths, in file order, and their
+defaults; Scenario's also say what a sweep may vary.  Each
 sweep point is checked as the scenario it makes, once the base scenario is
 valid.  Validation never stops at the first problem: parse_config raises
 ConfigError carrying the complete list of violations.
@@ -25,10 +27,8 @@ from itertools import groupby
 
 from pmsmlab.control import InjectionKind, InjectionSchedule
 from pmsmlab.machine import TYPE_RULES, MachineParams, _is_num
-from pmsmlab.simulation import Scenario, SpeedProfile, standstill_study_scenario
+from pmsmlab.simulation import Scenario, SpeedProfile, _config, table_params
 
-# Scenario field -> JSON path, in file order: drives parsing, rendering and error labels
-SCENARIO_PATHS = {f.name: f.metadata["path"] for f in fields(Scenario) if f.metadata}
 # what a sweep may vary, "a.b" naming part b of field a; sorted, as the sweep.parameter message lists them
 SWEEPABLE = tuple(sorted(f.name + part for f in fields(Scenario) for part in f.metadata.get("sweep", ())))
 
@@ -62,12 +62,19 @@ class AnalyzePoint:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A scenario and what to do with it; the output fields, like Scenario's, state their config path and default."""
+
     scenario: Scenario
-    out_dir: str = "."
-    csv_name: str = "trajectory.csv"
-    write_summary: bool = True
+    out_dir: str = _config("output.dir", ".")
+    csv_name: str = _config("output.csv", "trajectory.csv")
+    write_summary: bool = _config("output.summary", True)
     sweep: SweepSpec | None = None
     analyze_states: tuple[AnalyzePoint, ...] = ()
+
+
+# every field the file holds outside the machine block, in file order: drives parsing, rendering and error labels
+FILE_FIELDS = tuple(f for cls in (Scenario, RunConfig) for f in fields(cls) if f.metadata)
+SCENARIO_PATHS = {f.name: f.metadata["path"] for f in fields(Scenario) if f.metadata}
 
 
 def _labels(block: str, found, path) -> list[str]:
@@ -210,27 +217,22 @@ def parse_config(text: str) -> RunConfig:
     if "machine" not in root:
         errors.append("machine: block required")
 
-    base = standstill_study_scenario()
+    reference = table_params()
     machine_errors: list[str] = []
     params = None
     if "machine" in root:
-        params = _parse_machine(_Block("machine", root["machine"], machine_errors), machine_errors, base.params)
+        params = _parse_machine(_Block("machine", root["machine"], machine_errors), machine_errors, reference)
     errors.extend(machine_errors)
 
-    scenario_values = {"params": base.params if params is None else params}  # a bad machine block is named above
-    for name, paths in groupby(SCENARIO_PATHS.items(), lambda item: item[1].split(".")[0]):
-        block = _Block(name, root.get(name, {}), errors)
-        for field, path in paths:
-            scenario_values[field] = block.read(path.split(".")[1], getattr(base, field))
+    field_values = {"params": reference if params is None else params}  # a bad machine block is named above
+    for name, group in groupby(FILE_FIELDS, lambda f: f.metadata["path"].split(".")[0]):
+        block, group = _Block(name, root.get(name, {}), errors), list(group)
+        for f in group:
+            field_values[f.name] = block.read(f.metadata["path"].split(".")[1], f.default)
         block.check_unknown()
-        if name == "scenario":  # the breakpoint checks follow the block's key checks
-            scenario_values["profile"] = _parse_profile(scenario_values["profile"], base.profile, errors)
-
-    ob = _Block("output", root.get("output", {}), errors)
-    out_dir = ob.get("dir", ".")
-    csv_name = ob.get("csv", "trajectory.csv")
-    write_summary = ob.get("summary", True)
-    ob.check_unknown()
+        for f in group:  # a profile's breakpoint checks follow its block's key checks
+            if isinstance(f.default, SpeedProfile):
+                field_values[f.name] = _parse_profile(field_values[f.name], f.default, errors)
 
     sweep = None
     if "sweep" in root:
@@ -263,10 +265,10 @@ def parse_config(text: str) -> RunConfig:
                 pts.append(pt)
             analyze_states = tuple(pts)
 
-    errors.extend(_labels("scenario", Scenario.violations(**scenario_values), SCENARIO_PATHS.get))
+    errors.extend(_labels("scenario", Scenario.violations(**field_values), SCENARIO_PATHS.get))
     if errors:
         raise ConfigError(errors)
-    scenario = Scenario(**scenario_values)
+    scenario = Scenario(**{f.name: field_values.pop(f.name) for f in fields(Scenario)})  # the output fields remain
     for value in sweep.values if sweep else ():
         try:
             apply_sweep_value(scenario, sweep.parameter, value)
@@ -274,18 +276,11 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"sweep: invalid point {sweep.parameter}={value!r}: {exc}")
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        scenario=scenario,
-        out_dir=out_dir,
-        csv_name=csv_name,
-        write_summary=write_summary,
-        sweep=sweep,
-        analyze_states=analyze_states,
-    )
+    return RunConfig(scenario, sweep=sweep, analyze_states=analyze_states, **field_values)
 
 
 def _json_value(value):
-    """A Scenario field value as the config file writes it."""
+    """A field value as the config file writes it."""
     if isinstance(value, SpeedProfile):
         return [[t, w] for t, w in zip(value.times, value.speeds)]
     if isinstance(value, InjectionSchedule):
@@ -305,10 +300,9 @@ def render_config(cfg: RunConfig) -> str:
     is inspectable and a rendered file is a valid input.
     """
     doc = {"machine": asdict(cfg.scenario.params)}
-    for field, path in SCENARIO_PATHS.items():
-        name, key = path.split(".")
-        doc.setdefault(name, {})[key] = _json_value(getattr(cfg.scenario, field))
-    doc["output"] = {"dir": cfg.out_dir, "csv": cfg.csv_name, "summary": cfg.write_summary}
+    for f in FILE_FIELDS:
+        name, key = f.metadata["path"].split(".")
+        doc.setdefault(name, {})[key] = _json_value(getattr(cfg.scenario if f.name in SCENARIO_PATHS else cfg, f.name))
     if cfg.sweep is not None:
         doc["sweep"] = {"parameter": cfg.sweep.parameter, "values": list(cfg.sweep.values)}
     if cfg.analyze_states:

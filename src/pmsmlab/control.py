@@ -7,9 +7,10 @@ applies its own waveform: current_reference adds amplitude * sin(frequency
 * t) to the q-axis current reference, and _command_ab a voltage carrier
 amplitude * cos(frequency * t) on the estimated d-axis.
 
-The controller is two float kernels, which run_scenario's loop calls once
-per sample: _pi_law holds the PI law of one axis with its anti-windup
-clamp, and _command_ab the command rotation with its carrier.
+The controller is two float kernels, which the run loop
+(simulation._records, reached through run_chunks) calls once per sample:
+_pi_law holds the PI law of one axis with its anti-windup clamp, and
+_command_ab the command rotation with its carrier.
 """
 
 from __future__ import annotations

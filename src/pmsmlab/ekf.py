@@ -11,7 +11,8 @@ row by row (P00, P01, P02, P03, P11, P12, P13, P22, P23, P33).  Q and R_meas
 are diagonal: the kernels take their 4 and 2 diagonal entries, as a
 Scenario holds them.  Every sum runs in a fixed order without fused
 multiply-adds, so the filter's numbers do not depend on the BLAS library or
-the CPU it picks kernels for.  `run_scenario` calls the kernels on tuples;
+the CPU it picks kernels for.  The run loop (`simulation._records`,
+reached through `run_chunks`) calls the kernels on tuples;
 `_diag_upper` lays out its diagonal prior P, and `Scenario.violations`
 states the rules that make Q and P semidefinite and R_meas positive definite.
 """

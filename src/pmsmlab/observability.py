@@ -390,6 +390,10 @@ def hfi_det_y1(
     At standstill the injection restores a nonzero value whenever the
     position-estimate error is away from 0 (mod pi) and the carrier is not at
     a zero crossing.
+
+    Its sign is the opposite of det_y1's: with no carrier (V_hf = 0) it is
+    -psi_r^2 * omega / L0^2, the negative of spmsm_det_y1 and of the
+    determinant of the order-1 lie_gradient_stack.
     """
     _require_nonsalient(params, "hfi_det_y1")
     L0, psi_r = params.L0, params.psi_r

@@ -31,7 +31,7 @@ import enum
 import itertools
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -139,9 +139,9 @@ class MachineKind(enum.Enum):
     SPMSM = "spmsm"
 
 
-def _config(path: str, default=MISSING, bound: str | None = None, sweep=()):
-    """A Scenario field held at path in the config file, with its bound (one of _BOUNDS, on each entry of a list)
-    and what a sweep may vary of it: all of it (True) or its parts by name, kept as suffixes of the field's name."""
+def _config(path: str, default, bound: str | None = None, sweep=()):
+    """A field held at path in the config file, with its default, its bound (one of _BOUNDS, on each entry of a
+    list) and what a sweep may vary of it: all of it (True) or its parts by name, kept as suffixes of its name."""
     sweep = ("",) if sweep is True else tuple(f".{part}" for part in sweep)
     return field(default=default, metadata={"path": path, "bound": bound, "sweep": sweep})
 
@@ -159,14 +159,22 @@ def _sample_ratio(t_end, T_s) -> float:
 class Scenario:
     """Complete description of one closed-loop run, its fields in the config file's order.
 
-    Each field states its rules once: its type and a list's length in its annotation, its config path, bound and
-    sweepability in its metadata; violations() and the config parser, renderer and sweep list read them there.
+    Each field states its rules once: its type and a list's length in its annotation, its config path, default,
+    bound and sweepability in its metadata; violations() and the config parser, renderer and sweep list read them
+    there.  The defaults are the reference standstill-to-ramp study, so Scenario(params=...) is that study on the
+    given machine: standstill until 0.6 s with a 500 Hz q-axis current carrier on [0.2 s, 0.5 s), then a ramp to
+    50 rad/s by 0.8 s held to 1.0 s, at set-points (0, 15) A, the estimated angle initialized -pi/4 off.
     """
 
     params: MachineParams
-    profile: SpeedProfile = _config("scenario.profile")
-    setpoints: tuple[float, float] = _config("scenario.setpoints", (0.0, 0.0))  # (i_d*, i_q*)
-    injection: InjectionSchedule = _config("scenario.injection", InjectionSchedule(), sweep=("amplitude", "frequency"))
+    profile: SpeedProfile = _config(
+        "scenario.profile", SpeedProfile.from_breakpoints([(0.0, 0.0), (0.6, 0.0), (0.8, 50.0), (1.0, 50.0)])
+    )
+    setpoints: tuple[float, float] = _config("scenario.setpoints", (0.0, 15.0))  # (i_d*, i_q*)
+    injection: InjectionSchedule = _config(
+        "scenario.injection", InjectionSchedule(InjectionKind.CURRENT_ON_Q, 0.5, 1000.0 * math.pi, 0.2, 0.5),
+        sweep=("amplitude", "frequency"),
+    )
     t_end: float = _config("scenario.t_end", 1.0, "> 0")
     T_s: float = _config("scenario.T_s", 1e-4, "> 0")
     ode_substeps: int = _config("scenario.ode_substeps", 10, ">= 1")
@@ -629,29 +637,10 @@ def table_params(kind: MachineKind | str = MachineKind.IPMSM, J: float = 0.02) -
     """
     if isinstance(kind, str):
         kind = MachineKind(kind.lower())
-    if kind is MachineKind.IPMSM:
-        return MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=J)
-    return MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=J)
+    ipmsm = MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=J)
+    return ipmsm if kind is MachineKind.IPMSM else replace(ipmsm, L2=0.0)
 
 
 def standstill_study_scenario(kind: MachineKind | str = MachineKind.IPMSM) -> Scenario:
-    """Reference standstill-to-ramp study.
-
-    Standstill until 0.6 s with a 500 Hz q-axis current injection active on
-    [0.2 s, 0.5 s), then a ramp to 50 rad/s by 0.8 s held to 1.0 s.  Current
-    set-points (0, 15) A, estimated position initialized -pi/4 off.
-    """
-    return Scenario(
-        params=table_params(kind),
-        profile=SpeedProfile.from_breakpoints(
-            [(0.0, 0.0), (0.6, 0.0), (0.8, 50.0), (1.0, 50.0)]
-        ),
-        setpoints=(0.0, 15.0),
-        injection=InjectionSchedule(
-            kind=InjectionKind.CURRENT_ON_Q,
-            amplitude=0.5,
-            frequency=1000.0 * math.pi,
-            t_start=0.2,
-            t_end=0.5,
-        ),
-    )
+    """Reference standstill-to-ramp study (the Scenario defaults) on the reference machine of the given kind."""
+    return Scenario(params=table_params(kind))

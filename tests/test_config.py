@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmsmlab.config import (
+    FILE_FIELDS,
     SCENARIO_PATHS,
     SWEEPABLE,
     ConfigError,
@@ -19,7 +20,8 @@ from pmsmlab.config import (
     render_config,
 )
 from pmsmlab.control import InjectionKind
-from pmsmlab.simulation import MachineKind, Scenario, standstill_study_scenario
+from pmsmlab.machine import TYPE_RULES
+from pmsmlab.simulation import MachineKind, Scenario, standstill_study_scenario, table_params
 from pmsmlab.simulation import MAX_RK4_STEPS, MAX_SAMPLES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -46,6 +48,15 @@ def test_minimal_config_gives_reference_scenario():
     assert cfg.write_summary
     assert cfg.sweep is None
     assert cfg.analyze_states == ()
+
+
+@pytest.mark.parametrize("kind", ["ipmsm", "spmsm"])
+def test_the_default_paths_agree(kind):
+    # the field defaults are the reference study, in code and in a file that gives only the machine
+    machine = json.loads((CONFIG_DIR / f"standstill_{kind}.json").read_text())["machine"]
+    scn = Scenario(params=table_params(kind))
+    assert scn == standstill_study_scenario(kind)
+    assert parse_config(json.dumps({"machine": machine})) == RunConfig(scn)  # the output defaults included
 
 
 def test_shipped_standstill_configs_match_reference():
@@ -376,21 +387,25 @@ def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
     assert errors_of(json.dumps(doc)) == [f"{SCENARIO_PATHS[field]}: {message}"]
 
 
-_PATH_FIELDS = [f.name for f in fields(Scenario) if f.metadata.get("path")]
+_PATH_FIELDS = {f.name: f for f in FILE_FIELDS}
 
 
 @pytest.mark.parametrize("field", _PATH_FIELDS)
 def test_every_config_field_names_a_mistyped_value(field):
     # a list holding null breaks every type rule; each field with a path is covered, also one added later
     value = [None]
-    with pytest.raises(ValueError) as exc:
-        replace(standstill_study_scenario(), **{field: value})
-    code = str(exc.value)
-    block, key = SCENARIO_PATHS[field].split(".")
+    path = _PATH_FIELDS[field].metadata["path"]
+    block, key = path.split(".")
     doc = json.loads(MINIMAL_SPMSM)
     doc[block] = {key: value}
     (config,) = errors_of(json.dumps(doc))
-    assert code.startswith(f"{field}: ") and config.startswith(f"{SCENARIO_PATHS[field]}: ")
+    if field not in SCENARIO_PATHS:  # an output field of RunConfig is read by the type rule of its default
+        assert config == f"{path}: {TYPE_RULES[type(_PATH_FIELDS[field].default)][1]}"
+        return
+    with pytest.raises(ValueError) as exc:
+        replace(standstill_study_scenario(), **{field: value})
+    code = str(exc.value)
+    assert code.startswith(f"{field}: ") and config.startswith(f"{path}: ")
     if not is_dataclass(getattr(standstill_study_scenario(), field)):
         # profile and injection are written in the file as a list and an object, not as the values they become,
         # so their two messages differ in form; every other field's are the same words

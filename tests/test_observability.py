@@ -654,6 +654,18 @@ def test_hfi_det_pieces(sp_params):
     assert abs(hfi_det_y1(0.0, math.pi, 0.0, 5.0, 1000.0, sp_params)) < 1e-9
 
 
+def test_hfi_det_sign_is_opposite_to_the_oracle_determinant(sp_params):
+    # at zero carrier amplitude hfi_det_y1 is the negative of the order-1 determinant, whatever the estimate error,
+    # the carrier phase, the currents, the angle and the input: -11982.25 against +11982.25 at omega = 10
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        x = [*rng.uniform(-20, 20, 2), 10.0, rng.uniform(-math.pi, math.pi)]
+        fd = np.linalg.det(lie_gradient_stack(EM, x, rng.uniform(-40, 40, 2), 1, sp_params))
+        hfi = hfi_det_y1(10.0, rng.uniform(-math.pi, math.pi), rng.uniform(0, 1), 0.0, 1000.0, sp_params)
+        assert fd == pytest.approx(11982.25, rel=1e-6)
+        assert hfi == pytest.approx(-fd, rel=1e-6)
+
+
 def test_emf_model_det_constant_and_oracle(sp_params):
     cf = emf_model_det(sp_params)
     assert cf == pytest.approx(1.0 / 0.65e-3**2, rel=1e-14)

@@ -228,6 +228,8 @@ def test_table_params():
     assert (ip.R, ip.psi_r, ip.p, ip.J) == (0.01, 0.0225, 2, 0.02)
     sp = table_params(MachineKind.SPMSM, J=0.05)
     assert (sp.L0, sp.L2, sp.J) == (0.65e-3, 0.0, 0.05)
+    # the round machine is the salient one with L2 zeroed, and its L0 is 0.65e-3 bit for bit
+    assert table_params("spmsm") == dataclasses.replace(table_params(), L2=0.0)
 
 
 def test_table_params_takes_a_kind_name():
