@@ -113,18 +113,20 @@ class _Block:
         self.seen.add(key)
         return self.data.get(key)
 
-    def read(self, key, default):
-        """The value at key: the injection block parsed, the profile raw (parsed once its block is read), else get.
+    def read(self, path: str, default):
+        """The value at path (this block's name, then the key): the injection block parsed, the profile raw (parsed
+        once its block is read), else get.
 
         An absent key gives the default; an explicit null is a value, so it breaks the shape rule of its key.
         """
+        key = path.rpartition(".")[2]
         if not isinstance(default, (InjectionSchedule, SpeedProfile)):
             return self.get(key, default)
         self.seen.add(key)
         if key not in self.data:
             return default
         raw = self.data[key]
-        return _parse_injection(raw, default, self.errors) if isinstance(default, InjectionSchedule) else raw
+        return _parse_injection(raw, path, default, self.errors) if isinstance(default, InjectionSchedule) else raw
 
     def check_unknown(self):
         extra = set(self.data) - self.seen
@@ -164,24 +166,25 @@ def _parse_machine(block: _Block, errors: list, ref: MachineParams) -> MachinePa
     return None if errors else MachineParams(**values)
 
 
-def _parse_injection(raw, defaults: InjectionSchedule, errors: list) -> InjectionSchedule:
-    b = _Block("scenario.injection", raw, errors)
+def _parse_injection(raw, path: str, defaults: InjectionSchedule, errors: list) -> InjectionSchedule:
+    """The injection block at path; its errors are labelled with path and the block's keys."""
+    b = _Block(path, raw, errors)
     name = b.get("kind", defaults.kind.value)
     amplitude = b.get("amplitude", defaults.amplitude)
     frequency = b.get("frequency", defaults.frequency)
     window = b.get("window", (defaults.t_start, defaults.t_end))
     if len(window) != 2:
-        errors.append("scenario.injection.window: must have exactly 2 entries")
+        errors.append(f"{path}.window: must have exactly 2 entries")
         window = (defaults.t_start, defaults.t_end)
     b.check_unknown()
     kind = {k.value: k for k in InjectionKind}.get(name, name)  # an unknown name is left for the kind rule to name
-    found = _labels(b.name, InjectionSchedule.violations(kind, amplitude, frequency, *window),
-                    "scenario.injection.{}".format)
+    found = _labels(path, InjectionSchedule.violations(kind, amplitude, frequency, *window), f"{path}.{{}}".format)
     errors.extend(found)
     return defaults if found else InjectionSchedule(kind, amplitude, frequency, *window)
 
 
-def _parse_profile(raw, default: SpeedProfile, errors: list) -> SpeedProfile:
+def _parse_profile(raw, path: str, default: SpeedProfile, errors: list) -> SpeedProfile:
+    """The breakpoint list at path; its errors are labelled with path."""
     if raw is default:  # the key is absent
         return default
     if not (
@@ -189,10 +192,10 @@ def _parse_profile(raw, default: SpeedProfile, errors: list) -> SpeedProfile:
         and raw
         and all(isinstance(q, list) and len(q) == 2 and all(_is_num(x) for x in q) for q in raw)
     ):
-        errors.append("scenario.profile: must be a non-empty list of [time, omega] pairs")
+        errors.append(f"{path}: must be a non-empty list of [time, omega] pairs")
         return default
     times, speeds = tuple(float(q[0]) for q in raw), tuple(float(q[1]) for q in raw)
-    found = _labels("scenario.profile", SpeedProfile.violations(times, speeds), lambda key: "scenario.profile")
+    found = _labels(path, SpeedProfile.violations(times, speeds), lambda key: path)
     errors.extend(found)
     return default if found else SpeedProfile(times, speeds)
 
@@ -228,11 +231,11 @@ def parse_config(text: str) -> RunConfig:
     for name, group in groupby(FILE_FIELDS, lambda f: f.metadata["path"].split(".")[0]):
         block, group = _Block(name, root.get(name, {}), errors), list(group)
         for f in group:
-            field_values[f.name] = block.read(f.metadata["path"].split(".")[1], f.default)
+            field_values[f.name] = block.read(f.metadata["path"], f.default)
         block.check_unknown()
         for f in group:  # a profile's breakpoint checks follow its block's key checks
             if isinstance(f.default, SpeedProfile):
-                field_values[f.name] = _parse_profile(field_values[f.name], f.default, errors)
+                field_values[f.name] = _parse_profile(field_values[f.name], f.metadata["path"], f.default, errors)
 
     sweep = None
     if "sweep" in root:

@@ -567,3 +567,33 @@ def test_fuzzed_shipped_configs_end_as_a_run_or_a_named_error(data):
             t = read_csv(os.path.join(tmp, "run.csv"))["t"]
             assert len(t) == FUZZ_SAMPLES if code == 0 else len(t) < FUZZ_SAMPLES, lines
             assert np.array_equal(t, np.arange(len(t)) * T_s)
+
+
+def test_only_a_run_that_draws_noise_loads_numpy_random(tmp_path):
+    # a noise-free run makes no generator, so numpy.random (~6 MB resident) is never imported; the test session has
+    # imported it already, so the shipped runs go through cli.main in a fresh interpreter, then one noisy analyze
+    import subprocess
+    import sys
+
+    import pmsmlab
+
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    noisy = json.loads((configs / "standstill_spmsm.json").read_text())
+    noisy["scenario"].update(noise_std=0.05, t_end=0.01)
+    runs = [("simulate", configs / "standstill_ipmsm.json"), ("analyze", configs / "standstill_spmsm.json"),
+            ("sweep", configs / "hfi_voltage_sweep.json"), ("analyze", write_config(tmp_path, noisy, "noisy.json"))]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from pmsmlab.cli import main\n"
+        "loaded = []\n"
+        "for i, (verb, config) in enumerate(json.loads(sys.argv[1])):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main([verb, '-c', config, '-o', f'{sys.argv[2]}/{i}'])\n"
+        "    loaded.append((code, 'numpy.random' in sys.modules))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pmsmlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([(verb, str(c)) for verb, c in runs]),
+                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert json.loads(proc.stdout) == [[0, False], [0, False], [0, False], [0, True]], proc.stderr

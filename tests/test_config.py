@@ -560,3 +560,36 @@ def test_any_one_field_of_a_code_built_object_replaced_constructs_or_is_a_value_
         replace(obj, **{field: value})
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("renamed", [False, True])
+def test_profile_and_injection_errors_start_with_their_declared_paths(renamed, monkeypatch):
+    # the profile and injection parsers label every error with the path their field declares, so a renamed path
+    # reads, renders and reports under its new name; renamed=True moves both fields to new keys of the scenario block
+    import copy
+    import types
+
+    import pmsmlab.config as config
+
+    paths = dict(SCENARIO_PATHS, profile="scenario.speed_profile", injection="scenario.carrier") if renamed \
+        else SCENARIO_PATHS
+
+    def declared(f):
+        f = copy.copy(f)
+        f.metadata = types.MappingProxyType({**f.metadata, "path": paths[f.name]})
+        return f
+
+    monkeypatch.setattr(config, "FILE_FIELDS", tuple(declared(f) if f.name in paths else f for f in FILE_FIELDS))
+    bad = {
+        "profile": [None, [], 1, [[0.0, 1.0], [0.0, 2.0]], [[0, 0], ["x", 1]], [[0.0]]],
+        "injection": [None, 1, {"kind": "zap"}, {"nope": 1}, {"window": [1.0]}, {"amplitude": "x"},
+                      {"kind": "current_on_q", "window": [0.5, 0.5]}, {"kind": "current_on_q", "amplitude": -1.0},
+                      {"kind": "current_on_q", "frequency": 1e308, "window": [0.2, 3.0]}],
+    }
+    for name, values in bad.items():
+        path = paths[name]
+        for value in values:
+            doc = json.loads(MINIMAL_SPMSM)
+            doc["scenario"] = {path.split(".")[1]: value}
+            errors = errors_of(json.dumps(doc))
+            assert errors and all(e.startswith((f"{path}: ", f"{path}.")) for e in errors), (path, value, errors)

@@ -392,13 +392,15 @@ def test_run_is_independent_of_the_row_block(case, monkeypatch, tmp_path):
             assert code == (0 if aborts_at is None else 2)
             return run_scenario(scn, with_ekf=with_ekf), (tmp_path / name / "run.csv").read_bytes()
 
-    default, csv = run("default")  # 137 samples fit in one block and one chunk
-    assert simulation._BUILD_STEPS // scn.ode_substeps > 137 and simulation.CHUNK_SAMPLES > 137
+    with monkeypatch.context() as patch:  # the reference: 137 samples in one built block and one chunk
+        patch.setattr(simulation, "_BUILD_STEPS", 138 * scn.ode_substeps)
+        assert simulation._BUILD_STEPS // scn.ode_substeps > 137 and simulation.CHUNK_SAMPLES > 137
+        default, csv = run("default")
     assert len(default) == (137 if aborts_at is None else aborts_at) and default.aborted == (aborts_at is not None)
     write_csv(default, tmp_path / "whole.csv")
     assert csv == (tmp_path / "whole.csv").read_bytes()  # the streamed file is the collected log's
     # chunks of 19 and 20 samples put speed_jump_aborts' abort, at sample 19, at a chunk's first and last
-    # sample; a chunk of 137 samples is the whole run
+    # sample; a chunk of 137 samples is the whole run, built in blocks of _BUILD_STEPS steps
     for name, size in (("_BUILD_STEPS", 1), ("_BUILD_STEPS", 7), ("CHUNK_SAMPLES", 1), ("CHUNK_SAMPLES", 7),
                        ("CHUNK_SAMPLES", 19), ("CHUNK_SAMPLES", 20), ("CHUNK_SAMPLES", 137)):
         with monkeypatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
@@ -709,7 +711,11 @@ def test_step_map_matches_a_stagewise_rk4(kind):
 def test_sample_map_matches_stagewise_rk4_steps(substeps, cases):
     # one composed map per sample is its substeps RK4 steps: the currents
     # agree to rounding relative to the sample's own increment, the speed and
-    # angle exactly; 600 substeps are one chunk, 2100 span two chunks of _BUILD_STEPS steps
+    # angle exactly; 600 substeps are one chunk, 2100 span three chunks of _BUILD_STEPS steps, the last one short
+    from pmsmlab.simulation import _BUILD_STEPS
+
+    if substeps >= 600:
+        assert -(-substeps // _BUILD_STEPS) == {600: 1, 2100: 3}[substeps]  # chunks of the sample
     rng = np.random.default_rng(substeps)
     for case in range(cases):
         params = table_params(list(MachineKind)[case % 2])
@@ -769,10 +775,10 @@ _MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks fo
         profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.00305, 0.0), (0.00505, 30.0), (0.00705, 0.0)]),
         theta0=1.0, t_end=0.01),
     # three samples per block, short of _BUILD_STEPS steps
-    "600_substeps": lambda: _tiny(
+    "300_substeps": lambda: _tiny(
         profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (3e-4, 0.0), (6e-4, 40.0), (8e-4, 0.0)]),
-        ode_substeps=600, t_end=1.2e-3),
-    # more substeps than _BUILD_STEPS: one sample per block, built in two chunks
+        ode_substeps=300, t_end=1.2e-3),
+    # more substeps than _BUILD_STEPS: one sample per block, built in three chunks, the last one short
     "2100_substeps": lambda: _tiny(
         profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (3e-4, 0.0), (6e-4, 40.0), (8e-4, 0.0)]),
         ode_substeps=2100, t_end=1.2e-3),
@@ -793,7 +799,7 @@ _MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks fo
     ("negative_zero_theta0", True),
     ("holds_before_and_after_the_breakpoints", True),
     ("edge_inside_a_sample", True),
-    ("600_substeps", True),
+    ("300_substeps", True),
     ("2100_substeps", True),
     ("negative_zero_speeds", True),
     ("creeping_ramp", False),
@@ -835,7 +841,11 @@ def test_map_blocks_hold_at_most_one_build_block(case, monkeypatch):
         assert sum(built) < rows + per  # no block is built before the loop reaches it
     assert rows == scn.n_samples
     assert all(1 <= m <= per for m in built)
-    if case == "hfi_config":  # 6,000 still samples, built once
+    if case == "300_substeps":
+        assert per == 3 and max(built) == 3
+    elif case == "2100_substeps":
+        assert per == 1 and 2 * _BUILD_STEPS < scn.ode_substeps < 3 * _BUILD_STEPS
+    elif case == "hfi_config":  # 6,000 still samples, built once
         assert scn.n_samples == 6000 and built == [1]
 
 
@@ -846,9 +856,10 @@ def test_block_trig_equals_single_element_trig():
     from pmsmlab.simulation import _BUILD_STEPS
 
     x = np.random.default_rng(4).uniform(-300.0, 300.0, _BUILD_STEPS + 1)
+    study = _BUILD_STEPS // 10 * 10  # a block of the study's 10-substep samples
     for fn in (np.cos, np.sin):
         single = np.array([fn(x[i:i + 1])[0] for i in range(x.size)])
-        for n in (_BUILD_STEPS + 1, _BUILD_STEPS, 1800, 513, 512, 7):
+        for n in (_BUILD_STEPS + 1, _BUILD_STEPS, study + 1, study, 513, 512, 7):
             assert np.array_equal(fn(x[:n]), single[:n]), (
                 f"np.{fn.__name__} over {n} elements differs from one element at a time on this host,"
                 " so a run and its one-sample replay cannot agree bit for bit"
@@ -932,6 +943,23 @@ def test_many_substeps_run_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def test_map_builder_holds_one_small_block_on_the_study():
+    # the builder holds one block of at most _BUILD_STEPS RK4 steps and its temporaries at a time: 0.87 MB on the
+    # IPMSM study at 1024 steps (1.73 MB at 2048), small enough that glibc keeps it resident between blocks
+    from pmsmlab.simulation import _map_blocks
+
+    scn = standstill_study_scenario(MachineKind.IPMSM)
+    tracemalloc.start()
+    try:
+        for block in _map_blocks(scn):
+            for _ in block:
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6
 
 
 @pytest.mark.parametrize(
