@@ -13,8 +13,8 @@ import os
 
 import numpy as np
 
-from pmsmlab.report import summarize, write_csv
-from pmsmlab.simulation import MachineKind, run_scenario, standstill_study_scenario
+from pmsmlab.report import stream_csv, summarize
+from pmsmlab.simulation import MachineKind, Scenario, run_scenario, table_params
 
 LOCK_TOL = 0.05  # rad
 
@@ -31,10 +31,10 @@ def main() -> None:
     os.makedirs(args.out, exist_ok=True)
 
     for kind in (MachineKind.IPMSM, MachineKind.SPMSM):
-        scn = standstill_study_scenario(kind)
+        scn = Scenario(params=table_params(kind))
         log = run_scenario(scn)
         path = os.path.join(args.out, f"study_{kind.value}.csv")
-        write_csv(log, path)
+        stream_csv([log], path)
 
         print(f"=== {kind.value} ===")
         print(summarize(log))

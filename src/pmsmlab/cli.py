@@ -22,7 +22,7 @@ from pmsmlab.config import ConfigError, RunConfig, apply_sweep_value, parse_conf
 from pmsmlab.control import InjectionKind
 from pmsmlab.observability import hfi_det_y1, sample_report
 from pmsmlab.report import SUMMARY_COLUMNS, stream_csv, summarize, write_rows
-from pmsmlab.simulation import Scenario, needs_estimator, run_chunks, run_scenario, standstill_study_scenario
+from pmsmlab.simulation import Scenario, needs_estimator, run_chunks, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
 
     if args.verb is None:
         if args.print_config:
-            print(render_config(RunConfig(scenario=standstill_study_scenario())), end="")
+            print(render_config(RunConfig(Scenario())), end="")
             return EXIT_OK
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION

@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import groupby
 
 from pmsmlab.control import InjectionKind, InjectionSchedule
-from pmsmlab.machine import TYPE_RULES, MachineParams, _is_num
-from pmsmlab.simulation import Scenario, SpeedProfile, _config, table_params
+from pmsmlab.machine import TYPE_RULES, MachineParams, _is_num, l0_l2
+from pmsmlab.simulation import Scenario, SpeedProfile, _config
 
 # what a sweep may vary, "a.b" naming part b of field a; sorted, as the sweep.parameter message lists them
 SWEEPABLE = tuple(sorted(f.name + part for f in fields(Scenario) for part in f.metadata.get("sweep", ())))
@@ -114,19 +114,16 @@ class _Block:
         return self.data.get(key)
 
     def read(self, path: str, default):
-        """The value at path (this block's name, then the key): the injection block parsed, the profile raw (parsed
-        once its block is read), else get.
+        """The value at path (this block's name, then the key): the injection block or the profile parsed, else get.
 
         An absent key gives the default; an explicit null is a value, so it breaks the shape rule of its key.
         """
         key = path.rpartition(".")[2]
-        if not isinstance(default, (InjectionSchedule, SpeedProfile)):
+        parse = {InjectionSchedule: _parse_injection, SpeedProfile: _parse_profile}.get(type(default))
+        if parse is None:
             return self.get(key, default)
         self.seen.add(key)
-        if key not in self.data:
-            return default
-        raw = self.data[key]
-        return _parse_injection(raw, path, default, self.errors) if isinstance(default, InjectionSchedule) else raw
+        return parse(self.data[key], path, default, self.errors) if key in self.data else default
 
     def check_unknown(self):
         extra = set(self.data) - self.seen
@@ -152,7 +149,7 @@ def _parse_machine(block: _Block, errors: list, ref: MachineParams) -> MachinePa
         if Ld is None or Lq is None:
             errors.append("machine: Ld and Lq must be given together")
             return None
-        L0, L2 = 0.5 * (Ld + Lq), 0.5 * (Ld - Lq)
+        L0, L2 = l0_l2(Ld, Lq)
     elif ab_given:
         if L0 is None or L2 is None:
             errors.append("machine: L0 and L2 must be given together")
@@ -185,8 +182,6 @@ def _parse_injection(raw, path: str, defaults: InjectionSchedule, errors: list) 
 
 def _parse_profile(raw, path: str, default: SpeedProfile, errors: list) -> SpeedProfile:
     """The breakpoint list at path; its errors are labelled with path."""
-    if raw is default:  # the key is absent
-        return default
     if not (
         isinstance(raw, list)
         and raw
@@ -220,7 +215,7 @@ def parse_config(text: str) -> RunConfig:
     if "machine" not in root:
         errors.append("machine: block required")
 
-    reference = table_params()
+    reference = Scenario.params  # the params field's default, the reference IPMSM
     machine_errors: list[str] = []
     params = None
     if "machine" in root:
@@ -229,13 +224,10 @@ def parse_config(text: str) -> RunConfig:
 
     field_values = {"params": reference if params is None else params}  # a bad machine block is named above
     for name, group in groupby(FILE_FIELDS, lambda f: f.metadata["path"].split(".")[0]):
-        block, group = _Block(name, root.get(name, {}), errors), list(group)
+        block = _Block(name, root.get(name, {}), errors)
         for f in group:
             field_values[f.name] = block.read(f.metadata["path"], f.default)
         block.check_unknown()
-        for f in group:  # a profile's breakpoint checks follow its block's key checks
-            if isinstance(f.default, SpeedProfile):
-                field_values[f.name] = _parse_profile(field_values[f.name], f.metadata["path"], f.default, errors)
 
     sweep = None
     if "sweep" in root:

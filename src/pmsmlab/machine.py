@@ -105,6 +105,11 @@ def type_violations(kind, **values) -> list:
     return [(key, message) for key, v in values.items() if not holds(v)]
 
 
+def l0_l2(Ld, Lq) -> tuple:
+    """(L0, L2) of the (Ld, Lq) parameterization: Ld = L0 + L2, Lq = L0 - L2."""
+    return 0.5 * (Ld + Lq), 0.5 * (Ld - Lq)
+
+
 @dataclass(frozen=True)
 class MachineParams:
     """Electrical and mechanical constants of one machine.
@@ -167,7 +172,8 @@ class MachineParams:
         cls, R: float, Ld: float, Lq: float, psi_r: float, p: int, J: float
     ) -> "MachineParams":
         """Build params from the (Ld, Lq) parameterization."""
-        return cls(R=R, L0=0.5 * (Ld + Lq), L2=0.5 * (Ld - Lq), psi_r=psi_r, p=p, J=J)
+        L0, L2 = l0_l2(Ld, Lq)
+        return cls(R=R, L0=L0, L2=L2, psi_r=psi_r, p=p, J=J)
 
     @property
     def Ld(self) -> float:

@@ -4,8 +4,9 @@ The CSV layout is a versioned contract: a comment line carrying the schema
 tag, a header row, then one row per control sample.  Floats are written with
 repr (shortest round-trip), so identical runs produce byte-identical files.
 The v1 columns are TrajectoryLog's columns without those marked v1=False.
-A run's chunks are written as the run hands them on (stream_csv), so the file
-grows while the run goes and only the summary columns are kept.
+stream_csv is the one trajectory writer: it writes a run's chunks as the run
+hands them on, so the file grows while the run goes and only the summary
+columns are kept; a log already in memory is the one-chunk stream [log].
 """
 
 from __future__ import annotations
@@ -42,21 +43,14 @@ def write_rows(path, comment: str, header, chunks) -> None:
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _csv_chunk(log: TrajectoryLog) -> list:
-    return [getattr(log, name) for name in CSV_COLUMNS]
-
-
-def write_csv(log: TrajectoryLog, path) -> None:
-    write_rows(path, f"schema={SCHEMA_TAG}", CSV_COLUMNS, [_csv_chunk(log)])
-
-
 def stream_csv(chunks, path) -> TrajectoryLog:
-    """Write a run's chunks (run_chunks) to the CSV at path as they come; return the run with SUMMARY_COLUMNS kept."""
+    """Write a run's chunks (run_chunks, or [log] for a whole log) to the CSV at path as they come; return the run
+    with SUMMARY_COLUMNS kept."""
     kept = Collector(SUMMARY_COLUMNS)
 
     def written():
         for chunk in chunks:
-            yield _csv_chunk(chunk)
+            yield [getattr(chunk, name) for name in CSV_COLUMNS]
             kept.add(chunk)
 
     write_rows(path, f"schema={SCHEMA_TAG}", CSV_COLUMNS, written())
@@ -143,14 +137,15 @@ def summarize(log: TrajectoryLog) -> RunSummary:
     """Per-phase statistics: standstill, injection, motion.
 
     Motion is where the true speed is nonzero.  The injection phase is
-    recovered from the q-axis reference column (deviation from its median),
-    so voltage-carrier runs, which leave the references untouched, report
-    their injection samples as part of standstill.
+    recovered from the q-axis reference column: from the first to the last
+    sample that deviates from its first value, the base set-point, since a
+    current carrier is zero at t = 0.  Voltage-carrier runs, which leave the
+    references untouched, report their injection samples as part of standstill.
     """
     if len(log) == 0:
         raise ValueError("empty log")
     motion = log.omega_true != 0.0
-    dev = np.abs(log.iq_ref - np.median(log.iq_ref)) > 0.0
+    dev = np.abs(log.iq_ref - log.iq_ref[0]) > 0.0
     injection = np.zeros_like(motion)
     if np.any(dev):
         lo, hi = np.nonzero(dev)[0][[0, -1]]

@@ -10,7 +10,7 @@ current range there.
 import pytest
 
 from pmsmlab.machine import MachineParams
-from pmsmlab.simulation import MachineKind, run_scenario, standstill_study_scenario
+from pmsmlab.simulation import MachineKind, Scenario, run_scenario, table_params
 
 
 @pytest.fixture
@@ -25,9 +25,9 @@ def sp_params() -> MachineParams:
 
 @pytest.fixture(scope="session")
 def ipmsm_log():
-    return run_scenario(standstill_study_scenario(MachineKind.IPMSM))
+    return run_scenario(Scenario())
 
 
 @pytest.fixture(scope="session")
 def spmsm_log():
-    return run_scenario(standstill_study_scenario(MachineKind.SPMSM))
+    return run_scenario(Scenario(params=table_params(MachineKind.SPMSM)))

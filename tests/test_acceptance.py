@@ -44,9 +44,9 @@ from pmsmlab.observability import (
 )
 from pmsmlab.simulation import (
     MachineKind,
+    Scenario,
     TrajectoryLog,
     run_scenario,
-    standstill_study_scenario,
     table_params,
 )
 
@@ -223,7 +223,7 @@ def criterion_5() -> tuple[bool, str]:
 
 def criterion_6(ip_log: TrajectoryLog, sp_log: TrajectoryLog) -> tuple[bool, str]:
     """Study behaviour: injection rescues the salient machine, not the round one."""
-    scn = standstill_study_scenario(MachineKind.IPMSM)
+    scn = Scenario()
     inj_t0, inj_t1 = scn.injection.t_start, scn.injection.t_end
     ramp_t = 0.6
 
@@ -299,7 +299,7 @@ def criterion_7() -> tuple[bool, str]:
 
 def criterion_8(ip_log: TrajectoryLog, sp_log: TrajectoryLog) -> tuple[bool, str]:
     """Covariance hygiene over the full study and bit-identical reruns."""
-    scn = standstill_study_scenario(MachineKind.IPMSM)
+    scn = Scenario()
     assert scn.noise_std == 0.0  # logged currents are the filter measurements
     i_d0, i_q0 = scn.setpoints
     # the filter kernels on the logged stream: x_hat as 4 floats, P as its 10 upper-triangle entries
@@ -333,8 +333,8 @@ def criterion_8(ip_log: TrajectoryLog, sp_log: TrajectoryLog) -> tuple[bool, str
         return True
 
     rerun_ok = identical(
-        ip_log, run_scenario(standstill_study_scenario(MachineKind.IPMSM))
-    ) and identical(sp_log, run_scenario(standstill_study_scenario(MachineKind.SPMSM)))
+        ip_log, run_scenario(Scenario())
+    ) and identical(sp_log, run_scenario(Scenario(params=table_params(MachineKind.SPMSM))))
 
     ok = worst_asym <= 1e-12 and min_diag >= 0.0 and replay_ok and rerun_ok
     return ok, (
@@ -408,8 +408,8 @@ def test_criterion_9(ipmsm_log, capsys):
 
 
 def main() -> int:
-    ip_log = run_scenario(standstill_study_scenario(MachineKind.IPMSM))
-    sp_log = run_scenario(standstill_study_scenario(MachineKind.SPMSM))
+    ip_log = run_scenario(Scenario())
+    sp_log = run_scenario(Scenario(params=table_params(MachineKind.SPMSM)))
     checks = [
         (1, criterion_1),
         (2, criterion_2),

@@ -570,8 +570,9 @@ def test_fuzzed_shipped_configs_end_as_a_run_or_a_named_error(data):
 
 
 def test_only_a_run_that_draws_noise_loads_numpy_random(tmp_path):
-    # a noise-free run makes no generator, so numpy.random (~6 MB resident) is never imported; the test session has
-    # imported it already, so the shipped runs go through cli.main in a fresh interpreter, then one noisy analyze
+    # a noise-free run makes no generator, so numpy.random (~6 MB resident) is never imported, and no run imports
+    # numpy.ma (np.median did); the test session has imported both already, so the shipped runs go through cli.main
+    # in a fresh interpreter, then one noisy analyze
     import subprocess
     import sys
 
@@ -589,11 +590,12 @@ def test_only_a_run_that_draws_noise_loads_numpy_random(tmp_path):
         "for i, (verb, config) in enumerate(json.loads(sys.argv[1])):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main([verb, '-c', config, '-o', f'{sys.argv[2]}/{i}'])\n"
-        "    loaded.append((code, 'numpy.random' in sys.modules))\n"
+        "    loaded.append((code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules))\n"
         "print(json.dumps(loaded))\n"
     )
     src = os.path.dirname(os.path.dirname(pmsmlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps([(verb, str(c)) for verb, c in runs]),
                            str(tmp_path)], capture_output=True, text=True, env=env, timeout=300, check=True)
-    assert json.loads(proc.stdout) == [[0, False], [0, False], [0, False], [0, True]], proc.stderr
+    # (exit code, numpy.random loaded, numpy.ma loaded) after each run
+    assert json.loads(proc.stdout) == [[0, False, False]] * 3 + [[0, True, False]], proc.stderr

@@ -21,7 +21,7 @@ from pmsmlab.config import (
 )
 from pmsmlab.control import InjectionKind
 from pmsmlab.machine import TYPE_RULES
-from pmsmlab.simulation import MachineKind, Scenario, standstill_study_scenario, table_params
+from pmsmlab.simulation import MachineKind, Scenario, table_params
 from pmsmlab.simulation import MAX_RK4_STEPS, MAX_SAMPLES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -42,7 +42,7 @@ def errors_of(text):
 
 def test_minimal_config_gives_reference_scenario():
     cfg = parse_config(MINIMAL_SPMSM)
-    assert cfg.scenario == standstill_study_scenario(MachineKind.SPMSM)
+    assert cfg.scenario == Scenario(params=table_params(MachineKind.SPMSM))
     assert cfg.out_dir == "."
     assert cfg.csv_name == "trajectory.csv"
     assert cfg.write_summary
@@ -54,9 +54,10 @@ def test_minimal_config_gives_reference_scenario():
 def test_the_default_paths_agree(kind):
     # the field defaults are the reference study, in code and in a file that gives only the machine
     machine = json.loads((CONFIG_DIR / f"standstill_{kind}.json").read_text())["machine"]
-    scn = Scenario(params=table_params(kind))
-    assert scn == standstill_study_scenario(kind)
-    assert parse_config(json.dumps({"machine": machine})) == RunConfig(scn)  # the output defaults included
+    cfg = parse_config(json.dumps({"machine": machine}))
+    assert cfg.scenario == {"ipmsm": Scenario(), "spmsm": Scenario(params=table_params("spmsm"))}[kind]
+    if kind == "ipmsm":  # Scenario() is the reference study
+        assert cfg == RunConfig(Scenario())  # the output defaults included
 
 
 def test_shipped_standstill_configs_match_reference():
@@ -65,7 +66,7 @@ def test_shipped_standstill_configs_match_reference():
         ("standstill_spmsm.json", MachineKind.SPMSM),
     ):
         cfg = parse_config((CONFIG_DIR / name).read_text())
-        assert cfg.scenario == standstill_study_scenario(kind), name
+        assert cfg.scenario == Scenario(params=table_params(kind)), name
         assert cfg.csv_name == name.replace(".json", ".csv")
 
 
@@ -171,6 +172,14 @@ def test_unknown_keys_reported_everywhere():
     assert "wat: unknown top-level block" in errs
 
 
+def test_a_blocks_lines_follow_its_fields_then_its_unknown_keys():
+    # the profile and the injection are parsed where they are read, as every other field is
+    scenario = {"bogus": 1, "setpoints": "x", "injection": {"kind": "zap"}, "profile": []}
+    errs = errors_of(json.dumps(dict(json.loads(MINIMAL_SPMSM), scenario=scenario)))
+    labels = [e.partition(": ")[0] for e in errs]
+    assert labels == ["scenario.profile", "scenario.setpoints", "scenario.injection.kind", "scenario.bogus"], errs
+
+
 def test_multiple_errors_collected_in_one_raise():
     errs = errors_of(
         json.dumps(
@@ -242,7 +251,7 @@ def test_null_profile_or_injection_is_a_type_error(tmp_path):
         path.write_text(json.dumps(bad))
         assert main(["simulate", "-c", str(path), "-o", str(tmp_path / key)]) == 1
         assert not (tmp_path / key).exists()
-    assert parse_config(json.dumps(dict(base, scenario={}))).scenario == standstill_study_scenario(MachineKind.SPMSM)
+    assert parse_config(json.dumps(dict(base, scenario={}))).scenario == Scenario(params=table_params("spmsm"))
 
 
 @pytest.mark.parametrize("value", [None, 3, []])
@@ -258,7 +267,7 @@ def test_negative_seed_rejected():
     bad = dict(base, scenario={"seed": -1, "noise_std": 0.0})
     assert "scenario.seed: must be >= 0" in errors_of(json.dumps(bad))
     with pytest.raises(ValueError, match="seed"):
-        replace(standstill_study_scenario(), seed=-1)
+        replace(Scenario(), seed=-1)
 
 
 def test_run_shorter_than_one_sample_rejected():
@@ -269,7 +278,7 @@ def test_run_shorter_than_one_sample_rejected():
     one = parse_config(json.dumps(dict(base, scenario={"t_end": 1e-4, "T_s": 1e-4})))
     assert one.scenario.n_samples == 1
     with pytest.raises(ValueError, match="at least one sample"):
-        replace(standstill_study_scenario(), t_end=4e-5)
+        replace(Scenario(), t_end=4e-5)
 
 
 def test_estimator_and_control_checks():
@@ -333,7 +342,7 @@ def test_render_exposes_defaults():
 
 
 def test_apply_sweep_value():
-    scn = standstill_study_scenario()
+    scn = Scenario()
     assert apply_sweep_value(scn, "injection.amplitude", 2.0).injection.amplitude == 2.0
     assert apply_sweep_value(scn, "injection.frequency", 70.0).injection.frequency == 70.0
     assert apply_sweep_value(scn, "noise_std", 0.3).noise_std == 0.3
@@ -379,7 +388,7 @@ def test_apply_sweep_value():
 )
 def test_scenario_rule_stated_once_for_code_and_config(field, value, message):
     with pytest.raises(ValueError) as exc:
-        replace(standstill_study_scenario(), **{field: value})
+        replace(Scenario(), **{field: value})
     assert str(exc.value) == f"{field}: {message}"
     block, key = SCENARIO_PATHS[field].split(".")
     doc = json.loads(MINIMAL_SPMSM)
@@ -403,10 +412,10 @@ def test_every_config_field_names_a_mistyped_value(field):
         assert config == f"{path}: {TYPE_RULES[type(_PATH_FIELDS[field].default)][1]}"
         return
     with pytest.raises(ValueError) as exc:
-        replace(standstill_study_scenario(), **{field: value})
+        replace(Scenario(), **{field: value})
     code = str(exc.value)
     assert code.startswith(f"{field}: ") and config.startswith(f"{path}: ")
-    if not is_dataclass(getattr(standstill_study_scenario(), field)):
+    if not is_dataclass(getattr(Scenario(), field)):
         # profile and injection are written in the file as a list and an object, not as the values they become,
         # so their two messages differ in form; every other field's are the same words
         assert config.removeprefix(f"{SCENARIO_PATHS[field]}: ") == code.removeprefix(f"{field}: ")
@@ -426,7 +435,7 @@ def test_every_config_field_names_a_mistyped_value(field):
 def test_injection_rule_stated_once_for_code_and_config(field, change, value, message):
     # on a window [0.2, 3.0), where a frequency of 1e308 overflows the carrier phase
     with pytest.raises(ValueError) as exc:
-        replace(standstill_study_scenario().injection, **{"t_end": 3.0, **change})
+        replace(Scenario().injection, **{"t_end": 3.0, **change})
     assert str(exc.value) == f"{field}: {message}"
     doc = json.loads(MINIMAL_SPMSM)
     doc["scenario"] = {"injection": {"kind": "current_on_q", "window": [0.2, 3.0], field: value}}
@@ -444,7 +453,7 @@ def test_injection_rule_stated_once_for_code_and_config(field, change, value, me
 )
 def test_machine_rule_stated_once_for_code_and_config(field, value, message):
     with pytest.raises(ValueError) as exc:
-        replace(standstill_study_scenario().params, **{field: value})
+        replace(Scenario().params, **{field: value})
     assert str(exc.value) == f"{field}: {message}"
     doc = json.loads(MINIMAL_SPMSM)
     doc["machine"][field] = value
@@ -483,7 +492,7 @@ def test_rk4_step_count_is_capped():
     assert scn.n_samples * scn.ode_substeps == MAX_RK4_STEPS
     assert errors_of(json.dumps(dict(base, scenario=dict(longest, ode_substeps=11)))) == [cap]
     with pytest.raises(ValueError, match="RK4 steps"):
-        replace(standstill_study_scenario(), ode_substeps=10**400)
+        replace(Scenario(), ode_substeps=10**400)
 
 
 def test_t_end_must_be_a_whole_number_of_samples():
@@ -543,7 +552,7 @@ def test_any_one_field_replaced_parses_or_is_a_config_error(field_path, value):
         assert exc.errors
 
 
-_SCN = standstill_study_scenario()
+_SCN = Scenario()
 CODE_FIELDS = [(obj, f.name) for obj in (_SCN, _SCN.params, _SCN.profile, _SCN.injection)
                for f in fields(obj) if f.init]
 PYTHON_VALUES = st.sampled_from(

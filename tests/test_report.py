@@ -7,12 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from pmsmlab.report import _ROW_BLOCK, CSV_COLUMNS, SCHEMA_TAG, read_csv, summarize, write_csv, write_rows
-from pmsmlab.simulation import MachineKind, run_scenario, standstill_study_scenario
+from pmsmlab.report import _ROW_BLOCK, CSV_COLUMNS, SCHEMA_TAG, read_csv, stream_csv, summarize, write_rows
+from pmsmlab.simulation import MachineKind, Scenario, run_scenario, table_params
 
 
 def _small_log(**over):
-    scn = standstill_study_scenario(MachineKind.SPMSM)
+    scn = Scenario(params=table_params(MachineKind.SPMSM))
     over.setdefault("t_end", 0.03)
     return run_scenario(dataclasses.replace(scn, **over))
 
@@ -30,7 +30,7 @@ def test_schema_is_pinned():
 def test_csv_round_trip(tmp_path):
     log = _small_log()
     path = tmp_path / "run.csv"
-    write_csv(log, path)
+    stream_csv([log], path)
     back = read_csv(path)
     assert set(back) == set(CSV_COLUMNS)
     for name in CSV_COLUMNS:
@@ -46,7 +46,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_header_lines(tmp_path):
     path = tmp_path / "run.csv"
-    write_csv(_small_log(t_end=0.001), path)
+    stream_csv([_small_log(t_end=0.001)], path)
     lines = path.read_text().splitlines()
     assert lines[0] == f"# schema={SCHEMA_TAG}"
     assert lines[1] == ",".join(CSV_COLUMNS)
@@ -55,8 +55,8 @@ def test_csv_header_lines(tmp_path):
 
 def test_csv_rewrite_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(_small_log(), a)
-    write_csv(_small_log(), b)
+    stream_csv([_small_log()], a)
+    stream_csv([_small_log()], b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -102,7 +102,7 @@ def test_csv_rejects_foreign_files(tmp_path):
 def test_read_csv_names_a_malformed_line(tmp_path, last):
     # a stray short line, or a last row cut short, is reported with its file and line
     path = tmp_path / "run.csv"
-    write_csv(_small_log(t_end=0.001), path)
+    stream_csv([_small_log(t_end=0.001)], path)
     text = path.read_text()
     path.write_text(text + "0.1,0.2\n" if last == "0.1,0.2" else text[:text.rindex(",")] + "\n")
     line = 13 if last == "0.1,0.2" else 12
@@ -118,7 +118,7 @@ def test_read_csv_names_a_malformed_line(tmp_path, last):
 def test_read_csv_names_a_bad_field(tmp_path, column, value, message):
     # a field that is not a number, or a rank that is not a whole one, is reported with its file and line
     path = tmp_path / "run.csv"
-    write_csv(_small_log(t_end=0.001), path)
+    stream_csv([_small_log(t_end=0.001)], path)
     lines = path.read_text().splitlines(keepends=True)
     fields = lines[5].rstrip("\n").split(",")
     fields[CSV_COLUMNS.index(column)] = value
@@ -194,6 +194,19 @@ def test_summarize_notes_omitted_phases():
     assert [ph.name for ph in summary.phases] == ["standstill"]
     assert "phase injection: no samples, omitted" in summary.notes
     assert "phase motion: no samples, omitted" in summary.notes
+
+
+def test_summarize_measures_the_injection_from_the_first_q_reference():
+    # a slow carrier that stays on one side of the set-point over its window moves the median of iq_ref off the
+    # set-point, which would mark every sample as injection; the first sample is the set-point (sin 0 = 0)
+    from pmsmlab.control import InjectionKind, InjectionSchedule
+    from pmsmlab.simulation import SpeedProfile
+
+    log = _small_log(profile=SpeedProfile.from_breakpoints([(0.0, 0.0)]), t_end=0.1,
+                     injection=InjectionSchedule(InjectionKind.CURRENT_ON_Q, 0.5, 10.0, 0.02, 0.09))
+    summary = summarize(log)
+    assert [(ph.name, ph.n) for ph in summary.phases] == [("standstill", 300), ("injection", 700)]
+    assert summary.notes == ("phase motion: no samples, omitted",)
 
 
 def test_summarize_flags_aborted_runs():

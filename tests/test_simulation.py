@@ -31,7 +31,6 @@ from pmsmlab.simulation import (
     Scenario,
     SpeedProfile,
     run_scenario,
-    standstill_study_scenario,
     table_params,
 )
 
@@ -43,7 +42,7 @@ def _study_profile():
 
 
 def _tiny(kind=MachineKind.SPMSM, **over):
-    scn = standstill_study_scenario(kind)
+    scn = Scenario(params=table_params(kind))
     over.setdefault("t_end", 0.02)
     return dataclasses.replace(scn, **over)
 
@@ -141,7 +140,7 @@ def test_profile_vector_forms_match_scalars():
 
 
 def test_scenario_validation():
-    base = standstill_study_scenario()
+    base = Scenario()
     for bad in (
         dict(t_end=0.0),
         dict(T_s=-1e-4),
@@ -180,14 +179,14 @@ def test_scenario_validation():
                                          ("injection", "an InjectionSchedule")])
 def test_code_built_scenario_names_a_part_of_the_wrong_type(field, kind):
     # a config file can only fill these with their types; in code, None or a stand-in is named, not run
-    base = standstill_study_scenario()
+    base = Scenario()
     for value in (None, dataclasses.asdict(getattr(base, field))):
         with pytest.raises(ValueError, match=f"^{field}: must be {kind}$"):
             dataclasses.replace(base, t_end=0.001, **{field: value})
 
 
 def test_code_built_scenario_takes_numpy_real_scalars():
-    base = standstill_study_scenario()
+    base = Scenario()
     for value in (np.float64(0.5), np.float32(0.5), np.int64(1), np.int32(1)):
         dataclasses.replace(base, theta0=value, noise_std=value, q_diag=(value, 1.0, 1e3, 0.1))
     for value in (np.float32(np.inf), np.float64(np.nan), 10**400):
@@ -196,21 +195,21 @@ def test_code_built_scenario_takes_numpy_real_scalars():
 
 
 def test_scenario_sample_count():
-    assert standstill_study_scenario().n_samples == 10000
+    assert Scenario().n_samples == 10000
     assert _tiny().n_samples == 200
     # a float32 t_end / T_s would overflow in float32; the rule divides in floats and names only the cap
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^t_end / T_s must not exceed 10000000 samples$"):
-            dataclasses.replace(standstill_study_scenario(), t_end=np.float32(3e38))
-        scn = dataclasses.replace(standstill_study_scenario(), t_end=np.float32(0.5))
+            dataclasses.replace(Scenario(), t_end=np.float32(3e38))
+        scn = dataclasses.replace(Scenario(), t_end=np.float32(0.5))
     assert scn.n_samples == 5000
 
 
 def test_study_scenario_contents():
-    scn = standstill_study_scenario("ipmsm")
+    scn = Scenario()
     assert scn.params.is_salient
-    assert standstill_study_scenario("SPMSM").params.L2 == 0.0
+    assert Scenario(params=table_params("SPMSM")).params.L2 == 0.0
     assert scn.profile.times == (0.0, 0.6, 0.8, 1.0)
     assert scn.profile.speeds == (0.0, 0.0, 50.0, 50.0)
     assert scn.setpoints == (0.0, 15.0)
@@ -372,7 +371,7 @@ def test_run_is_independent_of_the_row_block(case, monkeypatch, tmp_path):
     import pmsmlab.simulation as simulation
     from pmsmlab.cli import main
     from pmsmlab.config import RunConfig, render_config
-    from pmsmlab.report import write_csv
+    from pmsmlab.report import stream_csv
 
     scn, with_ekf, aborts_at = {
         # 137 samples, not a multiple of the block
@@ -397,7 +396,7 @@ def test_run_is_independent_of_the_row_block(case, monkeypatch, tmp_path):
         assert simulation._BUILD_STEPS // scn.ode_substeps > 137 and simulation.CHUNK_SAMPLES > 137
         default, csv = run("default")
     assert len(default) == (137 if aborts_at is None else aborts_at) and default.aborted == (aborts_at is not None)
-    write_csv(default, tmp_path / "whole.csv")
+    stream_csv([default], tmp_path / "whole.csv")
     assert csv == (tmp_path / "whole.csv").read_bytes()  # the streamed file is the collected log's
     # chunks of 19 and 20 samples put speed_jump_aborts' abort, at sample 19, at a chunk's first and last
     # sample; a chunk of 137 samples is the whole run, built in blocks of _BUILD_STEPS steps
@@ -525,7 +524,7 @@ def test_early_abort_builds_at_most_one_block_of_maps(monkeypatch):
     import pmsmlab.simulation as simulation
 
     built = _count_built_samples(monkeypatch)
-    scn = dataclasses.replace(standstill_study_scenario(MachineKind.IPMSM), setpoints=(1e200, 0.0))
+    scn = dataclasses.replace(Scenario(), setpoints=(1e200, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         log = run_scenario(scn)
     assert log.aborted and log.abort_time == 0.0
@@ -759,7 +758,7 @@ _MOVED_BEFORE_T0 = SpeedProfile.from_breakpoints([(-0.002, 0.0), (-0.001, 40.0),
 
 
 _MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks for them
-    "study": lambda: standstill_study_scenario(MachineKind.IPMSM),
+    "study": Scenario,
     "hfi_config": _hfi_config_scenario,
     "standstill_after_motion": lambda: _tiny(
         MachineKind.IPMSM, profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 40.0), (0.004, 0.0)]),
@@ -950,7 +949,7 @@ def test_map_builder_holds_one_small_block_on_the_study():
     # IPMSM study at 1024 steps (1.73 MB at 2048), small enough that glibc keeps it resident between blocks
     from pmsmlab.simulation import _map_blocks
 
-    scn = standstill_study_scenario(MachineKind.IPMSM)
+    scn = Scenario()
     tracemalloc.start()
     try:
         for block in _map_blocks(scn):
@@ -973,7 +972,7 @@ def test_map_builder_holds_one_small_block_on_the_study():
 def test_code_built_scenario_rejects_estimator_and_control_values(field, value):
     label = "injection.kind" if field == "injection" else field
     with pytest.raises(ValueError, match=f"^{label}: [^;]*$"):
-        run_scenario(dataclasses.replace(standstill_study_scenario(), **{field: value}), with_ekf=False)
+        run_scenario(dataclasses.replace(Scenario(), **{field: value}), with_ekf=False)
 
 
 def _dynamic_arch_openblas() -> bool:
@@ -993,8 +992,8 @@ def test_loop_columns_do_not_depend_on_the_blas_kernels(tmp_path):
     script = (
         "import dataclasses, sys\n"
         "import numpy as np\n"
-        "from pmsmlab.simulation import run_scenario, standstill_study_scenario\n"
-        "log = run_scenario(dataclasses.replace(standstill_study_scenario(), t_end=0.3))\n"
+        "from pmsmlab.simulation import Scenario, run_scenario\n"
+        "log = run_scenario(dataclasses.replace(Scenario(), t_end=0.3))\n"
         f"np.save(sys.argv[1], np.stack([getattr(log, c) for c in {columns!r}]))\n"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
