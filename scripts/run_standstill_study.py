@@ -13,8 +13,9 @@ import os
 
 import numpy as np
 
+from pmsmlab.machine import MachineParams
 from pmsmlab.report import stream_csv, summarize
-from pmsmlab.simulation import MachineKind, Scenario, run_scenario, table_params
+from pmsmlab.simulation import Scenario, run_scenario
 
 LOCK_TOL = 0.05  # rad
 
@@ -30,13 +31,13 @@ def main() -> None:
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    for kind in (MachineKind.IPMSM, MachineKind.SPMSM):
-        scn = Scenario(params=table_params(kind))
+    for name, params in (("ipmsm", MachineParams()), ("spmsm", MachineParams(L2=0.0))):
+        scn = Scenario(params=params)
         log = run_scenario(scn)
-        path = os.path.join(args.out, f"study_{kind.value}.csv")
+        path = os.path.join(args.out, f"study_{name}.csv")
         stream_csv([log], path)
 
-        print(f"=== {kind.value} ===")
+        print(f"=== {name} ===")
         print(summarize(log))
         print(
             f"lock (|theta_err| < {LOCK_TOL}) after injection start: "

@@ -4,7 +4,10 @@ The file is a JSON object with blocks "machine" (required), "scenario",
 "estimator", "control", "output", "sweep", and "analyze".  Every omitted
 field takes the default its field declares (the reference standstill study,
 written to trajectory.csv in the working directory), so a minimal file needs
-only the machine constants.
+only the machine constants.  Those are required in a file, R, psi_r, p and
+the inductances as Ld/Lq or L0/L2, though MachineParams' fields declare the
+reference machine: a missing or mistyped one is named, and read as its
+field's default so that the value rules still check the others.
 
 The parser checks the JSON's shapes, unknown keys and the choice between
 Ld/Lq and L0/L2, and each value by the type rules that the dataclasses
@@ -131,32 +134,33 @@ class _Block:
             self.errors.append(f"{self.name}.{k}: unknown key")
 
 
-def _parse_machine(block: _Block, errors: list, ref: MachineParams) -> MachineParams | None:
-    # a missing or mistyped constant takes the reference machine's value, so the value rules still run on the others
-    values = {key: block.get(key, getattr(ref, key)) for key in ("R", "psi_r", "p", "J")}
+def _parse_machine(raw, errors: list) -> MachineParams | None:
+    block = _Block("machine", raw, errors)
+    if not isinstance(raw, dict):
+        return None  # a block that is no object has its one line
+    # a missing or mistyped constant takes its field's default, so the value rules still run on the others
+    values = {key: block.get(key, getattr(MachineParams, key)) for key in ("R", "psi_r", "p", "J")}
     Ld, Lq, L0, L2 = (block.get(key, None, float) for key in ("Ld", "Lq", "L0", "L2"))
     block.check_unknown()
 
     for key in ("R", "psi_r", "p"):
-        if key not in block.data:  # a value of the wrong type has its own line
+        if key not in raw:  # a value of the wrong type has its own line
             errors.append(f"machine.{key}: required")
-    dq_given = Ld is not None or Lq is not None
-    ab_given = L0 is not None or L2 is not None
+    # a present key is given, a mistyped one too, whose type line is then its only line
+    dq_given, ab_given = {"Ld", "Lq"} & raw.keys(), {"L0", "L2"} & raw.keys()
     if dq_given and ab_given:
         errors.append("machine: give either Ld/Lq or L0/L2, not both")
         return None
-    if dq_given:
-        if Ld is None or Lq is None:
-            errors.append("machine: Ld and Lq must be given together")
-            return None
-        L0, L2 = l0_l2(Ld, Lq)
-    elif ab_given:
-        if L0 is None or L2 is None:
-            errors.append("machine: L0 and L2 must be given together")
-            return None
-    else:
+    if not (dq_given or ab_given):
         errors.append("machine: inductances required (Ld/Lq or L0/L2)")
         return None
+    if len(dq_given or ab_given) == 1:
+        errors.append(f"machine: {'Ld and Lq' if dq_given else 'L0 and L2'} must be given together")
+        return None
+    if None in ((Ld, Lq) if dq_given else (L0, L2)):  # mistyped
+        return None
+    if dq_given:
+        L0, L2 = l0_l2(Ld, Lq)
 
     values.update(L0=L0, L2=L2)
     errors.extend(_labels("machine", MachineParams.violations(**values), "machine.{}".format))
@@ -215,14 +219,12 @@ def parse_config(text: str) -> RunConfig:
     if "machine" not in root:
         errors.append("machine: block required")
 
-    reference = Scenario.params  # the params field's default, the reference IPMSM
     machine_errors: list[str] = []
-    params = None
-    if "machine" in root:
-        params = _parse_machine(_Block("machine", root["machine"], machine_errors), machine_errors, reference)
+    params = _parse_machine(root["machine"], machine_errors) if "machine" in root else None
     errors.extend(machine_errors)
 
-    field_values = {"params": reference if params is None else params}  # a bad machine block is named above
+    # a bad machine block is named above, and the reference machine, the params field's default, stands in for it
+    field_values = {"params": Scenario.params if params is None else params}
     for name, group in groupby(FILE_FIELDS, lambda f: f.metadata["path"].split(".")[0]):
         block = _Block(name, root.get(name, {}), errors)
         for f in group:
@@ -235,9 +237,11 @@ def parse_config(text: str) -> RunConfig:
         parameter = wb.get("parameter", None, str)
         values = wb.get("values", None, tuple)
         wb.check_unknown()
-        if parameter is None or values is None or not values:
+        if "parameter" not in wb.data or wb.data.get("values", []) == []:
             if isinstance(root["sweep"], dict):  # a block that is no object has its one line
                 errors.append("sweep: needs 'parameter' and a non-empty 'values' list")
+        elif parameter is None or values is None:
+            pass  # a present key is given, a mistyped one too, whose type line is then its only line
         elif parameter not in SWEEPABLE:
             errors.append(f"sweep.parameter: {parameter!r} not sweepable (use one of {', '.join(SWEEPABLE)})")
         else:

@@ -114,6 +114,10 @@ def l0_l2(Ld, Lq) -> tuple:
 class MachineParams:
     """Electrical and mechanical constants of one machine.
 
+    The defaults are the published constants of the salient reference machine, so MachineParams() is that machine
+    and MachineParams(L2=0.0) the round reference machine.  The inertia is not a published constant; 0.02 kg*m^2
+    keeps the estimator's speed-error behaviour comparable between the two machines.
+
     Attributes:
         R: stator phase resistance, ohm.
         L0: average inductance, henry.
@@ -124,12 +128,12 @@ class MachineParams:
         J: rotor plus load inertia, kg*m^2.
     """
 
-    R: float
-    L0: float
-    L2: float
-    psi_r: float
-    p: int
-    J: float
+    R: float = 0.01
+    L0: float = 0.00065  # L0 and L2 as l0_l2 gives them from Ld = 0.5 mH and Lq = 0.8 mH
+    L2: float = -0.00015000000000000001  # not -0.15e-3, which is another float
+    psi_r: float = 0.0225
+    p: int = 2
+    J: float = 0.02
 
     def __post_init__(self) -> None:
         # not vars(self): reading __dict__ slows every later attribute read of the instance

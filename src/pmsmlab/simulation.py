@@ -27,11 +27,10 @@ chunk's array.
 from __future__ import annotations
 
 import bisect
-import enum
 import itertools
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -137,24 +136,6 @@ class SpeedProfile:
         return self.evaluate(t)[2]
 
 
-class MachineKind(enum.Enum):
-    IPMSM = "ipmsm"
-    SPMSM = "spmsm"
-
-
-def table_params(kind: MachineKind | str = MachineKind.IPMSM, J: float = 0.02) -> MachineParams:
-    """Reference machine constants; the non-salient variant zeroes L2 only.
-
-    kind may be named, in any case ("ipmsm", "SPMSM"); another name raises ValueError.
-    Inertia is not part of the published constants; 0.02 kg m^2 keeps the
-    estimator's speed-error behaviour comparable between the two machines.
-    """
-    if isinstance(kind, str):
-        kind = MachineKind(kind.lower())
-    ipmsm = MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=J)
-    return ipmsm if kind is MachineKind.IPMSM else replace(ipmsm, L2=0.0)
-
-
 def _config(path: str, default, bound: str | None = None, sweep=()):
     """A field held at path in the config file, with its default, its bound (one of _BOUNDS, on each entry of a
     list) and what a sweep may vary of it: all of it (True) or its parts by name, kept as suffixes of its name."""
@@ -178,12 +159,12 @@ class Scenario:
     Each field states its rules once: its type and a list's length in its annotation, its config path, default,
     bound and sweepability in its metadata; violations() and the config parser, renderer and sweep list read them
     there.  The defaults are the reference standstill-to-ramp study, so Scenario() is that study on the salient
-    reference machine (table_params()) and Scenario(params=...) the same study on another machine: standstill until
+    reference machine (MachineParams()) and Scenario(params=...) the same study on another machine: standstill until
     0.6 s with a 500 Hz q-axis current carrier on [0.2 s, 0.5 s), then a ramp to 50 rad/s by 0.8 s held to 1.0 s, at
     set-points (0, 15) A, the estimated angle initialized -pi/4 off.
     """
 
-    params: MachineParams = table_params()
+    params: MachineParams = MachineParams()
     profile: SpeedProfile = _config(
         "scenario.profile", SpeedProfile.from_breakpoints([(0.0, 0.0), (0.6, 0.0), (0.8, 50.0), (1.0, 50.0)])
     )

@@ -10,17 +10,17 @@ current range there.
 import pytest
 
 from pmsmlab.machine import MachineParams
-from pmsmlab.simulation import MachineKind, Scenario, run_scenario, table_params
+from pmsmlab.simulation import Scenario, run_scenario
 
 
 @pytest.fixture
 def ip_params() -> MachineParams:
-    return MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=0.01)
+    return MachineParams(J=0.01)
 
 
 @pytest.fixture
 def sp_params() -> MachineParams:
-    return MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)
+    return MachineParams(L2=0.0, J=0.01)
 
 
 @pytest.fixture(scope="session")
@@ -30,4 +30,4 @@ def ipmsm_log():
 
 @pytest.fixture(scope="session")
 def spmsm_log():
-    return run_scenario(Scenario(params=table_params(MachineKind.SPMSM)))
+    return run_scenario(Scenario(params=MachineParams(L2=0.0)))

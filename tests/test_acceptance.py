@@ -20,6 +20,7 @@ from _samplers import (
 )
 from pmsmlab.ekf import _diag_upper, _predict, _update
 from pmsmlab.machine import (
+    MachineParams,
     MachineState,
     _rotate,
     alphabeta,
@@ -42,16 +43,10 @@ from pmsmlab.observability import (
     spmsm_det_y3_at_sing,
     spmsm_standstill_stack,
 )
-from pmsmlab.simulation import (
-    MachineKind,
-    Scenario,
-    TrajectoryLog,
-    run_scenario,
-    table_params,
-)
+from pmsmlab.simulation import Scenario, TrajectoryLog, run_scenario
 
-IP = table_params(MachineKind.IPMSM, J=0.01)
-SP = table_params(MachineKind.SPMSM, J=0.01)
+IP = MachineParams(J=0.01)
+SP = MachineParams(L2=0.0, J=0.01)
 
 
 def criterion_1() -> tuple[bool, str]:
@@ -334,7 +329,7 @@ def criterion_8(ip_log: TrajectoryLog, sp_log: TrajectoryLog) -> tuple[bool, str
 
     rerun_ok = identical(
         ip_log, run_scenario(Scenario())
-    ) and identical(sp_log, run_scenario(Scenario(params=table_params(MachineKind.SPMSM))))
+    ) and identical(sp_log, run_scenario(Scenario(params=MachineParams(L2=0.0))))
 
     ok = worst_asym <= 1e-12 and min_diag >= 0.0 and replay_ok and rerun_ok
     return ok, (
@@ -409,7 +404,7 @@ def test_criterion_9(ipmsm_log, capsys):
 
 def main() -> int:
     ip_log = run_scenario(Scenario())
-    sp_log = run_scenario(Scenario(params=table_params(MachineKind.SPMSM)))
+    sp_log = run_scenario(Scenario(params=MachineParams(L2=0.0)))
     checks = [
         (1, criterion_1),
         (2, criterion_2),

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from pmsmlab.cli import SWEEP_COLUMNS, main
 from pmsmlab.observability import hfi_det_y1
 from pmsmlab.report import read_csv
-from pmsmlab.simulation import MachineKind, Scenario, table_params
+from pmsmlab.machine import MachineParams
+from pmsmlab.simulation import Scenario
 
 SPMSM_MACHINE = {"R": 0.01, "L0": 0.00065, "L2": 0.0, "psi_r": 0.0225, "p": 2, "J": 0.02}
 
@@ -161,7 +162,7 @@ def test_sweep_writes_grid_csv(tmp_path, capsys):
     assert lines[0] == "# sweep parameter: injection.amplitude"
     assert lines[1] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == 4
-    params = table_params(MachineKind.SPMSM)
+    params = MachineParams(L2=0.0)
     for line, amplitude in zip(lines[2:], (0.0, 1.0)):
         fields = [float(v) for v in line.split(",")]
         assert fields[0] == amplitude

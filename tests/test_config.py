@@ -20,8 +20,8 @@ from pmsmlab.config import (
     render_config,
 )
 from pmsmlab.control import InjectionKind
-from pmsmlab.machine import TYPE_RULES
-from pmsmlab.simulation import MachineKind, Scenario, table_params
+from pmsmlab.machine import TYPE_RULES, MachineParams
+from pmsmlab.simulation import Scenario
 from pmsmlab.simulation import MAX_RK4_STEPS, MAX_SAMPLES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -42,7 +42,7 @@ def errors_of(text):
 
 def test_minimal_config_gives_reference_scenario():
     cfg = parse_config(MINIMAL_SPMSM)
-    assert cfg.scenario == Scenario(params=table_params(MachineKind.SPMSM))
+    assert cfg.scenario == Scenario(params=MachineParams(L2=0.0))
     assert cfg.out_dir == "."
     assert cfg.csv_name == "trajectory.csv"
     assert cfg.write_summary
@@ -55,19 +55,29 @@ def test_the_default_paths_agree(kind):
     # the field defaults are the reference study, in code and in a file that gives only the machine
     machine = json.loads((CONFIG_DIR / f"standstill_{kind}.json").read_text())["machine"]
     cfg = parse_config(json.dumps({"machine": machine}))
-    assert cfg.scenario == {"ipmsm": Scenario(), "spmsm": Scenario(params=table_params("spmsm"))}[kind]
-    if kind == "ipmsm":  # Scenario() is the reference study
+    params = {"ipmsm": MachineParams(), "spmsm": MachineParams(L2=0.0)}[kind]
+    assert cfg.scenario == Scenario(params=params)
+    if kind == "ipmsm":  # MachineParams() is the reference machine and Scenario() the reference study
+        assert Scenario().params == params
         assert cfg == RunConfig(Scenario())  # the output defaults included
 
 
 def test_shipped_standstill_configs_match_reference():
-    for name, kind in (
-        ("standstill_ipmsm.json", MachineKind.IPMSM),
-        ("standstill_spmsm.json", MachineKind.SPMSM),
-    ):
+    for name, params in (("standstill_ipmsm.json", MachineParams()), ("standstill_spmsm.json", MachineParams(L2=0.0))):
         cfg = parse_config((CONFIG_DIR / name).read_text())
-        assert cfg.scenario == Scenario(params=table_params(kind)), name
+        assert cfg.scenario == Scenario(params=params), name
         assert cfg.csv_name == name.replace(".json", ".csv")
+
+
+def test_python_built_and_shipped_machines_are_the_same_bit_for_bit():
+    # repr writes each float so that it reads back to the same bits, so equal reprs are equal bits, signed zeros too
+    shipped = {name: parse_config((CONFIG_DIR / f"{name}.json").read_text()).scenario.params
+               for name in ("standstill_ipmsm", "standstill_spmsm", "hfi_voltage_sweep")}
+    assert repr(shipped["standstill_ipmsm"]) == repr(MachineParams())
+    assert repr(shipped["standstill_spmsm"]) == repr(shipped["hfi_voltage_sweep"]) == repr(MachineParams(L2=0.0))
+    # the shipped Ld/Lq as l0_l2 gives them, which --print-config renders, not the float -0.15e-3
+    assert MachineParams().L2 == -0.00015000000000000001
+    assert MachineParams().L2 != -0.15e-3
 
 
 def test_shipped_sweep_config():
@@ -251,14 +261,30 @@ def test_null_profile_or_injection_is_a_type_error(tmp_path):
         path.write_text(json.dumps(bad))
         assert main(["simulate", "-c", str(path), "-o", str(tmp_path / key)]) == 1
         assert not (tmp_path / key).exists()
-    assert parse_config(json.dumps(dict(base, scenario={}))).scenario == Scenario(params=table_params("spmsm"))
+    assert parse_config(json.dumps(dict(base, scenario={}))).scenario == Scenario(params=MachineParams(L2=0.0))
 
 
 @pytest.mark.parametrize("value", [None, 3, []])
-@pytest.mark.parametrize("block", ["sweep", "analyze"])
+@pytest.mark.parametrize("block", ["machine", "sweep", "analyze"])
 def test_a_block_that_is_no_object_has_one_line(block, value):
-    # only the shape is reported, not the block's missing parameter or states besides
+    # only the shape is reported, not the block's missing constants, parameter or states besides
     assert errors_of(json.dumps(dict(json.loads(MINIMAL_SPMSM), **{block: value}))) == [f"{block}: must be an object"]
+
+
+@pytest.mark.parametrize("block, value, lines", [
+    ("machine", {"R": 0.01, "L0": "x", "L2": 0.0, "psi_r": 0.0225, "p": 2}, ["machine.L0: must be a finite number"]),
+    ("machine", {"R": 0.01, "Ld": "x", "Lq": 0.0008, "psi_r": 0.0225, "p": 2}, ["machine.Ld: must be a finite number"]),
+    ("machine", {"R": 0.01, "L0": 0.00065, "L2": 0.0, "Ld": "x", "psi_r": 0.0225, "p": 2},
+     ["machine.Ld: must be a finite number", "machine: give either Ld/Lq or L0/L2, not both"]),
+    ("sweep", {"parameter": 5, "values": [0.1]}, ["sweep.parameter: must be a string"]),
+    ("sweep", {"parameter": "noise_std", "values": "x"}, ["sweep.values: must be a list of finite numbers"]),
+    ("sweep", {"parameter": "noise_std", "values": [0.1, "x"]}, ["sweep.values: must be a list of finite numbers"]),
+    ("sweep", {"parameter": "noise_std", "values": []}, ["sweep: needs 'parameter' and a non-empty 'values' list"]),
+], ids=["L0", "Ld_with_Lq", "Ld_with_L0_L2", "parameter", "values", "values_entry", "empty"])
+def test_a_present_key_is_given_though_mistyped(block, value, lines):
+    # a mistyped key has its type line only, not a missing key's or a missing partner's besides; an absent or
+    # empty key keeps its line
+    assert errors_of(json.dumps(dict(json.loads(MINIMAL_SPMSM), **{block: value}))) == lines
 
 
 def test_negative_seed_rejected():

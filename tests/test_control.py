@@ -22,7 +22,7 @@ T_S = 1e-4
 
 
 def _spmsm():
-    return MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)
+    return MachineParams(L2=0.0, J=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_pi_law_clamps_as_min_max(data):
 
 
 def test_default_gains_rule():
-    p = MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=0.01)
+    p = MachineParams(J=0.01)
     kp_d, kp_q, ki = default_gains(p, bandwidth=1000.0)
     assert kp_d == pytest.approx(0.5e-3 * 1000.0)
     assert kp_q == pytest.approx(0.8e-3 * 1000.0)
@@ -187,7 +187,7 @@ def test_loop_axes_are_decoupled_at_standstill():
 
 
 def test_loop_tracks_at_constant_speed():
-    p = MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=0.01)
+    p = MachineParams(J=0.01)
     # 0.6 s horizon: the R*w_c integral gain rejects the back-EMF disturbance
     # with the plant time constant L/R = 65 ms, so allow ~9 constants
     hist, _ = _run_loop(p, 0.2, (0.0, 15.0), 6000, substeps=2, omega=20.0)

@@ -24,13 +24,6 @@ from pmsmlab.machine import (
     wrap_angle,
 )
 
-TABLE = dict(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=0.01)
-
-
-def table_machine() -> MachineParams:
-    return MachineParams.from_dq(**TABLE)
-
-
 def _dq(x: float, y: float) -> FrameVec:
     return FrameVec(x, y, Frame.DQ)
 
@@ -99,7 +92,7 @@ def test_park_requires_matching_frames():
     with pytest.raises(FrameError):
         park(_dq(1.0, 0.0), 0.3)
     # the model functions check the frame of what they are given
-    state, p = MachineState(1.0, 2.0, 30.0, 0.3), table_machine()
+    state, p = MachineState(1.0, 2.0, 30.0, 0.3), MachineParams()
     for model in (dynamics_alphabeta, dq_current_rate):
         with pytest.raises(FrameError, match="expected alpha-beta voltage, got dq"):
             model(state, _dq(1.0, 0.0), p)
@@ -132,7 +125,7 @@ def test_park_roundtrip_and_norm(x, y, theta):
 
 
 def test_params_derived_quantities():
-    p = table_machine()
+    p = MachineParams()
     assert p.L0 == pytest.approx(0.65e-3)
     assert p.L2 == pytest.approx(-0.15e-3)
     assert p.Ld == pytest.approx(0.5e-3)
@@ -159,10 +152,8 @@ def test_params_derived_quantities():
     ],
 )
 def test_params_invariants_rejected(kwargs):
-    base = dict(R=0.01, L0=0.65e-3, L2=-0.15e-3, psi_r=0.0225, p=2, J=0.01)
-    base.update(kwargs)
     with pytest.raises(ValueError):
-        MachineParams(**base)
+        MachineParams(**kwargs)
 
 
 def test_state_rejects_non_finite():
@@ -176,12 +167,12 @@ def test_state_rejects_non_finite():
 
 
 def test_inductance_matrix_table_values_at_zero():
-    ind = _inductance_matrix(0.0, table_machine())
+    ind = _inductance_matrix(0.0, MachineParams())
     assert np.allclose(ind, [[0.5e-3, 0.0], [0.0, 0.8e-3]], atol=1e-19)
 
 
 def test_inductance_matrix_nonsalient_is_scaled_identity():
-    p = MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)
+    p = MachineParams(L2=0.0)
     for theta in (0.0, 0.4, 2.0, -1.3):
         assert np.array_equal(_inductance_matrix(theta, p), 0.65e-3 * np.eye(2))
 
@@ -192,7 +183,7 @@ def test_inductance_matrix_quarter_turn():
 
 
 def test_inductance_eigenvalues_constant():
-    p = table_machine()
+    p = MachineParams()
     for theta in np.linspace(-math.pi, math.pi, 17):
         ind = _inductance_matrix(theta, p)
         assert np.allclose(ind, ind.T)
@@ -201,7 +192,7 @@ def test_inductance_eigenvalues_constant():
 
 
 def test_inductance_derivs_special_cases():
-    flat = MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)
+    flat = MachineParams(L2=0.0)
     d1, d2 = _inductance_matrix_derivs(1.1, flat)
     assert not d1.any() and not d2.any()
     p = MachineParams(R=1.0, L0=1.0, L2=0.1, psi_r=0.0, p=1, J=1.0)
@@ -210,7 +201,7 @@ def test_inductance_derivs_special_cases():
 
 
 def test_inductance_second_deriv_identity():
-    p = table_machine()
+    p = MachineParams()
     for theta in np.linspace(-3.0, 3.0, 11):
         _, d2 = _inductance_matrix_derivs(theta, p)
         ind = _inductance_matrix(theta, p)
@@ -218,7 +209,7 @@ def test_inductance_second_deriv_identity():
 
 
 def test_inductance_derivs_match_finite_difference():
-    p = table_machine()
+    p = MachineParams()
     h = 1e-6
     rng = np.random.default_rng(2)
     for theta in rng.uniform(-math.pi, math.pi, 10):
@@ -235,7 +226,7 @@ def test_inductance_derivs_match_finite_difference():
 
 
 def test_inductance_inverse():
-    p = table_machine()
+    p = MachineParams()
     for theta in np.linspace(-3.0, 3.0, 9):
         prod = _inductance_matrix_inv(theta, p) @ _inductance_matrix(theta, p)
         assert np.allclose(prod, np.eye(2), atol=1e-12)
@@ -247,22 +238,22 @@ def test_inductance_inverse():
 
 
 def test_torque_zero_current():
-    assert torque_alphabeta(MachineState(0.0, 0.0, 0.0, 1.0), table_machine()) == 0.0
-    assert rotor_frame_torque(5.0, 0.0, table_machine()) == 0.0
+    assert torque_alphabeta(MachineState(0.0, 0.0, 0.0, 1.0), MachineParams()) == 0.0
+    assert rotor_frame_torque(5.0, 0.0, MachineParams()) == 0.0
 
 
 def test_torque_pm_alignment_case():
-    p = MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)
+    p = MachineParams(L2=0.0)
     t = torque_alphabeta(MachineState(0.0, 7.0, 0.0, 0.0), p)
     assert t == pytest.approx(1.5 * 2 * 0.0225 * 7.0, rel=1e-14)
 
 
 def test_torque_table_setpoint_value():
-    assert rotor_frame_torque(0.0, 15.0, table_machine()) == pytest.approx(1.0125, rel=1e-12)
+    assert rotor_frame_torque(0.0, 15.0, MachineParams()) == pytest.approx(1.0125, rel=1e-12)
 
 
 def test_torque_frame_equivalence_random():
-    p = table_machine()
+    p = MachineParams()
     rng = np.random.default_rng(3)
     for _ in range(100):
         st_ = MachineState(*rng.uniform(-20, 20, 2), 0.0, rng.uniform(-math.pi, math.pi))
@@ -278,7 +269,7 @@ def test_torque_frame_equivalence_random():
 
 
 def test_resistive_balance_is_equilibrium():
-    p = MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)
+    p = MachineParams(L2=0.0)
     st_ = MachineState(3.0, -2.0, 0.0, 0.9)
     v = alphabeta(p.R * 3.0, p.R * -2.0)
     di, _, dth = dynamics_alphabeta(st_, v, p)
@@ -287,7 +278,7 @@ def test_resistive_balance_is_equilibrium():
 
 
 def test_dq_resistive_balance_and_single_term():
-    p = table_machine()
+    p = MachineParams()
     di, _, _ = rotor_frame_dynamics(4.0, -1.0, 0.0, p.R * 4.0, p.R * -1.0, 0.0, p)
     assert di[0] == 0.0 and di[1] == 0.0
     di, _, _ = rotor_frame_dynamics(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, p)
@@ -296,7 +287,7 @@ def test_dq_resistive_balance_and_single_term():
 
 
 def test_torque_balance_freezes_speed():
-    p = table_machine()
+    p = MachineParams()
     st_ = MachineState(2.0, 5.0, 30.0, 0.7)
     T_m = torque_alphabeta(st_, p)
     _, domega, _ = dynamics_alphabeta(
@@ -307,7 +298,7 @@ def test_torque_balance_freezes_speed():
 
 def test_zero_current_rate_is_pure_back_emf():
     # with i = 0 and v = 0 the only drive left is -L^-1 psi_r C'(theta) omega
-    p = table_machine()
+    p = MachineParams()
     omega, theta = 40.0, 1.1
     di, _, _ = dynamics_alphabeta(MachineState(0.0, 0.0, omega, theta), alphabeta(0.0, 0.0), p)
     expect = _inductance_matrix_inv(theta, p) @ (
@@ -320,7 +311,7 @@ def test_zero_current_rate_is_pure_back_emf():
 
 def test_state_rate_of_one_state_is_row_zero_of_a_stack():
     rng = np.random.default_rng(47)
-    for p in (table_machine(), MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)):
+    for p in (MachineParams(), MachineParams(L2=0.0)):
         for _ in range(50):
             x, u, T_l = rng.uniform(-50.0, 50.0, 4), rng.uniform(-20.0, 20.0, 2), rng.uniform(-1.0, 1.0)
             one = state_rate(p, x, u, T_l)
@@ -330,7 +321,7 @@ def test_state_rate_of_one_state_is_row_zero_of_a_stack():
 
 
 def test_frame_equivalence_dynamics():
-    p = table_machine()
+    p = MachineParams()
     rng = np.random.default_rng(4)
     for _ in range(100):
         st_ = MachineState(

@@ -295,8 +295,8 @@ def _pointwise_stack(rate, x, orders, scales):
 
 
 def _oracle_cases():
-    ip = MachineParams.from_dq(R=0.01, Ld=0.5e-3, Lq=0.8e-3, psi_r=0.0225, p=2, J=0.01)
-    sp = MachineParams(R=0.01, L0=0.65e-3, L2=0.0, psi_r=0.0225, p=2, J=0.01)
+    ip = MachineParams(J=0.01)
+    sp = MachineParams(L2=0.0, J=0.01)
 
     def emech(name, params, x, u, T_l=0.0, locked=False):
         scales = np.array([max(1.0, abs(x[0]), abs(x[1]))] * 2 + [max(1.0, abs(x[2])), max(1.0, abs(x[3]))])

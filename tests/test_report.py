@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from pmsmlab.report import _ROW_BLOCK, CSV_COLUMNS, SCHEMA_TAG, read_csv, stream_csv, summarize, write_rows
-from pmsmlab.simulation import MachineKind, Scenario, run_scenario, table_params
+from pmsmlab.machine import MachineParams
+from pmsmlab.simulation import Scenario, run_scenario
 
 
 def _small_log(**over):
-    scn = Scenario(params=table_params(MachineKind.SPMSM))
+    scn = Scenario(params=MachineParams(L2=0.0))
     over.setdefault("t_end", 0.03)
     return run_scenario(dataclasses.replace(scn, **over))
 

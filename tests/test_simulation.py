@@ -23,15 +23,13 @@ from pmsmlab.control import (
     default_gains,
 )
 from pmsmlab.ekf import _diag_upper, _predict, _update
-from pmsmlab.machine import MachineState, _rotate, alphabeta, dynamics_alphabeta, park, wrap_angle
+from pmsmlab.machine import MachineParams, MachineState, _rotate, alphabeta, dynamics_alphabeta, park, wrap_angle
 from pmsmlab.observability import sample_report
 from pmsmlab.simulation import (
     COLUMNS,
-    MachineKind,
     Scenario,
     SpeedProfile,
     run_scenario,
-    table_params,
 )
 
 STUDY_POINTS = [(0.0, 0.0), (0.6, 0.0), (0.8, 50.0), (1.0, 50.0)]
@@ -41,8 +39,8 @@ def _study_profile():
     return SpeedProfile.from_breakpoints(STUDY_POINTS)
 
 
-def _tiny(kind=MachineKind.SPMSM, **over):
-    scn = Scenario(params=table_params(kind))
+def _tiny(params=MachineParams(L2=0.0), **over):
+    scn = Scenario(params=params)
     over.setdefault("t_end", 0.02)
     return dataclasses.replace(scn, **over)
 
@@ -209,7 +207,7 @@ def test_scenario_sample_count():
 def test_study_scenario_contents():
     scn = Scenario()
     assert scn.params.is_salient
-    assert Scenario(params=table_params("SPMSM")).params.L2 == 0.0
+    assert Scenario(params=MachineParams(L2=0.0)).params.L2 == 0.0
     assert scn.profile.times == (0.0, 0.6, 0.8, 1.0)
     assert scn.profile.speeds == (0.0, 0.0, 50.0, 50.0)
     assert scn.setpoints == (0.0, 15.0)
@@ -220,22 +218,13 @@ def test_study_scenario_contents():
     assert scn.theta_hat_err0 == -math.pi / 4.0
 
 
-def test_table_params():
-    ip = table_params(MachineKind.IPMSM)
+def test_reference_machine():
+    ip = MachineParams()
     assert ip.Ld == pytest.approx(0.5e-3, rel=1e-14)
     assert ip.Lq == pytest.approx(0.8e-3, rel=1e-14)
     assert (ip.R, ip.psi_r, ip.p, ip.J) == (0.01, 0.0225, 2, 0.02)
-    sp = table_params(MachineKind.SPMSM, J=0.05)
+    sp = MachineParams(L2=0.0, J=0.05)
     assert (sp.L0, sp.L2, sp.J) == (0.65e-3, 0.0, 0.05)
-    # the round machine is the salient one with L2 zeroed, and its L0 is 0.65e-3 bit for bit
-    assert table_params("spmsm") == dataclasses.replace(table_params(), L2=0.0)
-
-
-def test_table_params_takes_a_kind_name():
-    assert table_params("ipmsm") == table_params(MachineKind.IPMSM)
-    assert table_params("SPMSM") == table_params(MachineKind.SPMSM)
-    with pytest.raises(ValueError, match="nonsense"):
-        table_params("nonsense")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +233,7 @@ def test_table_params_takes_a_kind_name():
 
 
 def test_integrator_resistive_equilibrium_is_exact():
-    params = table_params()
+    params = MachineParams()
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0)])
     v = (params.R * 3.0, params.R * -2.0)
     out = (3.0, -2.0, 0.0, 0.4)
@@ -256,7 +245,7 @@ def test_integrator_resistive_equilibrium_is_exact():
 
 
 def test_integrator_is_fourth_order():
-    params = table_params()
+    params = MachineParams()
     prof = SpeedProfile.from_breakpoints([(0.0, 40.0)])
     st0 = (1.0, -2.0, 40.0, 0.2)
     v = _rotate(0.5, 0.8, math.cos(0.2), math.sin(0.2))
@@ -302,7 +291,7 @@ def _held_voltage_steps(params, prof, state, voltage, dt, n, prefix=1000):
 
 def test_integrator_standstill_steady_state():
     # constant voltage at locked rotor settles to i = v/R
-    params = table_params()
+    params = MachineParams()
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0)])
     st = (0.0, 0.0, 0.0, 0.3)
     v = _rotate(0.2, -0.1, math.cos(0.3), math.sin(0.3))
@@ -316,7 +305,7 @@ def test_integrator_standstill_steady_state():
 def test_integrator_rotating_steady_state():
     # equilibrium dq voltage rotated once per step (zero-order hold): the
     # tracking error is bounded by the hold, about omega*dt/2 relative
-    params = table_params()
+    params = MachineParams()
     omega = 20.0
     prof = SpeedProfile.from_breakpoints([(0.0, omega)])
     i_d, i_q = 0.0, 15.0
@@ -553,7 +542,7 @@ def test_run_observability_on_estimates_smoke():
 def test_log_row_matches_sample_report(ipmsm_log):
     from pmsmlab.machine import alphabeta, dq_current_rate
 
-    params = table_params(MachineKind.IPMSM)
+    params = MachineParams()
     prof = _study_profile()
     for k in (700, 3100, 7321, 9500):
         st = MachineState(
@@ -625,7 +614,7 @@ def test_run_replays_through_the_single_step_integrator():
     # one integrator: the logged voltages, stepped one sample at a time through a map row built
     # for that sample alone, with the run's substeps, reproduce the logged currents bit for bit
     prof = SpeedProfile.from_breakpoints([(0.0, 0.0), (0.004, 0.0), (0.015, 40.0)])
-    scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3)
+    scn = _tiny(MachineParams(), profile=prof, theta0=0.3)
     log = run_scenario(scn, with_ekf=False)
     st = (log.i_alpha[0], log.i_beta[0], prof.omega(0.0), scn.theta0)
     for k in range(len(log) - 1):
@@ -648,7 +637,7 @@ def test_run_replays_across_map_blocks(substeps, t_end, monkeypatch):
     # a leading standstill, then standstill after motion, where the held angle is not 0
     for points in ([(0.0, 0.0), (0.25, 0.0), (1.0, 40.0)], [(0.0, 0.0), (0.25, 40.0), (0.5, 0.0)]):
         prof = SpeedProfile.from_breakpoints([(f * t_end, w) for f, w in points])
-        scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3, t_end=t_end, ode_substeps=substeps)
+        scn = _tiny(MachineParams(), profile=prof, theta0=0.3, t_end=t_end, ode_substeps=substeps)
         assert scn.n_samples > 3 * max(1, build // substeps)  # at least three block edges
         assert substeps < build or substeps % build != 0  # a short last chunk
         log = run_scenario(scn, with_ekf=False)
@@ -686,11 +675,10 @@ def _stagewise_rk4(params, prof, i_a, i_b, theta, v, t, dt):
     )
 
 
-@pytest.mark.parametrize("kind", list(MachineKind))
-def test_step_map_matches_a_stagewise_rk4(kind):
+@pytest.mark.parametrize("params", [MachineParams(), MachineParams(L2=0.0)], ids=["ipmsm", "spmsm"])
+def test_step_map_matches_a_stagewise_rk4(params):
     # the affine step map is the RK4 step: the currents agree to rounding
     # relative to the step's own increment, the speed and angle exactly
-    params = table_params(kind)
     rng = np.random.default_rng(21)
     for _ in range(300):
         # a ramp, so both omega and omega_dot are nonzero inside the step
@@ -717,7 +705,7 @@ def test_sample_map_matches_stagewise_rk4_steps(substeps, cases):
         assert -(-substeps // _BUILD_STEPS) == {600: 1, 2100: 3}[substeps]  # chunks of the sample
     rng = np.random.default_rng(substeps)
     for case in range(cases):
-        params = table_params(list(MachineKind)[case % 2])
+        params = MachineParams(L2=0.0) if case % 2 else MachineParams()
         prof = SpeedProfile.from_breakpoints([(0.0, rng.uniform(-300.0, -10.0)), (0.05, rng.uniform(10.0, 300.0))])
         t, T = rng.uniform(0.0, 0.049), 10.0 ** rng.uniform(-5.0, -3.7)
         i_a, i_b = rng.uniform(-20.0, 20.0, 2)
@@ -761,16 +749,16 @@ _MAP_CASES = {  # scenarios for the _map_blocks tests, built when a test asks fo
     "study": Scenario,
     "hfi_config": _hfi_config_scenario,
     "standstill_after_motion": lambda: _tiny(
-        MachineKind.IPMSM, profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 40.0), (0.004, 0.0)]),
+        MachineParams(), profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.002, 40.0), (0.004, 0.0)]),
         theta0=0.3, t_end=0.01),
     # the whole run is held at A != 0, from a theta0 that the chain (theta0 - A) + A does not return
-    "theta_off_the_chain": lambda: _tiny(MachineKind.IPMSM, profile=_MOVED_BEFORE_T0, theta0=-0.49, t_end=0.005),
+    "theta_off_the_chain": lambda: _tiny(MachineParams(), profile=_MOVED_BEFORE_T0, theta0=-0.49, t_end=0.005),
     # (-0.0 - 0.0) + 0.0 is +0.0
     "negative_zero_theta0": lambda: _tiny(theta0=-0.0, t_end=0.005),
     "holds_before_and_after_the_breakpoints": lambda: _tiny(
         profile=SpeedProfile.from_breakpoints([(0.003, 0.0), (0.005, 30.0), (0.007, 0.0)]), theta0=0.3, t_end=0.01),
     "edge_inside_a_sample": lambda: _tiny(
-        MachineKind.IPMSM,
+        MachineParams(),
         profile=SpeedProfile.from_breakpoints([(0.0, 0.0), (0.00305, 0.0), (0.00505, 30.0), (0.00705, 0.0)]),
         theta0=1.0, t_end=0.01),
     # three samples per block, short of _BUILD_STEPS steps
@@ -891,7 +879,7 @@ def test_run_replays_through_the_controller_kernels(case):
         over["injection"] = InjectionSchedule(InjectionKind.VOLTAGE_ON_DHAT, amplitude=2.0, **window)
     elif case == "saturated":
         over["voltage_limit"] = 0.2  # below the back-EMF of the ramp
-    scn = _tiny(MachineKind.IPMSM, profile=prof, theta0=0.3, t_end=0.015, **over)
+    scn = _tiny(MachineParams(), profile=prof, theta0=0.3, t_end=0.015, **over)
     log = run_scenario(scn)
     assert not log.aborted
     assert np.all(np.abs(log.theta_true) < math.pi)  # so the logged (wrapped) angle is exact
